@@ -29,7 +29,7 @@ import numpy as np
 from . import model as M
 from . import train as TR
 from .datagen import GenSpec, generate
-from .evaluate import evaluate_sessions
+from .evaluate import N_NEG, evaluate_sessions
 from .linkage import build_linkage
 from .value import ValueParams, assess_corpus, fit_buckets
 
@@ -64,7 +64,6 @@ class AblationConfig:
     gen: GenSpec = GenSpec(n_users=30, n_items=20, seed=0)
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
     d: int = 32
-    l_seq: int = 1
     lambda3_skip: float = 1.0
     value_params: ValueParams = ValueParams(l_seq=1)
     train: TR.TrainConfig = TR.TrainConfig(
@@ -110,13 +109,13 @@ def _run_variant(corpus, linkage, buckets, name: str,
         lambda_va=cfg.train.lambda_va if lambda_va is None else lambda_va,
     )
     result = TR.train(corpus, linkage, assessments, model, tcfg,
-                      l_seq=cfg.l_seq, value_filter=value_filter)
+                      l_seq=params.l_seq, value_filter=value_filter)
 
     split = TR.split_sessions(corpus)
     fn = TR.model_score_fn(result.model, corpus, kept_map,
-                           l_seq=cfg.l_seq, value_filter=value_filter)
+                           l_seq=params.l_seq, value_filter=value_filter)
     report = evaluate_sessions(fn, corpus, split.test,
-                               n_neg=min(99, len(corpus.items) - 1), seed=0)
+                               n_neg=min(N_NEG, len(corpus.items) - 1), seed=0)
     return report.macro[cfg.metric]
 
 

@@ -18,9 +18,14 @@ writes ``manifests/<stage>.json`` (config hash, input/output hashes,
 timing); manifests carry timestamps and sit outside the byte-stable
 artifact contract, which covers the JSONL/JSON artifacts themselves.
 
-Config: a single flat JSON object.  Unknown keys are rejected with every
-offending key listed; flags override config keys; ``--seed``,
-``--config``, and ``--out`` exist on every subcommand.
+Config: a single flat JSON object.  Every setting is declared once, as a
+field of the dataclass that owns it (``GenSpec``, ``LinkageParams``,
+``ScopeParams``, ``ValueParams``, ``ModelConfig``, ``TrainConfig``), and
+its default and type come from there; ``CONFIG_DEFAULTS`` is built from
+those fields.  Unknown keys are rejected with every offending key listed;
+flags override config keys; ``--seed``, ``--config``, and ``--out`` exist
+on every subcommand.  ``STAGES`` declares each subcommand once: what it
+runs, the config keys it takes as flags, and the artifacts it reads.
 
 Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
 4 data validation error.
@@ -29,17 +34,20 @@ Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .corpus import Corpus, CorpusError, load_corpus, dump_corpus
 from .datagen import GenSpec, write_dataset
 from .evaluate import (
+    N_NEG,
     MetricReport,
     bm25_score_fn,
     dump_metrics,
@@ -49,7 +57,7 @@ from .evaluate import (
 )
 from .index import ScopeParams, build_index, dump_index, load_index
 from .linkage import LinkageParams, build_linkage, dump_linkage, load_linkage
-from .model import config_for_corpus, init_model, load_model, save_model
+from .model import ModelConfig, config_for_corpus, init_model, load_model, save_model
 from .train import TrainConfig, kept_consultations, model_score_fn, split_sessions, train
 from .value import (
     ValueParams,
@@ -60,70 +68,50 @@ from .value import (
     score_histogram,
 )
 
-#: Every legal config key with its default.  Path keys resolve against
-#: --out; the rest mirror the owning module's dataclass defaults.
-CONFIG_DEFAULTS: Dict[str, object] = {
-    # artifact paths
-    "corpus": "corpus",
-    "index": "index.jsonl",
-    "linkage": "linkage.jsonl",
-    "values": "values.jsonl",
-    "checkpoint": "checkpoint.json",
-    "reports": "reports",
-    # global
-    "seed": 0,
-    # synthetic data generation
-    "gen_users": 200,
-    "gen_items": 500,
-    "gen_horizon_hours": 4320,
-    # value assessment (ValueParams / ScopeParams / LinkageParams)
-    "alpha": 0.99,
-    "lambda1": 0.5,
-    "lambda2": 0.3,
-    "l_seq": 30,
-    "n_buckets": 11,
-    "time_bucket_count": 13,
-    "lambda_thresh": 4,
-    "window_days": 14,
-    # model (ModelConfig; sizes derived from the corpus are not keys)
-    "d": 64,
-    "n_time_buckets": 13,
-    "lambda3_skip": 1.0,
-    "encoder_layers": 1,
-    "max_text_tokens": 64,
-    # training (TrainConfig; seed comes from the global key)
-    "tau1": 0.1,
-    "tau2": 0.1,
-    "lambda_va": 0.1,
-    "lambda_l2": 1e-5,
-    "n_neg_search": 10,
-    "va_batch": 128,
-    "batch_size": 72,
-    "max_epochs": 100,
-    "patience": 5,
-    "lr": 1e-3,
-    "value_filter": True,
-    # evaluation
-    "n_neg_eval": 99,
-}
+#: The dataclasses that own the settings.  Each of their scalar fields with
+#: a default is one config key of the same name; ``seed`` is a single key
+#: shared by every owner.
+_OWNERS = (GenSpec, LinkageParams, ScopeParams, ValueParams, ModelConfig, TrainConfig)
 
-_PATH_KEYS = ("corpus", "index", "linkage", "values", "checkpoint", "reports")
+#: The generator's fields take a ``gen_`` prefix: they size the synthetic
+#: corpus, not the model.
+_GEN_KEYS = {"n_users": "gen_users", "n_items": "gen_items",
+             "horizon_hours": "gen_horizon_hours"}
 
-#: Config keys exposed as flags per subcommand (names get dashes).
-_STAGE_FLAGS: Dict[str, Sequence[str]] = {
-    "datagen": ("gen_users", "gen_items", "gen_horizon_hours"),
-    "ingest": (),
-    "index": (),
-    "link": ("window_days",),
-    "assess": ("alpha", "lambda1", "lambda2", "l_seq", "n_buckets",
-               "lambda_thresh", "time_bucket_count"),
-    "train": ("d", "l_seq", "lambda3_skip", "lambda_va", "tau1", "tau2",
-              "lambda_l2", "n_neg_search", "va_batch", "batch_size",
-              "max_epochs", "patience", "lr", "value_filter",
-              "max_text_tokens", "n_time_buckets"),
-    "eval": ("l_seq", "n_neg_eval", "d"),
-    "report": (),
-}
+
+def _settings(cls) -> Dict[str, dataclasses.Field]:
+    """Config key -> field, for every setting `cls` owns."""
+    rename = _GEN_KEYS if cls is GenSpec else {}
+    return {
+        rename.get(f.name, f.name): f
+        for f in dataclasses.fields(cls)
+        if isinstance(f.default, (bool, int, float, str))
+    }
+
+
+def _config_defaults() -> Dict[str, object]:
+    defaults: Dict[str, object] = {
+        # artifact paths, resolved against --out
+        "corpus": "corpus",
+        "index": "index.jsonl",
+        "linkage": "linkage.jsonl",
+        "values": "values.jsonl",
+        "checkpoint": "checkpoint.json",
+        "reports": "reports",
+        # train on the value-filtered consultations (false: the most recent)
+        "value_filter": True,
+        # sampled negatives per evaluated session
+        "n_neg_eval": N_NEG,
+    }
+    for cls in _OWNERS:
+        for key, f in _settings(cls).items():
+            if defaults.setdefault(key, f.default) != f.default:
+                raise TypeError(f"{cls.__name__}.{f.name} redefines config key {key}")
+    return defaults
+
+
+#: Every legal config key with its default.
+CONFIG_DEFAULTS: Dict[str, object] = _config_defaults()
 
 RANKERS = ("vaps", "bm25", "semantic")
 
@@ -182,7 +170,9 @@ def validate_config(supplied: Dict[str, object]) -> Dict[str, object]:
         raise ConfigError("; ".join(problems))
     merged = dict(CONFIG_DEFAULTS)
     merged.update(supplied)
-    return merged
+    # an integral value given for a float key is stored as that float
+    return {key: float(value) if isinstance(CONFIG_DEFAULTS[key], float) else value
+            for key, value in merged.items()}
 
 
 def load_config(path: Optional[str], overrides: Dict[str, object]) -> Dict[str, object]:
@@ -205,12 +195,6 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Dict[str, 
 def _resolve(cfg: Dict[str, object], out_dir: str, key: str) -> str:
     path = str(cfg[key])
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
-
-
-def _require(path: str, hint: str) -> str:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"missing {path}: run {hint} first")
-    return path
 
 
 def _sha256(path: str) -> str:
@@ -245,56 +229,38 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
     return path
 
 
-def _corpus_paths(cfg: Dict[str, object], out_dir: str) -> tuple:
+def _corpus_paths(cfg: Dict[str, object], out_dir: str) -> Tuple[str, str]:
     corpus_dir = _resolve(cfg, out_dir, "corpus")
     return (os.path.join(corpus_dir, "items.jsonl"),
             os.path.join(corpus_dir, "events.jsonl"))
 
 
-def _load_corpus(cfg: Dict[str, object], out_dir: str, hint: str = "ingest") -> Corpus:
+def _raw_corpus_paths(cfg: Dict[str, object], out_dir: str, args) -> Tuple[str, str]:
+    """The items and events files `ingest` reads: --items/--events, or the
+    corpus directory's own."""
     items_path, events_path = _corpus_paths(cfg, out_dir)
-    _require(items_path, hint)
-    _require(events_path, hint)
+    return args.items or items_path, args.events or events_path
+
+
+def _load_corpus(items_path: str, events_path: str) -> Corpus:
     try:
         return load_corpus(items_path, events_path)
     except CorpusError as exc:
         raise DataError(f"corpus failed validation: {exc}") from exc
 
 
-def _value_params(cfg: Dict[str, object]) -> ValueParams:
+def _build(cls, cfg: Dict[str, object], make: Optional[Callable] = None):
+    """`make` (default: `cls`) called with the settings `cls` owns, read
+    from the config.  A value the class rejects is a config error."""
+    kwargs = {f.name: cfg[key] for key, f in _settings(cls).items()}
     try:
-        return ValueParams(
-            alpha=float(cfg["alpha"]), lambda1=float(cfg["lambda1"]),
-            lambda2=float(cfg["lambda2"]), l_seq=int(cfg["l_seq"]),
-            n_buckets=int(cfg["n_buckets"]),
-            time_bucket_count=int(cfg["time_bucket_count"]),
-        )
+        return (make or cls)(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"bad value parameters: {exc}") from exc
-
-
-def _train_config(cfg: Dict[str, object]) -> TrainConfig:
-    try:
-        return TrainConfig(
-            tau1=float(cfg["tau1"]), tau2=float(cfg["tau2"]),
-            lambda_va=float(cfg["lambda_va"]), lambda_l2=float(cfg["lambda_l2"]),
-            n_neg_search=int(cfg["n_neg_search"]), va_batch=int(cfg["va_batch"]),
-            batch_size=int(cfg["batch_size"]), max_epochs=int(cfg["max_epochs"]),
-            patience=int(cfg["patience"]), lr=float(cfg["lr"]),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad training parameters: {exc}") from exc
+        raise ConfigError(f"bad {cls.__name__} setting: {exc}") from exc
 
 
 def cmd_datagen(cfg, out_dir, args) -> List[str]:
-    try:
-        spec = GenSpec(
-            n_users=int(cfg["gen_users"]), n_items=int(cfg["gen_items"]),
-            horizon_hours=int(cfg["gen_horizon_hours"]), seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad generator parameters: {exc}") from exc
+    spec = _build(GenSpec, cfg)
     corpus_dir = _resolve(cfg, out_dir, "corpus")
     write_dataset(spec, corpus_dir)
     outputs = [os.path.join(corpus_dir, name)
@@ -304,16 +270,8 @@ def cmd_datagen(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_ingest(cfg, out_dir, args) -> List[str]:
-    corpus_dir = _resolve(cfg, out_dir, "corpus")
-    items_in = args.items or os.path.join(corpus_dir, "items.jsonl")
-    events_in = args.events or os.path.join(corpus_dir, "events.jsonl")
-    _require(items_in, "datagen (or pass --items pointing at an existing file)")
-    _require(events_in, "datagen (or pass --events pointing at an existing file)")
-    try:
-        corpus = load_corpus(items_in, events_in)
-    except CorpusError as exc:
-        raise DataError(f"corpus failed validation: {exc}") from exc
-    os.makedirs(corpus_dir, exist_ok=True)
+    corpus = _load_corpus(*_raw_corpus_paths(cfg, out_dir, args))
+    os.makedirs(_resolve(cfg, out_dir, "corpus"), exist_ok=True)
     items_out, events_out = _corpus_paths(cfg, out_dir)
     dump_corpus(corpus, items_out, events_out)
     n_events = sum(
@@ -325,7 +283,7 @@ def cmd_ingest(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_index(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(cfg, out_dir)
+    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
     index = build_index(corpus)
     path = _resolve(cfg, out_dir, "index")
     dump_index(index, path)
@@ -334,12 +292,8 @@ def cmd_index(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_link(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(cfg, out_dir)
-    try:
-        params = LinkageParams(window_days=int(cfg["window_days"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad linkage parameters: {exc}") from exc
-    table = build_linkage(corpus, params)
+    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    table = build_linkage(corpus, _build(LinkageParams, cfg))
     path = _resolve(cfg, out_dir, "linkage")
     dump_linkage(table, path)
     n_links = sum(len(v) for user in table.links.values() for v in user.values())
@@ -348,19 +302,14 @@ def cmd_link(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_assess(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(cfg, out_dir)
-    index_path = _require(_resolve(cfg, out_dir, "index"), "index")
-    linkage_path = _require(_resolve(cfg, out_dir, "linkage"), "link")
+    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
     try:
-        index = load_index(index_path)
-        linkage = load_linkage(linkage_path, corpus)
+        index = load_index(_resolve(cfg, out_dir, "index"))
+        linkage = load_linkage(_resolve(cfg, out_dir, "linkage"), corpus)
     except (ValueError, CorpusError) as exc:
         raise DataError(f"artifact failed validation: {exc}") from exc
-    params = _value_params(cfg)
-    try:
-        scope = ScopeParams(lambda_thresh=int(cfg["lambda_thresh"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad scope parameters: {exc}") from exc
+    params = _build(ValueParams, cfg)
+    scope = _build(ScopeParams, cfg)
     buckets = fit_buckets(linkage, n_buckets=params.n_buckets)
     assessments = assess_corpus(corpus, linkage, buckets, params, scope, index)
     path = _resolve(cfg, out_dir, "values")
@@ -370,31 +319,21 @@ def cmd_assess(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_train(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(cfg, out_dir)
-    linkage_path = _require(_resolve(cfg, out_dir, "linkage"), "link")
-    values_path = _require(_resolve(cfg, out_dir, "values"), "assess")
-    params = _value_params(cfg)
+    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    params = _build(ValueParams, cfg)
     try:
-        linkage = load_linkage(linkage_path, corpus)
-        assessments = load_assessments(values_path, corpus, params)
+        linkage = load_linkage(_resolve(cfg, out_dir, "linkage"), corpus)
+        assessments = load_assessments(_resolve(cfg, out_dir, "values"), corpus, params)
     except (ValueError, CorpusError) as exc:
         raise DataError(f"artifact failed validation: {exc}") from exc
-    try:
-        mcfg = config_for_corpus(
-            corpus, d=int(cfg["d"]), n_time_buckets=int(cfg["n_time_buckets"]),
-            lambda3_skip=float(cfg["lambda3_skip"]),
-            encoder_layers=int(cfg["encoder_layers"]),
-            max_text_tokens=int(cfg["max_text_tokens"]), seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
-    tcfg = _train_config(cfg)
+    mcfg = _build(ModelConfig, cfg, functools.partial(config_for_corpus, corpus))
+    tcfg = _build(TrainConfig, cfg)
     model = init_model(corpus, mcfg)
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     log_path = os.path.join(reports_dir, "train_log.csv")
     result = train(corpus, linkage, assessments, model, tcfg,
-                   l_seq=params.l_seq, value_filter=bool(cfg["value_filter"]),
+                   l_seq=params.l_seq, value_filter=cfg["value_filter"],
                    log_path=log_path)
     checkpoint_path = _resolve(cfg, out_dir, "checkpoint")
     save_model(result.model, checkpoint_path)
@@ -410,21 +349,20 @@ def _metrics_path(cfg, out_dir, ranker: str) -> str:
 
 
 def cmd_eval(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(cfg, out_dir)
-    params = _value_params(cfg)
+    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    params = _build(ValueParams, cfg)
     ranker = args.ranker
     if ranker == "bm25":
         score_fn = bm25_score_fn(corpus)
     else:
-        checkpoint_path = _require(_resolve(cfg, out_dir, "checkpoint"), "train")
         try:
-            model = load_model(checkpoint_path, corpus)
+            model = load_model(_resolve(cfg, out_dir, "checkpoint"), corpus)
         except ValueError as exc:
             raise DataError(f"checkpoint failed validation: {exc}") from exc
         if ranker == "vaps":
-            values_path = _require(_resolve(cfg, out_dir, "values"), "assess")
             try:
-                assessments = load_assessments(values_path, corpus, params)
+                assessments = load_assessments(
+                    _resolve(cfg, out_dir, "values"), corpus, params)
             except (ValueError, CorpusError) as exc:
                 raise DataError(f"artifact failed validation: {exc}") from exc
             kept_map = kept_consultations(assessments)
@@ -436,9 +374,9 @@ def cmd_eval(cfg, out_dir, args) -> List[str]:
     split = split_sessions(corpus)
     if not split.test:
         raise DataError("corpus has no search sessions to evaluate")
-    n_neg = min(int(cfg["n_neg_eval"]), len(corpus.items) - 1)
+    n_neg = min(cfg["n_neg_eval"], len(corpus.items) - 1)
     report = evaluate_sessions(score_fn, corpus, split.test,
-                               n_neg=n_neg, seed=int(cfg["seed"]))
+                               n_neg=n_neg, seed=cfg["seed"])
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     path = _metrics_path(cfg, out_dir, ranker)
@@ -450,11 +388,8 @@ def cmd_eval(cfg, out_dir, args) -> List[str]:
 def cmd_report(cfg, out_dir, args) -> List[str]:
     reports: Dict[str, MetricReport] = {}
     for ranker in RANKERS:
-        path = _metrics_path(cfg, out_dir, ranker)
-        hint = "eval" if ranker == "vaps" else f"eval --ranker {ranker}"
-        _require(path, hint)
         try:
-            reports[ranker] = load_metrics(path)
+            reports[ranker] = load_metrics(_metrics_path(cfg, out_dir, ranker))
         except ValueError as exc:
             raise DataError(f"metrics failed validation: {exc}") from exc
     table = format_metric_table(reports)
@@ -467,26 +402,100 @@ def cmd_report(cfg, out_dir, args) -> List[str]:
     return [path]
 
 
-_STAGES = {
-    "datagen": cmd_datagen,
-    "ingest": cmd_ingest,
-    "index": cmd_index,
-    "link": cmd_link,
-    "assess": cmd_assess,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "report": cmd_report,
+Inputs = List[Tuple[str, str]]  # (path, the stage that writes it)
+
+
+def _corpus_and(*keys: Tuple[str, str]) -> Callable[..., Inputs]:
+    """Inputs: the canonical corpus, then each (config path key, stage
+    that writes it)."""
+    def inputs(cfg, out_dir, args) -> Inputs:
+        return [(path, "ingest") for path in _corpus_paths(cfg, out_dir)] + [
+            (_resolve(cfg, out_dir, key), stage) for key, stage in keys
+        ]
+    return inputs
+
+
+def _ingest_inputs(cfg, out_dir, args) -> Inputs:
+    items_path, events_path = _raw_corpus_paths(cfg, out_dir, args)
+    return [(items_path, "datagen (or pass --items pointing at an existing file)"),
+            (events_path, "datagen (or pass --events pointing at an existing file)")]
+
+
+_RANKER_INPUTS = {
+    "vaps": _corpus_and(("checkpoint", "train"), ("values", "assess")),
+    "semantic": _corpus_and(("checkpoint", "train")),
+    "bm25": _corpus_and(),
 }
 
-_STAGE_HELP = {
-    "datagen": "generate a synthetic dataset with planted patterns",
-    "ingest": "validate raw items/events and write the canonical corpus",
-    "index": "build the scenario-term inverted index",
-    "link": "link consultations to their subsequent related actions",
-    "assess": "score every consultation against every search",
-    "train": "train the ranking model",
-    "eval": "rank held-out sessions and write metrics",
-    "report": "collate vaps/bm25/semantic metrics into one table",
+
+def _eval_inputs(cfg, out_dir, args) -> Inputs:
+    return _RANKER_INPUTS[args.ranker](cfg, out_dir, args)
+
+
+def _report_inputs(cfg, out_dir, args) -> Inputs:
+    return [(_metrics_path(cfg, out_dir, ranker),
+             "eval" if ranker == "vaps" else f"eval --ranker {ranker}")
+            for ranker in RANKERS]
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One subcommand.  `flags` are the config keys it takes as flags,
+    `options` its other arguments, and `inputs` lists the artifacts it
+    reads: each must exist before `run` starts and is hashed into the
+    manifest."""
+
+    run: Callable[..., List[str]]
+    help: str
+    flags: Tuple[str, ...] = ()
+    options: Tuple[Tuple[str, dict], ...] = ()
+    inputs: Callable[..., Inputs] = lambda cfg, out_dir, args: []
+
+
+STAGES: Dict[str, Stage] = {
+    "datagen": Stage(
+        cmd_datagen, "generate a synthetic dataset with planted patterns",
+        flags=("gen_users", "gen_items", "gen_horizon_hours"),
+    ),
+    "ingest": Stage(
+        cmd_ingest, "validate raw items/events and write the canonical corpus",
+        options=(("--items", {"help": "raw items.jsonl to ingest"}),
+                 ("--events", {"help": "raw events.jsonl to ingest"})),
+        inputs=_ingest_inputs,
+    ),
+    "index": Stage(
+        cmd_index, "build the scenario-term inverted index",
+        inputs=_corpus_and(),
+    ),
+    "link": Stage(
+        cmd_link, "link consultations to their subsequent related actions",
+        flags=("window_days",),
+        inputs=_corpus_and(),
+    ),
+    "assess": Stage(
+        cmd_assess, "score every consultation against every search",
+        flags=("alpha", "lambda1", "lambda2", "n_buckets", "lambda_thresh"),
+        inputs=_corpus_and(("index", "index"), ("linkage", "link")),
+    ),
+    "train": Stage(
+        cmd_train, "train the ranking model",
+        flags=("d", "l_seq", "lambda3_skip", "lambda_va", "tau1", "tau2",
+               "lambda_l2", "n_neg_search", "va_batch", "batch_size",
+               "max_epochs", "patience", "lr", "value_filter",
+               "max_text_tokens", "n_time_buckets"),
+        inputs=_corpus_and(("linkage", "link"), ("values", "assess")),
+    ),
+    "eval": Stage(
+        cmd_eval, "rank held-out sessions and write metrics",
+        flags=("l_seq", "n_neg_eval"),
+        options=(("--ranker", {"choices": RANKERS, "default": "vaps",
+                               "help": "which system to evaluate"}),),
+        inputs=_eval_inputs,
+    ),
+    "report": Stage(
+        cmd_report, "collate vaps/bm25/semantic metrics into one table",
+        inputs=_report_inputs,
+    ),
 }
 
 
@@ -507,77 +516,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage, fn in _STAGES.items():
-        p = sub.add_parser(stage, help=_STAGE_HELP[stage])
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--out", default=".", help="directory artifacts live under")
         p.add_argument("--seed", type=int, help="override the config seed")
-        for key in _STAGE_FLAGS[stage]:
+        for key in stage.flags:
             p.add_argument(
                 f"--{key.replace('_', '-')}", dest=key,
                 type=_flag_type(CONFIG_DEFAULTS[key]),
                 help=f"override config key {key} (default {CONFIG_DEFAULTS[key]})",
             )
-        if stage == "ingest":
-            p.add_argument("--items", help="raw items.jsonl to ingest")
-            p.add_argument("--events", help="raw events.jsonl to ingest")
-        if stage == "eval":
-            p.add_argument("--ranker", choices=RANKERS, default="vaps",
-                           help="which system to evaluate")
-        p.set_defaults(fn=fn)
+        for flag, kwargs in stage.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    stage = STAGES[args.stage]
     try:
         overrides: Dict[str, object] = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        for key in _STAGE_FLAGS[args.stage]:
-            value = getattr(args, key, None)
+        for key in stage.flags:
+            value = getattr(args, key)
             if value is not None:
                 overrides[key] = value
         cfg = load_config(args.config, overrides)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         started = time.time()
-        input_hashes = {
-            p: _sha256(p) for p in _stage_inputs(args.stage, cfg, out_dir, args)
-        }
-        outputs = args.fn(cfg, out_dir, args)
+        inputs = stage.inputs(cfg, out_dir, args)
+        for path, writer in inputs:
+            if not os.path.exists(path):
+                raise MissingArtifact(f"missing {path}: run {writer} first")
+        input_hashes = {path: _sha256(path) for path, _ in inputs}
+        outputs = stage.run(cfg, out_dir, args)
         write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
-
-
-def _stage_inputs(stage: str, cfg: Dict[str, object], out_dir: str, args) -> List[str]:
-    """Existing upstream files feeding this stage, for the manifest."""
-    items_path, events_path = _corpus_paths(cfg, out_dir)
-    candidates: List[str] = []
-    if stage == "ingest":
-        candidates = [args.items or items_path, args.events or events_path]
-    elif stage in ("index", "link"):
-        candidates = [items_path, events_path]
-    elif stage == "assess":
-        candidates = [items_path, events_path,
-                      _resolve(cfg, out_dir, "index"),
-                      _resolve(cfg, out_dir, "linkage")]
-    elif stage == "train":
-        candidates = [items_path, events_path,
-                      _resolve(cfg, out_dir, "linkage"),
-                      _resolve(cfg, out_dir, "values")]
-    elif stage == "eval":
-        candidates = [items_path, events_path]
-        if args.ranker != "bm25":
-            candidates.append(_resolve(cfg, out_dir, "checkpoint"))
-        if args.ranker == "vaps":
-            candidates.append(_resolve(cfg, out_dir, "values"))
-    elif stage == "report":
-        candidates = [_metrics_path(cfg, out_dir, r) for r in RANKERS]
-    return [p for p in candidates if os.path.exists(p)]
 
 
 if __name__ == "__main__":

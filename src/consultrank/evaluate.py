@@ -1,7 +1,7 @@
 """Ranking metrics, the sampled-candidate protocol, and the BM25 baseline.
 
 Each evaluation session pairs one ground-truth item with uniformly sampled
-negatives (99 by default), shuffles the candidate list with a seed derived
+negatives (``N_NEG`` by default), shuffles the candidate list with a seed derived
 from the session identity, asks a scorer for one score per candidate, and
 reads HR, NDCG, and MRR at fixed cutoffs off the sorted list.  The
 retrieval protocol scores the whole catalog instead of a sample.
@@ -17,10 +17,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Corpus, Query, SearchSession
+from .corpus import Corpus, SearchSession
 from .index import normalize
 
 K_CUTS = (5, 10, 20, 50)
+
+#: Negatives sampled per session under the ranking protocol.
+N_NEG = 99
 
 # score_fn(user_id, session, candidate_ids) -> one float per candidate
 ScoreFn = Callable[[str, SearchSession, Sequence[str]], Sequence[float]]
@@ -70,7 +73,7 @@ def session_seed(base_seed: int, user_id: str, session: SearchSession) -> int:
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
-def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = 99,
+def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = N_NEG,
                     seed: int = 0) -> List[str]:
     """Ground truth plus n_neg distinct uniform negatives, shuffled."""
     if ground_truth not in corpus.items:
@@ -118,7 +121,7 @@ def session_metrics(ranked: RankedList) -> Dict[str, float]:
 def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus,
                       sessions: Sequence[Tuple[str, SearchSession]],
                       protocol: str = "ranking", seed: int = 0,
-                      n_neg: int = 99) -> MetricReport:
+                      n_neg: int = N_NEG) -> MetricReport:
     """Run one scorer over evaluation sessions and macro-average."""
     if protocol not in ("ranking", "retrieval"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -187,15 +190,6 @@ class Bm25:
                 continue
             total += self.idf[term] * tf * (self.k1 + 1.0) / (tf + norm)
         return total
-
-
-def bm25_rank(query: Query, candidate_ids: Sequence[str], corpus: Corpus,
-              ground_truth: str = "", k1: float = 1.2, b: float = 0.75,
-              stats: Optional[Bm25] = None) -> RankedList:
-    engine = stats if stats is not None else Bm25(corpus, k1=k1, b=b)
-    tokens = normalize(query.text)
-    scores = [engine.score(tokens, v) for v in candidate_ids]
-    return ranked_from_scores(candidate_ids, scores, ground_truth)
 
 
 def bm25_score_fn(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreFn:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .corpus import ActionType, Consultation, Corpus, CorpusError, Interaction
 from .index import normalize
@@ -196,21 +196,28 @@ def load_linkage(path, corpus: Corpus) -> LinkageTable:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            user, cid = rec["user"], rec["cid"]
-            if user not in corpus.users or cid not in cids.get(user, ()):
-                raise CorpusError(
-                    f"{path}:{n}: linkage row for unknown {user!r}/{cid!r}"
-                )
-            actions: List[Tuple[Interaction, str]] = []
-            for row in rec["actions"]:
-                key = (user, row["type"], row["ts_hours"], row["target"])
-                interaction = lookup.get(key)
-                if interaction is None:
-                    raise CorpusError(
-                        f"{path}:{n}: linkage row references an action absent "
-                        f"from the corpus: {key}"
-                    )
-                actions.append((interaction, row["rule"]))
-            links.setdefault(user, {})[cid] = actions
+            try:
+                _bind_row(json.loads(line), lookup, cids, links)
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{n}: {exc}") from exc
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorpusError(f"{path}:{n}: malformed linkage row ({exc!r})") from exc
     return LinkageTable(links)
+
+
+def _bind_row(rec: dict, lookup: Dict[Tuple[str, str, int, str], Interaction],
+              cids: Dict[str, Set[str]], links) -> None:
+    """Add one dumped linkage row to `links`, bound to corpus interactions."""
+    user, cid = rec["user"], rec["cid"]
+    if cid not in cids.get(user, ()):
+        raise CorpusError(f"linkage row for unknown {user!r}/{cid!r}")
+    actions: List[Tuple[Interaction, str]] = []
+    for row in rec["actions"]:
+        key = (user, row["type"], row["ts_hours"], row["target"])
+        interaction = lookup.get(key)
+        if interaction is None:
+            raise CorpusError(
+                f"linkage row references an action absent from the corpus: {key}"
+            )
+        actions.append((interaction, row["rule"]))
+    links.setdefault(user, {})[cid] = actions

@@ -45,10 +45,8 @@ class ModelConfig:
     n_items: int
     n_users: int
     d: int = 64
-    n_action_types: int = 3
     n_time_buckets: int = 13
     lambda3_skip: float = 1.0
-    encoder_layers: int = 1
     max_text_tokens: int = 64
     seed: int = 0
 
@@ -57,12 +55,8 @@ class ModelConfig:
             raise ValueError(f"d must be positive, got {self.d}")
         if self.lambda3_skip < 0:
             raise ValueError(f"lambda3_skip must be >= 0, got {self.lambda3_skip}")
-        if self.encoder_layers != 1:
-            raise ValueError(
-                f"only a single encoder layer is supported, got {self.encoder_layers}"
-            )
-        for name in ("vocab_size", "n_items", "n_users", "n_action_types",
-                     "n_time_buckets", "max_text_tokens"):
+        for name in ("vocab_size", "n_items", "n_users", "n_time_buckets",
+                     "max_text_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -200,7 +194,7 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
             item=init(cfg.n_items, d),
             user=init(cfg.n_users, d),
             time=init(cfg.n_time_buckets, d),
-            action=init(cfg.n_action_types, d),
+            action=init(len(ACTION_ROWS), d),
         ),
         block=AttentionBlock(w_q=init(d, d), w_k=init(d, d), w_v=init(d, d)),
         text_w=init(d, d),
@@ -359,14 +353,6 @@ def score_candidates(model: Model, e_final: T.Tensor,
     return T.matmul(T.embedding_lookup(model.tables.item, rows), e_final)
 
 
-def rank_candidates(model: Model, e_final: T.Tensor,
-                    candidate_ids: Sequence[str]) -> List[Tuple[str, float]]:
-    """Candidates sorted by descending score, ties broken by item-id."""
-    scores = score_candidates(model, e_final, candidate_ids)
-    paired = list(zip(candidate_ids, scores.data.tolist()))
-    return sorted(paired, key=lambda p: (-p[1], p[0]))
-
-
 def save_model(model: Model, path) -> None:
     """Persist parameters plus the config needed to rebuild the skeleton.
 
@@ -382,9 +368,15 @@ def load_model(path, corpus: Corpus) -> Model:
     Mismatched corpora surface as shape or key errors rather than silent
     misbinding."""
     arrays, extra = T.load_checkpoint(path)
-    if "model_config" not in extra:
+    spec = extra.get("model_config")
+    if not isinstance(spec, dict):
         raise ValueError(f"{path}: checkpoint lacks a model_config block")
-    cfg = ModelConfig(**extra["model_config"])
+    try:
+        cfg = ModelConfig(**spec)
+    except TypeError as exc:  # unknown or missing keys, wrong-typed values
+        raise ValueError(
+            f"{path}: model_config does not fit this version's ModelConfig ({exc})"
+        ) from exc
     model = init_model(corpus, cfg)
     named = model.named_parameters()
     missing = sorted(set(named) - set(arrays))

@@ -379,12 +379,20 @@ def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ({name: array}, extra-dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("not a recognized checkpoint (not a JSON object)")
     if payload.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(
             f"not a recognized checkpoint (format={payload.get('format')!r})"
         )
-    arrays = {
-        name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
-        for name, spec in payload["params"].items()
-    }
-    return arrays, payload.get("extra", {})
+    try:
+        arrays = {
+            name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
+            for name, spec in payload["params"].items()
+        }
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint parameters ({exc!r})") from exc
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"{path}: checkpoint extra block is not an object")
+    return arrays, extra

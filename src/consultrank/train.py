@@ -23,9 +23,9 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import Consultation, Corpus, Interaction, SearchSession
-from .evaluate import ScoreFn, evaluate_sessions
+from .evaluate import N_NEG, ScoreFn, evaluate_sessions
 from .linkage import LinkageTable
-from .value import SessionAssessment
+from .value import SessionAssessment, ValueParams
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def kept_consultations(assessments: Sequence[SessionAssessment]) -> KeptMap:
 
 
 def build_example(corpus: Corpus, user_id: str, session: SearchSession,
-                  kept_map: Optional[KeptMap], l_seq: int = 30,
+                  kept_map: Optional[KeptMap], l_seq: int = ValueParams.l_seq,
                   value_filter: bool = True) -> SessionExample:
     """Assemble one session's model inputs.
 
@@ -313,7 +313,7 @@ class TrainResult:
 
 
 def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
-                   l_seq: int = 30, value_filter: bool = True) -> ScoreFn:
+                   l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
     def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
         ex = build_example(corpus, user_id, session, kept_map, l_seq, value_filter)
         e_final = example_forward(model, ex)
@@ -323,7 +323,7 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
 
 def train(corpus: Corpus, linkage: LinkageTable,
           assessments: Sequence[SessionAssessment], model: M.Model,
-          cfg: TrainConfig = TrainConfig(), l_seq: int = 30,
+          cfg: TrainConfig = TrainConfig(), l_seq: int = ValueParams.l_seq,
           value_filter: bool = True,
           log_path=None) -> TrainResult:
     """Mini-batch training with per-epoch validation and early stopping.
@@ -350,7 +350,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
     rng_order = np.random.default_rng(_order_ss)
     rng_neg = np.random.default_rng(_neg_ss)
     rng_va = np.random.default_rng(_va_ss)
-    n_neg_valid = min(99, len(corpus.items) - 1)
+    n_neg_valid = min(N_NEG, len(corpus.items) - 1)
 
     rows: List[EpochRow] = []
     best_ndcg = -1.0

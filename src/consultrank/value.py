@@ -42,7 +42,6 @@ class ValueParams:
     lambda2: float = 0.3
     l_seq: int = 30
     n_buckets: int = 11
-    time_bucket_count: int = 13
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -55,8 +54,6 @@ class ValueParams:
             raise ValueError("l_seq must be positive")
         if self.n_buckets < 2:
             raise ValueError("n_buckets must be at least 2")
-        if self.time_bucket_count < 2:
-            raise ValueError("time_bucket_count must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -333,9 +330,9 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
                     o_action=rec["o_action"], o_aggregate=rec["o_aggregate"],
                     rank=rec["rank"],
                 )
-            except KeyError as exc:
-                raise CorpusError(f"{path}:{n}: value row missing {exc}") from exc
-            rows.setdefault((report.user_id, report.search_ts), []).append(report)
+                rows.setdefault((report.user_id, report.search_ts), []).append(report)
+            except (KeyError, TypeError) as exc:
+                raise CorpusError(f"{path}:{n}: malformed value row ({exc!r})") from exc
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):

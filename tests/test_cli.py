@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -92,6 +93,25 @@ def test_unknown_config_keys_listed(tmp_path, capsys):
     assert run("datagen", tmp_path, config) == 2
     err = capsys.readouterr().err
     assert "gen_userz" in err and "bogus" in err and "lr" in err
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (["datagen"], {"time_bucket_count": 13}, "time_bucket_count"),
+    (["datagen"], {"encoder_layers": 1}, "encoder_layers"),
+    (["assess", "--l-seq", "7"], {}, "--l-seq"),
+    (["assess", "--time-bucket-count", "2"], {}, "--time-bucket-count"),
+    (["eval", "--d", "999"], {}, "--d"),
+], ids=["config-time_bucket_count", "config-encoder_layers", "assess-l-seq",
+        "assess-time-bucket-count", "eval-d"])
+def test_removed_knobs_refused(tmp_path, capsys, argv, config, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        code = cli.main([*argv, "--config", str(path), "--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse refuses an unknown flag this way
+        code = exc.code
+    assert code == 2
+    assert name in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path):
@@ -194,3 +214,44 @@ def test_eval_without_train_names_stage(tmp_path, capsys):
         assert run(stage, tmp_path, config) == 0
     assert run("eval", tmp_path, config) == 3
     assert "run train first" in capsys.readouterr().err
+
+
+def _edit_linkage_row(edit):
+    def corrupt(out):
+        path = out / "linkage.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0] = edit(rows[0])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return corrupt
+
+
+def _edit_checkpoint(edit):
+    def corrupt(out):
+        path = out / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return corrupt
+
+
+@pytest.mark.parametrize("stage, corrupt", [
+    ("assess", _edit_linkage_row(
+        lambda row: {k: v for k, v in row.items() if k != "actions"})),
+    ("assess", _edit_linkage_row(lambda row: list(row))),
+    ("eval", _edit_checkpoint(lambda payload: payload.pop("params"))),
+    ("eval", _edit_checkpoint(
+        lambda payload: next(iter(payload["params"].values())).pop("shape"))),
+    ("eval", _edit_checkpoint(
+        lambda payload: payload["extra"]["model_config"].update(encoder_layers=1))),
+    ("eval", _edit_checkpoint(
+        lambda payload: payload["extra"]["model_config"].pop("vocab_size"))),
+], ids=["linkage-row-without-actions", "linkage-row-not-an-object",
+        "checkpoint-without-params", "checkpoint-param-without-shape",
+        "model-config-unknown-key", "model-config-missing-key"])
+def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt):
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    corrupt(out)
+    assert run(stage, out, out / "config.json") == 4
+    assert capsys.readouterr().err.startswith("error: ")

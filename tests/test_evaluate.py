@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from consultrank import evaluate as E
-from consultrank.corpus import Query
 from consultrank.datagen import GenSpec, generate
 
 import oracles
@@ -160,6 +159,14 @@ def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
     return score
 
 
+def bm25_ranked(corpus, candidates):
+    """BM25 ranking of `candidates` for the corpus's only search session."""
+    ((user, history),) = corpus.users.items()
+    session = history.searches[0]
+    scores = E.bm25_score_fn(corpus)(user, session, candidates)
+    return E.ranked_from_scores(candidates, scores, session.ground_truth_item)
+
+
 def test_bm25_matches_reference_formula(tmp_path):
     items = [
         item("d1", "copper kettle polished", ["small spout"]),
@@ -172,9 +179,9 @@ def test_bm25_matches_reference_formula(tmp_path):
         "d2": ["steel", "kettle", "copper", "trim", "copper", "base"],
         "d3": ["ceramic", "teapot", "floral"],
     }
-    query = Query("copper kettle", 5)
-    ranked = E.bm25_rank(query, ["d1", "d2", "d3"], corpus, ground_truth="d1")
+    ranked = bm25_ranked(corpus, ["d1", "d2", "d3"])
     expected = {v: bm25_reference(["copper", "kettle"], docs, v) for v in docs}
+    assert sorted(v for v, _ in ranked.entries) == ["d1", "d2", "d3"]
     for v, score in ranked.entries:
         assert score == pytest.approx(expected[v], rel=1e-12)
 
@@ -186,14 +193,15 @@ def test_bm25_unique_match_ranks_first(tmp_path):
         item("d3", "oak dresser"),
     ]
     corpus = corpus_from(tmp_path, items, [search("u1", 5, "walnut", "d1")], "bm2")
-    ranked = E.bm25_rank(Query("walnut", 5), ["d3", "d2", "d1"], corpus, "d1")
+    ranked = bm25_ranked(corpus, ["d3", "d2", "d1"])
     assert ranked.entries[0][0] == "d1"
+    assert ranked.rank() == 1
 
 
 def test_bm25_empty_query_gives_zero_scores(tmp_path):
     items = [item("d1", "walnut shelf"), item("d2", "pine shelf")]
-    corpus = corpus_from(tmp_path, items, [search("u1", 5, "walnut", "d1")], "bm3")
-    ranked = E.bm25_rank(Query("of the a", 5), ["d2", "d1"], corpus, "d1")
+    corpus = corpus_from(tmp_path, items, [search("u1", 5, "of the a", "d1")], "bm3")
+    ranked = bm25_ranked(corpus, ["d2", "d1"])
     assert [v for v, _ in ranked.entries] == ["d1", "d2"]
     assert all(s == 0.0 for _, s in ranked.entries)
 

@@ -6,6 +6,7 @@ import pytest
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank.corpus import ActionType, Interaction, Query
+from consultrank.evaluate import ranked_from_scores
 
 from gradcheck import finite_diff_check
 from helpers import buy, click, consult, corpus_from, item, search
@@ -59,8 +60,6 @@ def test_config_validation(small_corpus):
         M.config_for_corpus(small_corpus, d=0)
     with pytest.raises(ValueError, match="lambda3_skip"):
         M.config_for_corpus(small_corpus, lambda3_skip=-0.1)
-    with pytest.raises(ValueError, match="single encoder layer"):
-        M.config_for_corpus(small_corpus, encoder_layers=2)
     good = M.config_for_corpus(small_corpus)
     with pytest.raises(ValueError, match="vocab_size"):
         M.init_model(
@@ -214,8 +213,9 @@ def test_score_candidates_geometry(small_corpus):
         rows[i, i] = 1.0
     model.tables.item.data = rows
     target = model.item_ids[2]
-    ranked = M.rank_candidates(model, M.item_embedding(model, target), model.item_ids)
-    assert ranked[0][0] == target
+    scores = M.score_candidates(model, M.item_embedding(model, target), model.item_ids)
+    ranked = ranked_from_scores(model.item_ids, scores.data, target)
+    assert ranked.rank() == 1
 
 
 def test_score_candidates_duplicates_and_errors(small_corpus):
@@ -229,16 +229,16 @@ def test_score_candidates_duplicates_and_errors(small_corpus):
         M.user_embedding(model, "ghost")
 
 
-def test_rank_candidates_breaks_ties_by_item_id(small_corpus):
+def test_ranked_scores_break_ties_by_item_id(small_corpus):
     model = tiny_model(small_corpus)
     model.tables.item.data[model.item_rows["i3"]] = model.tables.item.data[
         model.item_rows["i1"]
     ]
     e = M.encode_text(model, "alpha beta gadget")
-    ranked = M.rank_candidates(model, e, ["i3", "i1"])
-    scores = M.score_candidates(model, e, ["i1", "i3"])
+    scores = M.score_candidates(model, e, ["i3", "i1"])
     assert scores.data[0] == scores.data[1]
-    assert [r[0] for r in ranked] == ["i1", "i3"]
+    ranked = ranked_from_scores(["i3", "i1"], scores.data, "i1")
+    assert [v for v, _ in ranked.entries] == ["i1", "i3"]
 
 
 def test_session_forward_gradients_match_finite_differences(small_corpus):

@@ -42,7 +42,6 @@ def test_params_validation():
         dict(lambda2=1.5),
         dict(l_seq=0),
         dict(n_buckets=1),
-        dict(time_bucket_count=1),
     ):
         with pytest.raises(ValueError):
             ValueParams(**bad)
