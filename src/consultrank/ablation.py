@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -80,14 +80,6 @@ class AblationResult:
     soft_inversions: Tuple[str, ...]
     elapsed_seconds: float
 
-    @property
-    def gap_vs_semantic(self) -> float:
-        return self.means[FULL] - self.means[SEMANTIC_ONLY]
-
-    @property
-    def gap_vs_no_cai(self) -> float:
-        return self.means[FULL] - self.means[NO_CAI]
-
 
 def _run_variant(corpus, linkage, buckets, name: str,
                  value_overrides: Optional[Mapping[str, float]],
@@ -143,23 +135,3 @@ def run_ablation(cfg: AblationConfig = AblationConfig(),
     )
     return AblationResult(per_seed, means, soft, time.time() - t0)
 
-
-def format_ablation(result: AblationResult, metric: str = "ndcg@10") -> str:
-    """Plain-text summary table plus the two planted contrasts."""
-    width = max(len(n) for n in variant_names())
-    lines = [f"{'variant'.ljust(width)}  mean {metric}  per-seed"]
-    for name in variant_names():
-        seeds = " ".join(f"{v:.4f}" for v in result.per_seed[name])
-        lines.append(f"{name.ljust(width)}  {result.means[name]:.4f}       {seeds}")
-    lines.append("")
-    lines.append(f"full - semantic_only = {result.gap_vs_semantic:+.4f}")
-    lines.append(f"full - no_cai        = {result.gap_vs_no_cai:+.4f}")
-    if result.soft_inversions:
-        lines.append(
-            "soft inversions (variant mean above full): "
-            + ", ".join(result.soft_inversions)
-        )
-    else:
-        lines.append("soft inversions: none")
-    lines.append(f"elapsed: {result.elapsed_seconds:.1f}s")
-    return "\n".join(lines)

@@ -349,6 +349,8 @@ def _metrics_path(cfg, out_dir, ranker: str) -> str:
 
 
 def cmd_eval(cfg, out_dir, args) -> List[str]:
+    if cfg["n_neg_eval"] < 1:
+        raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
     corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
     params = _build(ValueParams, cfg)
     ranker = args.ranker

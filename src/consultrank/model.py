@@ -9,6 +9,12 @@ self-attention encoder layer over the joint sequence
 segment-type embeddings and no positional encodings; and dot-product
 candidate scoring against item embedding rows.
 
+A corpus is featurized once (`corpus_features`): its texts become token
+ids and its actions become integer rows.  Each session's inputs are sliced
+from that table (`session_features`), with its time gaps as bucket ids.
+The forward pass then runs on whole arrays: one gather per table, one batched
+text encoding, and a handful of matrix products.
+
 All attention logits are scaled by 1/sqrt(d).  With lambda3_skip = 0 the
 CAI attended term vanishes, so model scores no longer depend on the action
 sequence handed to the cross-attention.
@@ -19,12 +25,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import ActionType, Consultation, Corpus, Interaction
+from .corpus import ActionType, Corpus
 from .index import normalize
 from .value import time_bucket
 
@@ -33,6 +41,7 @@ UNKNOWN_TOKEN = 0
 # Fixed row assignment for the action-type table, in enum-value order.
 ACTION_ROWS = {ActionType.BUY: 0, ActionType.CLICK: 1, ActionType.SEARCH: 2}
 
+# Segment ids, in the order the encoder's sequence lays them out.
 SEG_USER, SEG_CONSULTATION, SEG_QUERY_HISTORY, SEG_ITEM_HISTORY, SEG_QUERY = range(5)
 N_SEGMENTS = 5
 
@@ -96,7 +105,6 @@ class Model:
     vocab: Dict[str, int]
     item_ids: Tuple[str, ...]
     item_rows: Dict[str, int]
-    user_ids: Tuple[str, ...]
     user_rows: Dict[str, int]
     tables: EmbeddingTables = field(repr=False)
     block: AttentionBlock = field(repr=False)
@@ -139,16 +147,10 @@ def build_vocab(corpus: Corpus) -> Dict[str, int]:
     for history in corpus.users.values():
         for c in history.consultations:
             terms.update(normalize(c.text))
-        for s in history.searches:
-            terms.update(normalize(s.query.text))
         for a in history.interactions:
             if a.target_query is not None:
                 terms.update(normalize(a.target_query.text))
     return {term: i + 1 for i, term in enumerate(sorted(terms))}
-
-
-def token_ids(text: str, vocab: Dict[str, int], max_tokens: int) -> List[int]:
-    return [vocab.get(tok, UNKNOWN_TOKEN) for tok in normalize(text)[:max_tokens]]
 
 
 def config_for_corpus(corpus: Corpus, **overrides) -> ModelConfig:
@@ -174,7 +176,6 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
             f"corpus has {len(corpus.items)} / {len(corpus.users)}"
         )
     item_ids = tuple(sorted(corpus.items))
-    user_ids = tuple(sorted(corpus.users))
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / math.sqrt(cfg.d)
 
@@ -187,8 +188,7 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
         vocab=vocab,
         item_ids=item_ids,
         item_rows={v: i for i, v in enumerate(item_ids)},
-        user_ids=user_ids,
-        user_rows={u: i for i, u in enumerate(user_ids)},
+        user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
         tables=EmbeddingTables(
             token=init(cfg.vocab_size, d),
             item=init(cfg.n_items, d),
@@ -207,149 +207,242 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     )
 
 
-def encode_text(model: Model, text: str) -> T.Tensor:
-    """Mean-pooled token embeddings through one tanh-activated linear layer.
+@dataclass(frozen=True)
+class SessionFeatures:
+    """One session's model inputs as integer arrays.
 
-    A text with no surviving tokens encodes to the zero vector, which also
-    carries no gradient path.
+    Every text the session reads is stored once, as token ids: text i is
+    ``token_ids[text_offsets[i]:text_offsets[i + 1]]``.  The other arrays
+    point at texts by that index and at table rows by row number; -1 means
+    none.  Time buckets are measured back from the session's anchor.
     """
-    ids = token_ids(text, model.vocab, model.cfg.max_text_tokens)
-    if not ids:
-        return T.Tensor(np.zeros(model.cfg.d))
-    pooled = T.mean_pool(T.embedding_lookup(model.tables.token, ids))
-    return T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
+
+    user: int                  # user-table row
+    token_ids: np.ndarray      # every text of the session, concatenated
+    text_offsets: np.ndarray   # [n_texts + 1]
+    consultations: np.ndarray  # [n_c] time buckets; consultation i's text is text i
+    actions: np.ndarray        # [n_a, 4]: action-type row, item row, text index, time bucket
+    query_history: np.ndarray  # text indices
+    item_history: np.ndarray   # item rows
+    query: int                 # text index
 
 
-def time_embedding(model: Model, delta_hours: int) -> T.Tensor:
-    """Embedding row for the log-scale bucket of a non-negative hour gap.
+@dataclass(frozen=True)
+class CorpusFeatures:
+    """Every consultation and action of a corpus as integer arrays,
+    tokenized once; sessions are featurized by slicing it.
 
-    Negative gaps (an event later than its anchor) clamp to bucket zero.
+    Texts are laid out as in `SessionFeatures`: consultation j's text is
+    text j, and the query texts of search actions follow in action order.
+    Action i is row i of `actions` (action-type row, item row, text index;
+    -1 where a field does not apply) at `action_ts[i]`.  Each user's
+    consultations and actions are contiguous and in corpus order, users in
+    sorted order.
     """
-    bucket = time_bucket(max(0, delta_hours), model.cfg.n_time_buckets)
-    return T.embedding_lookup(model.tables.time, bucket)
+
+    users: Dict[str, int]      # user-id -> row of `starts`
+    starts: np.ndarray         # [n_users + 1, 2] first consultation, first action
+    consultation_ids: Dict[Tuple[str, str], int]  # (user-id, consultation id) -> index
+    consultation_ts: np.ndarray
+    token_ids: np.ndarray
+    text_offsets: np.ndarray
+    actions: np.ndarray        # [n_actions, 3]
+    action_ts: np.ndarray
+
+    def span(self, user_id: str, kind: int) -> np.ndarray:
+        """Indices of the user's consultations (kind 0) or actions (1)."""
+        k = self.users[user_id]
+        return np.arange(self.starts[k, kind], self.starts[k + 1, kind])
 
 
-def action_embedding(model: Model, interaction: Interaction) -> T.Tensor:
-    base = T.embedding_lookup(model.tables.action, ACTION_ROWS[interaction.action_type])
-    if interaction.action_type is ActionType.SEARCH:
-        return T.add(base, encode_text(model, interaction.target_query.text))
-    return T.add(base, item_embedding(model, interaction.target_item))
+def text_ids(model: Model, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Token ids of each text (unknown terms map to UNKNOWN_TOKEN, and text
+    past max_text_tokens is cut), concatenated, and the offsets that split
+    them."""
+    per_text = [[model.vocab.get(tok, UNKNOWN_TOKEN)
+                 for tok in normalize(t)[:model.cfg.max_text_tokens]] for t in texts]
+    offsets = np.cumsum([0] + [len(ids) for ids in per_text])
+    return np.fromiter(chain.from_iterable(per_text), np.int32, offsets[-1]), offsets
 
 
-def item_embedding(model: Model, item_id: str) -> T.Tensor:
-    if item_id not in model.item_rows:
-        raise ValueError(f"unknown item-id {item_id!r}")
-    return T.embedding_lookup(model.tables.item, model.item_rows[item_id])
+def _rows(index: Dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
+    missing = [v for v in ids if v not in index]
+    if missing:
+        raise ValueError(f"unknown {kind}-id {missing[0]!r}")
+    return np.array([index[v] for v in ids], dtype=np.int32)
 
 
-def user_embedding(model: Model, user_id: str) -> T.Tensor:
-    if user_id not in model.user_rows:
-        raise ValueError(f"unknown user-id {user_id!r}")
-    return T.embedding_lookup(model.tables.user, model.user_rows[user_id])
+def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
+    """Tokenize and index a whole corpus; unknown item ids are rejected."""
+    histories = [corpus.users[u] for u in sorted(corpus.users)]
+    consultations = [c for h in histories for c in h.consultations]
+    actions = [a for h in histories for a in h.interactions]
+    is_search = np.array([a.target_query is not None for a in actions], dtype=bool)
+    rows = np.full((len(actions), 3), -1, dtype=np.int32)
+    rows[:, 0] = [ACTION_ROWS[a.action_type] for a in actions]
+    rows[~is_search, 1] = _rows(model.item_rows, [a.target_item for a in actions
+                                                  if a.target_query is None], "item")
+    rows[is_search, 2] = len(consultations) + np.arange(is_search.sum())
+    ids, offsets = text_ids(model, [c.text for c in consultations] + [
+        a.target_query.text for a in actions if a.target_query is not None])
+    starts = np.cumsum([[0, 0]] + [[len(h.consultations), len(h.interactions)]
+                                   for h in histories], axis=0)
+    return CorpusFeatures(
+        users={h.user_id: k for k, h in enumerate(histories)},
+        starts=starts,
+        consultation_ids={(h.user_id, c.id): j for h, first in zip(histories, starts[:, 0])
+                          for j, c in enumerate(h.consultations, first)},
+        consultation_ts=np.array([c.timestamp for c in consultations], dtype=np.int64),
+        token_ids=ids, text_offsets=offsets, actions=rows,
+        action_ts=np.array([a.timestamp for a in actions], dtype=np.int64),
+    )
 
 
-def cai_query_vec(model: Model, c: Consultation, anchor_ts: int,
-                  c_text: Optional[T.Tensor] = None) -> T.Tensor:
-    """Attention-query representation of one consultation at an anchor time."""
-    if c_text is None:
-        c_text = encode_text(model, c.text)
-    return T.add(c_text, time_embedding(model, anchor_ts - c.timestamp))
+def gather_texts(table: CorpusFeatures, texts: np.ndarray,
+                 actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token ids and offsets of the table's texts `texts`, followed by the
+    query texts of the search actions among `actions`; and those actions'
+    rows, their text indices renumbered to that layout."""
+    rows = table.actions[actions]
+    searching = rows[:, 2] >= 0
+    picked = np.concatenate([texts, rows[searching, 2]]).astype(np.int64)
+    rows[searching, 2] = len(texts) + np.arange(searching.sum())
+    starts = table.text_offsets[picked]
+    lengths = table.text_offsets[picked + 1] - starts
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return table.token_ids[gather], offsets, rows
 
 
-def cai_key_vec(model: Model, a: Interaction, anchor_ts: int) -> T.Tensor:
-    """Attention-key (= value) representation of one action at an anchor."""
-    return T.add(action_embedding(model, a), time_embedding(model, anchor_ts - a.timestamp))
+def time_buckets(model: Model, deltas: Sequence[int]) -> np.ndarray:
+    """Log-scale bucket of each hour gap.  Negative gaps (an event later
+    than its anchor) clamp to bucket zero."""
+    return np.array([time_bucket(max(0, int(x)), model.cfg.n_time_buckets) for x in deltas],
+                    dtype=np.int32)
 
 
-def cai_forward(model: Model, consultations: Sequence[Consultation],
-                actions: Sequence[Interaction], anchor_ts: int) -> List[T.Tensor]:
+def session_features(model: Model, table: CorpusFeatures, user_id: str,
+                     consultations: Sequence[int], actions: Sequence[int],
+                     query_history: Sequence[int], item_history: Sequence[int],
+                     anchor_ts: int, query: int) -> SessionFeatures:
+    """Slice one session's inputs from the corpus table: its consultations
+    and prior actions (table indices), its query history and query (table
+    text indices) and its item history (item rows).  Texts are laid out as
+    consultations, query history, the query, then search actions."""
+    consultations = np.asarray(consultations, dtype=np.int64)
+    actions = np.asarray(actions, dtype=np.int64)
+    n_c, n_q = len(consultations), len(query_history)
+    ids, offsets, rows = gather_texts(
+        table, np.concatenate([consultations, query_history, [query]]), actions)
+    return SessionFeatures(
+        user=int(_rows(model.user_rows, [user_id], "user")[0]),
+        token_ids=ids, text_offsets=offsets,
+        consultations=time_buckets(model, anchor_ts - table.consultation_ts[consultations]),
+        actions=np.column_stack(
+            [rows, time_buckets(model, anchor_ts - table.action_ts[actions])]),
+        query_history=np.arange(n_c, n_c + n_q, dtype=np.int32),
+        item_history=np.asarray(item_history, dtype=np.int32),
+        query=n_c + n_q,
+    )
+
+
+def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.Tensor:
+    """[n_texts, d]: each text's mean-pooled token embeddings through one
+    tanh-activated linear layer.
+
+    A text with no tokens encodes to the zero vector, which also carries no
+    gradient path.
+    """
+    nonempty = np.diff(offsets) > 0
+    if not nonempty.any():
+        return T.Tensor(np.zeros((len(nonempty), model.cfg.d)))
+    pooled = T.mean_pool(T.embedding_lookup(model.tables.token, token_ids),
+                         np.append(offsets[:-1][nonempty], offsets[-1]))
+    encoded = T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
+    if nonempty.all():
+        return encoded
+    return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
+
+
+def cai_queries(model: Model, buckets: np.ndarray, texts: T.Tensor) -> T.Tensor:
+    """Attention queries: each consultation's text vector (text i for
+    consultation i) plus the embedding of its time bucket."""
+    return T.add(T.embedding_lookup(texts, np.arange(len(buckets))),
+                 T.embedding_lookup(model.tables.time, buckets))
+
+
+def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
+    """Attention keys (= values): each action's type row, plus its item's
+    row or its query's text vector, plus its time bucket's row."""
+    sources = (model.tables.action, model.tables.item, texts, model.tables.time)
+    return reduce(T.add, [T.embedding_lookup(table, actions[:, k])
+                          for k, table in enumerate(sources)])
+
+
+def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
+    """[n_queries, n_keys] projected dot products scaled by 1/sqrt(d); the
+    attention block softmaxes them and the alignment loss trains them."""
+    q_proj = T.matmul(queries, model.block.w_q)
+    k_proj = T.matmul(keys, model.block.w_k)
+    return T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
+
+
+def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
+                texts: T.Tensor) -> T.Tensor:
     """Cross-attention of consultations (queries) over actions (keys and
     values), mixed back through the weighted skip connection.
 
-    Returns one d-vector per consultation; with no actions each output is
-    the consultation's raw text embedding.
+    Returns one row per consultation; with no actions, or lambda3_skip = 0,
+    each row is the consultation's raw text vector.
     """
-    c_texts = [encode_text(model, c.text) for c in consultations]
-    if not consultations:
-        return []
+    c_texts = T.embedding_lookup(texts, np.arange(len(consultations)))
     lam = model.cfg.lambda3_skip
-    if not actions or lam == 0.0:
+    if not len(consultations) or not len(actions) or lam == 0.0:
         return c_texts
-    q_rows = [
-        cai_query_vec(model, c, anchor_ts, c_text=c_texts[i])
-        for i, c in enumerate(consultations)
-    ]
-    k_rows = [cai_key_vec(model, a, anchor_ts) for a in actions]
-    weights = cai_attention_weights(model, q_rows, k_rows)
-    values = T.matmul(T.concat(k_rows), model.block.w_v)
-    attended = T.matmul(weights, values)
-    return [
-        T.add(c_texts[i], T.scale(T.row(attended, i), lam))
-        for i in range(len(consultations))
-    ]
+    keys = cai_keys(model, actions, texts)
+    weights = T.softmax(cai_logits(model, cai_queries(model, consultations, texts), keys))
+    attended = T.matmul(weights, T.matmul(keys, model.block.w_v))
+    return T.add(c_texts, T.scale(attended, lam))
 
 
-def cai_attention_weights(model: Model, q_rows: Sequence[T.Tensor],
-                          k_rows: Sequence[T.Tensor]) -> T.Tensor:
-    """Softmax attention matrix [n_consultations, n_actions] from projected
-    scaled dot-product logits."""
-    q_proj = T.matmul(T.concat(list(q_rows)), model.block.w_q)
-    k_proj = T.matmul(T.concat(list(k_rows)), model.block.w_k)
-    logits = T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
-    return T.softmax(logits)
+def session_forward(model: Model, f: SessionFeatures) -> T.Tensor:
+    """Full forward pass from one session's features to e_final.
 
-
-def cascaded_encode(model: Model, h_consultations: Sequence[T.Tensor],
-                    query_history: Sequence[T.Tensor],
-                    item_history: Sequence[T.Tensor],
-                    user_vec: T.Tensor, query_vec: T.Tensor) -> T.Tensor:
-    """One self-attention encoder layer over the joint sequence, read at
-    the current-query position (always last)."""
-    seq = [user_vec]
-    seg = [SEG_USER]
-    seq.extend(h_consultations)
-    seg.extend([SEG_CONSULTATION] * len(h_consultations))
-    seq.extend(query_history)
-    seg.extend([SEG_QUERY_HISTORY] * len(query_history))
-    seq.extend(item_history)
-    seg.extend([SEG_ITEM_HISTORY] * len(item_history))
-    seq.append(query_vec)
-    seg.append(SEG_QUERY)
-
+    The CAI output feeds one self-attention encoder layer over the joint
+    sequence [user; consultations; query history; item history; current
+    query], read at the current-query position (always last).  The
+    sequence is a sum of gathers, each placing one source's rows at its
+    segment's positions; past the keys and values only the last position
+    is computed, since nothing else is read.
+    """
+    texts = encode_text(model, f.token_ids, f.text_offsets)
+    h = cai_forward(model, f.consultations, f.actions, texts)
+    n_c = len(f.consultations)
+    segments = np.repeat(np.arange(N_SEGMENTS),
+                         [1, n_c, len(f.query_history), len(f.item_history), 1])
     enc = model.encoder
-    x = T.add(T.concat(seq), T.embedding_lookup(enc.segment, seg))
-    q_proj = T.matmul(x, enc.w_q)
-    k_proj = T.matmul(x, enc.w_k)
-    v_proj = T.matmul(x, enc.w_v)
-    logits = T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
-    x = T.add(x, T.matmul(T.softmax(logits), v_proj))
-    x = T.add(x, T.tanh(T.add_bias(T.matmul(x, enc.ff_w), enc.ff_b)))
-    return T.row(x, len(seq) - 1)
-
-
-def session_forward(model: Model, user_id: str,
-                    consultations: Sequence[Consultation],
-                    cai_actions: Sequence[Interaction],
-                    query_history_texts: Sequence[str],
-                    item_history_ids: Sequence[str],
-                    anchor_ts: int, query_text: str) -> T.Tensor:
-    """Full forward pass from raw session ingredients to e_final."""
-    h = cai_forward(model, consultations, cai_actions, anchor_ts)
-    q_hist = [encode_text(model, t) for t in query_history_texts]
-    i_hist = [item_embedding(model, v) for v in item_history_ids]
-    return cascaded_encode(
-        model, h, q_hist, i_hist,
-        user_embedding(model, user_id), encode_text(model, query_text),
-    )
+    x = T.embedding_lookup(enc.segment, segments)
+    for source, segs, rows in (
+        (model.tables.user, [SEG_USER], [f.user]),
+        (h, [SEG_CONSULTATION], np.arange(n_c)),
+        (texts, [SEG_QUERY_HISTORY, SEG_QUERY], np.append(f.query_history, f.query)),
+        (model.tables.item, [SEG_ITEM_HISTORY], f.item_history),
+    ):
+        if len(rows):
+            at = np.full(len(segments), -1)
+            at[np.isin(segments, segs)] = rows
+            x = T.add(x, T.embedding_lookup(source, at))
+    x_query = T.matmul(T.Tensor(np.arange(len(segments)) == len(segments) - 1), x)
+    logits = T.scale(T.matmul(T.matmul(x, enc.w_k), T.matmul(x_query, enc.w_q)),
+                     1.0 / math.sqrt(model.cfg.d))
+    y = T.add(x_query, T.matmul(T.softmax(logits), T.matmul(x, enc.w_v)))
+    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
 
 
 def score_candidates(model: Model, e_final: T.Tensor,
                      candidate_ids: Sequence[str]) -> T.Tensor:
     """Dot-product scores against candidate item rows, in input order."""
-    rows = [model.item_rows[v] if v in model.item_rows else None for v in candidate_ids]
-    missing = [v for v, r in zip(candidate_ids, rows) if r is None]
-    if missing:
-        raise ValueError(f"unknown item-id {missing[0]!r}")
+    rows = _rows(model.item_rows, candidate_ids, "item")
     return T.matmul(T.embedding_lookup(model.tables.item, rows), e_final)
 
 

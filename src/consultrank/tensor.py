@@ -13,7 +13,7 @@ checkpoint format for named parameter sets.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,19 +69,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    """Elementwise sum; a d-vector `b` is added to every row of an [n, d] `a`."""
+    rowwise = a.data.ndim == 2 and b.shape == a.shape[1:]
+    if a.shape != b.shape and not rowwise:
         raise ValueError(f"cannot add shapes {a.shape} and {b.shape}")
     out = _out(a.data + b.data, (a, b), None)
     if out._parents:
         def backward(g):
             _accum(a, g)
-            _accum(b, g)
+            _accum(b, g.sum(axis=0) if rowwise else g)
         out._backward = backward
     return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -127,47 +125,6 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def row(a: Tensor, index: int) -> Tensor:
-    """One row of an [n, d] matrix as a d-vector."""
-    if a.data.ndim != 2:
-        raise ValueError(f"row needs a 2-D input, got {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ValueError(f"row index {index} out of range for shape {a.shape}")
-    out = _out(a.data[index], (a,), None)
-    if out._parents:
-        def backward(g):
-            buf = np.zeros_like(a.data)
-            buf[index] = g
-            _accum(a, buf)
-        out._backward = backward
-    return out
-
-
-def add_bias(a: Tensor, b: Tensor) -> Tensor:
-    """Add a d-vector to every row of an [n, d] matrix."""
-    if a.data.ndim != 2 or b.data.ndim != 1 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot broadcast-add shapes {a.shape} and {b.shape}")
-    out = _out(a.data + b.data, (a, b), None)
-    if out._parents:
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
-        out._backward = backward
-    return out
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot needs equal 1-D shapes, got {a.shape} and {b.shape}")
-    out = _out(a.data @ b.data, (a, b), None)
-    if out._parents:
-        def backward(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        out._backward = backward
-    return out
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = _out(y, (a,), None)
@@ -190,51 +147,42 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def embedding_lookup(table: Tensor, indices: Union[int, Sequence[int]]) -> Tensor:
-    """Rows of a [n, d] table: one index gives [d], a list gives [len, d]."""
+def embedding_lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
+    """Rows of a 2-D tensor, [len(indices), d].  Index -1 gives a zero row,
+    which takes no gradient."""
     if table.data.ndim != 2:
         raise ValueError(f"embedding table must be 2-D, got {table.shape}")
-    single = isinstance(indices, (int, np.integer))
-    idx = np.asarray([indices] if single else list(indices), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise ValueError(
             f"index out of range for table with {table.shape[0]} rows: {idx.tolist()}"
         )
-    data = table.data[idx[0]] if single else table.data[idx]
-    out = _out(data, (table,), None)
+    keep = idx >= 0
+    out = _out(np.where(keep[:, None], table.data[np.where(keep, idx, 0)], 0.0),
+               (table,), None)
     if out._parents:
         def backward(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g.reshape(idx.size, -1) if not single else g)
+            np.add.at(table.grad, idx[keep], g[keep])
         out._backward = backward
     return out
 
 
-def mean_pool(a: Tensor) -> Tensor:
-    if a.data.ndim != 2 or a.shape[0] == 0:
-        raise ValueError(f"mean_pool needs a non-empty [n, d] input, got {a.shape}")
-    n = a.shape[0]
-    out = _out(a.data.mean(axis=0), (a,), None)
+def mean_pool(a: Tensor, offsets: Sequence[int]) -> Tensor:
+    """Means of consecutive row segments of an [n, d] matrix, [n_segments, d]:
+    segment i is rows offsets[i]:offsets[i + 1], and none may be empty."""
+    offsets = np.asarray(offsets)
+    lengths = np.diff(offsets)
+    if (a.data.ndim != 2 or not lengths.size or offsets[0] != 0
+            or offsets[-1] != a.shape[0] or lengths.min() < 1):
+        raise ValueError(
+            f"mean_pool needs non-empty row segments of an [n, d] input, "
+            f"got shape {a.shape} split at {offsets.tolist()}"
+        )
+    out = _out(np.add.reduceat(a.data, offsets[:-1], axis=0) / lengths[:, None], (a,), None)
     if out._parents:
-        out._backward = lambda g: _accum(a, np.repeat(g[None, :], n, axis=0) / n)
-    return out
-
-
-def concat(rows: Sequence[Tensor]) -> Tensor:
-    """Stack d-vectors into an [n, d] matrix."""
-    if not rows:
-        raise ValueError("concat needs at least one row")
-    d = rows[0].shape
-    for r in rows:
-        if r.data.ndim != 1 or r.shape != d:
-            raise ValueError(f"concat needs equal 1-D rows, got {d} and {r.shape}")
-    out = _out(np.stack([r.data for r in rows]), tuple(rows), None)
-    if out._parents:
-        def backward(g):
-            for i, r in enumerate(rows):
-                _accum(r, g[i])
-        out._backward = backward
+        out._backward = lambda g: _accum(a, np.repeat(g / lengths[:, None], lengths, axis=0))
     return out
 
 
@@ -245,40 +193,32 @@ def l2_norm_sq(a: Tensor) -> Tensor:
     return out
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ValueError(f"pick needs a 1-D input, got {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ValueError(f"pick index {index} out of range for shape {a.shape}")
-    out = _out(a.data[index], (a,), None)
-    if out._parents:
-        def backward(g):
-            buf = np.zeros_like(a.data)
-            buf[index] = g
-            _accum(a, buf)
-        out._backward = backward
-    return out
+def nll_index(logits: Tensor, index, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Mean over rows of -log(softmax(row)[index of that row]), computed stably.
 
-
-def nll_index(logits: Tensor, index: int) -> Tensor:
-    """Negative log-softmax probability of one position, computed stably.
-
-    Equivalent to -log(softmax(logits)[index]) but safe for extreme logit
-    gaps: the log-sum-exp is shifted by the max before exponentiation.
+    1-D logits are one row; `index` is one position for every row or one per
+    row.  Entries where `mask` is False drop out of their row's softmax.  The
+    log-sum-exp is shifted by the row max, so extreme logit gaps are safe.
     """
-    if logits.data.ndim != 1:
-        raise ValueError(f"nll_index needs 1-D logits, got {logits.shape}")
-    if not 0 <= index < logits.shape[0]:
+    if logits.data.ndim not in (1, 2):
+        raise ValueError(f"nll_index needs 1-D or 2-D logits, got {logits.shape}")
+    z = np.atleast_2d(logits.data)
+    rows = np.arange(z.shape[0])
+    idx = np.broadcast_to(np.asarray(index, dtype=np.int64), rows.shape)
+    if idx.min() < 0 or idx.max() >= z.shape[1]:
         raise ValueError(f"index {index} out of range for shape {logits.shape}")
-    z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out = _out(lse - z[index], (logits,), None)
+    if mask is not None:
+        if not mask[rows, idx].all():
+            raise ValueError("nll_index target entries must not be masked")
+        z = np.where(mask, z, -np.inf)
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    out = _out(np.mean(lse[:, 0] - z[rows, idx]), (logits,), None)
     if out._parents:
         def backward(g):
             p = np.exp(z - lse)
-            p[index] -= 1.0
-            _accum(logits, g * p)
+            p[rows, idx] -= 1.0
+            _accum(logits, (g / len(rows)) * p.reshape(logits.shape))
         out._backward = backward
     return out
 

@@ -12,7 +12,6 @@ NDCG@10 gates early stopping and selects the returned checkpoint.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import Consultation, Corpus, Interaction, SearchSession
+from .corpus import Consultation, Corpus, SearchSession
 from .evaluate import N_NEG, ScoreFn, evaluate_sessions
 from .linkage import LinkageTable
 from .value import SessionAssessment, ValueParams
@@ -83,15 +82,12 @@ def split_sessions(corpus: Corpus) -> Split:
 
 @dataclass(frozen=True)
 class SessionExample:
-    """Everything one forward pass needs, sliced strictly before the
-    session's timestamp."""
+    """One search session and its model inputs, featurized once and sliced
+    strictly before the session's timestamp."""
 
     user_id: str
     session: SearchSession
-    consultations: Tuple[Consultation, ...]
-    cai_actions: Tuple[Interaction, ...]
-    query_history: Tuple[str, ...]
-    item_history: Tuple[str, ...]
+    features: M.SessionFeatures
 
 
 KeptMap = Dict[Tuple[str, int], Tuple[Consultation, ...]]
@@ -101,44 +97,38 @@ def kept_consultations(assessments: Sequence[SessionAssessment]) -> KeptMap:
     return {(a.user_id, a.session.timestamp): a.kept for a in assessments}
 
 
-def build_example(corpus: Corpus, user_id: str, session: SearchSession,
-                  kept_map: Optional[KeptMap], l_seq: int = ValueParams.l_seq,
-                  value_filter: bool = True) -> SessionExample:
-    """Assemble one session's model inputs.
+def build_example(model: M.Model, corpus: Corpus, table: M.CorpusFeatures, user_id: str,
+                  session: SearchSession, kept_map: Optional[KeptMap],
+                  l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> SessionExample:
+    """Slice one session's model inputs from the corpus table.
 
     With value_filter the consultation sequence is the value-ranked kept
     list; without it (the semantic-only ablation) it is simply the l_seq
-    most recent prior consultations.
+    most recent prior consultations.  The attention block reads every prior
+    action.
     """
-    history = corpus.users[user_id]
     ts = session.timestamp
-    priors = [c for c in history.consultations if c.timestamp < ts]
     if value_filter:
         if kept_map is None:
             raise ValueError("value_filter needs precomputed assessments")
-        consultations = kept_map.get((user_id, ts), ())
+        consultations = [table.consultation_ids[user_id, c.id]
+                         for c in kept_map.get((user_id, ts), ())]
     else:
-        consultations = tuple(priors[-l_seq:])
-    prior_actions = tuple(a for a in history.interactions if a.timestamp < ts)
-    query_history = tuple(
-        s.query.text for s in history.searches if s.timestamp < ts
-    )[-l_seq:]
-    item_history = tuple(
-        a.target_item for a in prior_actions if a.target_item is not None
-    )[-l_seq:]
-    return SessionExample(
-        user_id=user_id, session=session, consultations=tuple(consultations),
-        cai_actions=prior_actions, query_history=query_history,
-        item_history=item_history,
-    )
-
-
-def example_forward(model: M.Model, ex: SessionExample) -> T.Tensor:
-    return M.session_forward(
-        model, ex.user_id, ex.consultations, ex.cai_actions,
-        ex.query_history, ex.item_history, ex.session.timestamp,
-        ex.session.query.text,
-    )
+        own = table.span(user_id, 0)
+        consultations = own[table.consultation_ts[own] < ts][-l_seq:]
+    own = table.span(user_id, 1)
+    actions = own[table.action_ts[own] < ts]
+    items, texts = table.actions[actions, 1], table.actions[actions, 2]
+    # Every search session is one of its user's search actions, so the
+    # query history is the query texts of the prior search actions.
+    query = [k for k in own[table.action_ts[own] == ts]
+             if corpus.users[user_id].interactions[k - own[0]] == session.interaction]
+    if not query:
+        raise ValueError(f"no search of {user_id!r} at {ts} matches the session")
+    return SessionExample(user_id, session, M.session_features(
+        model, table, user_id, consultations, actions, texts[texts >= 0][-l_seq:],
+        items[items >= 0][-l_seq:], ts, table.actions[query[0], 2],
+    ))
 
 
 def sample_negative_items(item_ids: Sequence[str], positive: str, n: int,
@@ -161,51 +151,68 @@ def loss_search(model: M.Model, e_final: T.Tensor, positive: str,
     return T.nll_index(T.scale(scores, 1.0 / cfg.tau2), 0)
 
 
+LinkedPairs = Dict[str, List[Tuple[int, int]]]  # user -> (consultation, action) indices
+
+
+def linked_pairs(table: M.CorpusFeatures, corpus: Corpus,
+                 linkage: LinkageTable) -> LinkedPairs:
+    """Each user's linked consultation-action pairs as corpus-table indices;
+    users without links are left out."""
+    pairs: LinkedPairs = {}
+    for user, links in linkage.links.items():
+        if not any(links.values()):
+            continue
+        # equal actions of a user have equal features, so one index stands for all
+        own = {a: i for i, a in enumerate(corpus.users[user].interactions,
+                                          table.span(user, 1)[0])}
+        pairs[user] = [(table.consultation_ids[user, cid], own[a])
+                       for cid in sorted(links) for a, _ in links[cid]]
+    return pairs
+
+
 @dataclass(frozen=True)
 class VaSample:
     """One alignment-loss instance: a linked pair plus sampled negative
-    actions, anchored at a search-session timestamp.
+    actions, anchored at a search-session timestamp; consultation and
+    actions are corpus-table indices.
 
     The anchor matches how the attention block sees history at inference:
     consultations and actions strictly before the session, time embeddings
     measured backward from the session."""
 
-    consultation: Consultation
-    positive: Interaction
-    negatives: Tuple[Interaction, ...]
+    consultation: int
+    positive: int
+    negatives: np.ndarray
     anchor_ts: int
 
 
-def loss_va(model: M.Model, samples: Sequence[VaSample], cfg: TrainConfig) -> T.Tensor:
+def loss_va(model: M.Model, samples: Sequence[VaSample], table: M.CorpusFeatures,
+            cfg: TrainConfig) -> T.Tensor:
     """Mean InfoNCE over alignment samples; the positive sits in its own
     denominator alongside the sampled negatives.  Logits carry the same
     1/sqrt(d) factor as the attention block, so the trained projections act
-    at inference exactly as they were supervised."""
+    at inference exactly as they were supervised.
+
+    One logits matrix holds every sample's query against every key of the
+    batch; a constant mask keeps each row to its own 1 + K keys.
+    """
     if not samples:
         raise ValueError("loss_va needs at least one sample")
-    cache: Dict[int, T.Tensor] = {}
-
-    def key_vec(a: Interaction, anchor: int) -> T.Tensor:
-        base = cache.get(id(a))
-        if base is None:
-            base = M.action_embedding(model, a)
-            cache[id(a)] = base
-        return T.add(base, M.time_embedding(model, anchor - a.timestamp))
-
-    terms = []
-    scale = 1.0 / (math.sqrt(model.cfg.d) * cfg.tau1)
-    for s in samples:
-        q = M.cai_query_vec(model, s.consultation, s.anchor_ts)
-        keys = T.concat([key_vec(a, s.anchor_ts) for a in (s.positive, *s.negatives)])
-        logits = T.matmul(
-            T.matmul(keys, model.block.w_k), T.matmul(q, model.block.w_q)
-        )
-        terms.append(T.nll_index(T.scale(logits, scale), 0))
-    return T.scale(reduce(T.add, terms), 1.0 / len(terms))
-
-
-def l2_penalty(params: Sequence[T.Tensor]) -> T.Tensor:
-    return reduce(T.add, [T.l2_norm_sq(p) for p in params])
+    n = len(samples)
+    sizes = [1 + len(s.negatives) for s in samples]
+    cols = np.concatenate([np.append(s.positive, s.negatives) for s in samples]).astype(np.int64)
+    owner = np.repeat(np.arange(n), sizes)
+    anchors = np.array([s.anchor_ts for s in samples])
+    cons = np.array([s.consultation for s in samples])
+    ids, offsets, acts = M.gather_texts(table, cons, cols)
+    texts = M.encode_text(model, ids, offsets)
+    queries = M.cai_queries(model, M.time_buckets(model, anchors - table.consultation_ts[cons]),
+                            texts)
+    keys = M.cai_keys(model, np.column_stack(
+        [acts, M.time_buckets(model, anchors[owner] - table.action_ts[cols])]), texts)
+    logits = T.scale(M.cai_logits(model, queries, keys), 1.0 / cfg.tau1)
+    first = np.cumsum(sizes) - sizes
+    return T.nll_index(logits, first, mask=owner == np.arange(n)[:, None])
 
 
 def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
@@ -214,29 +221,13 @@ def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
     if l_va is not None and cfg.lambda_va > 0:
         total = T.add(total, T.scale(l_va, cfg.lambda_va))
     if cfg.lambda_l2 > 0:
-        total = T.add(total, T.scale(l2_penalty(params), cfg.lambda_l2))
+        l2 = reduce(T.add, [T.l2_norm_sq(p) for p in params])
+        total = T.add(total, T.scale(l2, cfg.lambda_l2))
     return total
 
 
-def linked_pairs(linkage: LinkageTable, corpus: Corpus) -> Dict[str, List[Tuple[Consultation, Interaction]]]:
-    """Per-user (consultation, linked action) pairs in deterministic order."""
-    out: Dict[str, List[Tuple[Consultation, Interaction]]] = {}
-    for user in sorted(linkage.links):
-        by_cid = {c.id: c for c in corpus.users[user].consultations}
-        pairs: List[Tuple[Consultation, Interaction]] = []
-        for cid in sorted(linkage.links[user]):
-            for interaction, _rule in linkage.links[user][cid]:
-                pairs.append((by_cid[cid], interaction))
-        if pairs:
-            out[user] = pairs
-    return out
-
-
-def sample_va_batch(batch: Sequence[SessionExample],
-                    pairs_by_user: Dict[str, List[Tuple[Consultation, Interaction]]],
-                    actions_by_user: Dict[str, Tuple[Interaction, ...]],
-                    all_actions: Sequence[Interaction],
-                    cfg: TrainConfig, rng: np.random.Generator,
+def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
+                    pairs: LinkedPairs, cfg: TrainConfig, rng: np.random.Generator,
                     kept_map: Optional[KeptMap] = None) -> List[VaSample]:
     """One alignment sample per batch example whose user has linked pairs
     that sit strictly before that example's session.
@@ -253,44 +244,39 @@ def sample_va_batch(batch: Sequence[SessionExample],
     """
     samples: List[VaSample] = []
     batch_users = [ex.user_id for ex in batch]
+    c_ts, a_ts = table.consultation_ts, table.action_ts
     for ex in batch:
         user = ex.user_id
         anchor = ex.session.timestamp
-        pairs = [
-            (c, a) for c, a in pairs_by_user.get(user, ())
-            if c.timestamp < anchor and a.timestamp < anchor
-        ]
-        if not pairs:
+        prior = [(c, a) for c, a in pairs.get(user, ()) if c_ts[c] < anchor and a_ts[a] < anchor]
+        if not prior:
             continue
-        kept_ids = (
-            {c.id for c in kept_map.get((user, anchor), ())} if kept_map else set()
-        )
-        preferred = [(c, a) for c, a in pairs if c.id in kept_ids]
+        kept = {table.consultation_ids[user, c.id]
+                for c in (kept_map.get((user, anchor), ()) if kept_map else ())}
+        preferred = [(c, a) for c, a in prior if c in kept]
         if not preferred:
-            newest = max(c.timestamp for c, _ in pairs)
-            preferred = [(c, a) for c, a in pairs if c.timestamp == newest]
-        pairs = preferred
-        consultation, positive = pairs[int(rng.integers(0, len(pairs)))]
+            newest = max(c_ts[c] for c, _ in prior)
+            preferred = [(c, a) for c, a in prior if c_ts[c] == newest]
+        consultation, positive = preferred[int(rng.integers(0, len(preferred)))]
 
-        def draw(pool: Sequence[Interaction], need: int) -> List[Interaction]:
-            usable = [a for a in pool if a is not positive and a.timestamp < anchor]
+        def draw(candidates: np.ndarray, need: int) -> np.ndarray:
+            usable = candidates[(candidates != positive) & (a_ts[candidates] < anchor)]
             if len(usable) <= need:
                 return usable
-            chosen = rng.choice(len(usable), size=need, replace=False)
-            return [usable[i] for i in sorted(chosen)]
+            return usable[np.sort(rng.choice(len(usable), size=need, replace=False))]
 
-        negatives = draw(actions_by_user[user], cfg.va_batch)
+        negatives = draw(table.span(user, 1), cfg.va_batch)
         if len(negatives) < cfg.va_batch:
-            batch_pool = [
-                a for other in batch_users if other != user
-                for a in actions_by_user.get(other, ())
-            ]
-            negatives.extend(draw(batch_pool, cfg.va_batch - len(negatives)))
+            batch_pool = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                table.span(other, 1) for other in batch_users if other != user
+            ])
+            negatives = np.append(negatives, draw(batch_pool, cfg.va_batch - len(negatives)))
         if len(negatives) < cfg.va_batch:
-            seen = set(map(id, negatives))
-            spare = [a for a in all_actions if id(a) not in seen]
-            negatives.extend(draw(spare, cfg.va_batch - len(negatives)))
-        samples.append(VaSample(consultation, positive, tuple(negatives), anchor))
+            spare = np.ones(len(a_ts), dtype=bool)
+            spare[negatives] = False
+            negatives = np.append(
+                negatives, draw(np.flatnonzero(spare), cfg.va_batch - len(negatives)))
+        samples.append(VaSample(consultation, positive, negatives, anchor))
     return samples
 
 
@@ -314,9 +300,16 @@ class TrainResult:
 
 def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
                    l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
+    return _table_score_fn(model, corpus, M.corpus_features(model, corpus), kept_map,
+                           l_seq, value_filter)
+
+
+def _table_score_fn(model: M.Model, corpus: Corpus, table: M.CorpusFeatures,
+                    kept_map: Optional[KeptMap], l_seq: int, value_filter: bool) -> ScoreFn:
     def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
-        ex = build_example(corpus, user_id, session, kept_map, l_seq, value_filter)
-        e_final = example_forward(model, ex)
+        ex = build_example(model, corpus, table, user_id, session, kept_map, l_seq,
+                           value_filter)
+        e_final = M.session_forward(model, ex.features)
         return M.score_candidates(model, e_final, candidates).data.tolist()
     return score
 
@@ -335,21 +328,18 @@ def train(corpus: Corpus, linkage: LinkageTable,
     if not split.train:
         raise ValueError("empty training set: no user has more than two sessions")
     kept_map = kept_consultations(assessments) if value_filter else None
+    table = M.corpus_features(model, corpus)
     examples = [
-        build_example(corpus, user, session, kept_map, l_seq, value_filter)
+        build_example(model, corpus, table, user, session, kept_map, l_seq, value_filter)
         for user, session in split.train
     ]
-    pairs_by_user = linked_pairs(linkage, corpus) if cfg.lambda_va > 0 else {}
-    actions_by_user = {u: corpus.users[u].interactions for u in sorted(corpus.users)}
-    all_actions = [a for u in sorted(corpus.users) for a in actions_by_user[u]]
+    pairs = linked_pairs(table, corpus, linkage) if cfg.lambda_va > 0 else None
     params = model.parameters()
     opt = T.AdamState(params, lr=cfg.lr)
     # Independent streams per sampling role: toggling one loss term (say
     # lambda_va = 0) must not reshuffle the draws of the others.
-    _order_ss, _neg_ss, _va_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_order = np.random.default_rng(_order_ss)
-    rng_neg = np.random.default_rng(_neg_ss)
-    rng_va = np.random.default_rng(_va_ss)
+    rng_order, rng_neg, rng_va = map(np.random.default_rng,
+                                     np.random.SeedSequence(cfg.seed).spawn(3))
     n_neg_valid = min(N_NEG, len(corpus.items) - 1)
 
     rows: List[EpochRow] = []
@@ -360,33 +350,24 @@ def train(corpus: Corpus, linkage: LinkageTable,
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_order.permutation(len(examples))
-        sum_search = 0.0
-        sum_va = 0.0
-        sum_total = 0.0
+        sum_search = sum_va = sum_total = 0.0
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [examples[i] for i in order[lo:lo + cfg.batch_size]]
             search_terms = []
             for ex in batch:
-                e_final = example_forward(model, ex)
-                negatives = sample_negative_items(
-                    model.item_ids, ex.session.ground_truth_item,
-                    cfg.n_neg_search, rng_neg,
-                )
-                search_terms.append(
-                    loss_search(model, e_final, ex.session.ground_truth_item,
-                                negatives, cfg)
-                )
+                e_final = M.session_forward(model, ex.features)
+                truth = ex.session.ground_truth_item
+                negatives = sample_negative_items(model.item_ids, truth, cfg.n_neg_search,
+                                                  rng_neg)
+                search_terms.append(loss_search(model, e_final, truth, negatives, cfg))
             l_search = T.scale(reduce(T.add, search_terms), 1.0 / len(search_terms))
             l_va = None
-            if cfg.lambda_va > 0:
-                va_samples = sample_va_batch(
-                    batch, pairs_by_user,
-                    actions_by_user, all_actions, cfg, rng_va,
-                    kept_map=kept_map,
-                )
+            if pairs is not None:
+                va_samples = sample_va_batch(batch, table, pairs, cfg, rng_va,
+                                             kept_map=kept_map)
                 if va_samples:
-                    l_va = loss_va(model, va_samples, cfg)
+                    l_va = loss_va(model, va_samples, table, cfg)
             total = total_loss(l_search, l_va, params, cfg)
             T.zero_grads(params)
             T.backward(total)
@@ -398,7 +379,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
 
         if split.valid:
             report = evaluate_sessions(
-                model_score_fn(model, corpus, kept_map, l_seq, value_filter),
+                _table_score_fn(model, corpus, table, kept_map, l_seq, value_filter),
                 corpus, split.valid, protocol="ranking", seed=cfg.seed,
                 n_neg=n_neg_valid,
             )

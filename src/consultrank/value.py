@@ -310,6 +310,12 @@ def dump_values(assessments: Sequence[SessionAssessment], path) -> None:
                 fh.write(json.dumps(report_record(r), sort_keys=True) + "\n")
 
 
+#: values.jsonl field -> the types its value may take
+_VALUE_FIELDS = {"user": str, "cid": str, "search_ts": int, "rank": int,
+                 **dict.fromkeys(("o_time", "o_scope", "o_action", "o_aggregate"),
+                                 (int, float))}
+
+
 def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) -> List[SessionAssessment]:
     """Rebuild SessionAssessments from a `values.jsonl` dump.
 
@@ -324,6 +330,10 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
                 continue
             rec = json.loads(line)
             try:
+                bad = [key for key, types in _VALUE_FIELDS.items()
+                       if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
+                if bad:
+                    raise TypeError(f"wrong-typed {', '.join(bad)}")
                 report = ValueReport(
                     user_id=rec["user"], search_ts=rec["search_ts"], cid=rec["cid"],
                     o_time=rec["o_time"], o_scope=rec["o_scope"],

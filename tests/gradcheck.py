@@ -67,49 +67,43 @@ def tensor_op_trials(rng: np.random.Generator):
     m34, v4 = leaf(3, 4), leaf(4)
     s5, t5 = leaf(5), leaf(5)
     th6 = leaf(6)
-    sm7 = leaf(7)
+    sm7, w7 = leaf(7), leaf(7)
     nl5 = leaf(5)
-    table, wvec = leaf(6, 4), leaf(4)
-    r1, r2, r3, w42 = leaf(4), leaf(4), leaf(4), leaf(4, 2)
+    nr34 = leaf(3, 4)
+    table, w42 = leaf(6, 4), leaf(4, 2)
+    pad_table = leaf(5, 3)
     d1, d2 = leaf(6), leaf(6)
-    u5, q5 = leaf(5), leaf(5)
-    pk6 = leaf(6)
     factor = float(rng.uniform(0.5, 2.0))
     nll_pos = int(rng.integers(0, 5))
-    pick_pos = int(rng.integers(0, 6))
-    lookup_idx = [0, 2, 2, 5]
+    lookup_idx = [0, 2, 2, 5, 1]
+    pool_offsets = [0, 2, 5]
+    pad_idx = [int(i) for i in rng.integers(-1, 5, size=4)] + [3]
+    # every row keeps at least its target; the targets are not all zero
+    row_mask = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
+    row_targets = [2, 1, 3]
 
     return [
         ("matmul 2d@2d", lambda: T.l2_norm_sq(T.matmul(a, b)), [a, b]),
         ("matmul 1d@2d", lambda: T.l2_norm_sq(T.tanh(T.matmul(x4, w43))), [x4, w43]),
         ("matmul 2d@1d", lambda: T.nll_index(T.matmul(m34, v4), 1), [m34, v4]),
+        ("matmul 1d@1d", lambda: T.matmul(d1, d2), [d1, d2]),
         ("add+scale", lambda: T.l2_norm_sq(T.add(T.scale(s5, factor), t5)), [s5, t5]),
-        ("sub", lambda: T.l2_norm_sq(T.sub(u5, q5)), [u5, q5]),
+        ("softmax rows", lambda: T.l2_norm_sq(T.softmax(m34)), [m34]),
         ("tanh", lambda: T.l2_norm_sq(T.tanh(th6)), [th6]),
-        ("softmax+pick", lambda: T.pick(T.softmax(sm7), 3), [sm7]),
+        ("softmax", lambda: T.matmul(T.softmax(sm7), w7), [sm7, w7]),
         ("nll_index", lambda: T.nll_index(nl5, nll_pos), [nl5]),
+        ("nll_index masked rows",
+         lambda: T.nll_index(nr34, row_targets, row_mask), [nr34]),
         (
-            "embedding+mean_pool",
-            lambda: T.dot(T.mean_pool(T.embedding_lookup(table, lookup_idx)), wvec),
-            [table, wvec],
+            "embedding+mean_pool segments",
+            lambda: T.l2_norm_sq(T.matmul(
+                T.mean_pool(T.embedding_lookup(table, lookup_idx), pool_offsets), w42)),
+            [table, w42],
         ),
-        (
-            "concat+matmul",
-            lambda: T.l2_norm_sq(T.matmul(T.concat([r1, r2, r3]), w42)),
-            [r1, r2, r3, w42],
-        ),
-        ("dot", lambda: T.dot(d1, d2), [d1, d2]),
-        (
-            "transpose+row",
-            lambda: T.l2_norm_sq(T.row(T.transpose(T.matmul(a, b)), 1)),
-            [a, b],
-        ),
-        (
-            "add_bias",
-            lambda: T.l2_norm_sq(T.mean_pool(T.tanh(T.add_bias(m34, v4)))),
-            [m34, v4],
-        ),
-        ("pick", lambda: T.pick(T.tanh(pk6), pick_pos), [pk6]),
+        ("embedding padding rows",
+         lambda: T.l2_norm_sq(T.tanh(T.embedding_lookup(pad_table, pad_idx))), [pad_table]),
+        ("transpose", lambda: T.l2_norm_sq(T.matmul(T.transpose(a), m34)), [a, m34]),
+        ("add row-wise", lambda: T.l2_norm_sq(T.tanh(T.add(m34, v4))), [m34, v4]),
         ("l2_norm_sq", lambda: T.l2_norm_sq(s5), [s5]),
         ("reused leaf", lambda: T.l2_norm_sq(T.add(t5, t5)), [t5]),
     ]

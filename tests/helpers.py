@@ -2,7 +2,8 @@
 
 import json
 
-from consultrank.corpus import load_corpus
+from consultrank import model as M
+from consultrank.corpus import ActionType, Corpus, Interaction, Query, UserHistory, load_corpus
 from consultrank.linkage import LinkageParams, build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets, report_record
 
@@ -148,3 +149,20 @@ def pipeline_reports(corpus, params=ValueParams(), window_days=14):
             rows.append(rec)
         out.append((a.user_id, a.session.timestamp, rows))
     return out
+
+
+def raw_features(model, user_id, consultations, actions, query_history=(),
+                 item_history=(), anchor_ts=200, query_text="alpha beta gadget"):
+    """Featurize one session from raw parts: a one-user corpus holds the
+    consultations and the actions, then one search action per query-history
+    text and for the query, all at the anchor."""
+    searches = [Interaction(ActionType.SEARCH, anchor_ts, target_query=Query(t, anchor_ts))
+                for t in (*query_history, query_text)]
+    history = UserHistory(user_id, consultations=tuple(consultations),
+                          interactions=(*actions, *searches))
+    table = M.corpus_features(model, Corpus(users={user_id: history}))
+    texts = table.actions[len(actions):, 2]
+    return M.session_features(
+        model, table, user_id, range(len(consultations)), range(len(actions)),
+        texts[:-1], [model.item_rows[v] for v in item_history], anchor_ts, texts[-1],
+    )

@@ -35,7 +35,7 @@ from consultrank.value import ValueParams, assess_corpus, fit_buckets
 import closed_forms
 import oracles
 from gradcheck import finite_diff_check, tensor_op_trials
-from helpers import corpus_from, pipeline_reports, random_micro_events
+from helpers import corpus_from, pipeline_reports, random_micro_events, raw_features
 
 
 def announce(capsys, number, name, ok, detail):
@@ -130,15 +130,13 @@ def _end_to_end_trial(tmp_path, seed):
     cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.5, lambda_l2=1e-4,
                          n_neg_search=3, va_batch=2, seed=seed)
     split = TR.split_sessions(corpus)
+    features = M.corpus_features(model, corpus)
     examples = [
-        TR.build_example(corpus, user, session, kept)
+        TR.build_example(model, corpus, features, user, session, kept)
         for user, session in split.train
     ][:2]
-    pairs = TR.linked_pairs(table, corpus)
-    actions_by_user = {u: corpus.users[u].interactions for u in sorted(corpus.users)}
-    all_actions = [a for u in sorted(corpus.users) for a in actions_by_user[u]]
     rng = np.random.default_rng(seed)
-    va = TR.sample_va_batch(examples, pairs, actions_by_user, all_actions,
+    va = TR.sample_va_batch(examples, features, TR.linked_pairs(features, corpus, table),
                             cfg, rng, kept)
     assert va, "end-to-end trial drew no alignment samples"
     ex = examples[0]
@@ -146,10 +144,10 @@ def _end_to_end_trial(tmp_path, seed):
         model.item_ids, ex.session.ground_truth_item, cfg.n_neg_search, rng)
 
     def build():
-        e_final = TR.example_forward(model, ex)
+        e_final = M.session_forward(model, ex.features)
         loss = TR.loss_search(model, e_final, ex.session.ground_truth_item,
                               negatives, cfg)
-        loss = T.add(loss, T.scale(TR.loss_va(model, va, cfg), cfg.lambda_va))
+        loss = T.add(loss, T.scale(TR.loss_va(model, va, features, cfg), cfg.lambda_va))
         reg = reduce(T.add, [T.l2_norm_sq(p) for p in model.parameters()])
         return T.add(loss, T.scale(reg, cfg.lambda_l2))
 
@@ -195,18 +193,17 @@ def test_05_closed_form_losses(capsys):
     search_err = abs(search_loss.item() - math.log(11.0))
 
     model.block.w_q.data[:] = 0.0
+    table = M.corpus_features(model, corpus)
     user = sorted(corpus.users)[0]
-    history = corpus.users[user]
-    consultation = history.consultations[0]
-    actions = list(history.interactions)
-    anchor = max(a.timestamp for a in actions) + 100
+    actions = list(table.span(user, 1))
+    anchor = int(table.action_ts[actions].max()) + 100
     va_err = 0.0
     ks = (1, 5, 17)
     for k in ks:
-        pool = (actions * (k + 1))[: k + 1]
-        sample = TR.VaSample(consultation=consultation, positive=pool[0],
-                             negatives=tuple(pool[1:]), anchor_ts=anchor)
-        va_loss = TR.loss_va(model, [sample], cfg)
+        drawn = (actions * (k + 1))[: k + 1]
+        sample = TR.VaSample(consultation=0, positive=drawn[0],
+                             negatives=np.array(drawn[1:]), anchor_ts=anchor)
+        va_loss = TR.loss_va(model, [sample], table, cfg)
         va_err = max(va_err, abs(va_loss.item() - math.log(k + 1.0)))
 
     ok = search_err < 1e-9 and va_err < 1e-9
@@ -319,7 +316,7 @@ def test_09_complexity_scaling(capsys):
     ids = sorted(corpus.items)
     user = sorted(corpus.users)[0]
 
-    def inputs(length):
+    def features(length):
         cons = [
             Consultation(id=f"c{i}", user_turn=titles[i % len(titles)],
                          assistant_turn="noted", timestamp=10 + i)
@@ -332,16 +329,17 @@ def test_09_complexity_scaling(capsys):
         ]
         q_hist = [titles[i % len(titles)] for i in range(length)]
         i_hist = [ids[i % len(ids)] for i in range(length)]
-        return cons, acts, q_hist, i_hist
+        return raw_features(model, user, cons, acts, q_hist, i_hist, 10_000, titles[0])
 
     def median_time(length, repeats=9):
-        cons, acts, q_hist, i_hist = inputs(length)
+        f = features(length)
         samples = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            M.session_forward(model, user, cons, acts, q_hist, i_hist,
-                              10_000, titles[0])
-            samples.append(time.perf_counter() - t0)
+            # CPU time of this process, so other processes on the machine
+            # cannot inflate a ratio
+            t0 = time.process_time()
+            M.session_forward(model, f)
+            samples.append(time.process_time() - t0)
         return float(np.median(samples))
 
     median_time(8, repeats=3)  # warm-up

@@ -216,9 +216,16 @@ def test_eval_without_train_names_stage(tmp_path, capsys):
     assert "run train first" in capsys.readouterr().err
 
 
-def _edit_linkage_row(edit):
+@pytest.mark.parametrize("n_neg", ["0", "-3"])
+def test_eval_rejects_n_neg_eval_below_one(pipeline_dir, capsys, n_neg):
+    out, config = pipeline_dir
+    assert run("eval", out, config, "--ranker", "bm25", "--n-neg-eval", n_neg) == 2
+    assert capsys.readouterr().err.startswith("error: n_neg_eval")
+
+
+def _edit_first_row(name, edit):
     def corrupt(out):
-        path = out / "linkage.jsonl"
+        path = out / name
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         rows[0] = edit(rows[0])
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -235,9 +242,12 @@ def _edit_checkpoint(edit):
 
 
 @pytest.mark.parametrize("stage, corrupt", [
-    ("assess", _edit_linkage_row(
+    ("assess", _edit_first_row("linkage.jsonl",
         lambda row: {k: v for k, v in row.items() if k != "actions"})),
-    ("assess", _edit_linkage_row(lambda row: list(row))),
+    ("assess", _edit_first_row("linkage.jsonl", lambda row: list(row))),
+    ("eval", _edit_first_row("values.jsonl", lambda row: {**row, "rank": "1"})),
+    ("eval", _edit_first_row("values.jsonl",
+        lambda row: {**row, "search_ts": str(row["search_ts"])})),
     ("eval", _edit_checkpoint(lambda payload: payload.pop("params"))),
     ("eval", _edit_checkpoint(
         lambda payload: next(iter(payload["params"].values())).pop("shape"))),
@@ -246,6 +256,7 @@ def _edit_checkpoint(edit):
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].pop("vocab_size"))),
 ], ids=["linkage-row-without-actions", "linkage-row-not-an-object",
+        "values-row-string-rank", "values-row-string-search-ts",
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key"])
 def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt):

@@ -5,11 +5,11 @@ import pytest
 
 from consultrank import model as M
 from consultrank import tensor as T
-from consultrank.corpus import ActionType, Interaction, Query
+from consultrank.corpus import ActionType, Consultation, Interaction, Query
 from consultrank.evaluate import ranked_from_scores
 
 from gradcheck import finite_diff_check
-from helpers import buy, click, consult, corpus_from, item, search
+from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
 
 
 @pytest.fixture(scope="module")
@@ -74,135 +74,165 @@ def test_vocab_covers_all_text_surfaces(small_corpus):
     for term in ("alpha", "gadget", "portable", "steel", "console", "worth"):
         assert term in vocab
     assert M.UNKNOWN_TOKEN not in vocab.values()
-    assert M.token_ids("alpha unseen-term beta", vocab, 64)[1] == M.UNKNOWN_TOKEN
+    ids, offsets = M.text_ids(tiny_model(small_corpus), ["alpha unseen-term beta"])
+    assert ids[1] == M.UNKNOWN_TOKEN
+    assert offsets.tolist() == [0, 4]
 
 
 def test_token_ids_truncate(small_corpus):
-    vocab = M.build_vocab(small_corpus)
+    model = tiny_model(small_corpus, max_text_tokens=64)
     long_text = " ".join(["alpha"] * 100)
-    assert len(M.token_ids(long_text, vocab, 64)) == 64
+    ids, offsets = M.text_ids(model, [long_text, "beta"])
+    assert offsets.tolist() == [0, 64, 65]
+
+
+def encode(model, *texts):
+    return M.encode_text(model, *M.text_ids(model, texts))
+
+
+def cai(model, f):
+    texts = M.encode_text(model, f.token_ids, f.text_offsets)
+    return M.cai_forward(model, f.consultations, f.actions, texts), texts
 
 
 def test_encode_text_is_order_invariant(small_corpus):
     model = tiny_model(small_corpus)
-    a = M.encode_text(model, "alpha beta gadget portable")
-    b = M.encode_text(model, "portable gadget alpha beta")
-    assert np.allclose(a.data, b.data)
+    out = encode(model, "alpha beta gadget portable", "portable gadget alpha beta")
+    assert np.allclose(out.data[0], out.data[1])
 
 
 def test_encode_text_single_token_formula(small_corpus):
     model = tiny_model(small_corpus)
-    out = M.encode_text(model, "alpha")
+    out = encode(model, "alpha")
     row = model.tables.token.data[model.vocab["alpha"]]
     expected = np.tanh(row @ model.text_w.data + model.text_b.data)
-    assert np.allclose(out.data, expected)
+    assert np.allclose(out.data[0], expected)
 
 
 def test_encode_text_empty_gives_zero_vector(small_corpus):
     model = tiny_model(small_corpus)
-    out = M.encode_text(model, "of the and")
-    assert np.array_equal(out.data, np.zeros(model.cfg.d))
+    out = encode(model, "of the and")
+    assert np.array_equal(out.data, np.zeros((1, model.cfg.d)))
     assert not out._parents
+    mixed = encode(model, "alpha beta", "of the and", "gadget")
+    assert np.array_equal(mixed.data[1], np.zeros(model.cfg.d))
+    assert np.allclose(mixed.data[[0, 2]], encode(model, "alpha beta", "gadget").data)
+    grads = []
+    for out in (mixed, encode(model, "alpha beta", "gadget")):
+        T.zero_grads(model.parameters())
+        T.backward(T.l2_norm_sq(out))
+        grads.append(model.text_b.grad)
+    assert np.allclose(grads[0], grads[1])
+
+
+def test_time_buckets_match_value_buckets(small_corpus):
+    from consultrank.value import time_bucket
+    model = tiny_model(small_corpus)
+    gaps = [-5, 0, 1, 2, 3, 7, 100, 10**6]
+    assert M.time_buckets(model, gaps).tolist() == [
+        time_bucket(max(0, g), model.cfg.n_time_buckets) for g in gaps
+    ]
 
 
 def test_action_embedding_cases(small_corpus):
     model = tiny_model(small_corpus)
-    c1 = Interaction(ActionType.CLICK, 10, target_item="i1")
-    c2 = Interaction(ActionType.CLICK, 99, target_item="i1")
-    b1 = Interaction(ActionType.BUY, 10, target_item="i1")
-    assert np.array_equal(
-        M.action_embedding(model, c1).data, M.action_embedding(model, c2).data
-    )
-    gap = M.action_embedding(model, b1).data - M.action_embedding(model, c1).data
+    actions = [
+        Interaction(ActionType.CLICK, 10, target_item="i1"),
+        Interaction(ActionType.CLICK, 99, target_item="i1"),
+        Interaction(ActionType.BUY, 10, target_item="i1"),
+        Interaction(ActionType.SEARCH, 10, target_query=Query("alpha beta gadget", 10)),
+    ]
+    f = features(model, "u1", [], actions)
+    texts = M.encode_text(model, f.token_ids, f.text_offsets)
+    keys = M.cai_keys(model, f.actions, texts).data
+    # the timestamp enters a key only through its time bucket
+    time = model.tables.time.data
+    assert f.actions[0, 3] != f.actions[1, 3]
+    assert np.allclose(keys[1] - keys[0], time[f.actions[1, 3]] - time[f.actions[0, 3]])
     table = model.tables.action.data
     expected = table[M.ACTION_ROWS[ActionType.BUY]] - table[M.ACTION_ROWS[ActionType.CLICK]]
-    assert np.allclose(gap, expected)
-    s = Interaction(ActionType.SEARCH, 10, target_query=Query("alpha beta gadget", 10))
+    assert np.allclose(keys[2] - keys[0], expected)
     expected_s = (
         table[M.ACTION_ROWS[ActionType.SEARCH]]
-        + M.encode_text(model, "alpha beta gadget").data
+        + encode(model, "alpha beta gadget").data[0] + time[f.actions[3, 3]]
     )
-    assert np.allclose(M.action_embedding(model, s).data, expected_s)
+    assert np.allclose(keys[3], expected_s)
+    with pytest.raises(ValueError, match="unknown item-id 'nope'"):
+        features(model, "u1", [], [Interaction(ActionType.BUY, 10, target_item="nope")])
 
 
 def test_cai_lambda_zero_returns_raw_text(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.0)
     u1 = small_corpus.users["u1"]
-    h = M.cai_forward(model, u1.consultations, u1.interactions, anchor_ts=200)
-    for hi, c in zip(h, u1.consultations):
-        assert np.array_equal(hi.data, M.encode_text(model, c.text).data)
+    h, _ = cai(model, features(model, "u1", u1.consultations, u1.interactions))
+    raw = encode(model, *(c.text for c in u1.consultations))
+    assert np.array_equal(h.data, raw.data)
 
 
 def test_cai_empty_action_list_returns_raw_text(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.7)
     u1 = small_corpus.users["u1"]
-    h = M.cai_forward(model, u1.consultations, [], anchor_ts=200)
-    for hi, c in zip(h, u1.consultations):
-        assert np.array_equal(hi.data, M.encode_text(model, c.text).data)
+    h, _ = cai(model, features(model, "u1", u1.consultations, []))
+    raw = encode(model, *(c.text for c in u1.consultations))
+    assert np.array_equal(h.data, raw.data)
 
 
 def test_cai_singleton_action_gets_full_attention(small_corpus):
     model = tiny_model(small_corpus)
     u1 = small_corpus.users["u1"]
-    q_rows = [M.cai_query_vec(model, c, 200) for c in u1.consultations]
-    k_rows = [M.cai_key_vec(model, u1.interactions[0], 200)]
-    weights = M.cai_attention_weights(model, q_rows, k_rows)
+    f = features(model, "u1", u1.consultations, u1.interactions[:1])
+    texts = M.encode_text(model, f.token_ids, f.text_offsets)
+    weights = T.softmax(M.cai_logits(model, M.cai_queries(model, f.consultations, texts),
+                                     M.cai_keys(model, f.actions, texts)))
+    assert weights.shape == (len(u1.consultations), 1)
     assert np.allclose(weights.data, 1.0)
 
 
 def test_cai_output_mixes_attended_value(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.5)
     u1 = small_corpus.users["u1"]
-    h = M.cai_forward(model, u1.consultations, u1.interactions, anchor_ts=200)
-    raw = [M.encode_text(model, c.text).data for c in u1.consultations]
-    for hi, ri in zip(h, raw):
-        assert not np.allclose(hi.data, ri)
+    h, _ = cai(model, features(model, "u1", u1.consultations, u1.interactions))
+    raw = encode(model, *(c.text for c in u1.consultations))
+    for hi, ri in zip(h.data, raw.data):
+        assert not np.allclose(hi, ri)
 
 
 def test_cascade_handles_all_zero_inputs(small_corpus):
     model = tiny_model(small_corpus)
-    d = model.cfg.d
-    zero = lambda: T.Tensor(np.zeros(d))
-    out = M.cascaded_encode(model, [zero()], [zero()], [zero()], zero(), zero())
-    assert out.shape == (d,)
+    model.tables.user.data[:] = 0.0
+    model.tables.item.data[:] = 0.0
+    stopwords = Consultation("c0", "of the", "and", 5)
+    f = features(model, "u1", [stopwords], [], ["of the"], ["i1"], query_text="and the")
+    texts = M.encode_text(model, f.token_ids, f.text_offsets)
+    assert np.array_equal(texts.data, np.zeros_like(texts.data))
+    out = M.session_forward(model, f)
+    assert out.shape == (model.cfg.d,)
     assert np.isfinite(out.data).all()
 
 
 def test_cascade_item_history_order_invariant(small_corpus):
     model = tiny_model(small_corpus)
-    u = M.user_embedding(model, "u1")
-    q = M.encode_text(model, "alpha beta gadget")
-    items_a = [M.item_embedding(model, v) for v in ("i1", "i2", "i3")]
-    items_b = [M.item_embedding(model, v) for v in ("i3", "i1", "i2")]
-    out_a = M.cascaded_encode(model, [], [], items_a, u, q)
-    out_b = M.cascaded_encode(model, [], [], items_b, u, q)
+    out_a = M.session_forward(model, features(model, "u1", [], [], [], ["i1", "i2", "i3"]))
+    out_b = M.session_forward(model, features(model, "u1", [], [], [], ["i3", "i1", "i2"]))
     assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
 
 def test_lambda_zero_scores_ignore_cai_actions(small_corpus):
-    model = tiny_model(small_corpus, lambda3_skip=0.0)
     u1 = small_corpus.users["u1"]
-    kwargs = dict(
-        model=model, user_id="u1", consultations=u1.consultations,
-        query_history_texts=["alpha beta gadget"], item_history_ids=["i1"],
-        anchor_ts=80, query_text="gamma delta widget",
-    )
-    e_with = M.session_forward(cai_actions=u1.interactions[:3], **kwargs)
-    e_without = M.session_forward(cai_actions=[], **kwargs)
-    s_with = M.score_candidates(model, e_with, model.item_ids)
-    s_without = M.score_candidates(model, e_without, model.item_ids)
+
+    def e_final(model, actions):
+        return M.session_forward(model, features(
+            model, "u1", u1.consultations, actions, ["alpha beta gadget"], ["i1"],
+            80, "gamma delta widget",
+        ))
+
+    model = tiny_model(small_corpus, lambda3_skip=0.0)
+    s_with = M.score_candidates(model, e_final(model, u1.interactions[:3]), model.item_ids)
+    s_without = M.score_candidates(model, e_final(model, []), model.item_ids)
     assert np.array_equal(s_with.data, s_without.data)
 
     full = tiny_model(small_corpus, lambda3_skip=1.0)
-    e_full_a = M.session_forward(
-        full, "u1", u1.consultations, u1.interactions[:3],
-        ["alpha beta gadget"], ["i1"], 80, "gamma delta widget",
-    )
-    e_full_b = M.session_forward(
-        full, "u1", u1.consultations, [],
-        ["alpha beta gadget"], ["i1"], 80, "gamma delta widget",
-    )
-    assert not np.allclose(e_full_a.data, e_full_b.data)
+    assert not np.allclose(e_final(full, u1.interactions[:3]).data, e_final(full, []).data)
 
 
 def test_score_candidates_geometry(small_corpus):
@@ -213,20 +243,20 @@ def test_score_candidates_geometry(small_corpus):
         rows[i, i] = 1.0
     model.tables.item.data = rows
     target = model.item_ids[2]
-    scores = M.score_candidates(model, M.item_embedding(model, target), model.item_ids)
+    scores = M.score_candidates(model, T.Tensor(rows[model.item_rows[target]]), model.item_ids)
     ranked = ranked_from_scores(model.item_ids, scores.data, target)
     assert ranked.rank() == 1
 
 
 def test_score_candidates_duplicates_and_errors(small_corpus):
     model = tiny_model(small_corpus)
-    e = M.encode_text(model, "alpha beta gadget")
-    scores = M.score_candidates(model, e, ["i1", "i2", "i1"])
+    e = encode(model, "alpha beta gadget").data[0]
+    scores = M.score_candidates(model, T.Tensor(e), ["i1", "i2", "i1"])
     assert scores.data[0] == scores.data[2]
     with pytest.raises(ValueError, match="unknown item-id 'nope'"):
-        M.score_candidates(model, e, ["i1", "nope"])
+        M.score_candidates(model, T.Tensor(e), ["i1", "nope"])
     with pytest.raises(ValueError, match="unknown user-id"):
-        M.user_embedding(model, "ghost")
+        features(model, "ghost", [], [])
 
 
 def test_ranked_scores_break_ties_by_item_id(small_corpus):
@@ -234,7 +264,7 @@ def test_ranked_scores_break_ties_by_item_id(small_corpus):
     model.tables.item.data[model.item_rows["i3"]] = model.tables.item.data[
         model.item_rows["i1"]
     ]
-    e = M.encode_text(model, "alpha beta gadget")
+    e = T.Tensor(encode(model, "alpha beta gadget").data[0])
     scores = M.score_candidates(model, e, ["i3", "i1"])
     assert scores.data[0] == scores.data[1]
     ranked = ranked_from_scores(["i3", "i1"], scores.data, "i1")
@@ -246,12 +276,13 @@ def test_session_forward_gradients_match_finite_differences(small_corpus):
     u1 = small_corpus.users["u1"]
     rng = np.random.default_rng(99)
     leaves = model.parameters()
+    f = features(
+        model, "u1", u1.consultations, list(u1.interactions[:3]),
+        ["alpha beta gadget"], ["i1"], 80, "gamma delta widget",
+    )
 
     def build():
-        e = M.session_forward(
-            model, "u1", u1.consultations, list(u1.interactions[:3]),
-            ["alpha beta gadget"], ["i1"], 80, "gamma delta widget",
-        )
+        e = M.session_forward(model, f)
         return T.nll_index(M.score_candidates(model, e, model.item_ids), 1)
 
     worst = finite_diff_check(build, leaves, rng, max_coords=4)

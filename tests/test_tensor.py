@@ -35,14 +35,14 @@ def test_matmul_identity_preserves_input():
 
 def test_dot_self_gradient_is_twice_input():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.backward(T.dot(x, x))
+    T.backward(T.matmul(x, x))
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_sum_gradient_is_ones():
     x = T.Tensor([3.0, -1.0, 4.0], requires_grad=True)
     ones = T.Tensor([1.0, 1.0, 1.0])
-    T.backward(T.dot(x, ones))
+    T.backward(T.matmul(x, ones))
     assert np.allclose(x.grad, [1.0, 1.0, 1.0])
     assert ones.grad is None
 
@@ -81,9 +81,8 @@ def test_backward_rejects_non_scalar():
         (lambda: T.add(T.Tensor(np.zeros(3)), T.Tensor(np.zeros(4))), ["(3,)", "(4,)"]),
         (lambda: T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2)))),
          ["(2, 3)", "(4, 2)"]),
-        (lambda: T.dot(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(5))), ["(2,)", "(5,)"]),
-        (lambda: T.concat([T.Tensor(np.zeros(3)), T.Tensor(np.zeros(6))]),
-         ["(3,)", "(6,)"]),
+        (lambda: T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(5))), ["(2,)", "(5,)"]),
+        (lambda: T.mean_pool(T.Tensor(np.zeros((4, 3))), [0, 2, 2, 4]), ["(4, 3)"]),
     ],
 )
 def test_shape_mismatch_names_both_shapes(build, shapes):
@@ -95,19 +94,29 @@ def test_shape_mismatch_names_both_shapes(build, shapes):
 
 def test_embedding_lookup_forms():
     table = T.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
-    single = T.embedding_lookup(table, 2)
-    assert single.shape == (3,)
-    assert np.array_equal(single.data, [6.0, 7.0, 8.0])
     batch = T.embedding_lookup(table, [1, 1, 3])
     assert batch.shape == (3, 3)
+    assert np.array_equal(batch.data[2], [9.0, 10.0, 11.0])
     with pytest.raises(ValueError, match="out of range"):
         T.embedding_lookup(table, [0, 4])
+    with pytest.raises(ValueError, match="out of range"):
+        T.embedding_lookup(table, [-2])
+
+
+def test_embedding_lookup_padding_row_is_zero_and_takes_no_gradient():
+    table = T.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+    out = T.embedding_lookup(table, [-1, 2, -1])
+    assert np.array_equal(out.data, [[0.0] * 3, [6.0, 7.0, 8.0], [0.0] * 3])
+    T.backward(T.l2_norm_sq(out))
+    expected = np.zeros((4, 3))
+    expected[2] = 2.0 * table.data[2]
+    assert np.array_equal(table.grad, expected)
 
 
 def test_embedding_lookup_accumulates_repeated_rows():
     table = T.Tensor(np.ones((4, 2)), requires_grad=True)
-    pooled = T.mean_pool(T.embedding_lookup(table, [1, 1, 1, 0]))
-    T.backward(T.dot(pooled, T.Tensor([1.0, 1.0])))
+    pooled = T.mean_pool(T.embedding_lookup(table, [1, 1, 1, 0]), [0, 4])
+    T.backward(T.matmul(T.matmul(pooled, T.Tensor([1.0, 1.0])), T.Tensor([1.0])))
     assert np.allclose(table.grad[1], 0.75)
     assert np.allclose(table.grad[0], 0.25)
     assert np.allclose(table.grad[2], 0.0)
@@ -115,7 +124,28 @@ def test_embedding_lookup_accumulates_repeated_rows():
 
 def test_mean_pool_of_single_row_is_identity():
     row = T.Tensor([[2.0, -3.0, 0.5]])
-    assert np.array_equal(T.mean_pool(row).data, [2.0, -3.0, 0.5])
+    assert np.array_equal(T.mean_pool(row, [0, 1]).data, [[2.0, -3.0, 0.5]])
+
+
+def test_mean_pool_averages_each_segment():
+    rows = T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(T.mean_pool(rows, [0, 2, 3]).data, [[2.0, 3.0], [5.0, 6.0]])
+
+
+def test_nll_index_rows_match_per_row_losses():
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(3, 5))
+    mask = np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1], [1, 1, 1, 1, 1]], dtype=bool)
+    target = [2, 1, 4]
+    got = T.nll_index(T.Tensor(z), target, mask).item()
+    # the same rows with their masked entries cut out, one at a time
+    per_row = [
+        T.nll_index(T.Tensor(z[r][mask[r]]), int(mask[r][:target[r]].sum())).item()
+        for r in range(3)
+    ]
+    assert got == pytest.approx(np.mean(per_row), abs=1e-12)
+    with pytest.raises(ValueError, match="masked"):
+        T.nll_index(T.Tensor(z), [3, 1, 4], mask)
 
 
 def test_finite_differences_over_all_ops():

@@ -8,6 +8,7 @@ import pytest
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank import train as TR
+from consultrank.corpus import ActionType
 from consultrank.datagen import GenSpec, generate
 from consultrank.linkage import build_linkage
 from consultrank.value import assess_corpus, fit_buckets
@@ -55,6 +56,11 @@ def test_split_sessions_leave_last_out(tmp_path):
     assert [(u, s.timestamp) for u, s in split.train] == [("u1", 10), ("u1", 40)]
 
 
+def texts_of(f, indices):
+    """Token ids of the example's texts at these text indices."""
+    return [f.token_ids[f.text_offsets[i]:f.text_offsets[i + 1]].tolist() for i in indices]
+
+
 def test_build_example_slices_strictly_before(tmp_path):
     items = [item("i1", "alpha beta gadget"), item("i2", "gamma delta widget")]
     events = [
@@ -67,23 +73,59 @@ def test_build_example_slices_strictly_before(tmp_path):
         buy("u1", 35, "i2"),
     ]
     corpus = corpus_from(tmp_path, items, events, "bex")
+    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    table = M.corpus_features(model, corpus)
     session = corpus.users["u1"].searches[1]
-    ex = TR.build_example(corpus, "u1", session, None, value_filter=False)
-    assert [c.id for c in ex.consultations] == ["c1"]
-    assert all(a.timestamp < 30 for a in ex.cai_actions)
-    assert ex.query_history == ("alpha beta gadget",)
-    assert ex.item_history == ("i1",)
+    f = TR.build_example(model, corpus, table, "u1", session, None,
+                         value_filter=False).features
+    ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
+    assert texts_of(f, range(len(f.consultations))) == ids("tell me about the alpha beta gadget sure")
+    # the search at 10 and the click at 11; gaps 20 and 19 hours share bucket 4
+    assert f.actions.tolist() == [
+        [M.ACTION_ROWS[ActionType.SEARCH], -1, 3, 4],
+        [M.ACTION_ROWS[ActionType.CLICK], model.item_rows["i1"], -1, 4],
+    ]
+    assert texts_of(f, f.query_history) == ids("alpha beta gadget")
+    assert texts_of(f, [f.query, 3]) == ids("gamma delta widget", "alpha beta gadget")
+    assert f.item_history.tolist() == [model.item_rows["i1"]]
+    assert f.user == model.user_rows["u1"]
     with pytest.raises(ValueError, match="precomputed assessments"):
-        TR.build_example(corpus, "u1", session, None, value_filter=True)
+        TR.build_example(model, corpus, table, "u1", session, None, value_filter=True)
+
+
+def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
+    items = [item("i1", "alpha beta gadget"), item("i2", "gamma delta widget")]
+    events = [
+        search("u1", 10, "gamma delta widget", "i2"),
+        search("u1", 10, "alpha beta gadget", "i1"),
+        search("u1", 20, "alpha beta gadget", "i1"),
+    ]
+    corpus = corpus_from(tmp_path, items, events, "same-hour")
+    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    table = M.corpus_features(model, corpus)
+    ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
+    for session in corpus.users["u1"].searches:
+        f = TR.build_example(model, corpus, table, "u1", session, None,
+                             value_filter=False).features
+        assert texts_of(f, [f.query]) == ids(session.query.text)
+        prior = [s.query.text for s in corpus.users["u1"].searches
+                 if s.timestamp < session.timestamp]
+        assert texts_of(f, f.query_history) == ids(*prior)
 
 
 def test_build_example_uses_value_ranked_kept(gen_small):
     corpus, linkage, assessments = gen_small
+    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
     user, session = split.test[0]
-    ex = TR.build_example(corpus, user, session, kept_map)
-    assert ex.consultations == kept_map[(user, session.timestamp)]
+    table = M.corpus_features(model, corpus)
+    f = TR.build_example(model, corpus, table, user, session, kept_map).features
+    kept = kept_map[(user, session.timestamp)]
+    assert kept
+    assert texts_of(f, range(len(f.consultations))) == [
+        M.text_ids(model, [c.text])[0].tolist() for c in kept
+    ]
 
 
 def test_loss_search_uniform_logits_closed_form(gen_small):
@@ -113,7 +155,8 @@ def test_loss_search_counts_duplicate_negatives(gen_small):
     corpus, _, _ = gen_small
     model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
     cfg = TR.TrainConfig()
-    e = M.encode_text(model, "tell me about anything")
+    e = M.encode_text(model, *M.text_ids(model, ["tell me about anything"]))
+    e = T.Tensor(e.data[0])
     pos, neg = model.item_ids[0], model.item_ids[1]
     single = float(TR.loss_search(model, e, pos, [neg], cfg).data)
     doubled = float(TR.loss_search(model, e, pos, [neg, neg], cfg).data)
@@ -124,13 +167,14 @@ def test_loss_va_uniform_logits_closed_form(gen_small):
     corpus, linkage, _ = gen_small
     model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
     model.block.w_k.data[:] = 0.0
-    pairs = TR.linked_pairs(linkage, corpus)
+    table = M.corpus_features(model, corpus)
+    pairs = TR.linked_pairs(table, corpus, linkage)
     user = next(iter(pairs))
     consultation, positive = pairs[user][0]
-    others = [a for a in corpus.users[user].interactions if a is not positive]
-    sample = TR.VaSample(consultation, positive, tuple(others[:7]),
-                         anchor_ts=positive.timestamp + 5)
-    loss = TR.loss_va(model, [sample], TR.TrainConfig())
+    others = [a for a in table.span(user, 1) if a != positive]
+    sample = TR.VaSample(consultation, positive, np.array(others[:7]),
+                         anchor_ts=int(table.action_ts[positive]) + 5)
+    loss = TR.loss_va(model, [sample], table, TR.TrainConfig())
     assert float(loss.data) == pytest.approx(np.log(8.0), abs=1e-12)
 
 
@@ -164,27 +208,28 @@ def test_total_loss_composition(gen_small):
 
 def test_sample_va_negatives_tier_up(gen_small):
     corpus, linkage, _ = gen_small
-    pairs = TR.linked_pairs(linkage, corpus)
-    actions = {u: corpus.users[u].interactions for u in sorted(corpus.users)}
-    all_actions = [a for u in sorted(corpus.users) for a in actions[u]]
+    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    table = M.corpus_features(model, corpus)
+    pairs = TR.linked_pairs(table, corpus, linkage)
+    n_actions = len(table.action_ts)
     batch = [
-        TR.build_example(corpus, u, corpus.users[u].searches[-1], None,
+        TR.build_example(model, corpus, table, u, corpus.users[u].searches[-1], None,
                          l_seq=30, value_filter=False)
         for u in sorted(pairs)[:2]
     ]
     rng = np.random.default_rng(0)
-    cfg = TR.TrainConfig(va_batch=len(all_actions) + 50)
-    samples = TR.sample_va_batch(batch, pairs, actions, all_actions, cfg, rng)
+    cfg = TR.TrainConfig(va_batch=n_actions + 50)
+    samples = TR.sample_va_batch(batch, table, pairs, cfg, rng)
     assert len(samples) == 2
     for s in samples:
         assert s.positive not in s.negatives
-        assert s.positive.timestamp < s.anchor_ts
-        assert all(a.timestamp < s.anchor_ts for a in s.negatives)
-        prior = [a for a in all_actions if a.timestamp < s.anchor_ts]
-        assert len(s.negatives) == len(prior) - 1
+        assert table.action_ts[s.positive] < s.anchor_ts
+        assert all(table.action_ts[a] < s.anchor_ts for a in s.negatives)
+        prior = int((table.action_ts < s.anchor_ts).sum())
+        assert len(s.negatives) == prior - 1
     small = TR.TrainConfig(va_batch=3)
     rng = np.random.default_rng(0)
-    for s in TR.sample_va_batch(batch, pairs, actions, all_actions, small, rng):
+    for s in TR.sample_va_batch(batch, table, pairs, small, rng):
         assert len(s.negatives) == 3
 
 
@@ -249,22 +294,21 @@ def test_every_parameter_receives_gradient(gen_small):
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
     rng = np.random.default_rng(3)
-    examples = [TR.build_example(corpus, u, s, kept_map) for u, s in split.train]
+    table = M.corpus_features(model, corpus)
+    examples = [TR.build_example(model, corpus, table, u, s, kept_map) for u, s in split.train]
     terms = []
     for ex in examples:
-        e_final = TR.example_forward(model, ex)
+        e_final = M.session_forward(model, ex.features)
         negs = TR.sample_negative_items(
             model.item_ids, ex.session.ground_truth_item, 5, rng)
         terms.append(TR.loss_search(model, e_final, ex.session.ground_truth_item,
                                     negs, cfg))
     from functools import reduce
     l_search = T.scale(reduce(T.add, terms), 1.0 / len(terms))
-    pairs = TR.linked_pairs(linkage, corpus)
-    actions = {u: corpus.users[u].interactions for u in sorted(corpus.users)}
-    all_actions = [a for u in sorted(corpus.users) for a in actions[u]]
-    samples = TR.sample_va_batch(examples, pairs, actions, all_actions, cfg, rng)
+    samples = TR.sample_va_batch(examples, table, TR.linked_pairs(table, corpus, linkage),
+                                 cfg, rng)
     assert samples
-    total = TR.total_loss(l_search, TR.loss_va(model, samples, cfg),
+    total = TR.total_loss(l_search, TR.loss_va(model, samples, table, cfg),
                           model.parameters(), cfg)
     T.backward(total)
     for name, t in model.named_parameters().items():
@@ -276,7 +320,9 @@ def test_training_raises_attention_mass_on_linked_pairs():
     corpus, _ = generate(GenSpec(n_users=25, n_items=40, seed=9))
     linkage = build_linkage(corpus)
     assessments = assess_corpus(corpus, linkage, fit_buckets(linkage))
-    pairs = TR.linked_pairs(linkage, corpus)
+    fresh = M.init_model(corpus, M.config_for_corpus(corpus, d=16, seed=9))
+    table = M.corpus_features(fresh, corpus)
+    pairs = TR.linked_pairs(table, corpus, linkage)
 
     # Probe each pair the way inference sees it: anchored at the user's
     # latest training session, over the actions known at that point.
@@ -291,23 +337,24 @@ def test_training_raises_attention_mass_on_linked_pairs():
         anchor = anchor_by_user.get(user)
         if anchor is None:
             continue
-        pool = [a for a in corpus.users[user].interactions if a.timestamp < anchor]
+        own = table.span(user, 1)
+        prior = own[table.action_ts[own] < anchor]
         for c, a in pairs[user]:
-            if c.timestamp < anchor and a.timestamp < anchor:
-                flat.append((user, c, a, anchor, pool))
+            if table.consultation_ts[c] < anchor and table.action_ts[a] < anchor:
+                flat.append((user, c, a - own[0], anchor, prior))
     assert len(flat) >= 100
 
     def mean_true_mass(model):
         masses = []
-        for user, consultation, positive, anchor, pool in flat:
-            col = pool.index(positive)
-            q = [M.cai_query_vec(model, consultation, anchor)]
-            k = [M.cai_key_vec(model, a, anchor) for a in pool]
-            weights = M.cai_attention_weights(model, q, k)
-            masses.append(float(weights.data[0, col]))
+        for user, c, col, anchor, prior in flat:
+            # the consultation's own text stands in as the query
+            f = M.session_features(model, table, user, [c], prior, [], [], anchor, c)
+            texts = M.encode_text(model, f.token_ids, f.text_offsets)
+            logits = M.cai_logits(model, M.cai_queries(model, f.consultations, texts),
+                                  M.cai_keys(model, f.actions, texts))
+            masses.append(float(T.softmax(logits).data[0, col]))
         return float(np.mean(masses))
 
-    fresh = M.init_model(corpus, M.config_for_corpus(corpus, d=16, seed=9))
     baseline = mean_true_mass(fresh)
     cfg = TR.TrainConfig(max_epochs=6, patience=6, batch_size=24, va_batch=24,
                          lambda_va=0.5, seed=9)
