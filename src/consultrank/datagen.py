@@ -402,18 +402,6 @@ def dump_oracle(oracle: Dict[Tuple[str, int, str], str], path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def load_oracle(path) -> Dict[Tuple[str, int, str], str]:
-    out: Dict[Tuple[str, int, str], str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            out[(row["user"], row["search_ts"], row["cid"])] = row["label"]
-    return out
-
-
 def write_dataset(spec: GenSpec, out_dir) -> Tuple[Corpus, Dict[Tuple[str, int, str], str]]:
     """Generate and persist items.jsonl, events.jsonl, and oracle.jsonl."""
     corpus, oracle = generate(spec)

@@ -23,6 +23,8 @@ sequence handed to the cross-attention.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -32,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .corpus import ActionType, Corpus
+from .corpus import ActionType, Corpus, item_event, user_events
 from .index import normalize
 from .value import time_bucket
 
@@ -64,10 +66,11 @@ class ModelConfig:
             raise ValueError(f"d must be positive, got {self.d}")
         if self.lambda3_skip < 0:
             raise ValueError(f"lambda3_skip must be >= 0, got {self.lambda3_skip}")
-        for name in ("vocab_size", "n_items", "n_users", "n_time_buckets",
-                     "max_text_tokens"):
+        for name in ("vocab_size", "n_items", "n_users", "max_text_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_time_buckets < 2:
+            raise ValueError(f"n_time_buckets must be >= 2, got {self.n_time_buckets}")
 
 
 @dataclass
@@ -106,6 +109,7 @@ class Model:
     item_ids: Tuple[str, ...]
     item_rows: Dict[str, int]
     user_rows: Dict[str, int]
+    corpus_sha256: str
     tables: EmbeddingTables = field(repr=False)
     block: AttentionBlock = field(repr=False)
     text_w: T.Tensor = field(repr=False)
@@ -163,6 +167,14 @@ def config_for_corpus(corpus: Corpus, **overrides) -> ModelConfig:
     )
 
 
+def corpus_digest(corpus: Corpus) -> str:
+    """SHA-256 of the corpus's canonical records: each item in id order, then
+    each user's events in user order, as one sorted-key JSON list."""
+    records = [item_event(corpus.items[i]) for i in sorted(corpus.items)]
+    records += chain.from_iterable(user_events(corpus.users[u]) for u in sorted(corpus.users))
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     vocab = build_vocab(corpus)
     if cfg.vocab_size != len(vocab) + 1:
@@ -189,6 +201,7 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
         item_ids=item_ids,
         item_rows={v: i for i, v in enumerate(item_ids)},
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
+        corpus_sha256=corpus_digest(corpus),
         tables=EmbeddingTables(
             token=init(cfg.vocab_size, d),
             item=init(cfg.n_items, d),
@@ -450,16 +463,18 @@ def save_model(model: Model, path) -> None:
     """Persist parameters plus the config needed to rebuild the skeleton.
 
     Vocabulary and id orderings are derived from the corpus, so the
-    checkpoint stays small; loading requires the same corpus."""
-    extra = {"model_config": dataclasses.asdict(model.cfg)}
+    checkpoint stays small; it stores the corpus's hash, and loading
+    requires the same corpus."""
+    extra = {"model_config": dataclasses.asdict(model.cfg),
+             "corpus_sha256": model.corpus_sha256}
     T.save_checkpoint(model.named_parameters(), path, extra=extra)
 
 
 def load_model(path, corpus: Corpus) -> Model:
     """Rebuild a model from a checkpoint against the corpus it was trained on.
 
-    Mismatched corpora surface as shape or key errors rather than silent
-    misbinding."""
+    A corpus whose hash differs from the one stored at save time is refused
+    with a ValueError rather than bound silently."""
     arrays, extra = T.load_checkpoint(path)
     spec = extra.get("model_config")
     if not isinstance(spec, dict):
@@ -471,6 +486,12 @@ def load_model(path, corpus: Corpus) -> Model:
             f"{path}: model_config does not fit this version's ModelConfig ({exc})"
         ) from exc
     model = init_model(corpus, cfg)
+    trained_on = extra.get("corpus_sha256")
+    if trained_on != model.corpus_sha256:
+        raise ValueError(
+            f"{path}: checkpoint was trained on another corpus (corpus_sha256 "
+            f"{trained_on!r}, this corpus {model.corpus_sha256!r})"
+        )
     named = model.named_parameters()
     missing = sorted(set(named) - set(arrays))
     unexpected = sorted(set(arrays) - set(named))

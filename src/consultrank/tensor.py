@@ -12,12 +12,14 @@ checkpoint format for named parameter sets.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "tensor-checkpoint-v1"
+CHECKPOINT_MAGIC = "tensor-checkpoint-v2"
 
 
 class Tensor:
@@ -301,35 +303,62 @@ def adam_step(state: AdamState) -> None:
 
 
 def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> None:
-    """Write named parameters as versioned JSON; `extra` rides along as-is."""
+    """Write named parameters as versioned JSON; `extra` rides along as-is.
+
+    Each parameter is ``{"shape": [...], "data": <base64>}``, where the data
+    is its little-endian float64 bytes in C order, so every value round-trips
+    bit for bit.  The payload is encoded in one ``json.dumps`` call, which
+    uses the C encoder (``json.dump`` streams through the pure-Python one),
+    and the same parameters always give the same file bytes.
+    """
     payload = {
         "format": CHECKPOINT_MAGIC,
         "params": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(t.data.shape),
+                "data": base64.b64encode(t.data.astype("<f8", copy=False).tobytes())
+                .decode("ascii"),
+            }
             for name, t in sorted(named.items())
         },
     }
     if extra:
         payload["extra"] = extra
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
+
+
+def _decode_param(spec: dict) -> np.ndarray:
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    ):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+    raw = base64.b64decode(spec["data"], validate=True)
+    if len(raw) != math.prod(shape) * 8:
+        raise ValueError(
+            f"{len(raw)} data bytes do not fit shape {shape} of float64 values"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a checkpoint; returns ({name: array}, extra-dict)."""
+    """Read a checkpoint; returns ({name: array}, extra-dict).
+
+    The arrays are fresh, writable, C-contiguous native float64 arrays.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("not a recognized checkpoint (not a JSON object)")
     if payload.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(
-            f"not a recognized checkpoint (format={payload.get('format')!r})"
+            f"not a recognized checkpoint (format={payload.get('format')!r}, "
+            f"expected {CHECKPOINT_MAGIC!r}); retrain to write one in this format"
         )
     try:
-        arrays = {
-            name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
-            for name, spec in payload["params"].items()
-        }
+        arrays = {name: _decode_param(spec) for name, spec in payload["params"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint parameters ({exc!r})") from exc
     extra = payload.get("extra", {})

@@ -57,6 +57,17 @@ def write_jsonl(path, rows):
             fh.write(json.dumps(row) + "\n")
 
 
+def load_oracle(path):
+    """Read an oracle.jsonl back into {(user, search_ts, cid): label}."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                row = json.loads(line)
+                out[(row["user"], row["search_ts"], row["cid"])] = row["label"]
+    return out
+
+
 def corpus_from(tmp_path, items, events, tag=""):
     """Round the given dicts through real JSONL files and the real loader."""
     items_path = tmp_path / f"items{tag}.jsonl"

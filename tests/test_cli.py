@@ -1,5 +1,6 @@
 """Pipeline CLI: stage wiring, config validation, exit codes, determinism."""
 
+import base64
 import json
 import os
 import shutil
@@ -223,6 +224,28 @@ def test_eval_rejects_n_neg_eval_below_one(pipeline_dir, capsys, n_neg):
     assert capsys.readouterr().err.startswith("error: n_neg_eval")
 
 
+def test_train_rejects_one_time_bucket(pipeline_dir, capsys):
+    out, config = pipeline_dir
+    assert run("train", out, config, "--n-time-buckets", "1") == 2
+    assert "bad ModelConfig setting" in capsys.readouterr().err
+
+
+def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsys):
+    """Same item, user and vocabulary counts, one click fewer: the corpus
+    hash stored in the checkpoint no longer matches."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    events = out / "corpus" / "events.jsonl"
+    rows = events.read_text().splitlines()
+    rows.remove(next(r for r in rows if json.loads(r)["type"] == "click"))
+    events.write_text("\n".join(rows) + "\n")
+    for stage in ("ingest", "index", "link", "assess"):
+        assert run(stage, out, out / "config.json") == 0
+    assert run("eval", out, out / "config.json") == 4
+    assert "trained on another corpus" in capsys.readouterr().err
+
+
 def _edit_first_row(name, edit):
     def corrupt(out):
         path = out / name
@@ -241,6 +264,23 @@ def _edit_checkpoint(edit):
     return corrupt
 
 
+def _first_param(payload):
+    return next(iter(payload["params"].values()))
+
+
+def _drop_last_value(payload):
+    param = _first_param(payload)
+    raw = base64.b64decode(param["data"])[:-8]
+    param["data"] = base64.b64encode(raw).decode("ascii")
+
+
+def _as_v1(payload):
+    """Rewrite a checkpoint in the older layout: JSON float lists."""
+    payload["format"] = "tensor-checkpoint-v1"
+    for param in payload["params"].values():
+        param["values"] = memoryview(base64.b64decode(param.pop("data"))).cast("d").tolist()
+
+
 @pytest.mark.parametrize("stage, corrupt", [
     ("assess", _edit_first_row("linkage.jsonl",
         lambda row: {k: v for k, v in row.items() if k != "actions"})),
@@ -255,10 +295,15 @@ def _edit_checkpoint(edit):
         lambda payload: payload["extra"]["model_config"].update(encoder_layers=1))),
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].pop("vocab_size"))),
+    ("eval", _edit_checkpoint(lambda payload: _first_param(payload).update(data="not base64!"))),
+    ("eval", _edit_checkpoint(_drop_last_value)),
+    ("eval", _edit_checkpoint(_as_v1)),
 ], ids=["linkage-row-without-actions", "linkage-row-not-an-object",
         "values-row-string-rank", "values-row-string-search-ts",
         "checkpoint-without-params", "checkpoint-param-without-shape",
-        "model-config-unknown-key", "model-config-missing-key"])
+        "model-config-unknown-key", "model-config-missing-key",
+        "checkpoint-data-not-base64", "checkpoint-data-short-of-shape",
+        "checkpoint-v1-format"])
 def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt):
     src, _ = pipeline_dir
     out = tmp_path / "run"

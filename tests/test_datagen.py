@@ -15,12 +15,12 @@ from consultrank.datagen import (
     GenSpec,
     dump_oracle,
     generate,
-    load_oracle,
     write_dataset,
 )
 from consultrank.index import build_index, normalize
 from consultrank.linkage import build_linkage
 from consultrank.value import assess_corpus, fit_buckets
+from helpers import load_oracle
 
 SMALL = GenSpec(n_users=12, n_items=40, seed=7)
 

@@ -60,6 +60,8 @@ def test_config_validation(small_corpus):
         M.config_for_corpus(small_corpus, d=0)
     with pytest.raises(ValueError, match="lambda3_skip"):
         M.config_for_corpus(small_corpus, lambda3_skip=-0.1)
+    with pytest.raises(ValueError, match="n_time_buckets must be >= 2"):
+        M.config_for_corpus(small_corpus, n_time_buckets=1)
     good = M.config_for_corpus(small_corpus)
     with pytest.raises(ValueError, match="vocab_size"):
         M.init_model(

@@ -1,5 +1,8 @@
 """Autodiff engine: op semantics, gradients, Adam, checkpoints."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,57 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(arrays) == {"weights", "bias"}
     for name, t in named.items():
         assert np.array_equal(arrays[name], t.data)
+
+
+def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    named = {
+        "edges": T.Tensor([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0]),
+        "scalar": T.Tensor(2.5),
+        "empty": T.Tensor(np.zeros((0, 4))),
+        "transposed": T.Tensor(np.random.default_rng(1).normal(size=(3, 5)).T),
+    }
+    path = tmp_path / "model.json"
+    T.save_checkpoint(named, path)
+    first = path.read_bytes()
+    arrays, extra = T.load_checkpoint(path)
+    assert extra == {}
+    for name, t in named.items():
+        arr = arrays[name]
+        assert arr.shape == t.data.shape
+        assert arr.tobytes() == t.data.tobytes()
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.c_contiguous
+    T.save_checkpoint(named, path)
+    assert path.read_bytes() == first
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("spec, match", [
+    ({"shape": [2], "data": "not base64!"}, "malformed"),
+    ({"shape": [2], "data": _b64([1.0])}, "do not fit shape"),
+    ({"shape": [2]}, "data"),
+    ({"data": _b64([1.0, 2.0])}, "shape"),
+    ({"shape": [-1, -2], "data": _b64([1.0, 2.0])}, "non-negative"),
+    ({"shape": [True, 2], "data": _b64([1.0, 2.0])}, "non-negative"),
+    ([2], "malformed"),
+], ids=["not-base64", "short-data", "no-data", "no-shape", "negative-dims",
+        "bool-dim", "entry-not-an-object"])
+def test_checkpoint_rejects_malformed_parameter(tmp_path, spec, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": T.CHECKPOINT_MAGIC, "params": {"w": spec}}))
+    with pytest.raises(ValueError, match=match):
+        T.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_older_format(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"format": "tensor-checkpoint-v1",
+                                "params": {"w": {"shape": [1], "values": [1.0]}}}))
+    with pytest.raises(ValueError, match="retrain"):
+        T.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
