@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Iterable, Optional
 
 
@@ -343,8 +344,16 @@ def user_events(history: UserHistory) -> list[dict]:
                 },
             )
         )
-    events.sort(key=lambda e: (e[0], e[1], json.dumps(e[2], sort_keys=True)))
-    return [e[2] for e in events]
+    # Order by (time, kind), then by canonical JSON text.  Only events that
+    # tie on (time, kind) need that text, so it is built for those alone.
+    events.sort(key=lambda e: (e[0], e[1]))
+    out: list[dict] = []
+    for _, tied in groupby(events, key=lambda e: (e[0], e[1])):
+        group = [e[2] for e in tied]
+        if len(group) > 1:
+            group.sort(key=lambda ev: json.dumps(ev, sort_keys=True))
+        out.extend(group)
+    return out
 
 
 def dump_corpus(corpus: Corpus, items_path, events_path) -> None:

@@ -3,7 +3,7 @@
 Each evaluation session pairs one ground-truth item with uniformly sampled
 negatives (``N_NEG`` by default), shuffles the candidate list with a seed derived
 from the session identity, asks a scorer for one score per candidate, and
-reads HR, NDCG, and MRR at fixed cutoffs off the sorted list.  The
+reads HR, NDCG, and MRR at fixed cutoffs off the ground truth's rank.  The
 retrieval protocol scores the whole catalog instead of a sample.
 """
 
@@ -30,41 +30,10 @@ ScoreFn = Callable[[str, SearchSession, Sequence[str]], Sequence[float]]
 
 
 @dataclass(frozen=True)
-class RankedList:
-    """Candidates in non-increasing score order with their ground truth."""
-
-    entries: Tuple[Tuple[str, float], ...]
-    ground_truth: str
-
-    def __post_init__(self):
-        scores = [s for _, s in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("ranked list scores must be non-increasing")
-
-    def rank(self) -> Optional[int]:
-        """1-based rank of the ground truth, None when absent."""
-        for i, (item_id, _) in enumerate(self.entries):
-            if item_id == self.ground_truth:
-                return i + 1
-        return None
-
-
-@dataclass(frozen=True)
 class MetricReport:
     n_sessions: int
     macro: Dict[str, float]
     per_user: Dict[str, Dict[str, float]]
-
-
-def ranked_from_scores(candidate_ids: Sequence[str], scores: Sequence[float],
-                       ground_truth: str) -> RankedList:
-    """Sort candidates by descending score, ties broken by item-id."""
-    if len(candidate_ids) != len(scores):
-        raise ValueError(
-            f"{len(candidate_ids)} candidates but {len(scores)} scores"
-        )
-    pairs = sorted(zip(candidate_ids, map(float, scores)), key=lambda p: (-p[1], p[0]))
-    return RankedList(entries=tuple(pairs), ground_truth=ground_truth)
 
 
 def session_seed(base_seed: int, user_id: str, session: SearchSession) -> int:
@@ -90,31 +59,36 @@ def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = N_NEG,
     return candidates
 
 
-def hr_at_k(ranked: RankedList, k: int) -> float:
-    rank = ranked.rank()
-    return 1.0 if rank is not None and rank <= k else 0.0
+def ground_truth_rank(candidate_ids: Sequence[str], scores: Sequence[float],
+                      ground_truth: str) -> Optional[int]:
+    """1-based rank of the ground truth among the candidates, None when absent.
+
+    Higher scores rank first and equal scores rank by item id, so the rank is
+    1 + the number of higher scores + the number of equal scores on smaller
+    ids.  Candidate ids must be distinct, as both protocols build them.
+    """
+    values = np.asarray(scores, dtype=np.float64)
+    if len(candidate_ids) != len(values):
+        raise ValueError(f"{len(candidate_ids)} candidates but {len(values)} scores")
+    if np.isnan(values).any():
+        raise ValueError("NaN score: candidates cannot be ranked")
+    try:
+        own = values[candidate_ids.index(ground_truth)]
+    except ValueError:
+        return None
+    tied = np.flatnonzero(values == own)
+    return (1 + int(np.count_nonzero(values > own))
+            + sum(candidate_ids[i] < ground_truth for i in tied))
 
 
-def ndcg_at_k(ranked: RankedList, k: int) -> float:
-    rank = ranked.rank()
-    if rank is None or rank > k:
-        return 0.0
-    return 1.0 / math.log2(rank + 1)
-
-
-def mrr_at_k(ranked: RankedList, k: int) -> float:
-    rank = ranked.rank()
-    if rank is None or rank > k:
-        return 0.0
-    return 1.0 / rank
-
-
-def session_metrics(ranked: RankedList) -> Dict[str, float]:
+def session_metrics(rank: Optional[int]) -> Dict[str, float]:
+    """HR, NDCG and MRR at every cutoff for a ground truth at `rank`."""
     out: Dict[str, float] = {}
     for k in K_CUTS:
-        out[f"hr@{k}"] = hr_at_k(ranked, k)
-        out[f"ndcg@{k}"] = ndcg_at_k(ranked, k)
-        out[f"mrr@{k}"] = mrr_at_k(ranked, k)
+        hit = rank is not None and rank <= k
+        out[f"hr@{k}"] = 1.0 if hit else 0.0
+        out[f"ndcg@{k}"] = 1.0 / math.log2(rank + 1) if hit else 0.0
+        out[f"mrr@{k}"] = 1.0 / rank if hit else 0.0
     return out
 
 
@@ -138,8 +112,8 @@ def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus,
         else:
             candidates = sorted(corpus.items)
         scores = score_fn(user_id, session, candidates)
-        ranked = ranked_from_scores(candidates, scores, session.ground_truth_item)
-        metrics = session_metrics(ranked)
+        metrics = session_metrics(
+            ground_truth_rank(candidates, scores, session.ground_truth_item))
         for key, val in metrics.items():
             totals[key] += val
         by_user.setdefault(user_id, []).append(metrics)
@@ -197,14 +171,6 @@ def bm25_score_fn(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreFn:
     def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
         tokens = normalize(session.query.text)
         return [engine.score(tokens, v) for v in candidates]
-    return score
-
-
-def random_score_fn(base_seed: int = 0) -> ScoreFn:
-    """Uniform random scores, deterministic per session."""
-    def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
-        rng = np.random.default_rng(session_seed(base_seed ^ 0x5EED, user_id, session))
-        return rng.uniform(0.0, 1.0, size=len(candidates)).tolist()
     return score
 
 

@@ -62,9 +62,6 @@ class InvertedIndex:
 
     postings: Dict[str, List[str]]
 
-    def term_count(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
-
     @property
     def terms(self) -> Set[str]:
         return set(self.postings)

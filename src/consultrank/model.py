@@ -479,9 +479,13 @@ def load_model(path, corpus: Corpus) -> Model:
     spec = extra.get("model_config")
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: checkpoint lacks a model_config block")
+    # A missing key would silently take its default, not the trained value.
+    missing = sorted({f.name for f in dataclasses.fields(ModelConfig)} - set(spec))
+    if missing:
+        raise ValueError(f"{path}: model_config lacks {missing}")
     try:
         cfg = ModelConfig(**spec)
-    except TypeError as exc:  # unknown or missing keys, wrong-typed values
+    except TypeError as exc:  # unknown keys, wrong-typed values
         raise ValueError(
             f"{path}: model_config does not fit this version's ModelConfig ({exc})"
         ) from exc

@@ -310,7 +310,7 @@ def _table_score_fn(model: M.Model, corpus: Corpus, table: M.CorpusFeatures,
         ex = build_example(model, corpus, table, user_id, session, kept_map, l_seq,
                            value_filter)
         e_final = M.session_forward(model, ex.features)
-        return M.score_candidates(model, e_final, candidates).data.tolist()
+        return M.score_candidates(model, e_final, candidates).data
     return score
 
 

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
+
 from consultrank import model as M
 from consultrank.corpus import ActionType, Corpus, Interaction, Query, UserHistory, load_corpus
+from consultrank.evaluate import session_seed
 from consultrank.linkage import LinkageParams, build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets, report_record
 
@@ -66,6 +69,14 @@ def load_oracle(path):
                 row = json.loads(line)
                 out[(row["user"], row["search_ts"], row["cid"])] = row["label"]
     return out
+
+
+def random_score_fn(base_seed=0):
+    """Uniform random scores, deterministic per session: the chance baseline."""
+    def score(user_id, session, candidates):
+        rng = np.random.default_rng(session_seed(base_seed ^ 0x5EED, user_id, session))
+        return rng.uniform(0.0, 1.0, size=len(candidates))
+    return score
 
 
 def corpus_from(tmp_path, items, events, tag=""):

@@ -139,6 +139,13 @@ def oracle_reports(
     return results
 
 
+def rank_by_sort(candidate_ids, scores, ground_truth):
+    """1-based position of the ground truth after sorting by (-score, id)."""
+    order = sorted(zip(candidate_ids, scores), key=lambda p: (-float(p[1]), p[0]))
+    ids = [v for v, _ in order]
+    return ids.index(ground_truth) + 1 if ground_truth in ids else None
+
+
 def hit_rate_at(rank, k):
     return 1.0 if rank <= k else 0.0
 

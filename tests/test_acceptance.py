@@ -35,7 +35,8 @@ from consultrank.value import ValueParams, assess_corpus, fit_buckets
 import closed_forms
 import oracles
 from gradcheck import finite_diff_check, tensor_op_trials
-from helpers import corpus_from, pipeline_reports, random_micro_events, raw_features
+from helpers import (corpus_from, pipeline_reports, random_micro_events, random_score_fn,
+                     raw_features)
 
 
 def announce(capsys, number, name, ok, detail):
@@ -278,9 +279,8 @@ def test_08_metric_correctness(capsys):
         ids = [f"v{j}" for j in range(n)]
         scores = rng.normal(size=n).tolist()
         truth = ids[int(rng.integers(0, n))]
-        ranked = E.ranked_from_scores(ids, scores, truth)
-        rank = ranked.rank()
-        got = E.session_metrics(ranked)
+        rank = oracles.rank_by_sort(ids, scores, truth)
+        got = E.session_metrics(E.ground_truth_rank(ids, scores, truth))
         want = {}
         for k in E.K_CUTS:
             want[f"hr@{k}"] = oracles.hit_rate_at(rank, k)
@@ -296,7 +296,7 @@ def test_08_metric_correctness(capsys):
         for session in corpus.users[user].searches
     ]
     assert len(sessions) >= 500
-    report = E.evaluate_sessions(E.random_score_fn(0), corpus, sessions[:500],
+    report = E.evaluate_sessions(random_score_fn(0), corpus, sessions[:500],
                                  n_neg=99, seed=0)
     hr10 = report.macro["hr@10"]
     ok = exact == n_lists and abs(hr10 - 0.10) <= 0.03

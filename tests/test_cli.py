@@ -4,8 +4,11 @@ import base64
 import json
 import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from consultrank import cli
 from consultrank.evaluate import load_metrics
@@ -295,6 +298,8 @@ def _as_v1(payload):
         lambda payload: payload["extra"]["model_config"].update(encoder_layers=1))),
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].pop("vocab_size"))),
+    ("eval", _edit_checkpoint(
+        lambda payload: payload["extra"]["model_config"].pop("lambda3_skip"))),
     ("eval", _edit_checkpoint(lambda payload: _first_param(payload).update(data="not base64!"))),
     ("eval", _edit_checkpoint(_drop_last_value)),
     ("eval", _edit_checkpoint(_as_v1)),
@@ -302,6 +307,7 @@ def _as_v1(payload):
         "values-row-string-rank", "values-row-string-search-ts",
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key",
+        "model-config-missing-defaulted-key",
         "checkpoint-data-not-base64", "checkpoint-data-short-of-shape",
         "checkpoint-v1-format"])
 def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt):
@@ -310,4 +316,48 @@ def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt
     shutil.copytree(src, out)
     corrupt(out)
     assert run(stage, out, out / "config.json") == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Each artifact and the stage that reads it.
+ARTIFACT_READERS = {"linkage.jsonl": "assess", "values.jsonl": "eval",
+                    "checkpoint.json": "eval"}
+
+
+def _key_paths(obj, prefix=()):
+    """The path to every key of every object nested in `obj`."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (i,))
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_or_keyless_artifact_exits_4(pipeline_dir, capsys, name, data):
+    """Cut one row short, or delete one key at any depth of one row: the
+    stage that reads the file must refuse it with exit 4."""
+    src, _ = pipeline_dir
+    rows = (src / name).read_text().splitlines()
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if data.draw(st.booleans(), label="truncate"):
+        rows[i] = rows[i][:data.draw(st.integers(1, len(rows[i]) - 1), label="cut")]
+    else:
+        row = json.loads(rows[i])
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(row))), label="key")
+        target = row
+        for step in parents:
+            target = target[step]
+        del target[key]
+        rows[i] = json.dumps(row)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(src, out)
+        (out / name).write_text("\n".join(rows) + "\n")
+        assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
     assert capsys.readouterr().err.startswith("error: ")

@@ -8,6 +8,7 @@ from consultrank.corpus import (
     dump_corpus,
     load_corpus,
     slice_before,
+    user_events,
 )
 from helpers import buy, click, consult, corpus_from, item, search, write_jsonl
 
@@ -87,6 +88,30 @@ def test_out_of_order_events_are_time_sorted(tmp_path):
     h = corpus_from(tmp_path, ITEMS, events).users["u1"]
     assert [c.id for c in h.consultations] == ["c1", "c2"]
     assert [a.timestamp for a in h.interactions] == [5, 30]
+
+
+def test_tied_events_keep_canonical_json_order(tmp_path):
+    # Events tied on (time, kind) are ordered by their sort_keys JSON text,
+    # which differs from the order of the raw values: "a b" sorts before
+    # "a", and the escaped "\u00e9" before both.
+    ids = ["z", 'q"x', "a", "a b", "é"]
+    items = [item(v, f"thing {n}") for n, v in enumerate(ids)]
+    events = [click("u1", 5, v) for v in ids] + [
+        search("u1", 9, "a", "a"),
+        search("u1", 9, "z", "é"),
+        search("u1", 9, "a b", "a"),
+        search("u1", 9, "b", "z"),
+        buy("u1", 9, "a b"),
+        click("u1", 9, "a"),
+    ]
+    history = corpus_from(tmp_path, items, events).users["u1"]
+    got = [(ev["type"], ev.get("item") or (ev["query"], ev["ground_truth_item"]))
+           for ev in user_events(history)]
+    assert got == [
+        ("click", "é"), ("click", "a b"), ("click", "a"), ("click", 'q"x'), ("click", "z"),
+        ("search", ("z", "é")), ("search", ("a b", "a")), ("search", ("a", "a")),
+        ("search", ("b", "z")), ("buy", "a b"), ("click", "a"),
+    ]
 
 
 def test_fractional_hours_are_floored(tmp_path):

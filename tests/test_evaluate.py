@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consultrank import evaluate as E
 from consultrank.datagen import GenSpec, generate
 
 import oracles
-from helpers import consult, corpus_from, item, search
+from helpers import corpus_from, item, random_score_fn, search
 
 
 @pytest.fixture(scope="module")
@@ -24,21 +25,24 @@ def eval_corpus(tmp_path_factory):
     return corpus_from(tmp_path_factory.mktemp("eval"), items, events, "eval")
 
 
-def ranked_with_gt_at(rank, n=100):
+def list_with_gt_at(rank, n=100):
+    """(ids, scores, ground truth) with distinct descending scores."""
     ids = [f"v{j:03d}" for j in range(n)]
-    gt = ids[rank - 1]
-    entries = tuple((v, float(n - j)) for j, v in enumerate(ids))
-    return E.RankedList(entries=entries, ground_truth=gt)
+    return ids, [float(n - j) for j in range(n)], ids[rank - 1]
+
+
+def metrics_at(rank, n=100):
+    return E.session_metrics(E.ground_truth_rank(*list_with_gt_at(rank, n)))
 
 
 def test_metric_closed_forms():
-    first = ranked_with_gt_at(1)
-    assert (E.hr_at_k(first, 5), E.ndcg_at_k(first, 5), E.mrr_at_k(first, 5)) == (1, 1, 1)
-    third = ranked_with_gt_at(3)
-    assert E.ndcg_at_k(third, 5) == pytest.approx(0.5)
-    assert E.mrr_at_k(third, 5) == pytest.approx(1 / 3)
-    seventh = ranked_with_gt_at(7)
-    assert (E.hr_at_k(seventh, 5), E.ndcg_at_k(seventh, 5), E.mrr_at_k(seventh, 5)) == (0, 0, 0)
+    first = metrics_at(1)
+    assert (first["hr@5"], first["ndcg@5"], first["mrr@5"]) == (1, 1, 1)
+    third = metrics_at(3)
+    assert third["ndcg@5"] == pytest.approx(0.5)
+    assert third["mrr@5"] == pytest.approx(1 / 3)
+    seventh = metrics_at(7)
+    assert (seventh["hr@5"], seventh["ndcg@5"], seventh["mrr@5"]) == (0, 0, 0)
 
 
 def test_metrics_match_brute_force_on_random_lists():
@@ -46,29 +50,48 @@ def test_metrics_match_brute_force_on_random_lists():
     for _ in range(1000):
         n = int(rng.integers(1, 120))
         rank = int(rng.integers(1, n + 1))
-        ranked = ranked_with_gt_at(rank, n=n)
+        assert E.ground_truth_rank(*list_with_gt_at(rank, n)) == rank
+        metrics = metrics_at(rank, n)
         for k in E.K_CUTS:
-            assert E.hr_at_k(ranked, k) == oracles.hit_rate_at(rank, k)
-            assert E.ndcg_at_k(ranked, k) == oracles.ndcg_at(rank, k)
-            assert E.mrr_at_k(ranked, k) == oracles.mrr_at(rank, k)
+            assert metrics[f"hr@{k}"] == oracles.hit_rate_at(rank, k)
+            assert metrics[f"ndcg@{k}"] == oracles.ndcg_at(rank, k)
+            assert metrics[f"mrr@{k}"] == oracles.mrr_at(rank, k)
 
 
 def test_missing_ground_truth_scores_zero():
-    ranked = E.RankedList(entries=(("a", 2.0), ("b", 1.0)), ground_truth="zz")
-    assert ranked.rank() is None
-    assert E.hr_at_k(ranked, 50) == 0.0
+    assert E.ground_truth_rank(["a", "b"], [2.0, 1.0], "zz") is None
+    assert set(E.session_metrics(None).values()) == {0.0}
 
 
-def test_ranked_list_rejects_increasing_scores():
-    with pytest.raises(ValueError, match="non-increasing"):
-        E.RankedList(entries=(("a", 1.0), ("b", 2.0)), ground_truth="a")
-
-
-def test_ranked_from_scores_breaks_ties_by_id():
-    ranked = E.ranked_from_scores(["b", "a", "c"], [1.0, 1.0, 2.0], "a")
-    assert [v for v, _ in ranked.entries] == ["c", "a", "b"]
+def test_ground_truth_rank_breaks_ties_by_id():
+    ranks = {v: E.ground_truth_rank(["b", "a", "c"], [1.0, 1.0, 2.0], v) for v in "abc"}
+    assert ranks == {"c": 1, "a": 2, "b": 3}
+    assert E.ground_truth_rank(["b", "a"], [-0.0, 0.0], "b") == 2
     with pytest.raises(ValueError, match="3 candidates but 2 scores"):
-        E.ranked_from_scores(["a", "b", "c"], [1.0, 2.0], "a")
+        E.ground_truth_rank(["a", "b", "c"], [1.0, 2.0], "a")
+
+
+@st.composite
+def tied_lists(draw):
+    """Distinct ids with few distinct score values, -0.0 next to 0.0, and a
+    ground truth that may or may not be a candidate."""
+    ids = draw(st.lists(st.text("abz é\"", min_size=1, max_size=3),
+                        min_size=1, max_size=30, unique=True))
+    scores = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]),
+                           min_size=len(ids), max_size=len(ids)))
+    truth = draw(st.one_of(st.sampled_from(ids), st.text("abz", max_size=4)))
+    return ids, scores, truth
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tied_lists())
+def test_ground_truth_rank_matches_sort(case):
+    assert E.ground_truth_rank(*case) == oracles.rank_by_sort(*case)
+
+
+def test_ground_truth_rank_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        E.ground_truth_rank(["a", "b"], [float("nan"), 1.0], "b")
 
 
 def test_make_candidates_contract(eval_corpus):
@@ -109,7 +132,7 @@ def test_random_scorer_hits_uniform_rate():
     sessions = [(u, s) for u in sorted(corpus.users)
                 for s in corpus.users[u].searches]
     assert len(sessions) >= 500
-    report = E.evaluate_sessions(E.random_score_fn(3), corpus, sessions, seed=3)
+    report = E.evaluate_sessions(random_score_fn(3), corpus, sessions, seed=3)
     assert abs(report.macro["hr@10"] - 0.10) <= 0.03
     hr = [report.macro[f"hr@{k}"] for k in E.K_CUTS]
     assert hr == sorted(hr)
@@ -118,16 +141,16 @@ def test_random_scorer_hits_uniform_rate():
 def test_evaluate_is_deterministic(eval_corpus):
     sessions = [(u, s) for u in sorted(eval_corpus.users)
                 for s in eval_corpus.users[u].searches]
-    a = E.evaluate_sessions(E.random_score_fn(5), eval_corpus, sessions, seed=11)
-    b = E.evaluate_sessions(E.random_score_fn(5), eval_corpus, sessions, seed=11)
+    a = E.evaluate_sessions(random_score_fn(5), eval_corpus, sessions, seed=11)
+    b = E.evaluate_sessions(random_score_fn(5), eval_corpus, sessions, seed=11)
     assert a.macro == b.macro and a.per_user == b.per_user
 
 
 def test_evaluate_validates_inputs(eval_corpus):
     with pytest.raises(ValueError, match="no sessions"):
-        E.evaluate_sessions(E.random_score_fn(), eval_corpus, [])
+        E.evaluate_sessions(random_score_fn(), eval_corpus, [])
     with pytest.raises(ValueError, match="unknown protocol"):
-        E.evaluate_sessions(E.random_score_fn(), eval_corpus,
+        E.evaluate_sessions(random_score_fn(), eval_corpus,
                             [("u1", eval_corpus.users["u1"].searches[0])],
                             protocol="exhaustive")
 
@@ -159,12 +182,10 @@ def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
     return score
 
 
-def bm25_ranked(corpus, candidates):
-    """BM25 ranking of `candidates` for the corpus's only search session."""
+def bm25_scores(corpus, candidates):
+    """BM25 scores of `candidates` for the corpus's only search session."""
     ((user, history),) = corpus.users.items()
-    session = history.searches[0]
-    scores = E.bm25_score_fn(corpus)(user, session, candidates)
-    return E.ranked_from_scores(candidates, scores, session.ground_truth_item)
+    return E.bm25_score_fn(corpus)(user, history.searches[0], candidates)
 
 
 def test_bm25_matches_reference_formula(tmp_path):
@@ -179,11 +200,9 @@ def test_bm25_matches_reference_formula(tmp_path):
         "d2": ["steel", "kettle", "copper", "trim", "copper", "base"],
         "d3": ["ceramic", "teapot", "floral"],
     }
-    ranked = bm25_ranked(corpus, ["d1", "d2", "d3"])
-    expected = {v: bm25_reference(["copper", "kettle"], docs, v) for v in docs}
-    assert sorted(v for v, _ in ranked.entries) == ["d1", "d2", "d3"]
-    for v, score in ranked.entries:
-        assert score == pytest.approx(expected[v], rel=1e-12)
+    scores = bm25_scores(corpus, ["d1", "d2", "d3"])
+    expected = [bm25_reference(["copper", "kettle"], docs, v) for v in ("d1", "d2", "d3")]
+    assert scores == pytest.approx(expected, rel=1e-12)
 
 
 def test_bm25_unique_match_ranks_first(tmp_path):
@@ -193,17 +212,18 @@ def test_bm25_unique_match_ranks_first(tmp_path):
         item("d3", "oak dresser"),
     ]
     corpus = corpus_from(tmp_path, items, [search("u1", 5, "walnut", "d1")], "bm2")
-    ranked = bm25_ranked(corpus, ["d3", "d2", "d1"])
-    assert ranked.entries[0][0] == "d1"
-    assert ranked.rank() == 1
+    candidates = ["d3", "d2", "d1"]
+    scores = bm25_scores(corpus, candidates)
+    assert scores[2] > max(scores[:2])
+    assert E.ground_truth_rank(candidates, scores, "d1") == 1
 
 
 def test_bm25_empty_query_gives_zero_scores(tmp_path):
     items = [item("d1", "walnut shelf"), item("d2", "pine shelf")]
     corpus = corpus_from(tmp_path, items, [search("u1", 5, "of the a", "d1")], "bm3")
-    ranked = bm25_ranked(corpus, ["d2", "d1"])
-    assert [v for v, _ in ranked.entries] == ["d1", "d2"]
-    assert all(s == 0.0 for _, s in ranked.entries)
+    scores = bm25_scores(corpus, ["d2", "d1"])
+    assert scores == [0.0, 0.0]
+    assert [E.ground_truth_rank(["d2", "d1"], scores, v) for v in ("d1", "d2")] == [1, 2]
 
 
 def test_report_serialization_round_trip(eval_corpus, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank.corpus import ActionType, Consultation, Interaction, Query
-from consultrank.evaluate import ranked_from_scores
+from consultrank.evaluate import ground_truth_rank
 
 from gradcheck import finite_diff_check
 from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
@@ -246,8 +246,7 @@ def test_score_candidates_geometry(small_corpus):
     model.tables.item.data = rows
     target = model.item_ids[2]
     scores = M.score_candidates(model, T.Tensor(rows[model.item_rows[target]]), model.item_ids)
-    ranked = ranked_from_scores(model.item_ids, scores.data, target)
-    assert ranked.rank() == 1
+    assert ground_truth_rank(model.item_ids, scores.data, target) == 1
 
 
 def test_score_candidates_duplicates_and_errors(small_corpus):
@@ -269,8 +268,8 @@ def test_ranked_scores_break_ties_by_item_id(small_corpus):
     e = T.Tensor(encode(model, "alpha beta gadget").data[0])
     scores = M.score_candidates(model, e, ["i3", "i1"])
     assert scores.data[0] == scores.data[1]
-    ranked = ranked_from_scores(["i3", "i1"], scores.data, "i1")
-    assert [v for v, _ in ranked.entries] == ["i1", "i3"]
+    assert ground_truth_rank(["i3", "i1"], scores.data, "i1") == 1
+    assert ground_truth_rank(["i3", "i1"], scores.data, "i3") == 2
 
 
 def test_session_forward_gradients_match_finite_differences(small_corpus):
