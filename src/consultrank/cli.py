@@ -57,7 +57,14 @@ from .evaluate import (
 )
 from .index import ScopeParams, build_index, dump_index, load_index
 from .linkage import LinkageParams, build_linkage, dump_linkage, load_linkage
-from .model import ModelConfig, config_for_corpus, init_model, load_model, save_model
+from .model import (
+    ModelConfig,
+    build_vocab,
+    config_for_corpus,
+    init_model,
+    load_model,
+    save_model,
+)
 from .train import TrainConfig, kept_consultations, model_score_fn, split_sessions, train
 from .value import (
     ValueParams,
@@ -326,9 +333,10 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
         assessments = load_assessments(_resolve(cfg, out_dir, "values"), corpus, params)
     except (ValueError, CorpusError) as exc:
         raise DataError(f"artifact failed validation: {exc}") from exc
-    mcfg = _build(ModelConfig, cfg, functools.partial(config_for_corpus, corpus))
+    vocab = build_vocab(corpus)
+    mcfg = _build(ModelConfig, cfg, functools.partial(config_for_corpus, corpus, vocab))
     tcfg = _build(TrainConfig, cfg)
-    model = init_model(corpus, mcfg)
+    model = init_model(corpus, mcfg, vocab)
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     log_path = os.path.join(reports_dir, "train_log.csv")

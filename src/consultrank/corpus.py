@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Optional
 
 
@@ -119,6 +121,8 @@ class Consultation:
 
 @dataclass(frozen=True)
 class UserHistory:
+    """One user's events; each list is sorted by timestamp."""
+
     user_id: str
     searches: tuple[SearchSession, ...] = ()
     consultations: tuple[Consultation, ...] = ()
@@ -283,10 +287,12 @@ def slice_before(history: UserHistory, t: int) -> tuple[list[Consultation], list
     Returns the consultations strictly before ``t`` and the interactions at
     or after ``t``; both preserve their stored order.  The strict "before"
     keeps a consultation from being valued by a search it coincides with.
+    Both lists are time-sorted, so each cut is found by bisection.
     """
-    before = [c for c in history.consultations if c.timestamp < t]
-    after = [a for a in history.interactions if a.timestamp >= t]
-    return before, after
+    by_time = attrgetter("timestamp")
+    cut_c = bisect_left(history.consultations, t, key=by_time)
+    cut_a = bisect_left(history.interactions, t, key=by_time)
+    return list(history.consultations[:cut_c]), list(history.interactions[cut_a:])
 
 
 def item_event(item: Item) -> dict:

@@ -17,6 +17,7 @@ vocabularies always agree.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
@@ -33,7 +34,7 @@ STOPWORDS: frozenset = frozenset(
     """.split()
 )
 
-_KEEP = set("abcdefghijklmnopqrstuvwxyz0123456789 \t\n\r")
+_DROP = re.compile(r"[^a-z0-9 \t\n\r]")
 
 
 def normalize(text: str) -> List[str]:
@@ -42,8 +43,7 @@ def normalize(text: str) -> List[str]:
     Tokens keep their original order and multiplicity, so the result serves
     both as a sequence (contiguity matching) and, via set(), as a term bag.
     """
-    lowered = text.lower()
-    cleaned = "".join(ch if ch in _KEEP else " " for ch in lowered)
+    cleaned = _DROP.sub(" ", text.lower())
     return [tok for tok in cleaned.split() if len(tok) > 1 and tok not in STOPWORDS]
 
 
@@ -61,10 +61,6 @@ class InvertedIndex:
     """Term -> sorted item ids, over the whole catalog."""
 
     postings: Dict[str, List[str]]
-
-    @property
-    def terms(self) -> Set[str]:
-        return set(self.postings)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -86,7 +82,7 @@ def build_index(corpus: Corpus) -> InvertedIndex:
 
 def matched_terms(index: InvertedIndex, c: Consultation) -> Set[str]:
     """Distinct index terms occurring as tokens in the consultation."""
-    return set(normalize(c.text)) & index.terms
+    return {tok for tok in set(normalize(c.text)) if tok in index.postings}
 
 
 def scope_value(index: InvertedIndex, c: Consultation, p: ScopeParams = ScopeParams()) -> float:
@@ -94,7 +90,9 @@ def scope_value(index: InvertedIndex, c: Consultation, p: ScopeParams = ScopePar
 
     Zero matches score 0, `lambda_thresh` or more score 1, linear between.
     The saturation reflects what the score is for: weeding out off-topic
-    consultations, not discriminating among on-topic ones.
+    consultations, not discriminating among on-topic ones.  The score
+    depends on the consultation alone, so it is computed once per
+    consultation, not once per search.
     """
     x = len(matched_terms(index, c))
     if x < p.lambda_thresh:

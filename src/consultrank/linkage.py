@@ -18,15 +18,17 @@ table, which downstream value scoring consumes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .corpus import ActionType, Consultation, Corpus, CorpusError, Interaction
+from .corpus import ActionType, Corpus, CorpusError, Interaction
 from .index import normalize
 
 RULE_FULL_TEXT = "full-text"
 RULE_ITEM_MAJORITY = "item-content-majority"
 RULE_QUERY_MAJORITY = "query-term-majority"
+RULES = (RULE_FULL_TEXT, RULE_ITEM_MAJORITY, RULE_QUERY_MAJORITY)
 
 
 @dataclass(frozen=True)
@@ -67,39 +69,47 @@ def action_text(interaction: Interaction, corpus: Corpus) -> str:
 
 
 def _contains_contiguous(haystack: List[str], needle: List[str]) -> bool:
-    if not needle or len(needle) > len(haystack):
+    n = len(needle)
+    if not n or n > len(haystack):
         return False
-    first = needle[0]
-    limit = len(haystack) - len(needle)
-    for i, tok in enumerate(haystack):
-        if i > limit:
-            break
-        if tok == first and haystack[i : i + len(needle)] == needle:
+    first, stop = needle[0], len(haystack) - n + 1
+    i = -1
+    while True:
+        try:
+            i = haystack.index(first, i + 1, stop)
+        except ValueError:
+            return False
+        if haystack[i : i + n] == needle:
             return True
-    return False
 
 
 def is_related(
-    c: Consultation, interaction: Interaction, corpus: Corpus
+    c_tokens: List[str], c_terms: Set[str], ti_tokens: List[str],
+    ti_terms: Set[str], action_type: ActionType,
 ) -> Tuple[bool, Optional[str]]:
     """Test the three matching rules in order; return the first that fires.
 
-    An action whose text normalizes to nothing (all stopwords) links to
-    nothing: the contiguity rule has no sequence to find and the majority
-    rules have no tokens to count.
+    Each text comes as its `normalize` tokens and their set.  An action
+    whose text normalizes to nothing (all stopwords) links to nothing: the
+    contiguity rule has no sequence to find and the majority rules have no
+    tokens to count.  The contiguity rule can only fire when every action
+    term occurs in the consultation, so the set overlap is counted first.
     """
-    ti_tokens = normalize(action_text(interaction, corpus))
-    c_tokens = normalize(c.text)
-    if _contains_contiguous(c_tokens, ti_tokens):
+    if not ti_terms:
+        return False, None
+    present = len(ti_terms & c_terms)
+    if present == len(ti_terms) and _contains_contiguous(c_tokens, ti_tokens):
         return True, RULE_FULL_TEXT
-    distinct = set(ti_tokens)
-    if distinct:
-        present = len(distinct & set(c_tokens))
-        if present * 2 > len(distinct):
-            if interaction.action_type is ActionType.SEARCH:
-                return True, RULE_QUERY_MAJORITY
-            return True, RULE_ITEM_MAJORITY
+    if present * 2 > len(ti_terms):
+        if action_type is ActionType.SEARCH:
+            return True, RULE_QUERY_MAJORITY
+        return True, RULE_ITEM_MAJORITY
     return False, None
+
+
+def _tokens(text: str) -> Tuple[List[str], Set[str]]:
+    tokens = normalize(text)
+    return tokens, set(tokens)
 
 
 def build_linkage(corpus: Corpus, params: LinkageParams = LinkageParams()) -> LinkageTable:
@@ -109,22 +119,38 @@ def build_linkage(corpus: Corpus, params: LinkageParams = LinkageParams()) -> Li
     the `window_days` before it (inclusive of simultaneity); matches are
     inverted into the consultation-keyed table.  Per-consultation action
     lists come out time-sorted with deterministic tie order.
+
+    Histories are time-sorted, so each action's window is a slice of the
+    consultations found by bisection.  Each consultation is tokenized once,
+    and each action footprint once per distinct text: a query, or an item's
+    title and attributes shared by every click and buy of that item.
     """
     table: Dict[str, Dict[str, List[Tuple[Interaction, str]]]] = {}
     window = params.window_hours
+    footprints: Dict[str, Tuple[List[str], Set[str]]] = {}
     for user in sorted(corpus.users):
         history = corpus.users[user]
+        consultations = history.consultations
+        c_times = [c.timestamp for c in consultations]
+        c_texts = [_tokens(c.text) for c in consultations]
         per_cid: Dict[str, List[Tuple[Interaction, str]]] = {
-            c.id: [] for c in history.consultations
+            c.id: [] for c in consultations
         }
         for act in history.interactions:
-            for c in history.consultations:
-                delta = act.timestamp - c.timestamp
-                if delta < 0 or delta > window:
-                    continue
-                ok, rule = is_related(c, act, corpus)
+            lo = bisect_left(c_times, act.timestamp - window)
+            hi = bisect_right(c_times, act.timestamp)
+            if lo == hi:
+                continue
+            text = action_text(act, corpus)
+            if text not in footprints:
+                footprints[text] = _tokens(text)
+            ti_tokens, ti_terms = footprints[text]
+            for k in range(lo, hi):
+                c_tokens, c_terms = c_texts[k]
+                ok, rule = is_related(c_tokens, c_terms, ti_tokens, ti_terms,
+                                      act.action_type)
                 if ok:
-                    per_cid[c.id].append((act, rule))
+                    per_cid[consultations[k].id].append((act, rule))
         for cid in per_cid:
             per_cid[cid].sort(key=lambda pair: (pair[0].timestamp, _action_sort_key(pair[0])))
         table[user] = per_cid
@@ -219,5 +245,7 @@ def _bind_row(rec: dict, lookup: Dict[Tuple[str, str, int, str], Interaction],
             raise CorpusError(
                 f"linkage row references an action absent from the corpus: {key}"
             )
+        if row["rule"] not in RULES:
+            raise CorpusError(f"linkage row names unknown rule {row['rule']!r}")
         actions.append((interaction, row["rule"]))
     links.setdefault(user, {})[cid] = actions

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,10 +157,14 @@ def build_vocab(corpus: Corpus) -> Dict[str, int]:
     return {term: i + 1 for i, term in enumerate(sorted(terms))}
 
 
-def config_for_corpus(corpus: Corpus, **overrides) -> ModelConfig:
-    """Fill the corpus-derived dimension fields of a ModelConfig."""
+def config_for_corpus(corpus: Corpus, vocab: Optional[Dict[str, int]] = None,
+                      **overrides) -> ModelConfig:
+    """Fill the corpus-derived dimension fields of a ModelConfig; `vocab` is
+    the corpus's `build_vocab`, built here when not given."""
+    if vocab is None:
+        vocab = build_vocab(corpus)
     return ModelConfig(
-        vocab_size=len(build_vocab(corpus)) + 1,
+        vocab_size=len(vocab) + 1,
         n_items=len(corpus.items),
         n_users=len(corpus.users),
         **overrides,
@@ -175,8 +179,12 @@ def corpus_digest(corpus: Corpus) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
-    vocab = build_vocab(corpus)
+def init_model(corpus: Corpus, cfg: ModelConfig,
+               vocab: Optional[Dict[str, int]] = None) -> Model:
+    """A freshly initialized model sized by `cfg`; `vocab` is the corpus's
+    `build_vocab`, built here when not given."""
+    if vocab is None:
+        vocab = build_vocab(corpus)
     if cfg.vocab_size != len(vocab) + 1:
         raise ValueError(
             f"config vocab_size {cfg.vocab_size} does not match corpus "
@@ -470,6 +478,13 @@ def save_model(model: Model, path) -> None:
     T.save_checkpoint(model.named_parameters(), path, extra=extra)
 
 
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value is of a ModelConfig field's type: a non-bool int
+    for "int", a non-bool number for "float"."""
+    types = int if kind == "int" else (int, float)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def load_model(path, corpus: Corpus) -> Model:
     """Rebuild a model from a checkpoint against the corpus it was trained on.
 
@@ -480,12 +495,17 @@ def load_model(path, corpus: Corpus) -> Model:
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: checkpoint lacks a model_config block")
     # A missing key would silently take its default, not the trained value.
-    missing = sorted({f.name for f in dataclasses.fields(ModelConfig)} - set(spec))
+    kinds = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    missing = sorted(set(kinds) - set(spec))
     if missing:
         raise ValueError(f"{path}: model_config lacks {missing}")
+    # ModelConfig checks ranges only: 2.5 or "x" would reach numpy as a size.
+    wrong = sorted(name for name, kind in kinds.items() if not _fits(spec[name], kind))
+    if wrong:
+        raise ValueError(f"{path}: model_config has wrong-typed {wrong}")
     try:
         cfg = ModelConfig(**spec)
-    except TypeError as exc:  # unknown keys, wrong-typed values
+    except TypeError as exc:  # unknown keys
         raise ValueError(
             f"{path}: model_config does not fit this version's ModelConfig ({exc})"
         ) from exc

@@ -16,8 +16,9 @@ consultations (up to a sequence cap) survive into model training.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import (
     ActionType,
@@ -31,6 +32,9 @@ from .corpus import (
 )
 from .index import InvertedIndex, ScopeParams, build_index, scope_value
 from .linkage import LinkageTable
+
+#: Action types in the order their terms are summed into the action value.
+_SUM_ORDER = tuple(sorted(ActionType, key=lambda atype: atype.value))
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,13 @@ def fit_buckets(linkage: LinkageTable, n_buckets: int = 11) -> BucketTable:
 def bucketize(freq: int, cuts: Sequence[int]) -> float:
     """Map a raw count to its quantile bucket, scaled into [0, 1].
 
-    The bucket index is the number of cut points strictly below the count,
-    so a count of zero in a mostly-zero distribution stays in bucket 0 and
-    anything above the top cut saturates at 1.0.
+    The bucket index is the number of the sorted cut points strictly below
+    the count, so a count of zero in a mostly-zero distribution stays in
+    bucket 0 and anything above the top cut saturates at 1.0.
     """
     if freq < 0:
         raise ValueError("frequency cannot be negative")
-    bucket = sum(1 for c in cuts if c < freq)
-    bucket = max(0, min(bucket, len(cuts)))
-    return bucket / len(cuts)
+    return bisect_left(cuts, freq) / len(cuts)
 
 
 def gamma_weights(posterior: Sequence[Interaction]) -> Dict[ActionType, float]:
@@ -160,7 +162,8 @@ def gamma_weights(posterior: Sequence[Interaction]) -> Dict[ActionType, float]:
 
     Each present type gets weight proportional to the reciprocal of its
     count, normalized to sum to one, so rare actions (typically purchases)
-    dominate.  An empty slice yields an empty map.
+    dominate.  An empty slice yields an empty map.  The reciprocals are
+    summed in the order each type first appears in the slice.
     """
     counts: Dict[ActionType, int] = {}
     for act in posterior:
@@ -171,30 +174,51 @@ def gamma_weights(posterior: Sequence[Interaction]) -> Dict[ActionType, float]:
     return {atype: (1.0 / n) / denom for atype, n in counts.items()}
 
 
-def action_value(
-    c: Consultation,
-    s_ts: int,
-    linkage: LinkageTable,
-    buckets: BucketTable,
+def linked_times(actions: Sequence[Tuple[Interaction, str]]) -> Dict[ActionType, List[int]]:
+    """Sorted timestamps of one consultation's linked actions, per type."""
+    times: Dict[ActionType, List[int]] = {atype: [] for atype in ActionType}
+    for act, _rule in actions:
+        times[act.action_type].append(act.timestamp)
+    for row in times.values():
+        row.sort()
+    return times
+
+
+def consultation_terms(
     history: UserHistory,
+    index: InvertedIndex,
+    linkage: LinkageTable,
+    scope_params: ScopeParams = ScopeParams(),
+) -> Tuple[Dict[str, float], Dict[str, Dict[ActionType, List[int]]]]:
+    """The value terms that depend on a consultation alone, by consultation
+    id: its `scope_value` and its `linked_times`."""
+    scopes = {c.id: scope_value(index, c, scope_params) for c in history.consultations}
+    times = {c.id: linked_times(linkage.actions_for(history.user_id, c.id))
+             for c in history.consultations}
+    return scopes, times
+
+
+def action_value(
+    times: Mapping[ActionType, Sequence[int]],
+    s_ts: int,
+    gammas: Mapping[ActionType, float],
+    buckets: BucketTable,
 ) -> float:
     """Posterior verification score of one consultation at one search time.
 
-    Only linked actions at or after the search timestamp count toward the
-    frequencies, and only action types present in the posterior slice carry
-    weight.  No posterior activity at all means no verification signal: 0.
+    `times` are the consultation's `linked_times` and `gammas` the
+    `gamma_weights` of the search's posterior slice.  Only linked actions at
+    or after the search timestamp count toward the frequencies, and only
+    action types present in the posterior slice carry weight.  No posterior
+    activity at all means no verification signal: 0.
     """
-    posterior = [a for a in history.interactions if a.timestamp >= s_ts]
-    gammas = gamma_weights(posterior)
-    if not gammas:
-        return 0.0
-    linked = linkage.actions_for(history.user_id, c.id)
     total = 0.0
-    for atype, gamma in sorted(gammas.items(), key=lambda kv: kv[0].value):
-        freq = sum(
-            1 for act, _rule in linked if act.action_type is atype and act.timestamp >= s_ts
-        )
-        total += gamma * bucketize(freq, buckets.cuts[atype])
+    for atype in _SUM_ORDER:
+        gamma = gammas.get(atype)
+        if gamma is not None:
+            row = times[atype]
+            freq = len(row) - bisect_left(row, s_ts)
+            total += gamma * bucketize(freq, buckets.cuts[atype])
     # Convex mixture of [0, 1] terms; clamp the last-bit rounding overshoot.
     return min(total, 1.0)
 
@@ -212,27 +236,29 @@ def aggregate_value(o_time: float, o_scope: float, o_action: float, p: ValuePara
 def rank_and_filter(
     history: UserHistory,
     s: SearchSession,
-    index: InvertedIndex,
-    linkage: LinkageTable,
+    scopes: Mapping[str, float],
+    times: Mapping[str, Mapping[ActionType, Sequence[int]]],
     buckets: BucketTable,
     params: ValueParams = ValueParams(),
-    scope_params: ScopeParams = ScopeParams(),
 ) -> Tuple[List[Consultation], List[ValueReport]]:
     """Score, rank, and cap one user's consultation history for one search.
 
-    Returns the kept consultations (at most l_seq, best first) and the full
-    ranked report list for every scored consultation, kept or not.  Ties on
-    the aggregate break toward recency, then lexically by consultation id,
-    so reruns always produce the identical ordering.
+    `scopes` and `times` are the user's `consultation_terms`, computed once
+    for all of the user's searches.  Returns the kept
+    consultations (at most l_seq, best first) and the full ranked report
+    list for every scored consultation, kept or not.  Ties on the aggregate
+    break toward recency, then lexically by consultation id, so reruns
+    always produce the identical ordering.
     """
-    before, _posterior = slice_before(history, s.timestamp)
+    before, posterior = slice_before(history, s.timestamp)
+    gammas = gamma_weights(posterior)
     by_id = {c.id: c for c in before}
     scored: List[Tuple[float, int, str]] = []
     reports_raw: Dict[str, Tuple[float, float, float, float]] = {}
     for c in before:
         o_time = time_decay_value(s.timestamp, c.timestamp, params.alpha)
-        o_scope = scope_value(index, c, scope_params)
-        o_action = action_value(c, s.timestamp, linkage, buckets, history)
+        o_scope = scopes[c.id]
+        o_action = action_value(times[c.id], s.timestamp, gammas, buckets)
         o_agg = aggregate_value(o_time, o_scope, o_action, params)
         reports_raw[c.id] = (o_time, o_scope, o_action, o_agg)
         scored.append((o_agg, c.timestamp, c.id))
@@ -278,10 +304,9 @@ def assess_corpus(
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):
         history = corpus.users[user]
+        scopes, times = consultation_terms(history, index, linkage, scope_params)
         for s in history.searches:
-            kept, reports = rank_and_filter(
-                history, s, index, linkage, buckets, params, scope_params
-            )
+            kept, reports = rank_and_filter(history, s, scopes, times, buckets, params)
             out.append(
                 SessionAssessment(
                     user_id=user, session=s, kept=tuple(kept), reports=tuple(reports)
@@ -310,10 +335,12 @@ def dump_values(assessments: Sequence[SessionAssessment], path) -> None:
                 fh.write(json.dumps(report_record(r), sort_keys=True) + "\n")
 
 
+#: values.jsonl score fields, each in [0, 1]
+_SCORE_FIELDS = ("o_time", "o_scope", "o_action", "o_aggregate")
+
 #: values.jsonl field -> the types its value may take
 _VALUE_FIELDS = {"user": str, "cid": str, "search_ts": int, "rank": int,
-                 **dict.fromkeys(("o_time", "o_scope", "o_action", "o_aggregate"),
-                                 (int, float))}
+                 **dict.fromkeys(_SCORE_FIELDS, (int, float))}
 
 
 def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) -> List[SessionAssessment]:
@@ -334,6 +361,11 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
                        if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
                 if bad:
                     raise TypeError(f"wrong-typed {', '.join(bad)}")
+                bad = [key for key in _SCORE_FIELDS if not 0.0 <= rec[key] <= 1.0]
+                if rec["rank"] < 1:
+                    bad.append("rank")
+                if bad:
+                    raise ValueError(f"out-of-range {', '.join(bad)}")
                 report = ValueReport(
                     user_id=rec["user"], search_ts=rec["search_ts"], cid=rec["cid"],
                     o_time=rec["o_time"], o_scope=rec["o_scope"],
@@ -341,7 +373,7 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
                     rank=rec["rank"],
                 )
                 rows.setdefault((report.user_id, report.search_ts), []).append(report)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{n}: malformed value row ({exc!r})") from exc
 
     out: List[SessionAssessment] = []

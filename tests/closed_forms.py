@@ -19,8 +19,15 @@ from consultrank.corpus import (
     Query,
     SearchSession,
     UserHistory,
+    slice_before,
 )
-from consultrank.index import ScopeParams, build_index, matched_terms, scope_value
+from consultrank.index import (
+    ScopeParams,
+    build_index,
+    matched_terms,
+    normalize,
+    scope_value,
+)
 from consultrank.linkage import (
     RULE_FULL_TEXT,
     RULE_ITEM_MAJORITY,
@@ -35,8 +42,10 @@ from consultrank.value import (
     action_value,
     aggregate_value,
     bucketize,
+    consultation_terms,
     fit_buckets,
     gamma_weights,
+    linked_times,
     nearest_rank_cuts,
     rank_and_filter,
     time_bucket,
@@ -69,6 +78,22 @@ def _history(uid, consultations=(), interactions=(), searches=()):
         consultations=tuple(consultations),
         interactions=tuple(interactions),
     )
+
+
+def _related(c, interaction, corpus):
+    """`is_related` on the token lists and sets `build_linkage` passes it."""
+    c_tokens = normalize(c.text)
+    ti_tokens = normalize(action_text(interaction, corpus))
+    return is_related(
+        c_tokens, set(c_tokens), ti_tokens, set(ti_tokens), interaction.action_type
+    )
+
+
+def _verified(c, s_ts, table, buckets, history):
+    """`action_value` on the inputs `assess_corpus` passes it."""
+    _before, posterior = slice_before(history, s_ts)
+    times = linked_times(table.actions_for(history.user_id, c.id))
+    return action_value(times, s_ts, gamma_weights(posterior), buckets)
 
 
 def index_examples():
@@ -115,19 +140,19 @@ def linkage_examples():
     assert action_text(_buy(10, "i1"), catalog) == "Laptop OG G14 16GB"
 
     c = _consult("c1", 0, "thinking of buying the Laptop OG G14 soon")
-    assert is_related(c, _buy(10, "i2"), catalog) == (True, RULE_FULL_TEXT)
+    assert _related(c, _buy(10, "i2"), catalog) == (True, RULE_FULL_TEXT)
 
     c_one_term = _consult("c2", 0, "i like the phone")
-    assert is_related(c_one_term, _search(10, "red folding phone case"), catalog) == (
+    assert _related(c_one_term, _search(10, "red folding phone case"), catalog) == (
         False,
         None,
     )
 
     c_three = _consult("c3", 0, "my widget has alpha and beta issues")
-    assert is_related(c_three, _buy(10, "i3"), catalog) == (True, RULE_ITEM_MAJORITY)
+    assert _related(c_three, _buy(10, "i3"), catalog) == (True, RULE_ITEM_MAJORITY)
 
     c_query = _consult("c4", 0, "want a red folding phone someday")
-    assert is_related(c_query, _search(10, "red folding phone case"), catalog) == (
+    assert _related(c_query, _search(10, "red folding phone case"), catalog) == (
         True,
         RULE_QUERY_MAJORITY,
     )
@@ -206,12 +231,12 @@ def value_examples():
     table = build_linkage(corpus)
     buckets = fit_buckets(table)
     history = corpus.users["u"]
-    assert action_value(chatter[0], 15, table, buckets, history) == 0.0
-    assert action_value(hot, 15, table, buckets, history) == 1.0
+    assert _verified(chatter[0], 15, table, buckets, history) == 0.0
+    assert _verified(hot, 15, table, buckets, history) == 1.0
     no_posterior = Corpus(items={"g1": item}, users={"u": _history("u", [hot])})
     np_table = build_linkage(no_posterior)
     assert (
-        action_value(hot, 15, np_table, fit_buckets(np_table), no_posterior.users["u"])
+        _verified(hot, 15, np_table, fit_buckets(np_table), no_posterior.users["u"])
         == 0.0
     )
 
@@ -252,9 +277,10 @@ def _rank_fixture(n_consultations):
         },
     )
     table = build_linkage(corpus)
-    idx = build_index(corpus)
+    history = corpus.users["u"]
+    scopes, times = consultation_terms(history, build_index(corpus), table)
     return rank_and_filter(
-        corpus.users["u"], session, idx, table, fit_buckets(table), ValueParams()
+        history, session, scopes, times, fit_buckets(table), ValueParams()
     )
 
 

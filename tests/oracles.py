@@ -2,16 +2,26 @@
 
 Everything here recomputes its answer straight from the defining formulas,
 with no caching, no prefit tables, and no reuse of library internals beyond
-the corpus data model and the text normalizer (which define input
+the corpus data model and the stopword list (which define input
 conventions, not the math under test).  Slow and obvious on purpose.
 """
 
 import math
 
 from consultrank.corpus import ActionType
-from consultrank.index import normalize
+from consultrank.index import STOPWORDS
 
 ACTION_NAMES = ("buy", "click", "search")
+
+_KEEP = set("abcdefghijklmnopqrstuvwxyz0123456789 \t\n\r")
+
+
+def normalize(text):
+    """Lowercase, blank every character that is not an ASCII letter, digit
+    or plain whitespace, split, drop stopwords and 1-character tokens."""
+    lowered = text.lower()
+    cleaned = "".join(ch if ch in _KEEP else " " for ch in lowered)
+    return [tok for tok in cleaned.split() if len(tok) > 1 and tok not in STOPWORDS]
 
 
 def _consultation_tokens(c):

@@ -1,6 +1,7 @@
 """Pipeline CLI: stage wiring, config validation, exit codes, determinism."""
 
 import base64
+import dataclasses
 import json
 import os
 import shutil
@@ -13,8 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from consultrank import cli
 from consultrank.evaluate import load_metrics
 from consultrank.index import load_index
-from consultrank.linkage import build_linkage, load_linkage
+from consultrank.linkage import RULES, build_linkage, load_linkage
 from consultrank.corpus import load_corpus
+from consultrank.model import ModelConfig
 from consultrank.value import ValueParams, load_assessments
 
 SMALL_CONFIG = {
@@ -359,5 +361,66 @@ def test_truncated_or_keyless_artifact_exits_4(pipeline_dir, capsys, name, data)
         out = Path(tmp) / "run"
         shutil.copytree(src, out)
         (out / name).write_text("\n".join(rows) + "\n")
+        assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: ModelConfig field -> the kind of JSON number its checkpoint value must be.
+MODEL_CONFIG_KINDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field, kind in MODEL_CONFIG_KINDS.items()
+    for value in (None, "x", -1, 2.5)
+    if not (kind == "float" and value == 2.5)  # a valid lambda3_skip
+])
+def test_wrong_model_config_value_exits_4(pipeline_dir, tmp_path, capsys, field, value):
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    _edit_checkpoint(lambda payload: payload["extra"]["model_config"].update(
+        {field: value}))(out)
+    assert run("eval", out, out / "config.json") == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: A value outside [0, 1] for a values.jsonl score.
+_OFF_UNIT = st.floats().filter(lambda v: not 0.0 <= v <= 1.0)
+
+
+def _out_of_range(name, row):
+    """(path, strategy) for each value of one row of `name` whose range the
+    reader checks: the strategy draws only values out of that range."""
+    if name == "values.jsonl":
+        return [((key,), _OFF_UNIT) for key in ("o_time", "o_scope", "o_action",
+                                                "o_aggregate")] + \
+            [(("rank",), st.integers(max_value=0))]
+    not_a_rule = st.one_of(st.none(), st.integers(), st.floats(),
+                           st.text().filter(lambda t: t not in RULES))
+    return [(("actions", i, "rule"), not_a_rule) for i in range(len(row["actions"]))]
+
+
+@pytest.mark.parametrize("name", ["linkage.jsonl", "values.jsonl"])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_out_of_range_artifact_value_exits_4(pipeline_dir, capsys, name, data):
+    """Set one range-checked value of one row out of its range (a score
+    outside [0, 1], a rank below 1, a rule that is none of the three): the
+    stage that reads the file must refuse it with exit 4."""
+    src, _ = pipeline_dir
+    rows = [json.loads(line) for line in (src / name).read_text().splitlines()]
+    candidates = [i for i, row in enumerate(rows) if _out_of_range(name, row)]
+    i = data.draw(st.sampled_from(candidates), label="row")
+    path, values = data.draw(st.sampled_from(_out_of_range(name, rows[i])), label="key")
+    target = rows[i]
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = data.draw(values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(src, out)
+        (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
     assert capsys.readouterr().err.startswith("error: ")

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from consultrank.corpus import Consultation
 from consultrank.index import (
@@ -15,6 +16,7 @@ from consultrank.index import (
 )
 from closed_forms import index_examples
 from helpers import corpus_from, item
+import oracles
 
 
 def _c(text, ts=0):
@@ -39,6 +41,13 @@ def test_normalize_keeps_order_and_multiplicity():
 
 def test_normalize_stopword_only_text_is_empty():
     assert normalize("the and of to") == []
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text())
+@example("Straße İstanbul ﬁne ǅemal Ⅻ café\x0bpro\u00a0max\u2028x1 a\tb\nc\rd")
+def test_normalize_agrees_with_reference_on_any_text(text):
+    assert normalize(text) == oracles.normalize(text)
 
 
 def test_index_ignores_event_text(tmp_path):

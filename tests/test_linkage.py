@@ -1,17 +1,18 @@
 """Action-to-consultation linking: rules, windowing, inversion, ordering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from consultrank.corpus import ActionType, CorpusError, Interaction
+from consultrank.corpus import ActionType, CorpusError, Interaction, build_corpus
 from consultrank.linkage import (
     LinkageParams,
     action_text,
     build_linkage,
     dump_linkage,
-    is_related,
 )
 from closed_forms import linkage_examples
 from helpers import buy, click, consult, corpus_from, item, search
+from oracles import ACTION_NAMES, linked_action_times
 
 CATALOG = [
     item("i1", "Laptop OG G14", ["16GB"]),
@@ -132,21 +133,62 @@ def test_table_matches_brute_force_double_loop(tmp_path):
         click("u2", 20, "i2"),
     ]
     corpus = corpus_from(tmp_path, CATALOG, events)
-    params = LinkageParams(window_days=14)
-    table = build_linkage(corpus, params)
-    for user in corpus.users:
-        h = corpus.users[user]
-        for c in h.consultations:
-            expected = [
-                a
-                for a in h.interactions
-                if 0 <= a.timestamp - c.timestamp <= params.window_hours
-                and is_related(c, a, corpus)[0]
-            ]
-            got = [a for a, _ in table.actions_for(user, c.id)]
-            assert sorted(got, key=lambda a: a.timestamp) == sorted(
-                expected, key=lambda a: a.timestamp
-            ), (user, c.id)
+    table = build_linkage(corpus, LinkageParams(window_days=14))
+    assert _link_times(table, corpus) == linked_action_times(corpus, 14)
+
+
+def _link_times(table, corpus):
+    """The table in the oracle's shape: (user, cid) -> {action name: sorted
+    timestamps of the linked actions}."""
+    out = {}
+    for user, history in corpus.users.items():
+        for c in history.consultations:
+            per = {name: [] for name in ACTION_NAMES}
+            for a, _rule in table.actions_for(user, c.id):
+                per[a.action_type.value].append(a.timestamp)
+            out[(user, c.id)] = {name: sorted(ts) for name, ts in per.items()}
+    return out
+
+
+#: Words of the micro-corpora: every catalog title word, stopwords and
+#: one-letter tokens that normalize away, and words no item carries.
+WORDS = ["laptop", "og", "g14", "16gb", "folding", "phone", "carbon", "travel",
+         "tripod", "the", "and", "x", "weather", "soup"]
+
+
+@st.composite
+def micro_corpus(draw):
+    """A window length and a corpus whose action gaps to a consultation
+    sit on and next to the window edges (-1, 0, 1, w-1, w, w+1 hours) or
+    anywhere within two windows."""
+    window_days = draw(st.integers(1, 3), label="window_days")
+    w = window_days * 24
+    text = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+    gap = st.sampled_from([-1, 0, 1, w - 1, w, w + 1]) | st.integers(-2 * w, 2 * w)
+    events = []
+    for user in draw(st.lists(st.sampled_from(["u1", "u2"]), min_size=1, max_size=2,
+                              unique=True), label="users"):
+        c_times = draw(st.lists(st.integers(2 * w, 5 * w), min_size=1, max_size=5),
+                       label="consultation times")
+        for k, ts in enumerate(c_times):
+            events.append(consult(user, ts, f"c{k}", draw(text, label="consultation")))
+        for _ in range(draw(st.integers(0, 8), label="actions")):
+            ts = draw(st.sampled_from(c_times), label="anchor") + draw(gap, label="gap")
+            kind = draw(st.sampled_from(["click", "buy", "search"]), label="kind")
+            iid = draw(st.sampled_from(["i1", "i2", "i3"]), label="item")
+            if kind == "search":
+                events.append(search(user, ts, draw(text, label="query"), iid))
+            else:
+                events.append((click if kind == "click" else buy)(user, ts, iid))
+    return window_days, build_corpus(CATALOG, events)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=micro_corpus())
+def test_table_matches_oracle_on_window_edges(case):
+    window_days, corpus = case
+    table = build_linkage(corpus, LinkageParams(window_days=window_days))
+    assert _link_times(table, corpus) == linked_action_times(corpus, window_days)
 
 
 def test_dump_is_sorted_and_complete(tmp_path):

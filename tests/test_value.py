@@ -11,6 +11,7 @@ from consultrank.value import (
     assess_corpus,
     bucketize,
     dump_values,
+    consultation_terms,
     fit_buckets,
     rank_and_filter,
     score_histogram,
@@ -117,7 +118,8 @@ def test_ties_break_by_recency_then_id(tmp_path):
     params = ValueParams(lambda1=1.0)
     h = corpus.users["u1"]
     kept, reports = rank_and_filter(
-        h, h.searches[0], build_index(corpus), table, buckets, params
+        h, h.searches[0], *consultation_terms(h, build_index(corpus), table), buckets,
+        params,
     )
     aggs = {r.cid: r.o_aggregate for r in reports}
     assert len(set(aggs.values())) == 1
@@ -130,7 +132,8 @@ def test_reports_cover_all_prior_consultations(tmp_path):
     table = build_linkage(corpus)
     h = corpus.users["u1"]
     kept, reports = rank_and_filter(
-        h, h.searches[0], build_index(corpus), table, fit_buckets(table),
+        h, h.searches[0], *consultation_terms(h, build_index(corpus), table),
+        fit_buckets(table),
         ValueParams(l_seq=2),
     )
     assert len(reports) == 3
