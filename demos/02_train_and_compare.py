@@ -26,7 +26,7 @@ from consultrank.evaluate import (
     format_metric_table,
 )
 from consultrank.linkage import LinkageParams, build_linkage
-from consultrank.model import config_for_corpus, init_model
+from consultrank.model import ModelConfig, init_model
 from consultrank.train import (
     TrainConfig,
     kept_consultations,
@@ -56,7 +56,7 @@ def main():
           f"top-value consultation each ({n_kept} kept in total)")
 
     print("\n== 3. train the ranker ==")
-    model = init_model(corpus, config_for_corpus(corpus, d=32, seed=0))
+    model = init_model(corpus, ModelConfig(d=32, seed=0))
     cfg = TrainConfig(tau1=1.0, lambda_va=0.3, lr=3e-3, batch_size=24,
                       va_batch=32, max_epochs=40, patience=40, seed=0)
     started = time.perf_counter()

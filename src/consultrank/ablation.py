@@ -91,10 +91,8 @@ def _run_variant(corpus, linkage, buckets, name: str,
     assessments = assess_corpus(corpus, linkage, buckets, params)
     kept_map = TR.kept_consultations(assessments) if value_filter else None
 
-    mcfg = M.config_for_corpus(
-        corpus, d=cfg.d, seed=seed,
-        lambda3_skip=cfg.lambda3_skip if lambda3 is None else lambda3,
-    )
+    mcfg = M.ModelConfig(d=cfg.d, seed=seed,
+                         lambda3_skip=cfg.lambda3_skip if lambda3 is None else lambda3)
     model = M.init_model(corpus, mcfg)
     tcfg = replace(
         cfg.train, seed=seed,
@@ -121,7 +119,7 @@ def run_ablation(cfg: AblationConfig = AblationConfig(),
     for seed in cfg.seeds:
         corpus, _ = generate(replace(cfg.gen, seed=seed))
         linkage = build_linkage(corpus)
-        buckets = fit_buckets(linkage)
+        buckets = fit_buckets(linkage, cfg.value_params.n_buckets)
         for name, overrides, lam_va, lam3, filt in _VARIANTS:
             score = _run_variant(corpus, linkage, buckets, name, overrides,
                                  lam_va, lam3, filt, cfg, seed)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -57,14 +56,7 @@ from .evaluate import (
 )
 from .index import ScopeParams, build_index, dump_index, load_index
 from .linkage import LinkageParams, build_linkage, dump_linkage, load_linkage
-from .model import (
-    ModelConfig,
-    build_vocab,
-    config_for_corpus,
-    init_model,
-    load_model,
-    save_model,
-)
+from .model import ModelConfig, init_model, load_model, save_model
 from .train import TrainConfig, kept_consultations, model_score_fn, split_sessions, train
 from .value import (
     ValueParams,
@@ -256,12 +248,12 @@ def _load_corpus(items_path: str, events_path: str) -> Corpus:
         raise DataError(f"corpus failed validation: {exc}") from exc
 
 
-def _build(cls, cfg: Dict[str, object], make: Optional[Callable] = None):
-    """`make` (default: `cls`) called with the settings `cls` owns, read
-    from the config.  A value the class rejects is a config error."""
+def _build(cls, cfg: Dict[str, object]):
+    """`cls` built from the settings it owns, read from the config.  A
+    value the class rejects is a config error."""
     kwargs = {f.name: cfg[key] for key, f in _settings(cls).items()}
     try:
-        return (make or cls)(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad {cls.__name__} setting: {exc}") from exc
 
@@ -333,10 +325,11 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
         assessments = load_assessments(_resolve(cfg, out_dir, "values"), corpus, params)
     except (ValueError, CorpusError) as exc:
         raise DataError(f"artifact failed validation: {exc}") from exc
-    vocab = build_vocab(corpus)
-    mcfg = _build(ModelConfig, cfg, functools.partial(config_for_corpus, corpus, vocab))
+    mcfg = _build(ModelConfig, cfg)
     tcfg = _build(TrainConfig, cfg)
-    model = init_model(corpus, mcfg, vocab)
+    if not split_sessions(corpus).train:
+        raise DataError("corpus has no training sessions: no user has more than two searches")
+    model = init_model(corpus, mcfg)
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     log_path = os.path.join(reports_dir, "train_log.csv")

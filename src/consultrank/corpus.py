@@ -180,7 +180,7 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
             item = Item(
                 id=_req_str(obj, "id"),
                 title=_req_str(obj, "title"),
-                attributes=tuple(obj.get("attributes") or ()),
+                attributes=_str_list(obj, "attributes"),
             )
             if item.id in items:
                 raise CorpusError(f"duplicate item id {item.id!r}")
@@ -221,8 +221,8 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
                 consults.setdefault(user, []).append(
                     Consultation(
                         id=cid,
-                        user_turn=obj.get("user_turn", "") or "",
-                        assistant_turn=obj.get("assistant_turn", "") or "",
+                        user_turn=_opt_str(obj, "user_turn"),
+                        assistant_turn=_opt_str(obj, "assistant_turn"),
                         timestamp=ts,
                     )
                 )
@@ -279,6 +279,27 @@ def _req_str(obj: dict, key: str) -> str:
     if not isinstance(val, str) or not val:
         raise CorpusError(f"missing or empty field {key!r}")
     return val
+
+
+def _opt_str(obj: dict, key: str) -> str:
+    """A string field that may be absent or null, which reads as empty."""
+    val = obj.get(key)
+    if val is None:
+        return ""
+    if not isinstance(val, str):
+        raise CorpusError(f"field {key!r} must be a string or null, got {val!r}")
+    return val
+
+
+def _str_list(obj: dict, key: str) -> tuple[str, ...]:
+    """A list-of-strings field that may be absent or null, which reads as
+    empty."""
+    val = obj.get(key)
+    if val is None:
+        return ()
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise CorpusError(f"field {key!r} must be a list of strings or null, got {val!r}")
+    return tuple(val)
 
 
 def slice_before(history: UserHistory, t: int) -> tuple[list[Consultation], list[Interaction]]:

@@ -22,6 +22,9 @@ from .index import normalize
 
 K_CUTS = (5, 10, 20, 50)
 
+#: Every metric of a report, in table order.
+METRIC_KEYS = tuple(f"{m}@{k}" for m in ("hr", "ndcg", "mrr") for k in K_CUTS)
+
 #: Negatives sampled per session under the ranking protocol.
 N_NEG = 99
 
@@ -191,30 +194,44 @@ def dump_metrics(report: MetricReport, path) -> None:
         fh.write("\n")
 
 
+def _metric_row(row, where: str) -> Dict[str, float]:
+    """`row` as a dict, after checking that it holds every metric as a
+    number in [0, 1]."""
+    if not isinstance(row, dict):
+        raise ValueError(f"{where} is not an object")
+    bad = [key for key in METRIC_KEYS if isinstance(row.get(key), bool)
+           or not isinstance(row.get(key), (int, float)) or not 0.0 <= row[key] <= 1.0]
+    if bad:
+        raise ValueError(f"{where} lacks a number in [0, 1] for {bad}")
+    return dict(row)
+
+
 def load_metrics(path) -> MetricReport:
-    """Read a metrics.json dump back into a MetricReport."""
+    """Read a metrics.json dump back into a MetricReport; every metric of
+    `macro` and of each `per_user` row must be a number in [0, 1]."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    try:
-        return MetricReport(
-            n_sessions=payload["n_sessions"],
-            macro=dict(payload["macro"]),
-            per_user={u: dict(row) for u, row in payload["per_user"].items()},
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: not a metrics dump ({exc})") from exc
+    n = payload.get("n_sessions") if isinstance(payload, dict) else None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1 \
+            or not isinstance(payload.get("per_user"), dict):
+        raise ValueError(f"{path}: not a metrics dump")
+    return MetricReport(
+        n_sessions=n,
+        macro=_metric_row(payload.get("macro"), f"{path}: macro"),
+        per_user={u: _metric_row(row, f"{path}: per_user {u!r}")
+                  for u, row in payload["per_user"].items()},
+    )
 
 
 def format_metric_table(reports: Dict[str, MetricReport]) -> str:
     """Fixed-width comparison table of macro metrics, one row per system."""
-    keys = [f"{m}@{k}" for m in ("hr", "ndcg", "mrr") for k in K_CUTS]
     name_width = max(len("system"), max((len(n) for n in reports), default=0))
-    header = "system".ljust(name_width) + "".join(key.rjust(10) for key in keys)
+    header = "system".ljust(name_width) + "".join(key.rjust(10) for key in METRIC_KEYS)
     lines = [header, "-" * len(header)]
     for name in sorted(reports):
         macro = reports[name].macro
         row = name.ljust(name_width) + "".join(
-            f"{macro[key]:10.4f}" for key in keys
+            f"{macro[key]:10.4f}" for key in METRIC_KEYS
         )
         lines.append(row)
     return "\n".join(lines)

@@ -119,8 +119,10 @@ def load_index(path) -> InvertedIndex:
             if not line:
                 continue
             row = json.loads(line)
-            try:
-                postings[row["term"]] = list(row["items"])
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{n}: malformed index row ({exc})") from exc
+            if not (isinstance(row, dict) and isinstance(row.get("term"), str)
+                    and isinstance(row.get("items"), list)
+                    and all(isinstance(v, str) for v in row["items"])):
+                raise ValueError(f"{path}:{n}: malformed index row: want a string "
+                                 "term and a list of item-id strings")
+            postings[row["term"]] = row["items"]
     return InvertedIndex(postings)

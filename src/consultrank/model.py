@@ -9,9 +9,10 @@ self-attention encoder layer over the joint sequence
 segment-type embeddings and no positional encodings; and dot-product
 candidate scoring against item embedding rows.
 
-A corpus is featurized once (`corpus_features`): its texts become token
-ids and its actions become integer rows.  Each session's inputs are sliced
-from that table (`session_features`), with its time gaps as bucket ids.
+A model is built on one corpus (`init_model`), which it featurizes once
+into `Model.features`: its texts become token ids and its actions become
+integer rows.  Each session's inputs are sliced from that table
+(`session_features`), with its time gaps as bucket ids.
 The forward pass then runs on whole arrays: one gather per table, one batched
 text encoding, and a handful of matrix products.
 
@@ -29,12 +30,12 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import ActionType, Corpus, item_event, user_events
+from .corpus import ActionType, Corpus, UserHistory, item_event, user_events
 from .index import normalize
 from .value import time_bucket
 
@@ -50,11 +51,9 @@ N_SEGMENTS = 5
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and switches for one model instance."""
+    """Settings of one model instance.  The sizes of its tables come from
+    the corpus it is built on (`init_model`), not from here."""
 
-    vocab_size: int
-    n_items: int
-    n_users: int
     d: int = 64
     n_time_buckets: int = 13
     lambda3_skip: float = 1.0
@@ -66,9 +65,8 @@ class ModelConfig:
             raise ValueError(f"d must be positive, got {self.d}")
         if self.lambda3_skip < 0:
             raise ValueError(f"lambda3_skip must be >= 0, got {self.lambda3_skip}")
-        for name in ("vocab_size", "n_items", "n_users", "max_text_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_text_tokens < 1:
+            raise ValueError(f"max_text_tokens must be >= 1, got {self.max_text_tokens}")
         if self.n_time_buckets < 2:
             raise ValueError(f"n_time_buckets must be >= 2, got {self.n_time_buckets}")
 
@@ -110,6 +108,7 @@ class Model:
     item_rows: Dict[str, int]
     user_rows: Dict[str, int]
     corpus_sha256: str
+    features: CorpusFeatures = field(repr=False)
     tables: EmbeddingTables = field(repr=False)
     block: AttentionBlock = field(repr=False)
     text_w: T.Tensor = field(repr=False)
@@ -140,37 +139,6 @@ class Model:
         return [t for _, t in sorted(self.named_parameters().items())]
 
 
-def build_vocab(corpus: Corpus) -> Dict[str, int]:
-    """Token ids over every text surface in the corpus; id 0 is reserved
-    for unknown tokens."""
-    terms = set()
-    for item in corpus.items.values():
-        terms.update(normalize(item.title))
-        for attr in item.attributes:
-            terms.update(normalize(attr))
-    for history in corpus.users.values():
-        for c in history.consultations:
-            terms.update(normalize(c.text))
-        for a in history.interactions:
-            if a.target_query is not None:
-                terms.update(normalize(a.target_query.text))
-    return {term: i + 1 for i, term in enumerate(sorted(terms))}
-
-
-def config_for_corpus(corpus: Corpus, vocab: Optional[Dict[str, int]] = None,
-                      **overrides) -> ModelConfig:
-    """Fill the corpus-derived dimension fields of a ModelConfig; `vocab` is
-    the corpus's `build_vocab`, built here when not given."""
-    if vocab is None:
-        vocab = build_vocab(corpus)
-    return ModelConfig(
-        vocab_size=len(vocab) + 1,
-        n_items=len(corpus.items),
-        n_users=len(corpus.users),
-        **overrides,
-    )
-
-
 def corpus_digest(corpus: Corpus) -> str:
     """SHA-256 of the corpus's canonical records: each item in id order, then
     each user's events in user order, as one sorted-key JSON list."""
@@ -179,23 +147,23 @@ def corpus_digest(corpus: Corpus) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def init_model(corpus: Corpus, cfg: ModelConfig,
-               vocab: Optional[Dict[str, int]] = None) -> Model:
-    """A freshly initialized model sized by `cfg`; `vocab` is the corpus's
-    `build_vocab`, built here when not given."""
-    if vocab is None:
-        vocab = build_vocab(corpus)
-    if cfg.vocab_size != len(vocab) + 1:
-        raise ValueError(
-            f"config vocab_size {cfg.vocab_size} does not match corpus "
-            f"vocabulary of {len(vocab)} terms plus the unknown slot"
-        )
-    if cfg.n_items != len(corpus.items) or cfg.n_users != len(corpus.users):
-        raise ValueError(
-            f"config sized for {cfg.n_items} items / {cfg.n_users} users but "
-            f"corpus has {len(corpus.items)} / {len(corpus.users)}"
-        )
+def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
+    """A freshly initialized model of `corpus`.
+
+    Each text is normalized once: an item's title and attributes together,
+    and each consultation and search query.  Those token lists give the
+    vocabulary (id 0 is reserved for unknown tokens) and, with the corpus's
+    item and user counts, the table sizes; the consultation and query
+    tokens also give the model's `features` table.
+    """
+    histories = _histories(corpus)
+    tokens = [normalize(t) for t in _table_texts(histories)]
+    item_tokens = [normalize(" ".join([item.title, *item.attributes]))
+                   for item in corpus.items.values()]
+    vocab = {term: i + 1 for i, term in
+             enumerate(sorted(set(chain.from_iterable(tokens + item_tokens))))}
     item_ids = tuple(sorted(corpus.items))
+    item_rows = {v: i for i, v in enumerate(item_ids)}
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / math.sqrt(cfg.d)
 
@@ -207,13 +175,15 @@ def init_model(corpus: Corpus, cfg: ModelConfig,
         cfg=cfg,
         vocab=vocab,
         item_ids=item_ids,
-        item_rows={v: i for i, v in enumerate(item_ids)},
+        item_rows=item_rows,
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
         corpus_sha256=corpus_digest(corpus),
+        features=_featurize(histories, _token_ids(vocab, cfg.max_text_tokens, tokens),
+                            item_rows),
         tables=EmbeddingTables(
-            token=init(cfg.vocab_size, d),
-            item=init(cfg.n_items, d),
-            user=init(cfg.n_users, d),
+            token=init(len(vocab) + 1, d),
+            item=init(len(item_ids), d),
+            user=init(len(corpus.users), d),
             time=init(cfg.n_time_buckets, d),
             action=init(len(ACTION_ROWS), d),
         ),
@@ -276,14 +246,19 @@ class CorpusFeatures:
         return np.arange(self.starts[k, kind], self.starts[k + 1, kind])
 
 
-def text_ids(model: Model, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Token ids of each text (unknown terms map to UNKNOWN_TOKEN, and text
-    past max_text_tokens is cut), concatenated, and the offsets that split
-    them."""
-    per_text = [[model.vocab.get(tok, UNKNOWN_TOKEN)
-                 for tok in normalize(t)[:model.cfg.max_text_tokens]] for t in texts]
+def _token_ids(vocab: Dict[str, int], max_tokens: int,
+               tokens: Sequence[List[str]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each token list's ids (unknown terms map to UNKNOWN_TOKEN, and a list
+    past max_tokens is cut), concatenated, and the offsets that split them."""
+    per_text = [[vocab.get(tok, UNKNOWN_TOKEN) for tok in toks[:max_tokens]] for toks in tokens]
     offsets = np.cumsum([0] + [len(ids) for ids in per_text])
     return np.fromiter(chain.from_iterable(per_text), np.int32, offsets[-1]), offsets
+
+
+def text_ids(model: Model, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Token ids of each text under the model's vocabulary, concatenated,
+    and the offsets that split them."""
+    return _token_ids(model.vocab, model.cfg.max_text_tokens, [normalize(t) for t in texts])
 
 
 def _rows(index: Dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
@@ -293,19 +268,30 @@ def _rows(index: Dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
     return np.array([index[v] for v in ids], dtype=np.int32)
 
 
-def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
-    """Tokenize and index a whole corpus; unknown item ids are rejected."""
-    histories = [corpus.users[u] for u in sorted(corpus.users)]
+def _histories(corpus: Corpus) -> List[UserHistory]:
+    return [corpus.users[u] for u in sorted(corpus.users)]
+
+
+def _table_texts(histories: Sequence[UserHistory]) -> List[str]:
+    """A feature table's texts in its layout: every consultation, then the
+    query of every search action."""
+    return [c.text for h in histories for c in h.consultations] + [
+        a.target_query.text for h in histories for a in h.interactions
+        if a.target_query is not None]
+
+
+def _featurize(histories: Sequence[UserHistory], tokenized: Tuple[np.ndarray, np.ndarray],
+               item_rows: Dict[str, int]) -> CorpusFeatures:
+    """The feature table of `histories`, given the token ids and offsets of
+    their `_table_texts`; unknown item ids are rejected."""
     consultations = [c for h in histories for c in h.consultations]
     actions = [a for h in histories for a in h.interactions]
     is_search = np.array([a.target_query is not None for a in actions], dtype=bool)
     rows = np.full((len(actions), 3), -1, dtype=np.int32)
     rows[:, 0] = [ACTION_ROWS[a.action_type] for a in actions]
-    rows[~is_search, 1] = _rows(model.item_rows, [a.target_item for a in actions
-                                                  if a.target_query is None], "item")
+    rows[~is_search, 1] = _rows(item_rows, [a.target_item for a in actions
+                                            if a.target_query is None], "item")
     rows[is_search, 2] = len(consultations) + np.arange(is_search.sum())
-    ids, offsets = text_ids(model, [c.text for c in consultations] + [
-        a.target_query.text for a in actions if a.target_query is not None])
     starts = np.cumsum([[0, 0]] + [[len(h.consultations), len(h.interactions)]
                                    for h in histories], axis=0)
     return CorpusFeatures(
@@ -314,9 +300,17 @@ def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
         consultation_ids={(h.user_id, c.id): j for h, first in zip(histories, starts[:, 0])
                           for j, c in enumerate(h.consultations, first)},
         consultation_ts=np.array([c.timestamp for c in consultations], dtype=np.int64),
-        token_ids=ids, text_offsets=offsets, actions=rows,
+        token_ids=tokenized[0], text_offsets=tokenized[1], actions=rows,
         action_ts=np.array([a.timestamp for a in actions], dtype=np.int64),
     )
+
+
+def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
+    """Tokenize and index a corpus under the model's vocabulary and item
+    rows, for corpora other than the model's own: `init_model` featurizes
+    that one once, into `model.features`."""
+    histories = _histories(corpus)
+    return _featurize(histories, text_ids(model, _table_texts(histories)), model.item_rows)
 
 
 def gather_texts(table: CorpusFeatures, texts: np.ndarray,

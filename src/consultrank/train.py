@@ -300,14 +300,10 @@ class TrainResult:
 
 def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
                    l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
-    return _table_score_fn(model, corpus, M.corpus_features(model, corpus), kept_map,
-                           l_seq, value_filter)
-
-
-def _table_score_fn(model: M.Model, corpus: Corpus, table: M.CorpusFeatures,
-                    kept_map: Optional[KeptMap], l_seq: int, value_filter: bool) -> ScoreFn:
+    """A scorer of the sessions of `corpus`, the corpus the model was built
+    on; their inputs are sliced from the model's feature table."""
     def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
-        ex = build_example(model, corpus, table, user_id, session, kept_map, l_seq,
+        ex = build_example(model, corpus, model.features, user_id, session, kept_map, l_seq,
                            value_filter)
         e_final = M.session_forward(model, ex.features)
         return M.score_candidates(model, e_final, candidates).data
@@ -319,7 +315,8 @@ def train(corpus: Corpus, linkage: LinkageTable,
           cfg: TrainConfig = TrainConfig(), l_seq: int = ValueParams.l_seq,
           value_filter: bool = True,
           log_path=None) -> TrainResult:
-    """Mini-batch training with per-epoch validation and early stopping.
+    """Mini-batch training of a model built on `corpus`, with per-epoch
+    validation and early stopping.
 
     Returns the model restored to its best-validation parameters plus the
     epoch log.  Fully deterministic for a fixed config seed.
@@ -328,7 +325,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
     if not split.train:
         raise ValueError("empty training set: no user has more than two sessions")
     kept_map = kept_consultations(assessments) if value_filter else None
-    table = M.corpus_features(model, corpus)
+    table = model.features
     examples = [
         build_example(model, corpus, table, user, session, kept_map, l_seq, value_filter)
         for user, session in split.train
@@ -379,7 +376,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
 
         if split.valid:
             report = evaluate_sessions(
-                _table_score_fn(model, corpus, table, kept_map, l_seq, value_filter),
+                model_score_fn(model, corpus, kept_map, l_seq, value_filter),
                 corpus, split.valid, protocol="ranking", seed=cfg.seed,
                 n_neg=n_neg_valid,
             )

@@ -65,7 +65,6 @@ class BucketTable:
     """Per action type: the quantile cut points over linked-action counts."""
 
     cuts: Dict[ActionType, Tuple[int, ...]]
-    n_buckets: int = 11
 
     def __post_init__(self):
         for atype, row in self.cuts.items():
@@ -94,7 +93,7 @@ def time_decay_value(t_s: int, t_c: int, alpha: float) -> float:
     return alpha ** (t_s - t_c)
 
 
-def time_bucket(delta_hours: int, b: int = 13) -> int:
+def time_bucket(delta_hours: int, b: int) -> int:
     """Exponentially widening buckets over an hour gap, clamped to b of them.
 
     Gap 0 lands in bucket 0; each bucket covers twice the span of the one
@@ -108,7 +107,7 @@ def time_bucket(delta_hours: int, b: int = 13) -> int:
     return min((delta_hours + 1).bit_length() - 1, b - 1)
 
 
-def nearest_rank_cuts(sample: Sequence[int], n_buckets: int = 11) -> Tuple[int, ...]:
+def nearest_rank_cuts(sample: Sequence[int], n_buckets: int) -> Tuple[int, ...]:
     """Quantile cut points at k/n_buckets for k = 1..n_buckets-1.
 
     Nearest-rank convention: cut k is the element at 1-based rank
@@ -123,7 +122,7 @@ def nearest_rank_cuts(sample: Sequence[int], n_buckets: int = 11) -> Tuple[int, 
     return tuple(ordered[-(-k * n // n_buckets) - 1] for k in range(1, n_buckets))
 
 
-def fit_buckets(linkage: LinkageTable, n_buckets: int = 11) -> BucketTable:
+def fit_buckets(linkage: LinkageTable, n_buckets: int) -> BucketTable:
     """Fit per-action-type quantile cuts over the whole linkage table.
 
     The sample for an action type is the linked-action count of every
@@ -141,7 +140,6 @@ def fit_buckets(linkage: LinkageTable, n_buckets: int = 11) -> BucketTable:
                 samples[atype].append(counts[atype])
     return BucketTable(
         cuts={atype: nearest_rank_cuts(samples[atype], n_buckets) for atype in ActionType},
-        n_buckets=n_buckets,
     )
 
 

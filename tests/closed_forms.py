@@ -190,9 +190,9 @@ def value_examples():
     assert time_bucket(7, 13) == 3
     assert time_bucket(10**6, 13) == 12
 
-    assert nearest_rank_cuts(list(range(1, 111))) == tuple(range(10, 101, 10))
-    assert nearest_rank_cuts([3]) == (3,) * 10
-    assert nearest_rank_cuts([]) == (0,) * 10
+    assert nearest_rank_cuts(list(range(1, 111)), 11) == tuple(range(10, 101, 10))
+    assert nearest_rank_cuts([3], 11) == (3,) * 10
+    assert nearest_rank_cuts([], 11) == (0,) * 10
 
     decade_cuts = tuple(range(10, 101, 10))
     assert bucketize(5, decade_cuts) == 0.0
@@ -229,14 +229,14 @@ def value_examples():
         users={"u": _history("u", chatter + [hot], [the_buy])},
     )
     table = build_linkage(corpus)
-    buckets = fit_buckets(table)
+    buckets = fit_buckets(table, ValueParams.n_buckets)
     history = corpus.users["u"]
     assert _verified(chatter[0], 15, table, buckets, history) == 0.0
     assert _verified(hot, 15, table, buckets, history) == 1.0
     no_posterior = Corpus(items={"g1": item}, users={"u": _history("u", [hot])})
     np_table = build_linkage(no_posterior)
     assert (
-        _verified(hot, 15, np_table, fit_buckets(np_table), no_posterior.users["u"])
+        _verified(hot, 15, np_table, fit_buckets(np_table, ValueParams.n_buckets), no_posterior.users["u"])
         == 0.0
     )
 
@@ -280,7 +280,7 @@ def _rank_fixture(n_consultations):
     history = corpus.users["u"]
     scopes, times = consultation_terms(history, build_index(corpus), table)
     return rank_and_filter(
-        history, session, scopes, times, fit_buckets(table), ValueParams()
+        history, session, scopes, times, fit_buckets(table, ValueParams.n_buckets), ValueParams()
     )
 
 

@@ -127,7 +127,7 @@ def _end_to_end_trial(tmp_path, seed):
     buckets = fit_buckets(table, params.n_buckets)
     assessments = assess_corpus(corpus, table, buckets, params)
     kept = TR.kept_consultations(assessments)
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=6, seed=seed))
+    model = M.init_model(corpus, M.ModelConfig(d=6, seed=seed))
     cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.5, lambda_l2=1e-4,
                          n_neg_search=3, va_batch=2, seed=seed)
     split = TR.split_sessions(corpus)
@@ -184,7 +184,7 @@ def test_05_closed_form_losses(capsys):
     """Uniform logits give ln(n+1): zeroed session vector for the search
     loss, zeroed query projection for the alignment loss."""
     corpus, _ = generate(GenSpec(n_users=2, n_items=12, seed=4))
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8, seed=0))
+    model = M.init_model(corpus, M.ModelConfig(d=8, seed=0))
     cfg = TR.TrainConfig(n_neg_search=10)
 
     e_zero = T.Tensor(np.zeros(model.cfg.d))
@@ -223,7 +223,7 @@ def test_06_overfit_small_corpus(capsys):
     params = ValueParams(l_seq=1)
     buckets = fit_buckets(table, params.n_buckets)
     assessments = assess_corpus(corpus, table, buckets, params)
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=32, seed=0))
+    model = M.init_model(corpus, M.ModelConfig(d=32, seed=0))
     cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.3, lr=3e-3, batch_size=24,
                          va_batch=32, max_epochs=200, patience=200, seed=0)
     result = TR.train(corpus, table, assessments, model, cfg, l_seq=1)
@@ -311,7 +311,7 @@ def test_09_complexity_scaling(capsys):
     """Doubling both the kept-consultation count and the history length at
     fixed width must raise forward time by less than 4.5x per doubling."""
     corpus, _ = generate(GenSpec(n_users=4, n_items=40, seed=3))
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=16, seed=0))
+    model = M.init_model(corpus, M.ModelConfig(d=16, seed=0))
     titles = [it.title for it in corpus.items.values()]
     ids = sorted(corpus.items)
     user = sorted(corpus.users)[0]

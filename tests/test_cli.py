@@ -19,6 +19,8 @@ from consultrank.corpus import load_corpus
 from consultrank.model import ModelConfig
 from consultrank.value import ValueParams, load_assessments
 
+from helpers import consult, item, search, write_jsonl
+
 SMALL_CONFIG = {
     "gen_users": 8, "gen_items": 16, "seed": 5, "d": 16, "l_seq": 1,
     "max_epochs": 2, "patience": 2, "batch_size": 16, "va_batch": 8,
@@ -38,6 +40,18 @@ def pipeline_dir(tmp_path_factory):
     for stage in ("datagen", "ingest", "index", "link", "assess", "train", "eval"):
         assert run(stage, out, config) == 0, f"stage {stage} failed"
     return out, config
+
+
+@pytest.fixture(scope="module")
+def reported_dir(pipeline_dir, tmp_path_factory):
+    """A copy of the pipeline run that every ranker has evaluated, so
+    `report` can run on it."""
+    src, _ = pipeline_dir
+    out = tmp_path_factory.mktemp("reported") / "run"
+    shutil.copytree(src, out)
+    for ranker in ("bm25", "semantic"):
+        assert run("eval", out, out / "config.json", "--ranker", ranker) == 0
+    return out
 
 
 def test_full_pipeline_artifacts(pipeline_dir):
@@ -235,6 +249,22 @@ def test_train_rejects_one_time_bucket(pipeline_dir, capsys):
     assert "bad ModelConfig setting" in capsys.readouterr().err
 
 
+def test_train_without_training_sessions_exits_4(tmp_path, capsys):
+    """One user with two searches: one validates, one tests, none trains."""
+    (tmp_path / "corpus").mkdir()
+    write_jsonl(tmp_path / "corpus/items.jsonl",
+                [item("i1", "alpha gadget"), item("i2", "beta widget")])
+    write_jsonl(tmp_path / "corpus/events.jsonl", [
+        consult("u1", 5, "c1", "which alpha gadget"), search("u1", 10, "alpha gadget", "i1"),
+        search("u1", 20, "beta widget", "i2")])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    for stage in ("ingest", "index", "link", "assess"):
+        assert run(stage, tmp_path, config) == 0
+    assert run("train", tmp_path, config) == 4
+    assert capsys.readouterr().err.startswith("error: corpus has no training sessions")
+
+
 def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsys):
     """Same item, user and vocabulary counts, one click fewer: the corpus
     hash stored in the checkpoint no longer matches."""
@@ -260,13 +290,21 @@ def _edit_first_row(name, edit):
     return corrupt
 
 
-def _edit_checkpoint(edit):
+def _edit_json(name, edit):
     def corrupt(out):
-        path = out / "checkpoint.json"
+        path = out / name
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
     return corrupt
+
+
+def _edit_checkpoint(edit):
+    return _edit_json("checkpoint.json", edit)
+
+
+def _edit_bm25_macro(edit):
+    return _edit_json("reports/metrics_bm25.json", lambda payload: edit(payload["macro"]))
 
 
 def _first_param(payload):
@@ -290,6 +328,8 @@ def _as_v1(payload):
     ("assess", _edit_first_row("linkage.jsonl",
         lambda row: {k: v for k, v in row.items() if k != "actions"})),
     ("assess", _edit_first_row("linkage.jsonl", lambda row: list(row))),
+    ("assess", _edit_first_row("index.jsonl", lambda row: {**row, "items": "abc"})),
+    ("assess", _edit_first_row("index.jsonl", lambda row: {**row, "term": 5})),
     ("eval", _edit_first_row("values.jsonl", lambda row: {**row, "rank": "1"})),
     ("eval", _edit_first_row("values.jsonl",
         lambda row: {**row, "search_ts": str(row["search_ts"])})),
@@ -299,31 +339,47 @@ def _as_v1(payload):
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].update(encoder_layers=1))),
     ("eval", _edit_checkpoint(
-        lambda payload: payload["extra"]["model_config"].pop("vocab_size"))),
+        lambda payload: payload["extra"]["model_config"].pop("d"))),
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].pop("lambda3_skip"))),
     ("eval", _edit_checkpoint(lambda payload: _first_param(payload).update(data="not base64!"))),
     ("eval", _edit_checkpoint(_drop_last_value)),
     ("eval", _edit_checkpoint(_as_v1)),
+    ("report", _edit_bm25_macro(lambda macro: macro.pop("hr@5"))),
+    ("report", _edit_bm25_macro(lambda macro: macro.update({"ndcg@10": "x"}))),
+    ("report", _edit_bm25_macro(lambda macro: macro.update({"mrr@50": 1.5}))),
 ], ids=["linkage-row-without-actions", "linkage-row-not-an-object",
+        "index-row-string-items", "index-row-number-term",
         "values-row-string-rank", "values-row-string-search-ts",
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",
         "checkpoint-data-not-base64", "checkpoint-data-short-of-shape",
-        "checkpoint-v1-format"])
-def test_corrupt_artifact_exits_4(pipeline_dir, tmp_path, capsys, stage, corrupt):
-    src, _ = pipeline_dir
+        "checkpoint-v1-format", "metrics-macro-missing-key",
+        "metrics-macro-string-value", "metrics-macro-value-above-one"])
+def test_corrupt_artifact_exits_4(reported_dir, tmp_path, capsys, stage, corrupt):
     out = tmp_path / "run"
-    shutil.copytree(src, out)
+    shutil.copytree(reported_dir, out)
     corrupt(out)
     assert run(stage, out, out / "config.json") == 4
     assert capsys.readouterr().err.startswith("error: ")
 
 
 #: Each artifact and the stage that reads it.
-ARTIFACT_READERS = {"linkage.jsonl": "assess", "values.jsonl": "eval",
-                    "checkpoint.json": "eval"}
+ARTIFACT_READERS = {"corpus/items.jsonl": "index", "corpus/events.jsonl": "index",
+                    "index.jsonl": "assess", "linkage.jsonl": "assess",
+                    "values.jsonl": "eval", "checkpoint.json": "eval",
+                    "reports/metrics.json": "report", "reports/metrics_bm25.json": "report"}
+
+def _kept_by_sweep(name, path):
+    """Whether the sweep leaves the key at `path` of a row of `name` in
+    place: a field a reader takes as empty when absent, or a user row of a
+    metrics file, which is a row as a whole, like a line of a JSONL file."""
+    if name == "corpus/items.jsonl":
+        return path == ("attributes",)
+    if name == "corpus/events.jsonl":
+        return path in (("user_turn",), ("assistant_turn",))
+    return name.startswith("reports/") and len(path) == 2 and path[0] == "per_user"
 
 
 def _key_paths(obj, prefix=()):
@@ -337,21 +393,28 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(value, prefix + (i,))
 
 
+def _sweep_rows(path):
+    """The rows of a JSONL file; a JSON file is one row, written compactly,
+    so that cutting it anywhere leaves no valid JSON."""
+    text = path.read_text()
+    return [json.dumps(json.loads(text))] if path.suffix == ".json" else text.splitlines()
+
+
 @pytest.mark.parametrize("name", sorted(ARTIFACT_READERS))
 @settings(max_examples=50, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_truncated_or_keyless_artifact_exits_4(pipeline_dir, capsys, name, data):
+def test_truncated_or_keyless_artifact_exits_4(reported_dir, capsys, name, data):
     """Cut one row short, or delete one key at any depth of one row: the
     stage that reads the file must refuse it with exit 4."""
-    src, _ = pipeline_dir
-    rows = (src / name).read_text().splitlines()
+    rows = _sweep_rows(reported_dir / name)
     i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    row = json.loads(rows[i])
+    paths = [path for path in _key_paths(row) if not _kept_by_sweep(name, path)]
     if data.draw(st.booleans(), label="truncate"):
         rows[i] = rows[i][:data.draw(st.integers(1, len(rows[i]) - 1), label="cut")]
     else:
-        row = json.loads(rows[i])
-        *parents, key = data.draw(st.sampled_from(list(_key_paths(row))), label="key")
+        *parents, key = data.draw(st.sampled_from(paths), label="key")
         target = row
         for step in parents:
             target = target[step]
@@ -359,7 +422,7 @@ def test_truncated_or_keyless_artifact_exits_4(pipeline_dir, capsys, name, data)
         rows[i] = json.dumps(row)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
-        shutil.copytree(src, out)
+        shutil.copytree(reported_dir, out)
         (out / name).write_text("\n".join(rows) + "\n")
         assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
     assert capsys.readouterr().err.startswith("error: ")
@@ -368,10 +431,14 @@ def test_truncated_or_keyless_artifact_exits_4(pipeline_dir, capsys, name, data)
 #: ModelConfig field -> the kind of JSON number its checkpoint value must be.
 MODEL_CONFIG_KINDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 
+#: The corpus sizes that checkpoints of an earlier ModelConfig carried.  A
+#: model takes them from its corpus now, so any value of theirs is refused.
+CORPUS_SIZE_KEYS = ("n_items", "n_users", "vocab_size")
+
 
 @pytest.mark.parametrize("field, value", [
     (field, value)
-    for field, kind in MODEL_CONFIG_KINDS.items()
+    for field, kind in {**MODEL_CONFIG_KINDS, **dict.fromkeys(CORPUS_SIZE_KEYS, "int")}.items()
     for value in (None, "x", -1, 2.5)
     if not (kind == "float" and value == 2.5)  # a valid lambda3_skip
 ])

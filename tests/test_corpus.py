@@ -1,5 +1,7 @@
 """Ingestion, validation, slicing, and round-trip behavior of the data model."""
 
+import json
+
 import pytest
 
 from consultrank.corpus import (
@@ -76,6 +78,34 @@ def test_invalid_json_reports_line_number(tmp_path):
 def test_unknown_event_type_rejected(tmp_path):
     with pytest.raises(CorpusError, match="unknown event type"):
         corpus_from(tmp_path, ITEMS, [{"user": "u1", "type": "hover", "ts_hours": 1}])
+
+
+#: (file, field, value): a text field holding a value of the wrong type.
+BAD_TEXT_FIELDS = [("items.jsonl", "attributes", v) for v in (5, [1, 2], "abc", {"a": 1})] + [
+    ("events.jsonl", turn, v) for turn in ("user_turn", "assistant_turn") for v in (5, ["x"])
+]
+
+
+@pytest.mark.parametrize("where, field, value", BAD_TEXT_FIELDS,
+                         ids=[f"{f}={json.dumps(v)}" for _, f, v in BAD_TEXT_FIELDS])
+def test_wrongly_typed_text_fields_rejected(tmp_path, where, field, value):
+    items, events = list(ITEMS), [consult("u1", 1, "c1", "hello", "hi")]
+    rows = items if where == "items.jsonl" else events
+    rows[0] = {**rows[0], field: value}
+    with pytest.raises(CorpusError, match=f"{where}:1: field '{field}'"):
+        corpus_from(tmp_path, items, events)
+
+
+def test_absent_or_null_text_fields_read_as_empty(tmp_path):
+    items = [{"id": "i1", "title": "gaming laptop"},
+             {"id": "i2", "title": "folding phone", "attributes": None}]
+    events = [{"user": "u1", "type": "consult", "ts_hours": 1, "cid": "c1",
+               "user_turn": "hello", "assistant_turn": None},
+              {"user": "u1", "type": "consult", "ts_hours": 2, "cid": "c2",
+               "assistant_turn": "hi"}]
+    corpus = corpus_from(tmp_path, items, events)
+    assert [corpus.items[i].attributes for i in ("i1", "i2")] == [(), ()]
+    assert [c.text for c in corpus.users["u1"].consultations] == ["hello", "hi"]
 
 
 def test_out_of_order_events_are_time_sorted(tmp_path):

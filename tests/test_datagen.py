@@ -19,7 +19,7 @@ from consultrank.datagen import (
 )
 from consultrank.index import build_index, normalize
 from consultrank.linkage import build_linkage
-from consultrank.value import assess_corpus, fit_buckets
+from consultrank.value import ValueParams, assess_corpus, fit_buckets
 from helpers import load_oracle
 
 SMALL = GenSpec(n_users=12, n_items=40, seed=7)
@@ -109,7 +109,7 @@ def test_verified_consultations_always_linkable():
 def test_planted_separation_on_small_corpus():
     corpus, oracle = generate(GenSpec(n_users=30, n_items=80, seed=5))
     table = build_linkage(corpus)
-    buckets = fit_buckets(table)
+    buckets = fit_buckets(table, ValueParams.n_buckets)
     assessments = assess_corpus(corpus, table, buckets)
     scores = {}
     for a in assessments:

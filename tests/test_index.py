@@ -10,6 +10,7 @@ from consultrank.index import (
     ScopeParams,
     build_index,
     dump_index,
+    load_index,
     matched_terms,
     normalize,
     scope_value,
@@ -132,3 +133,17 @@ def test_dump_index_is_bit_stable(tmp_path):
     assert a == (tmp_path / "b.jsonl").read_bytes()
     terms = [json.loads(line)["term"] for line in a.decode().splitlines()]
     assert terms == sorted(terms) == ["case", "folding", "phone"]
+
+
+@pytest.mark.parametrize("row", [
+    {"term": 5, "items": ["i1"]},
+    {"term": "phone", "items": "abc"},
+    {"term": "phone", "items": ["i1", 2]},
+    {"term": "phone"},
+    ["phone", ["i1"]],
+])
+def test_load_index_rejects_wrongly_typed_rows(tmp_path, row):
+    path = tmp_path / "index.jsonl"
+    path.write_text(json.dumps({"term": "case", "items": ["i1"]}) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match="index.jsonl:2: malformed index row"):
+        load_index(path)

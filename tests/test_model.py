@@ -37,8 +37,7 @@ def small_corpus(tmp_path_factory):
 
 
 def tiny_model(corpus, **overrides):
-    cfg = M.config_for_corpus(corpus, d=overrides.pop("d", 8), **overrides)
-    return M.init_model(corpus, cfg)
+    return M.init_model(corpus, M.ModelConfig(**{"d": 8, **overrides}))
 
 
 def test_init_is_seeded_and_ranged(small_corpus):
@@ -55,30 +54,42 @@ def test_init_is_seeded_and_ranged(small_corpus):
     assert some_differ
 
 
-def test_config_validation(small_corpus):
+def test_config_validation():
     with pytest.raises(ValueError, match="d must be positive"):
-        M.config_for_corpus(small_corpus, d=0)
+        M.ModelConfig(d=0)
     with pytest.raises(ValueError, match="lambda3_skip"):
-        M.config_for_corpus(small_corpus, lambda3_skip=-0.1)
+        M.ModelConfig(lambda3_skip=-0.1)
     with pytest.raises(ValueError, match="n_time_buckets must be >= 2"):
-        M.config_for_corpus(small_corpus, n_time_buckets=1)
-    good = M.config_for_corpus(small_corpus)
-    with pytest.raises(ValueError, match="vocab_size"):
-        M.init_model(
-            small_corpus,
-            M.ModelConfig(vocab_size=good.vocab_size + 5, n_items=good.n_items,
-                          n_users=good.n_users),
-        )
+        M.ModelConfig(n_time_buckets=1)
+    with pytest.raises(ValueError, match="max_text_tokens must be >= 1"):
+        M.ModelConfig(max_text_tokens=0)
 
 
 def test_vocab_covers_all_text_surfaces(small_corpus):
-    vocab = M.build_vocab(small_corpus)
+    model = tiny_model(small_corpus)
+    vocab = model.vocab
     for term in ("alpha", "gadget", "portable", "steel", "console", "worth"):
         assert term in vocab
     assert M.UNKNOWN_TOKEN not in vocab.values()
-    ids, offsets = M.text_ids(tiny_model(small_corpus), ["alpha unseen-term beta"])
+    assert sorted(vocab.values()) == list(range(1, len(vocab) + 1))
+    assert model.tables.token.data.shape[0] == len(vocab) + 1
+    assert model.tables.item.data.shape[0] == len(small_corpus.items)
+    assert model.tables.user.data.shape[0] == len(small_corpus.users)
+    ids, offsets = M.text_ids(model, ["alpha unseen-term beta"])
     assert ids[1] == M.UNKNOWN_TOKEN
     assert offsets.tolist() == [0, 4]
+
+
+def test_own_features_match_corpus_features(small_corpus):
+    """The table `init_model` builds from its one tokenization equals the
+    one `corpus_features` builds by tokenizing the corpus again."""
+    model = tiny_model(small_corpus, max_text_tokens=3)
+    own, again = model.features, M.corpus_features(model, small_corpus)
+    for name in ("users", "consultation_ids"):
+        assert getattr(own, name) == getattr(again, name)
+    for name in ("starts", "consultation_ts", "token_ids", "text_offsets", "actions",
+                 "action_ts"):
+        assert np.array_equal(getattr(own, name), getattr(again, name)), name
 
 
 def test_token_ids_truncate(small_corpus):

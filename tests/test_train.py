@@ -5,20 +5,21 @@ import csv
 import numpy as np
 import pytest
 
+from consultrank import ablation
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank import train as TR
 from consultrank.corpus import ActionType
 from consultrank.datagen import GenSpec, generate
 from consultrank.linkage import build_linkage
-from consultrank.value import assess_corpus, fit_buckets
+from consultrank.value import ValueParams, assess_corpus, fit_buckets
 
 from helpers import buy, click, consult, corpus_from, item, search
 
 
 def pipeline(corpus):
     linkage = build_linkage(corpus)
-    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage))
+    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, ValueParams.n_buckets))
     return linkage, assessments
 
 
@@ -73,7 +74,7 @@ def test_build_example_slices_strictly_before(tmp_path):
         buy("u1", 35, "i2"),
     ]
     corpus = corpus_from(tmp_path, items, events, "bex")
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     session = corpus.users["u1"].searches[1]
     f = TR.build_example(model, corpus, table, "u1", session, None,
@@ -101,7 +102,7 @@ def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
         search("u1", 20, "alpha beta gadget", "i1"),
     ]
     corpus = corpus_from(tmp_path, items, events, "same-hour")
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
     for session in corpus.users["u1"].searches:
@@ -115,7 +116,7 @@ def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
 
 def test_build_example_uses_value_ranked_kept(gen_small):
     corpus, linkage, assessments = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
     user, session = split.test[0]
@@ -130,7 +131,7 @@ def test_build_example_uses_value_ranked_kept(gen_small):
 
 def test_loss_search_uniform_logits_closed_form(gen_small):
     corpus, _, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
     e_zero = T.Tensor(np.zeros(model.cfg.d))
     negs = [v for v in model.item_ids if v != model.item_ids[0]][:10]
@@ -140,7 +141,7 @@ def test_loss_search_uniform_logits_closed_form(gen_small):
 
 def test_loss_search_confident_positive_approaches_zero(gen_small):
     corpus, _, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
     pos = model.item_ids[0]
     direction = np.ones(model.cfg.d)
@@ -153,7 +154,7 @@ def test_loss_search_confident_positive_approaches_zero(gen_small):
 
 def test_loss_search_counts_duplicate_negatives(gen_small):
     corpus, _, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
     e = M.encode_text(model, *M.text_ids(model, ["tell me about anything"]))
     e = T.Tensor(e.data[0])
@@ -165,7 +166,7 @@ def test_loss_search_counts_duplicate_negatives(gen_small):
 
 def test_loss_va_uniform_logits_closed_form(gen_small):
     corpus, linkage, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     model.block.w_k.data[:] = 0.0
     table = M.corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
@@ -180,7 +181,7 @@ def test_loss_va_uniform_logits_closed_form(gen_small):
 
 def test_temperature_sharpening_is_monotone(gen_small):
     corpus, _, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     pos = model.item_ids[0]
     direction = np.ones(model.cfg.d) / model.cfg.d
     model.tables.item.data[model.item_rows[pos]] = direction * 2.0
@@ -208,7 +209,7 @@ def test_total_loss_composition(gen_small):
 
 def test_sample_va_negatives_tier_up(gen_small):
     corpus, linkage, _ = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
     n_actions = len(table.action_ts)
@@ -238,7 +239,7 @@ def test_train_smoke_and_determinism(gen_small):
     cfg = TR.TrainConfig(max_epochs=2, batch_size=8, va_batch=16, seed=5)
 
     def run():
-        model = M.init_model(corpus, M.config_for_corpus(corpus, d=16, seed=5))
+        model = M.init_model(corpus, M.ModelConfig(d=16, seed=5))
         return TR.train(corpus, linkage, assessments, model, cfg)
 
     first, second = run(), run()
@@ -259,14 +260,14 @@ def test_train_requires_training_sessions(tmp_path):
     ]
     corpus = corpus_from(tmp_path, items, events, "notrain")
     linkage, assessments = pipeline(corpus)
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
     with pytest.raises(ValueError, match="empty training set"):
         TR.train(corpus, linkage, assessments, model, TR.TrainConfig(max_epochs=1))
 
 
 def test_early_stopping_bounds_epochs(gen_small):
     corpus, linkage, assessments = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8, seed=1))
+    model = M.init_model(corpus, M.ModelConfig(d=8, seed=1))
     cfg = TR.TrainConfig(max_epochs=40, patience=2, batch_size=8, va_batch=8, seed=1)
     result = TR.train(corpus, linkage, assessments, model, cfg)
     assert len(result.rows) - result.best_epoch <= cfg.patience
@@ -275,7 +276,7 @@ def test_early_stopping_bounds_epochs(gen_small):
 
 def test_epoch_log_csv_round_trip(gen_small, tmp_path):
     corpus, linkage, assessments = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8, seed=2))
+    model = M.init_model(corpus, M.ModelConfig(d=8, seed=2))
     cfg = TR.TrainConfig(max_epochs=2, batch_size=8, va_batch=8, seed=2)
     path = tmp_path / "log.csv"
     result = TR.train(corpus, linkage, assessments, model, cfg, log_path=path)
@@ -289,7 +290,7 @@ def test_epoch_log_csv_round_trip(gen_small, tmp_path):
 
 def test_every_parameter_receives_gradient(gen_small):
     corpus, linkage, assessments = gen_small
-    model = M.init_model(corpus, M.config_for_corpus(corpus, d=8, seed=3))
+    model = M.init_model(corpus, M.ModelConfig(d=8, seed=3))
     cfg = TR.TrainConfig(lambda_l2=0.0, va_batch=8, seed=3)
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
@@ -319,8 +320,8 @@ def test_every_parameter_receives_gradient(gen_small):
 def test_training_raises_attention_mass_on_linked_pairs():
     corpus, _ = generate(GenSpec(n_users=25, n_items=40, seed=9))
     linkage = build_linkage(corpus)
-    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage))
-    fresh = M.init_model(corpus, M.config_for_corpus(corpus, d=16, seed=9))
+    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, ValueParams.n_buckets))
+    fresh = M.init_model(corpus, M.ModelConfig(d=16, seed=9))
     table = M.corpus_features(fresh, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
 
@@ -361,3 +362,23 @@ def test_training_raises_attention_mass_on_linked_pairs():
     result = TR.train(corpus, linkage, assessments, fresh, cfg)
     trained = mean_true_mass(result.model)
     assert trained > baseline
+
+
+def test_ablation_fits_buckets_with_its_value_params(monkeypatch):
+    """The ablation fits its frequency buckets with the bucket count of its
+    own value params; the spy stops the run before any training."""
+    class Fitted(Exception):
+        pass
+
+    seen = []
+
+    def spy(linkage, n_buckets):
+        seen.append(n_buckets)
+        raise Fitted
+
+    monkeypatch.setattr(ablation, "fit_buckets", spy)
+    cfg = ablation.AblationConfig(gen=GenSpec(n_users=3, n_items=10), seeds=(0,),
+                                  value_params=ValueParams(l_seq=1, n_buckets=5))
+    with pytest.raises(Fitted):
+        ablation.run_ablation(cfg)
+    assert seen == [5]

@@ -62,12 +62,12 @@ def test_time_decay_strictly_decreasing():
 
 
 def test_time_bucket_boundaries():
-    assert [time_bucket(d) for d in (0, 1, 2, 3, 6, 7, 14, 15)] == [
+    assert [time_bucket(d, 13) for d in (0, 1, 2, 3, 6, 7, 14, 15)] == [
         0, 1, 1, 2, 2, 3, 3, 4,
     ]
     assert time_bucket(100, 2) == 1
     with pytest.raises(ValueError):
-        time_bucket(-1)
+        time_bucket(-1, 13)
     with pytest.raises(ValueError):
         time_bucket(5, 1)
 
@@ -114,7 +114,7 @@ def _tie_corpus(tmp_path):
 def test_ties_break_by_recency_then_id(tmp_path):
     corpus = _tie_corpus(tmp_path)
     table = build_linkage(corpus)
-    buckets = fit_buckets(table)
+    buckets = fit_buckets(table, ValueParams.n_buckets)
     params = ValueParams(lambda1=1.0)
     h = corpus.users["u1"]
     kept, reports = rank_and_filter(
@@ -133,7 +133,7 @@ def test_reports_cover_all_prior_consultations(tmp_path):
     h = corpus.users["u1"]
     kept, reports = rank_and_filter(
         h, h.searches[0], *consultation_terms(h, build_index(corpus), table),
-        fit_buckets(table),
+        fit_buckets(table, ValueParams.n_buckets),
         ValueParams(l_seq=2),
     )
     assert len(reports) == 3
@@ -154,7 +154,7 @@ def test_assess_corpus_orders_users_then_sessions(tmp_path):
     table = build_linkage(corpus)
     got = [
         (a.user_id, a.session.timestamp)
-        for a in assess_corpus(corpus, table, fit_buckets(table))
+        for a in assess_corpus(corpus, table, fit_buckets(table, ValueParams.n_buckets))
     ]
     assert got == [("u1", 10), ("u1", 50), ("u2", 30)]
 
@@ -162,7 +162,7 @@ def test_assess_corpus_orders_users_then_sessions(tmp_path):
 def test_dump_values_is_bit_stable_and_rounded(tmp_path):
     corpus = _tie_corpus(tmp_path)
     table = build_linkage(corpus)
-    assessments = assess_corpus(corpus, table, fit_buckets(table))
+    assessments = assess_corpus(corpus, table, fit_buckets(table, ValueParams.n_buckets))
     dump_values(assessments, tmp_path / "a.jsonl")
     dump_values(assessments, tmp_path / "b.jsonl")
     a = (tmp_path / "a.jsonl").read_bytes()
@@ -174,7 +174,7 @@ def test_dump_values_is_bit_stable_and_rounded(tmp_path):
 def test_score_histogram_mentions_total(tmp_path):
     corpus = _tie_corpus(tmp_path)
     table = build_linkage(corpus)
-    text = score_histogram(assess_corpus(corpus, table, fit_buckets(table)))
+    text = score_histogram(assess_corpus(corpus, table, fit_buckets(table, ValueParams.n_buckets)))
     assert "3 consultations" in text
     assert score_histogram([]) == "(no scored consultations)"
 
