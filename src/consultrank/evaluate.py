@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,17 +48,23 @@ def session_seed(base_seed: int, user_id: str, session: SearchSession) -> int:
 
 def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = N_NEG,
                     seed: int = 0) -> List[str]:
-    """Ground truth plus n_neg distinct uniform negatives, shuffled."""
+    """Ground truth plus n_neg distinct uniform negatives, shuffled.
+
+    The negatives are distinct positions in the sorted catalog without the
+    ground truth.  That list is never built: its position i is catalog
+    position i below the ground truth's own and i + 1 from there on."""
     if ground_truth not in corpus.items:
         raise ValueError(f"unknown ground-truth item {ground_truth!r}")
-    pool = [v for v in sorted(corpus.items) if v != ground_truth]
-    if len(pool) < n_neg:
+    n_pool = len(corpus.items) - 1
+    if n_pool < n_neg:
         raise ValueError(
-            f"need {n_neg} negatives but corpus has only {len(pool)} other items"
+            f"need {n_neg} negatives but corpus has only {n_pool} other items"
         )
+    ids = sorted(corpus.items)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=n_neg, replace=False)
-    candidates = [ground_truth] + [pool[i] for i in chosen]
+    chosen = rng.choice(n_pool, size=n_neg, replace=False)
+    chosen += chosen >= bisect_left(ids, ground_truth)
+    candidates = [ground_truth] + [ids[i] for i in chosen]
     rng.shuffle(candidates)
     return candidates
 

@@ -13,8 +13,10 @@ A model is built on one corpus (`init_model`), which it featurizes once
 into `Model.features`: its texts become token ids and its actions become
 integer rows.  Each session's inputs are sliced from that table
 (`session_features`), with its time gaps as bucket ids.
-The forward pass then runs on whole arrays: one gather per table, one batched
-text encoding, and a handful of matrix products.
+The forward pass runs on a batch of sessions (one session is a batch of
+one), padded with -1, the zero row of every gather, and masked out of
+every softmax: one gather per table, one text encoding, and a handful of
+batched matrix products.
 
 All attention logits are scaled by 1/sqrt(d).  With lambda3_skip = 0 the
 CAI attended term vanishes, so model scores no longer depend on the action
@@ -37,7 +39,6 @@ import numpy as np
 from . import tensor as T
 from .corpus import ActionType, Corpus, UserHistory, item_event, user_events
 from .index import normalize
-from .value import time_bucket
 
 UNKNOWN_TOKEN = 0
 
@@ -211,7 +212,7 @@ class SessionFeatures:
     user: int                  # user-table row
     token_ids: np.ndarray      # every text of the session, concatenated
     text_offsets: np.ndarray   # [n_texts + 1]
-    consultations: np.ndarray  # [n_c] time buckets; consultation i's text is text i
+    consultations: np.ndarray  # [n_c, 2]: text index (i for consultation i), time bucket
     actions: np.ndarray        # [n_a, 4]: action-type row, item row, text index, time bucket
     query_history: np.ndarray  # text indices
     item_history: np.ndarray   # item rows
@@ -329,11 +330,15 @@ def gather_texts(table: CorpusFeatures, texts: np.ndarray,
     return table.token_ids[gather], offsets, rows
 
 
-def time_buckets(model: Model, deltas: Sequence[int]) -> np.ndarray:
-    """Log-scale bucket of each hour gap.  Negative gaps (an event later
-    than its anchor) clamp to bucket zero."""
-    return np.array([time_bucket(max(0, int(x)), model.cfg.n_time_buckets) for x in deltas],
-                    dtype=np.int32)
+def time_buckets(model: Model, deltas) -> np.ndarray:
+    """Log-scale bucket of each hour gap, as `value.time_bucket` gives it:
+    floor(log2(gap + 1)), capped at the last bucket.  Negative gaps (an
+    event later than its anchor) clamp to bucket zero."""
+    # bucket k starts at gap 2**k - 1; no int64 gap reaches past k = 63
+    edges = np.array([(1 << k) - 1 for k in range(1, min(model.cfg.n_time_buckets, 64))],
+                     dtype=np.int64)
+    return np.searchsorted(edges, np.asarray(deltas, dtype=np.int64),
+                           side="right").astype(np.int32)
 
 
 def session_features(model: Model, table: CorpusFeatures, user_id: str,
@@ -352,7 +357,8 @@ def session_features(model: Model, table: CorpusFeatures, user_id: str,
     return SessionFeatures(
         user=int(_rows(model.user_rows, [user_id], "user")[0]),
         token_ids=ids, text_offsets=offsets,
-        consultations=time_buckets(model, anchor_ts - table.consultation_ts[consultations]),
+        consultations=np.column_stack([
+            np.arange(n_c), time_buckets(model, anchor_ts - table.consultation_ts[consultations])]),
         actions=np.column_stack(
             [rows, time_buckets(model, anchor_ts - table.action_ts[actions])]),
         query_history=np.arange(n_c, n_c + n_q, dtype=np.int32),
@@ -379,24 +385,40 @@ def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.T
     return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
 
 
-def cai_queries(model: Model, buckets: np.ndarray, texts: T.Tensor) -> T.Tensor:
-    """Attention queries: each consultation's text vector (text i for
-    consultation i) plus the embedding of its time bucket."""
-    return T.add(T.embedding_lookup(texts, np.arange(len(buckets))),
-                 T.embedding_lookup(model.tables.time, buckets))
+def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """[len(rows), n_max, ...]: each array's rows, then -1 rows up to the
+    longest; the arrays share their shape past the first axis."""
+    n_max = max(len(r) for r in rows)
+    out = np.full((len(rows), n_max, *np.shape(rows[0])[1:]), -1, np.int64)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def squeeze(t: T.Tensor) -> T.Tensor:
+    """[B, 1, n] -> [B, n]: a 1-D left operand's axis drops out of a product."""
+    return T.matmul(T.Tensor(np.ones(1)), t)
+
+
+def cai_queries(model: Model, consultations: np.ndarray, texts: T.Tensor) -> T.Tensor:
+    """Attention queries: each consultation's text vector plus the embedding
+    of its time bucket ([..., 2] rows of text index, time bucket)."""
+    return T.add(T.embedding_lookup(texts, consultations[..., 0]),
+                 T.embedding_lookup(model.tables.time, consultations[..., 1]))
 
 
 def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
     """Attention keys (= values): each action's type row, plus its item's
     row or its query's text vector, plus its time bucket's row."""
     sources = (model.tables.action, model.tables.item, texts, model.tables.time)
-    return reduce(T.add, [T.embedding_lookup(table, actions[:, k])
+    return reduce(T.add, [T.embedding_lookup(table, actions[..., k])
                           for k, table in enumerate(sources)])
 
 
 def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
-    """[n_queries, n_keys] projected dot products scaled by 1/sqrt(d); the
-    attention block softmaxes them and the alignment loss trains them."""
+    """[..., n_queries, n_keys] projected dot products scaled by 1/sqrt(d),
+    per session for stacked inputs; the attention block softmaxes them and
+    the alignment loss trains them."""
     q_proj = T.matmul(queries, model.block.w_q)
     k_proj = T.matmul(keys, model.block.w_k)
     return T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
@@ -407,58 +429,85 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     """Cross-attention of consultations (queries) over actions (keys and
     values), mixed back through the weighted skip connection.
 
-    Returns one row per consultation; with no actions, or lambda3_skip = 0,
-    each row is the consultation's raw text vector.
+    Takes one session's rows ([n_c, 2] and [n_a, 4]) or a batch's, padded
+    with -1 rows ([B, n_c, 2] and [B, n_a, 4]), and returns one row per
+    consultation.  A consultation with no actions to attend to, or any
+    with lambda3_skip = 0, gets its raw text vector; a padding row gets zeros.
     """
-    c_texts = T.embedding_lookup(texts, np.arange(len(consultations)))
+    c_texts = T.embedding_lookup(texts, consultations[..., 0])
     lam = model.cfg.lambda3_skip
-    if not len(consultations) or not len(actions) or lam == 0.0:
+    if not consultations.size or not actions.size or lam == 0.0:
         return c_texts
     keys = cai_keys(model, actions, texts)
-    weights = T.softmax(cai_logits(model, cai_queries(model, consultations, texts), keys))
+    pairs = (consultations[..., :, None, 0] >= 0) & (actions[..., None, :, 0] >= 0)
+    weights = T.softmax(cai_logits(model, cai_queries(model, consultations, texts), keys),
+                        mask=pairs)
     attended = T.matmul(weights, T.matmul(keys, model.block.w_v))
     return T.add(c_texts, T.scale(attended, lam))
 
 
-def session_forward(model: Model, f: SessionFeatures) -> T.Tensor:
-    """Full forward pass from one session's features to e_final.
+def _shift_texts(rows: np.ndarray, column: int, first: int) -> np.ndarray:
+    """`rows` with the text indices of `column` moved up by `first`."""
+    rows = rows.astype(np.int64)
+    rows[rows[:, column] >= 0, column] += first
+    return rows
 
-    The CAI output feeds one self-attention encoder layer over the joint
-    sequence [user; consultations; query history; item history; current
-    query], read at the current-query position (always last).  The
-    sequence is a sum of gathers, each placing one source's rows at its
-    segment's positions; past the keys and values only the last position
-    is computed, since nothing else is read.
+
+def session_forward(model: Model, batch: Sequence[SessionFeatures]) -> T.Tensor:
+    """Full forward pass from a batch of sessions' features to e_final, [B, d].
+
+    All the batch's texts are encoded in one call.  The CAI output feeds one
+    self-attention encoder layer over each session's joint sequence [user;
+    consultations; query history; item history; current query], each
+    segment padded to its longest in the batch, and read at the
+    current-query position (always last).  The sequence is a sum of
+    gathers, each placing one source's rows at its segment's positions (the
+    CAI rows by a product with a constant placement matrix), and padding
+    positions are masked out of the attention; past the keys and values
+    only the last position is computed, since nothing else is read.
     """
-    texts = encode_text(model, f.token_ids, f.text_offsets)
-    h = cai_forward(model, f.consultations, f.actions, texts)
-    n_c = len(f.consultations)
-    segments = np.repeat(np.arange(N_SEGMENTS),
-                         [1, n_c, len(f.query_history), len(f.item_history), 1])
+    first = np.cumsum([0] + [len(f.text_offsets) - 1 for f in batch])
+    starts = np.cumsum([0] + [len(f.token_ids) for f in batch])
+    texts = encode_text(model, np.concatenate([f.token_ids for f in batch]), np.concatenate(
+        [[0]] + [f.text_offsets[1:] + s for f, s in zip(batch, starts)]))
+    consultations = pad([_shift_texts(f.consultations, 0, k) for f, k in zip(batch, first)])
+    h = cai_forward(model, consultations,
+                    pad([_shift_texts(f.actions, 2, k) for f, k in zip(batch, first)]), texts)
+    blocks = (  # each segment's rows in its source, -1 for padding
+        [[f.user] for f in batch], consultations[..., 0],
+        pad([f.query_history + k for f, k in zip(batch, first)]),
+        pad([f.item_history for f in batch]), [[f.query + k] for f, k in zip(batch, first)],
+    )
+    layout = np.concatenate(blocks, axis=1)
+    segments = np.repeat(np.arange(N_SEGMENTS), [np.shape(b)[1] for b in blocks])
+    real = layout >= 0
     enc = model.encoder
-    x = T.embedding_lookup(enc.segment, segments)
-    for source, segs, rows in (
-        (model.tables.user, [SEG_USER], [f.user]),
-        (h, [SEG_CONSULTATION], np.arange(n_c)),
-        (texts, [SEG_QUERY_HISTORY, SEG_QUERY], np.append(f.query_history, f.query)),
-        (model.tables.item, [SEG_ITEM_HISTORY], f.item_history),
-    ):
-        if len(rows):
-            at = np.full(len(segments), -1)
-            at[np.isin(segments, segs)] = rows
+    x = T.embedding_lookup(enc.segment, np.where(real, segments, -1))
+    for source, segs in ((model.tables.user, [SEG_USER]),
+                         (texts, [SEG_QUERY_HISTORY, SEG_QUERY]),
+                         (model.tables.item, [SEG_ITEM_HISTORY])):
+        at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
+        if (at >= 0).any():
             x = T.add(x, T.embedding_lookup(source, at))
-    x_query = T.matmul(T.Tensor(np.arange(len(segments)) == len(segments) - 1), x)
-    logits = T.scale(T.matmul(T.matmul(x, enc.w_k), T.matmul(x_query, enc.w_q)),
+    if real[:, segments == SEG_CONSULTATION].any():
+        # consultation c sits at position 1 + c
+        x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
+    last = len(segments) - 1
+    x_query = T.matmul(T.Tensor((np.arange(len(segments)) == last)[None, :]), x)
+    logits = T.scale(T.matmul(T.matmul(x_query, enc.w_q), T.transpose(T.matmul(x, enc.w_k))),
                      1.0 / math.sqrt(model.cfg.d))
-    y = T.add(x_query, T.matmul(T.softmax(logits), T.matmul(x, enc.w_v)))
+    attended = T.matmul(T.softmax(logits, mask=real[:, None, :]), T.matmul(x, enc.w_v))
+    y = squeeze(T.add(x_query, attended))
     return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
 
 
 def score_candidates(model: Model, e_final: T.Tensor,
-                     candidate_ids: Sequence[str]) -> T.Tensor:
-    """Dot-product scores against candidate item rows, in input order."""
-    rows = _rows(model.item_rows, candidate_ids, "item")
-    return T.matmul(T.embedding_lookup(model.tables.item, rows), e_final)
+                     candidate_ids: Sequence[Sequence[str]]) -> T.Tensor:
+    """[B, n] dot-product scores of each session's e_final row against the
+    item rows of its n candidates, in input order."""
+    rows = np.array([_rows(model.item_rows, ids, "item") for ids in candidate_ids])
+    e_rows = T.embedding_lookup(e_final, np.arange(len(rows))[:, None])
+    return squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(model.tables.item, rows))))
 
 
 def save_model(model: Model, path) -> None:

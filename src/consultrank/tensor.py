@@ -3,8 +3,9 @@
 Forward ops record their parents and a backward closure; `backward` walks
 the recorded graph once in reverse topological order and accumulates
 gradients into every tracked leaf.  The graph is rebuilt on every forward
-pass, there is no broadcasting beyond what the ops define, and everything
-is 64-bit, so finite-difference checks can run at tight tolerances.
+pass, and none is recorded inside `no_grad`.  There is no broadcasting
+beyond what the ops define, and everything is 64-bit, so finite-difference
+checks can run at tight tolerances.
 
 Also here: the Adam optimizer the training loop uses, and the JSON
 checkpoint format for named parameter sets.
@@ -13,6 +14,8 @@ checkpoint format for named parameter sets.
 from __future__ import annotations
 
 import base64
+import contextlib
+import contextvars
 import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -53,8 +56,22 @@ def parameter(rng: np.random.Generator, shape, scale: float) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops compute values only: their outputs record no
+    parents and no backward closure, so no graph is kept."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _track(parents: Sequence[Tensor]) -> bool:
-    return any(p.requires_grad or p._parents for p in parents)
+    return _recording.get() and any(p.requires_grad or p._parents for p in parents)
 
 
 def _out(data, parents: Sequence[Tensor], backward) -> Tensor:
@@ -93,37 +110,42 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product following numpy's 1-D and 2-D matmul rules."""
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D only, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"cannot matmul shapes {a.shape} and {b.shape}")
-    out = _out(a.data @ b.data, (a, b), None)
+    """Product under numpy's matmul rules for 1-D to 3-D operands: a 1-D
+    operand is a vector whose axis drops out of the result, and a 3-D one
+    is a stack of matrices, paired with another stack or sharing a 2-D
+    operand across the stack."""
+    if a.data.ndim not in (1, 2, 3) or b.data.ndim not in (1, 2, 3):
+        raise ValueError(f"matmul supports 1-D to 3-D only, got {a.shape} and {b.shape}")
+    try:
+        if a.data.ndim == b.data.ndim == 3 and len(a.data) != len(b.data):
+            raise ValueError("stacks of different sizes")  # numpy would broadcast
+        data = a.data @ b.data
+    except ValueError:
+        raise ValueError(f"cannot matmul shapes {a.shape} and {b.shape}") from None
+    out = _out(data, (a, b), None)
     if out._parents:
         def backward(g):
-            ad, bd = a.data, b.data
-            if ad.ndim == 2 and bd.ndim == 2:
-                _accum(a, g @ bd.T)
-                _accum(b, ad.T @ g)
-            elif ad.ndim == 1 and bd.ndim == 2:
-                _accum(a, bd @ g)
-                _accum(b, np.outer(ad, g))
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(a, np.outer(g, bd))
-                _accum(b, ad.T @ g)
-            else:
-                _accum(a, g * bd)
-                _accum(b, g * ad)
+            # As matrices: a 1-D `a` is one row, a 1-D `b` one column.
+            am = a.data if a.data.ndim > 1 else a.data[None, :]
+            bm = b.data if b.data.ndim > 1 else b.data[:, None]
+            gm = g if b.data.ndim > 1 else g[..., None]
+            gm = gm if a.data.ndim > 1 else gm[..., None, :]
+            if am.ndim == 3 and bm.ndim == 2:  # a stack against one shared matrix
+                am, gm = am.reshape(-1, am.shape[-1]), gm.reshape(-1, gm.shape[-1])
+            ga, gb = gm @ np.swapaxes(bm, -1, -2), np.swapaxes(am, -1, -2) @ gm
+            _accum(a, (ga if ga.ndim == am.ndim else ga.sum(axis=0)).reshape(a.shape))
+            _accum(b, (gb if gb.ndim == bm.ndim else gb.sum(axis=0)).reshape(b.shape))
         out._backward = backward
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose needs a 2-D input, got {a.shape}")
-    out = _out(a.data.T, (a,), None)
+    """Swaps the last two axes of a matrix or of a stack of matrices."""
+    if a.data.ndim not in (2, 3):
+        raise ValueError(f"transpose needs a 2-D or 3-D input, got {a.shape}")
+    out = _out(np.swapaxes(a.data, -1, -2), (a,), None)
     if out._parents:
-        out._backward = lambda g: _accum(a, g.T)
+        out._backward = lambda g: _accum(a, np.swapaxes(g, -1, -2))
     return out
 
 
@@ -135,11 +157,16 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, numerically stabilized."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+def softmax(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax over the last axis, numerically stabilized.
+
+    Entries where `mask` (broadcast against `a`) is False get weight zero,
+    and a row masked throughout gets zero weights everywhere."""
+    z = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    y = e / np.where(total > 0.0, total, 1.0)
     out = _out(y, (a,), None)
     if out._parents:
         def backward(g):
@@ -149,24 +176,27 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def embedding_lookup(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Rows of a 2-D tensor, [len(indices), d].  Index -1 gives a zero row,
+def embedding_lookup(table: Tensor, indices) -> Tensor:
+    """Rows of a 2-D tensor, [*indices.shape, d].  Index -1 gives a zero row,
     which takes no gradient."""
     if table.data.ndim != 2:
         raise ValueError(f"embedding table must be 2-D, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise ValueError(
             f"index out of range for table with {table.shape[0]} rows: {idx.tolist()}"
         )
     keep = idx >= 0
-    out = _out(np.where(keep[:, None], table.data[np.where(keep, idx, 0)], 0.0),
-               (table,), None)
+    rows = table.data[idx]  # a fresh copy; index -1 read the last row
+    rows[~keep] = 0.0
+    out = _out(rows, (table,), None)
     if out._parents:
         def backward(g):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx[keep], g[keep])
+            # sums repeated rows in index order, as np.add.at would, but faster
+            d = table.shape[1]
+            cells = (idx[keep][:, None] * d + np.arange(d)).ravel()
+            _accum(table, np.bincount(cells, weights=g[keep].ravel(),
+                                      minlength=table.data.size).reshape(table.shape))
         out._backward = backward
     return out
 
@@ -230,6 +260,8 @@ def backward(loss: Tensor) -> None:
 
     Each graph may be swept once; rebuilding the forward pass is the way to
     get fresh gradients.  Leaves without requires_grad end with grad None.
+    The sweep unlinks each node once it has passed its gradient on, so the
+    graph's arrays are freed as it goes, not when the loss is dropped.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -254,10 +286,11 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    for node in topo:
+        node._parents, node._backward = (), None
         if not node.requires_grad and node is not loss:
             node.grad = None
 

@@ -145,9 +145,12 @@ def sample_negative_items(item_ids: Sequence[str], positive: str, n: int,
     return out
 
 
-def loss_search(model: M.Model, e_final: T.Tensor, positive: str,
-                negatives: Sequence[str], cfg: TrainConfig) -> T.Tensor:
-    scores = M.score_candidates(model, e_final, [positive, *negatives])
+def loss_search(model: M.Model, e_final: T.Tensor, positives: Sequence[str],
+                negatives: Sequence[Sequence[str]], cfg: TrainConfig) -> T.Tensor:
+    """Mean over a batch's sessions (rows of e_final) of the sampled softmax
+    of each positive against its own negatives, as one [B, 1 + K] matrix."""
+    scores = M.score_candidates(model, e_final,
+                                [[p, *negs] for p, negs in zip(positives, negatives)])
     return T.nll_index(T.scale(scores, 1.0 / cfg.tau2), 0)
 
 
@@ -193,26 +196,26 @@ def loss_va(model: M.Model, samples: Sequence[VaSample], table: M.CorpusFeatures
     1/sqrt(d) factor as the attention block, so the trained projections act
     at inference exactly as they were supervised.
 
-    One logits matrix holds every sample's query against every key of the
-    batch; a constant mask keeps each row to its own 1 + K keys.
+    Each sample's query meets its own 1 + K keys in one batched product,
+    [samples, 1 + K] logits with the positive first; a sample with fewer
+    negatives than the longest has its padding masked out.
     """
     if not samples:
         raise ValueError("loss_va needs at least one sample")
-    n = len(samples)
-    sizes = [1 + len(s.negatives) for s in samples]
-    cols = np.concatenate([np.append(s.positive, s.negatives) for s in samples]).astype(np.int64)
-    owner = np.repeat(np.arange(n), sizes)
+    cols = M.pad([np.append(s.positive, s.negatives) for s in samples])
+    real = cols >= 0
     anchors = np.array([s.anchor_ts for s in samples])
     cons = np.array([s.consultation for s in samples])
-    ids, offsets, acts = M.gather_texts(table, cons, cols)
+    ids, offsets, acts = M.gather_texts(table, cons, cols[real])
     texts = M.encode_text(model, ids, offsets)
-    queries = M.cai_queries(model, M.time_buckets(model, anchors - table.consultation_ts[cons]),
-                            texts)
-    keys = M.cai_keys(model, np.column_stack(
-        [acts, M.time_buckets(model, anchors[owner] - table.action_ts[cols])]), texts)
-    logits = T.scale(M.cai_logits(model, queries, keys), 1.0 / cfg.tau1)
-    first = np.cumsum(sizes) - sizes
-    return T.nll_index(logits, first, mask=owner == np.arange(n)[:, None])
+    queries = M.cai_queries(model, np.column_stack(
+        [np.arange(len(cons)), M.time_buckets(model, anchors - table.consultation_ts[cons])]
+    )[:, None, :], texts)
+    key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
+    key_rows[real] = np.column_stack(
+        [acts, M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])])
+    logits = M.squeeze(M.cai_logits(model, queries, M.cai_keys(model, key_rows, texts)))
+    return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)
 
 
 def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
@@ -224,6 +227,27 @@ def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
         l2 = reduce(T.add, [T.l2_norm_sq(p) for p in params])
         total = T.add(total, T.scale(l2, cfg.lambda_l2))
     return total
+
+
+def step_loss(model: M.Model, batch: Sequence[SessionExample], table: M.CorpusFeatures,
+              pairs: Optional[LinkedPairs], kept_map: Optional[KeptMap], cfg: TrainConfig,
+              rng_neg: np.random.Generator, rng_va: np.random.Generator
+              ) -> Tuple[T.Tensor, T.Tensor, Optional[T.Tensor]]:
+    """One training step's objective over a batch, as one graph: (total,
+    search loss, alignment loss or None).  Negative items are drawn from
+    `rng_neg` session by session in batch order; alignment samples, when
+    `pairs` is given, from `rng_va`."""
+    truths = [ex.session.ground_truth_item for ex in batch]
+    negatives = [sample_negative_items(model.item_ids, t, cfg.n_neg_search, rng_neg)
+                 for t in truths]
+    e_final = M.session_forward(model, [ex.features for ex in batch])
+    l_search = loss_search(model, e_final, truths, negatives, cfg)
+    l_va = None
+    if pairs is not None:
+        va_samples = sample_va_batch(batch, table, pairs, cfg, rng_va, kept_map=kept_map)
+        if va_samples:
+            l_va = loss_va(model, va_samples, table, cfg)
+    return total_loss(l_search, l_va, model.parameters(), cfg), l_search, l_va
 
 
 def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
@@ -305,8 +329,9 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
     def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
         ex = build_example(model, corpus, model.features, user_id, session, kept_map, l_seq,
                            value_filter)
-        e_final = M.session_forward(model, ex.features)
-        return M.score_candidates(model, e_final, candidates).data
+        with T.no_grad():
+            e_final = M.session_forward(model, [ex.features])
+            return M.score_candidates(model, e_final, [candidates]).data[0]
     return score
 
 
@@ -351,21 +376,8 @@ def train(corpus: Corpus, linkage: LinkageTable,
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [examples[i] for i in order[lo:lo + cfg.batch_size]]
-            search_terms = []
-            for ex in batch:
-                e_final = M.session_forward(model, ex.features)
-                truth = ex.session.ground_truth_item
-                negatives = sample_negative_items(model.item_ids, truth, cfg.n_neg_search,
-                                                  rng_neg)
-                search_terms.append(loss_search(model, e_final, truth, negatives, cfg))
-            l_search = T.scale(reduce(T.add, search_terms), 1.0 / len(search_terms))
-            l_va = None
-            if pairs is not None:
-                va_samples = sample_va_batch(batch, table, pairs, cfg, rng_va,
-                                             kept_map=kept_map)
-                if va_samples:
-                    l_va = loss_va(model, va_samples, table, cfg)
-            total = total_loss(l_search, l_va, params, cfg)
+            total, l_search, l_va = step_loss(model, batch, table, pairs, kept_map, cfg,
+                                              rng_neg, rng_va)
             T.zero_grads(params)
             T.backward(total)
             T.adam_step(opt)

@@ -346,7 +346,9 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
 
     Scores come back 6-decimal rounded (the dump's precision); ranks and the
     kept set (rank <= l_seq) are exact.  Rows must match the corpus's
-    (user, search timestamp, consultation id) triples."""
+    (user, search timestamp, consultation id) triples.  A search with no
+    earlier consultation has no rows, as `assess` writes none for it, and
+    keeps nothing."""
     rows: Dict[Tuple[str, int], List[ValueReport]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
@@ -381,9 +383,12 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
         for s in history.searches:
             reports = rows.pop((user, s.timestamp), None)
             if reports is None:
-                raise CorpusError(
-                    f"{path}: no value rows for {user!r} search at t={s.timestamp}"
-                )
+                # consultations are time-sorted, so the first is the earliest
+                if history.consultations and history.consultations[0].timestamp < s.timestamp:
+                    raise CorpusError(
+                        f"{path}: no value rows for {user!r} search at t={s.timestamp}"
+                    )
+                reports = []
             reports.sort(key=lambda r: r.rank)
             kept = []
             for r in reports[: params.l_seq]:

@@ -73,6 +73,8 @@ def tensor_op_trials(rng: np.random.Generator):
     table, w42 = leaf(6, 4), leaf(4, 2)
     pad_table = leaf(5, 3)
     d1, d2 = leaf(6), leaf(6)
+    st3, sw, sk3, sv = leaf(2, 3, 4), leaf(4, 4), leaf(2, 5, 4), leaf(3)
+    ms3, mv = leaf(2, 3, 4), leaf(4, 2)
     factor = float(rng.uniform(0.5, 2.0))
     nll_pos = int(rng.integers(0, 5))
     lookup_idx = [0, 2, 2, 5, 1]
@@ -81,12 +83,22 @@ def tensor_op_trials(rng: np.random.Generator):
     # every row keeps at least its target; the targets are not all zero
     row_mask = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
     row_targets = [2, 1, 3]
+    # per stacked row; the second stack's last row is masked throughout
+    soft_mask = np.array([[[1, 0, 1, 1], [1, 1, 1, 1], [0, 0, 1, 0]],
+                          [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]]], dtype=bool)
 
     return [
         ("matmul 2d@2d", lambda: T.l2_norm_sq(T.matmul(a, b)), [a, b]),
         ("matmul 1d@2d", lambda: T.l2_norm_sq(T.tanh(T.matmul(x4, w43))), [x4, w43]),
         ("matmul 2d@1d", lambda: T.nll_index(T.matmul(m34, v4), 1), [m34, v4]),
         ("matmul 1d@1d", lambda: T.matmul(d1, d2), [d1, d2]),
+        # stack @ shared matrix, stack @ stack (3-D transpose), vector @ stack
+        ("matmul 3-D stacks",
+         lambda: T.l2_norm_sq(T.matmul(sv, T.tanh(T.matmul(T.matmul(st3, sw),
+                                                           T.transpose(sk3))))),
+         [st3, sw, sk3, sv]),
+        ("softmax masked stacks",
+         lambda: T.l2_norm_sq(T.matmul(T.softmax(ms3, mask=soft_mask), mv)), [ms3, mv]),
         ("add+scale", lambda: T.l2_norm_sq(T.add(T.scale(s5, factor), t5)), [s5, t5]),
         ("softmax rows", lambda: T.l2_norm_sq(T.softmax(m34)), [m34]),
         ("tanh", lambda: T.l2_norm_sq(T.tanh(th6)), [th6]),

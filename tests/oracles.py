@@ -8,6 +8,8 @@ conventions, not the math under test).  Slow and obvious on purpose.
 
 import math
 
+import numpy as np
+
 from consultrank.corpus import ActionType
 from consultrank.index import STOPWORDS
 
@@ -166,3 +168,14 @@ def ndcg_at(rank, k):
 
 def mrr_at(rank, k):
     return 1.0 / rank if rank <= k else 0.0
+
+
+def candidates_from_pool(ground_truth, item_ids, n_neg, seed):
+    """The ranking protocol's candidates drawn from an explicit pool: every
+    other item, sorted; n_neg distinct positions in it, then a shuffle."""
+    pool = [v for v in sorted(item_ids) if v != ground_truth]
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(pool), size=n_neg, replace=False)
+    candidates = [ground_truth] + [pool[i] for i in chosen]
+    rng.shuffle(candidates)
+    return candidates

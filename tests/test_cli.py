@@ -19,7 +19,7 @@ from consultrank.corpus import load_corpus
 from consultrank.model import ModelConfig
 from consultrank.value import ValueParams, load_assessments
 
-from helpers import consult, item, search, write_jsonl
+from helpers import click, consult, item, search, write_jsonl
 
 SMALL_CONFIG = {
     "gen_users": 8, "gen_items": 16, "seed": 5, "d": 16, "l_seq": 1,
@@ -263,6 +263,24 @@ def test_train_without_training_sessions_exits_4(tmp_path, capsys):
         assert run(stage, tmp_path, config) == 0
     assert run("train", tmp_path, config) == 4
     assert capsys.readouterr().err.startswith("error: corpus has no training sessions")
+
+
+def test_search_before_first_consultation_trains_and_evaluates(tmp_path):
+    """`assess` writes no value rows for a search with no earlier
+    consultation; `train` and `eval` read that as an empty kept set."""
+    (tmp_path / "corpus").mkdir()
+    write_jsonl(tmp_path / "corpus/items.jsonl",
+                [item("i1", "alpha gadget"), item("i2", "beta widget")])
+    write_jsonl(tmp_path / "corpus/events.jsonl", [
+        search("u1", 5, "alpha gadget", "i1"), consult("u1", 6, "c1", "which alpha gadget"),
+        click("u1", 7, "i1"),
+        search("u1", 8, "beta widget", "i2"), search("u1", 9, "alpha gadget", "i1"),
+        search("u1", 10, "beta widget", "i2")])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    for stage in ("ingest", "index", "link", "assess", "train", "eval"):
+        assert run(stage, tmp_path, config) == 0, stage
+    assert load_metrics(tmp_path / "reports" / "metrics.json").n_sessions == 1
 
 
 def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsys):

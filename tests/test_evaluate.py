@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consultrank import evaluate as E
+from consultrank.corpus import Corpus, Item
 from consultrank.datagen import GenSpec, generate
 
 import oracles
@@ -105,6 +106,21 @@ def test_make_candidates_contract(eval_corpus):
         E.make_candidates("i005", eval_corpus, n_neg=120)
     with pytest.raises(ValueError, match="unknown ground-truth"):
         E.make_candidates("nope", eval_corpus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_make_candidates_matches_pool_formulation(data):
+    """Random catalogs, in random insertion order: the candidates equal the
+    ones drawn from the explicit pool of every other item."""
+    ids = data.draw(st.lists(st.text("abz019", min_size=1, max_size=4), min_size=1,
+                             max_size=40, unique=True))
+    corpus = Corpus(items={v: Item(v, "title") for v in ids})
+    truth = data.draw(st.sampled_from(ids))
+    n_neg = data.draw(st.integers(0, len(ids) - 1))
+    seed = data.draw(st.integers(0, 2**32))
+    assert E.make_candidates(truth, corpus, n_neg=n_neg, seed=seed) == \
+        oracles.candidates_from_pool(truth, ids, n_neg, seed)
 
 
 def test_session_seed_distinguishes_sessions(eval_corpus):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank.corpus import ActionType, Consultation, Interaction, Query
 from consultrank.evaluate import ground_truth_rank
+from consultrank.value import time_bucket
 
 from gradcheck import finite_diff_check
 from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
@@ -138,13 +140,19 @@ def test_encode_text_empty_gives_zero_vector(small_corpus):
     assert np.allclose(grads[0], grads[1])
 
 
-def test_time_buckets_match_value_buckets(small_corpus):
-    from consultrank.value import time_bucket
-    model = tiny_model(small_corpus)
-    gaps = [-5, 0, 1, 2, 3, 7, 100, 10**6]
-    assert M.time_buckets(model, gaps).tolist() == [
-        time_bucket(max(0, g), model.cfg.n_time_buckets) for g in gaps
-    ]
+_EDGE_GAPS = st.sampled_from(
+    [-1, 0, 2**63 - 1] + [(1 << k) + e for k in range(63) for e in (-1, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaps=st.lists(st.integers(-2**63, 2**63 - 1) | _EDGE_GAPS, max_size=30),
+       n_buckets=st.integers(2, 70))
+def test_time_buckets_match_value_buckets(small_corpus, gaps, n_buckets):
+    """Negative gaps clamp to bucket 0; 2**k - 1 and 2**k straddle a bucket
+    edge; gaps past the last edge share the last bucket."""
+    model = tiny_model(small_corpus, n_time_buckets=n_buckets)
+    got = M.time_buckets(model, np.array(gaps, dtype=np.int64))
+    assert got.tolist() == [time_bucket(max(0, g), n_buckets) for g in gaps]
 
 
 def test_action_embedding_cases(small_corpus):
@@ -218,15 +226,15 @@ def test_cascade_handles_all_zero_inputs(small_corpus):
     f = features(model, "u1", [stopwords], [], ["of the"], ["i1"], query_text="and the")
     texts = M.encode_text(model, f.token_ids, f.text_offsets)
     assert np.array_equal(texts.data, np.zeros_like(texts.data))
-    out = M.session_forward(model, f)
-    assert out.shape == (model.cfg.d,)
+    out = M.session_forward(model, [f])
+    assert out.shape == (1, model.cfg.d)
     assert np.isfinite(out.data).all()
 
 
 def test_cascade_item_history_order_invariant(small_corpus):
     model = tiny_model(small_corpus)
-    out_a = M.session_forward(model, features(model, "u1", [], [], [], ["i1", "i2", "i3"]))
-    out_b = M.session_forward(model, features(model, "u1", [], [], [], ["i3", "i1", "i2"]))
+    out_a = M.session_forward(model, [features(model, "u1", [], [], [], ["i1", "i2", "i3"])])
+    out_b = M.session_forward(model, [features(model, "u1", [], [], [], ["i3", "i1", "i2"])])
     assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
 
@@ -234,14 +242,14 @@ def test_lambda_zero_scores_ignore_cai_actions(small_corpus):
     u1 = small_corpus.users["u1"]
 
     def e_final(model, actions):
-        return M.session_forward(model, features(
+        return M.session_forward(model, [features(
             model, "u1", u1.consultations, actions, ["alpha beta gadget"], ["i1"],
             80, "gamma delta widget",
-        ))
+        )])
 
     model = tiny_model(small_corpus, lambda3_skip=0.0)
-    s_with = M.score_candidates(model, e_final(model, u1.interactions[:3]), model.item_ids)
-    s_without = M.score_candidates(model, e_final(model, []), model.item_ids)
+    s_with = M.score_candidates(model, e_final(model, u1.interactions[:3]), [model.item_ids])
+    s_without = M.score_candidates(model, e_final(model, []), [model.item_ids])
     assert np.array_equal(s_with.data, s_without.data)
 
     full = tiny_model(small_corpus, lambda3_skip=1.0)
@@ -256,17 +264,18 @@ def test_score_candidates_geometry(small_corpus):
         rows[i, i] = 1.0
     model.tables.item.data = rows
     target = model.item_ids[2]
-    scores = M.score_candidates(model, T.Tensor(rows[model.item_rows[target]]), model.item_ids)
-    assert ground_truth_rank(model.item_ids, scores.data, target) == 1
+    scores = M.score_candidates(model, T.Tensor(rows[[model.item_rows[target]]]),
+                                [model.item_ids])
+    assert ground_truth_rank(model.item_ids, scores.data[0], target) == 1
 
 
 def test_score_candidates_duplicates_and_errors(small_corpus):
     model = tiny_model(small_corpus)
-    e = encode(model, "alpha beta gadget").data[0]
-    scores = M.score_candidates(model, T.Tensor(e), ["i1", "i2", "i1"])
-    assert scores.data[0] == scores.data[2]
+    e = encode(model, "alpha beta gadget")
+    scores = M.score_candidates(model, e, [["i1", "i2", "i1"]])
+    assert scores.data[0, 0] == scores.data[0, 2]
     with pytest.raises(ValueError, match="unknown item-id 'nope'"):
-        M.score_candidates(model, T.Tensor(e), ["i1", "nope"])
+        M.score_candidates(model, e, [["i1", "nope"]])
     with pytest.raises(ValueError, match="unknown user-id"):
         features(model, "ghost", [], [])
 
@@ -276,11 +285,11 @@ def test_ranked_scores_break_ties_by_item_id(small_corpus):
     model.tables.item.data[model.item_rows["i3"]] = model.tables.item.data[
         model.item_rows["i1"]
     ]
-    e = T.Tensor(encode(model, "alpha beta gadget").data[0])
-    scores = M.score_candidates(model, e, ["i3", "i1"])
-    assert scores.data[0] == scores.data[1]
-    assert ground_truth_rank(["i3", "i1"], scores.data, "i1") == 1
-    assert ground_truth_rank(["i3", "i1"], scores.data, "i3") == 2
+    e = encode(model, "alpha beta gadget")
+    scores = M.score_candidates(model, e, [["i3", "i1"]]).data[0]
+    assert scores[0] == scores[1]
+    assert ground_truth_rank(["i3", "i1"], scores, "i1") == 1
+    assert ground_truth_rank(["i3", "i1"], scores, "i3") == 2
 
 
 def test_session_forward_gradients_match_finite_differences(small_corpus):
@@ -294,8 +303,8 @@ def test_session_forward_gradients_match_finite_differences(small_corpus):
     )
 
     def build():
-        e = M.session_forward(model, f)
-        return T.nll_index(M.score_candidates(model, e, model.item_ids), 1)
+        e = M.session_forward(model, [f])
+        return T.nll_index(M.score_candidates(model, e, [model.item_ids]), 1)
 
     worst = finite_diff_check(build, leaves, rng, max_coords=4)
     assert worst < 1e-3

@@ -85,6 +85,8 @@ def test_backward_rejects_non_scalar():
         (lambda: T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2)))),
          ["(2, 3)", "(4, 2)"]),
         (lambda: T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(5))), ["(2,)", "(5,)"]),
+        (lambda: T.matmul(T.Tensor(np.zeros((1, 2, 3))), T.Tensor(np.zeros((4, 3, 2)))),
+         ["(1, 2, 3)", "(4, 3, 2)"]),
         (lambda: T.mean_pool(T.Tensor(np.zeros((4, 3))), [0, 2, 2, 4]), ["(4, 3)"]),
     ],
 )
@@ -93,6 +95,25 @@ def test_shape_mismatch_names_both_shapes(build, shapes):
         build()
     for s in shapes:
         assert s in str(err.value)
+
+
+def test_no_grad_records_no_graph():
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_grad():
+        quiet = T.tanh(T.matmul(w, w))
+    assert not quiet._parents and quiet._backward is None
+    loud = T.tanh(T.matmul(w, w))
+    assert loud._parents and np.array_equal(loud.data, quiet.data)
+
+
+def test_softmax_mask_zeroes_entries_and_whole_rows():
+    z = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
+    mask = np.array([[[True, False, True], [False, False, False]]])
+    y = T.softmax(T.Tensor(z), mask=mask).data
+    assert np.allclose(y[0, 0], [1 / (1 + np.e**2), 0.0, 1 / (1 + np.e**-2)])
+    assert np.array_equal(y[0, 1], np.zeros(3))
+    assert np.array_equal(T.softmax(T.Tensor(z), mask=np.ones(3, dtype=bool)).data,
+                          T.softmax(T.Tensor(z)).data)
 
 
 def test_embedding_lookup_forms():

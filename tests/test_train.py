@@ -1,6 +1,7 @@
 """Losses, splits, batching, early stopping, and training properties."""
 
 import csv
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from consultrank.datagen import GenSpec, generate
 from consultrank.linkage import build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets
 
-from helpers import buy, click, consult, corpus_from, item, search
+from helpers import buy, click, consult, corpus_from, item, raw_features, search
 
 
 def pipeline(corpus):
@@ -133,9 +134,9 @@ def test_loss_search_uniform_logits_closed_form(gen_small):
     corpus, _, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
-    e_zero = T.Tensor(np.zeros(model.cfg.d))
+    e_zero = T.Tensor(np.zeros((1, model.cfg.d)))
     negs = [v for v in model.item_ids if v != model.item_ids[0]][:10]
-    loss = TR.loss_search(model, e_zero, model.item_ids[0], negs, cfg)
+    loss = TR.loss_search(model, e_zero, [model.item_ids[0]], [negs], cfg)
     assert float(loss.data) == pytest.approx(np.log(11.0), abs=1e-12)
 
 
@@ -148,7 +149,7 @@ def test_loss_search_confident_positive_approaches_zero(gen_small):
     model.tables.item.data[model.item_rows[pos]] = direction
     for v in model.item_ids[1:3]:
         model.tables.item.data[model.item_rows[v]] = -direction
-    loss = TR.loss_search(model, T.Tensor(direction), pos, list(model.item_ids[1:3]), cfg)
+    loss = TR.loss_search(model, T.Tensor([direction]), [pos], [model.item_ids[1:3]], cfg)
     assert 0.0 <= float(loss.data) < 1e-6
 
 
@@ -157,10 +158,9 @@ def test_loss_search_counts_duplicate_negatives(gen_small):
     model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
     e = M.encode_text(model, *M.text_ids(model, ["tell me about anything"]))
-    e = T.Tensor(e.data[0])
     pos, neg = model.item_ids[0], model.item_ids[1]
-    single = float(TR.loss_search(model, e, pos, [neg], cfg).data)
-    doubled = float(TR.loss_search(model, e, pos, [neg, neg], cfg).data)
+    single = float(TR.loss_search(model, e, [pos], [[neg]], cfg).data)
+    doubled = float(TR.loss_search(model, e, [pos], [[neg, neg]], cfg).data)
     assert doubled > single
 
 
@@ -188,8 +188,8 @@ def test_temperature_sharpening_is_monotone(gen_small):
     for v in model.item_ids[1:4]:
         model.tables.item.data[model.item_rows[v]] = direction
     losses = [
-        float(TR.loss_search(model, T.Tensor(np.ones(model.cfg.d)), pos,
-                             list(model.item_ids[1:4]),
+        float(TR.loss_search(model, T.Tensor(np.ones((1, model.cfg.d))), [pos],
+                             [model.item_ids[1:4]],
                              TR.TrainConfig(tau2=tau)).data)
         for tau in (1.0, 0.5, 0.1)
     ]
@@ -297,15 +297,10 @@ def test_every_parameter_receives_gradient(gen_small):
     rng = np.random.default_rng(3)
     table = M.corpus_features(model, corpus)
     examples = [TR.build_example(model, corpus, table, u, s, kept_map) for u, s in split.train]
-    terms = []
-    for ex in examples:
-        e_final = M.session_forward(model, ex.features)
-        negs = TR.sample_negative_items(
-            model.item_ids, ex.session.ground_truth_item, 5, rng)
-        terms.append(TR.loss_search(model, e_final, ex.session.ground_truth_item,
-                                    negs, cfg))
-    from functools import reduce
-    l_search = T.scale(reduce(T.add, terms), 1.0 / len(terms))
+    truths = [ex.session.ground_truth_item for ex in examples]
+    negs = [TR.sample_negative_items(model.item_ids, t, 5, rng) for t in truths]
+    l_search = TR.loss_search(model, M.session_forward(model, [ex.features for ex in examples]),
+                              truths, negs, cfg)
     samples = TR.sample_va_batch(examples, table, TR.linked_pairs(table, corpus, linkage),
                                  cfg, rng)
     assert samples
@@ -382,3 +377,105 @@ def test_ablation_fits_buckets_with_its_value_params(monkeypatch):
     with pytest.raises(Fitted):
         ablation.run_ablation(cfg)
     assert seen == [5]
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _graph_nodes(loss):
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("seed, l_seq", [(5, 1), (6, ValueParams.l_seq)])
+def test_batched_step_matches_batches_of_one(seed, l_seq):
+    """Random batches of 1-24 sessions of SMALL_CONFIG-sized corpora: the
+    padded batch gives the e_final rows, the losses and the gradients of
+    the same sessions run one at a time, the way training ran them before
+    it batched.  Two added sessions have no actions and no consultations."""
+    corpus, _ = generate(GenSpec(n_users=8, n_items=16, seed=seed))
+    linkage = build_linkage(corpus)
+    params = ValueParams(l_seq=l_seq)
+    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
+    model = M.init_model(corpus, M.ModelConfig(d=16, seed=seed))
+    cfg = TR.TrainConfig(va_batch=8)
+    table, kept = model.features, TR.kept_consultations(assessments)
+    split = TR.split_sessions(corpus)
+    examples = [TR.build_example(model, corpus, table, u, s, kept, l_seq)
+                for u, s in split.train + split.valid + split.test]
+    user = sorted(corpus.users)[0]
+    history = corpus.users[user]
+    features = [ex.features for ex in examples] + [
+        raw_features(model, user, history.consultations[:3], [], ["alpha"], anchor_ts=10**4),
+        raw_features(model, user, [], history.interactions[:6], [], [model.item_ids[0]],
+                     anchor_ts=10**4)]
+    assert not len(features[-2].actions) and not len(features[-1].consultations)
+    truths = [ex.session.ground_truth_item for ex in examples] + list(model.item_ids[:2])
+    pairs = TR.linked_pairs(table, corpus, linkage)
+    rng = np.random.default_rng(seed)
+    for trial in range(8):
+        size = int(rng.integers(1, 25))
+        picked = rng.choice(len(features), size, replace=size > len(features)).tolist()
+        if trial == 0:
+            picked[-2:] = [len(features) - 2, len(features) - 1]
+        batch_f = [features[i] for i in picked]
+        batch_t = [truths[i] for i in picked]
+        negs = [TR.sample_negative_items(model.item_ids, t, 5, rng) for t in batch_t]
+        samples = TR.sample_va_batch([examples[i] for i in picked if i < len(examples)],
+                                     table, pairs, cfg, rng, kept)
+
+        T.zero_grads(model.parameters())
+        e_batch = M.session_forward(model, batch_f)
+        l_search = TR.loss_search(model, e_batch, batch_t, negs, cfg)
+        terms = [l_search] + ([TR.loss_va(model, samples, table, cfg)] if samples else [])
+        T.backward(reduce(T.add, terms))
+        batched = [p.grad.copy() for p in model.parameters()]
+
+        T.zero_grads(model.parameters())
+        e_one = [M.session_forward(model, [f]) for f in batch_f]
+        one_terms = [T.scale(reduce(T.add, [
+            TR.loss_search(model, e, [t], [n], cfg) for e, t, n in zip(e_one, batch_t, negs)
+        ]), 1.0 / size)]
+        if samples:
+            one_terms.append(T.scale(reduce(T.add, [
+                TR.loss_va(model, [s], table, cfg) for s in samples]), 1.0 / len(samples)))
+        T.backward(reduce(T.add, one_terms))
+
+        assert e_batch.shape == (size, model.cfg.d)
+        assert _relative(e_batch.data, np.concatenate([e.data for e in e_one])) < 1e-12
+        for got, want in zip(terms, one_terms):
+            assert _relative(got.data, want.data) < 1e-12
+        for p, got in zip(model.parameters(), batched):
+            assert _relative(got, p.grad) < 1e-10
+
+
+def test_step_graph_does_not_grow_with_batch():
+    """A step over 24 sessions records as many graph nodes as a step over one
+    of them; the sessions all read consultations, actions and item history
+    and draw an alignment sample."""
+    corpus, _ = generate(GenSpec(n_users=16, n_items=20, seed=12))
+    linkage, assessments = pipeline(corpus)
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    kept_map = TR.kept_consultations(assessments)
+    table = model.features
+    pairs = TR.linked_pairs(table, corpus, linkage)
+    cfg = TR.TrainConfig(va_batch=8)
+    examples = [
+        ex for ex in (TR.build_example(model, corpus, table, u, s, kept_map)
+                      for u, s in TR.split_sessions(corpus).train)
+        if len(ex.features.consultations) and len(ex.features.item_history)
+        and TR.sample_va_batch([ex], table, pairs, cfg, np.random.default_rng(0), kept_map)
+    ]
+    assert len(examples) >= 24
+
+    def nodes(batch):
+        rngs = map(np.random.default_rng, (1, 2))
+        return _graph_nodes(TR.step_loss(model, batch, table, pairs, kept_map, cfg, *rngs)[0])
+
+    assert nodes(examples[:1]) == nodes(examples[:24]) <= 150
