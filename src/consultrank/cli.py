@@ -43,7 +43,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .corpus import Corpus, CorpusError, load_corpus, dump_corpus
+from .corpus import load_corpus, dump_corpus
 from .datagen import GenSpec, write_dataset
 from .evaluate import (
     N_NEG,
@@ -241,11 +241,13 @@ def _raw_corpus_paths(cfg: Dict[str, object], out_dir: str, args) -> Tuple[str, 
     return args.items or items_path, args.events or events_path
 
 
-def _load_corpus(items_path: str, events_path: str) -> Corpus:
+def _read(what: str, load: Callable, *args):
+    """`load(*args)`, with an artifact it refuses (a ValueError, which
+    CorpusError is) reported as a data error naming `what`."""
     try:
-        return load_corpus(items_path, events_path)
-    except CorpusError as exc:
-        raise DataError(f"corpus failed validation: {exc}") from exc
+        return load(*args)
+    except ValueError as exc:
+        raise DataError(f"{what} failed validation: {exc}") from exc
 
 
 def _build(cls, cfg: Dict[str, object]):
@@ -269,7 +271,7 @@ def cmd_datagen(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_ingest(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(*_raw_corpus_paths(cfg, out_dir, args))
+    corpus = _read("corpus", load_corpus, *_raw_corpus_paths(cfg, out_dir, args))
     os.makedirs(_resolve(cfg, out_dir, "corpus"), exist_ok=True)
     items_out, events_out = _corpus_paths(cfg, out_dir)
     dump_corpus(corpus, items_out, events_out)
@@ -282,7 +284,7 @@ def cmd_ingest(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_index(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     index = build_index(corpus)
     path = _resolve(cfg, out_dir, "index")
     dump_index(index, path)
@@ -291,7 +293,7 @@ def cmd_index(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_link(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     table = build_linkage(corpus, _build(LinkageParams, cfg))
     path = _resolve(cfg, out_dir, "linkage")
     dump_linkage(table, path)
@@ -301,12 +303,9 @@ def cmd_link(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_assess(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
-    try:
-        index = load_index(_resolve(cfg, out_dir, "index"))
-        linkage = load_linkage(_resolve(cfg, out_dir, "linkage"), corpus)
-    except (ValueError, CorpusError) as exc:
-        raise DataError(f"artifact failed validation: {exc}") from exc
+    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
+    index = _read("index", load_index, _resolve(cfg, out_dir, "index"))
+    linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
     params = _build(ValueParams, cfg)
     scope = _build(ScopeParams, cfg)
     buckets = fit_buckets(linkage, n_buckets=params.n_buckets)
@@ -318,13 +317,11 @@ def cmd_assess(cfg, out_dir, args) -> List[str]:
 
 
 def cmd_train(cfg, out_dir, args) -> List[str]:
-    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     params = _build(ValueParams, cfg)
-    try:
-        linkage = load_linkage(_resolve(cfg, out_dir, "linkage"), corpus)
-        assessments = load_assessments(_resolve(cfg, out_dir, "values"), corpus, params)
-    except (ValueError, CorpusError) as exc:
-        raise DataError(f"artifact failed validation: {exc}") from exc
+    linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
+    assessments = _read("values", load_assessments, _resolve(cfg, out_dir, "values"),
+                        corpus, params)
     mcfg = _build(ModelConfig, cfg)
     tcfg = _build(TrainConfig, cfg)
     if not split_sessions(corpus).train:
@@ -352,22 +349,16 @@ def _metrics_path(cfg, out_dir, ranker: str) -> str:
 def cmd_eval(cfg, out_dir, args) -> List[str]:
     if cfg["n_neg_eval"] < 1:
         raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
-    corpus = _load_corpus(*_corpus_paths(cfg, out_dir))
+    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     params = _build(ValueParams, cfg)
     ranker = args.ranker
     if ranker == "bm25":
         score_fn = bm25_score_fn(corpus)
     else:
-        try:
-            model = load_model(_resolve(cfg, out_dir, "checkpoint"), corpus)
-        except ValueError as exc:
-            raise DataError(f"checkpoint failed validation: {exc}") from exc
+        model = _read("checkpoint", load_model, _resolve(cfg, out_dir, "checkpoint"), corpus)
         if ranker == "vaps":
-            try:
-                assessments = load_assessments(
-                    _resolve(cfg, out_dir, "values"), corpus, params)
-            except (ValueError, CorpusError) as exc:
-                raise DataError(f"artifact failed validation: {exc}") from exc
+            assessments = _read("values", load_assessments, _resolve(cfg, out_dir, "values"),
+                                corpus, params)
             kept_map = kept_consultations(assessments)
             score_fn = model_score_fn(model, corpus, kept_map,
                                       l_seq=params.l_seq, value_filter=True)
@@ -391,10 +382,7 @@ def cmd_eval(cfg, out_dir, args) -> List[str]:
 def cmd_report(cfg, out_dir, args) -> List[str]:
     reports: Dict[str, MetricReport] = {}
     for ranker in RANKERS:
-        try:
-            reports[ranker] = load_metrics(_metrics_path(cfg, out_dir, ranker))
-        except ValueError as exc:
-            raise DataError(f"metrics failed validation: {exc}") from exc
+        reports[ranker] = _read("metrics", load_metrics, _metrics_path(cfg, out_dir, ranker))
     table = format_metric_table(reports)
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)

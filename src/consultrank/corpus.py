@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -41,6 +42,12 @@ class Item:
     def __post_init__(self):
         if not self.title:
             raise CorpusError(f"item {self.id!r} has an empty title")
+
+    @property
+    def text(self) -> str:
+        """The title and attributes joined by spaces: the item text that the
+        index, the linkage rules, the model vocabulary and BM25 all read."""
+        return " ".join([self.title, *self.attributes])
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,11 @@ class Interaction:
                 raise CorpusError(
                     f"{self.action_type.value} interaction must carry an item and no query"
                 )
+
+    @property
+    def target(self) -> str:
+        """The query text of a search, the item id of a click or buy."""
+        return self.target_item if self.target_query is None else self.target_query.text
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,12 @@ class Corpus:
     items: dict[str, Item] = field(default_factory=dict)
     users: dict[str, UserHistory] = field(default_factory=dict)
 
+    @cached_property
+    def item_ids(self) -> tuple[str, ...]:
+        """Every item id in sorted order: the one catalog order, computed
+        once per corpus."""
+        return tuple(sorted(self.items))
+
 
 def _check_ts(ts) -> None:
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
@@ -150,7 +168,10 @@ def floor_hours(raw) -> int:
     return hours
 
 
-def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
+def read_jsonl(path, kind: str) -> Iterable[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL
+    file of `kind` rows.  A line that is not valid JSON, or not a JSON
+    object, raises CorpusError naming ``path:line`` and the kind."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -159,10 +180,20 @@ def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+                raise CorpusError(
+                    f"{path}:{lineno}: malformed {kind} row: invalid JSON ({exc.msg})"
+                ) from exc
             if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+                raise CorpusError(
+                    f"{path}:{lineno}: malformed {kind} row: expected a JSON object")
             yield lineno, obj
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line: the byte-stable format of
+    every JSONL artifact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
 def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) -> Corpus:
@@ -234,8 +265,7 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
     # Full (not just stable) sort keys make the stored order canonical:
     # any permutation of the input records builds the identical Corpus.
     def _act_key(a: Interaction):
-        target = a.target_query.text if a.target_query else a.target_item
-        return (a.timestamp, a.action_type.value, target)
+        return (a.timestamp, a.action_type.value, a.target)
 
     users: dict[str, UserHistory] = {}
     for user in sorted(set(searches) | set(consults) | set(inters)):
@@ -257,8 +287,8 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
 
 def load_corpus(items_path, events_path) -> Corpus:
     """Load ``items.jsonl`` + ``events.jsonl`` into a validated Corpus."""
-    item_rows = list(_read_jsonl(items_path))
-    event_rows = list(_read_jsonl(events_path))
+    item_rows = list(read_jsonl(items_path, "item"))
+    event_rows = list(read_jsonl(events_path, "event"))
     try:
         return build_corpus((obj for _ln, obj in item_rows), (obj for _ln, obj in event_rows))
     except CorpusError as exc:
@@ -385,10 +415,6 @@ def user_events(history: UserHistory) -> list[dict]:
 
 def dump_corpus(corpus: Corpus, items_path, events_path) -> None:
     """Write a corpus back to canonical JSONL (stable across reruns)."""
-    with open(items_path, "w", encoding="utf-8") as fh:
-        for iid in sorted(corpus.items):
-            fh.write(json.dumps(item_event(corpus.items[iid]), sort_keys=True) + "\n")
-    with open(events_path, "w", encoding="utf-8") as fh:
-        for user in sorted(corpus.users):
-            for ev in user_events(corpus.users[user]):
-                fh.write(json.dumps(ev, sort_keys=True) + "\n")
+    write_jsonl(items_path, (item_event(corpus.items[iid]) for iid in corpus.item_ids))
+    write_jsonl(events_path, (ev for user in sorted(corpus.users)
+                              for ev in user_events(corpus.users[user])))

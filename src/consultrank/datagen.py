@@ -43,14 +43,13 @@ seed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Corpus, build_corpus, dump_corpus
+from .corpus import Corpus, build_corpus, dump_corpus, write_jsonl
 
 PATTERN_VERIFIED = "in_scope_verified"
 PATTERN_UNVERIFIED = "in_scope_unverified"
@@ -391,15 +390,9 @@ def generate(spec: GenSpec) -> Tuple[Corpus, Dict[Tuple[str, int, str], str]]:
 
 
 def dump_oracle(oracle: Dict[Tuple[str, int, str], str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for user, search_ts, cid in sorted(oracle):
-            row = {
-                "user": user,
-                "search_ts": search_ts,
-                "cid": cid,
-                "label": oracle[(user, search_ts, cid)],
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(path, ({"user": user, "search_ts": search_ts, "cid": cid,
+                        "label": oracle[(user, search_ts, cid)]}
+                       for user, search_ts, cid in sorted(oracle)))
 
 
 def write_dataset(spec: GenSpec, out_dir) -> Tuple[Corpus, Dict[Tuple[str, int, str], str]]:

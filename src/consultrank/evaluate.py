@@ -60,7 +60,7 @@ def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = N_NEG,
         raise ValueError(
             f"need {n_neg} negatives but corpus has only {n_pool} other items"
         )
-    ids = sorted(corpus.items)
+    ids = corpus.item_ids
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n_pool, size=n_neg, replace=False)
     chosen += chosen >= bisect_left(ids, ground_truth)
@@ -120,7 +120,7 @@ def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus,
                 seed=session_seed(seed, user_id, session),
             )
         else:
-            candidates = sorted(corpus.items)
+            candidates = corpus.item_ids
         scores = score_fn(user_id, session, candidates)
         metrics = session_metrics(
             ground_truth_rank(candidates, scores, session.ground_truth_item))
@@ -144,9 +144,8 @@ class Bm25:
         self.b = b
         self.doc_terms: Dict[str, Dict[str, int]] = {}
         self.doc_len: Dict[str, int] = {}
-        for item_id in sorted(corpus.items):
-            item = corpus.items[item_id]
-            tokens = normalize(" ".join((item.title,) + item.attributes))
+        for item_id in corpus.item_ids:
+            tokens = normalize(corpus.items[item_id].text)
             counts: Dict[str, int] = {}
             for tok in tokens:
                 counts[tok] = counts.get(tok, 0) + 1

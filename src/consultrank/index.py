@@ -16,12 +16,11 @@ vocabularies always agree.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from .corpus import Consultation, Corpus
+from .corpus import Consultation, Corpus, read_jsonl, write_jsonl
 
 # Compact English function-word list.  Kept short on purpose: consultation
 # text is noisy chat, and aggressive stopping starts eating product terms.
@@ -70,10 +69,8 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     matter what order the items arrive in.
     """
     postings: Dict[str, Set[str]] = {}
-    for iid in sorted(corpus.items):
-        item = corpus.items[iid]
-        text = " ".join([item.title, *item.attributes])
-        for term in set(normalize(text)):
+    for iid in corpus.item_ids:
+        for term in set(normalize(corpus.items[iid].text)):
             postings.setdefault(term, set()).add(iid)
     return InvertedIndex(
         postings={term: sorted(ids) for term, ids in sorted(postings.items())}
@@ -102,27 +99,17 @@ def scope_value(index: InvertedIndex, c: Consultation, p: ScopeParams = ScopePar
 
 def dump_index(index: InvertedIndex, path) -> None:
     """Write `index.jsonl`, one term per line, lexicographic and bit-stable."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for term in sorted(index.postings):
-            fh.write(
-                json.dumps({"term": term, "items": index.postings[term]}, sort_keys=True)
-                + "\n"
-            )
+    write_jsonl(path, ({"term": term, "items": index.postings[term]}
+                       for term in sorted(index.postings)))
 
 
 def load_index(path) -> InvertedIndex:
     """Read an `index.jsonl` dump back into an InvertedIndex."""
     postings: Dict[str, List[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if not (isinstance(row, dict) and isinstance(row.get("term"), str)
-                    and isinstance(row.get("items"), list)
-                    and all(isinstance(v, str) for v in row["items"])):
-                raise ValueError(f"{path}:{n}: malformed index row: want a string "
-                                 "term and a list of item-id strings")
-            postings[row["term"]] = row["items"]
+    for n, row in read_jsonl(path, "index"):
+        if not (isinstance(row.get("term"), str) and isinstance(row.get("items"), list)
+                and all(isinstance(v, str) for v in row["items"])):
+            raise ValueError(f"{path}:{n}: malformed index row: want a string "
+                             "term and a list of item-id strings")
+        postings[row["term"]] = row["items"]
     return InvertedIndex(postings)

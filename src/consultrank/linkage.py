@@ -17,12 +17,11 @@ table, which downstream value scoring consumes.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .corpus import ActionType, Corpus, CorpusError, Interaction
+from .corpus import ActionType, Corpus, CorpusError, Interaction, read_jsonl, write_jsonl
 from .index import normalize
 
 RULE_FULL_TEXT = "full-text"
@@ -65,7 +64,7 @@ def action_text(interaction: Interaction, corpus: Corpus) -> str:
     item = corpus.items.get(interaction.target_item)
     if item is None:
         raise CorpusError(f"interaction references unknown item {interaction.target_item!r}")
-    return " ".join([item.title, *item.attributes])
+    return item.text
 
 
 def _contains_contiguous(haystack: List[str], needle: List[str]) -> bool:
@@ -152,14 +151,10 @@ def build_linkage(corpus: Corpus, params: LinkageParams = LinkageParams()) -> Li
                 if ok:
                     per_cid[consultations[k].id].append((act, rule))
         for cid in per_cid:
-            per_cid[cid].sort(key=lambda pair: (pair[0].timestamp, _action_sort_key(pair[0])))
+            per_cid[cid].sort(key=lambda pair: (pair[0].timestamp, pair[0].action_type.value,
+                                                pair[0].target))
         table[user] = per_cid
     return LinkageTable(links=table)
-
-
-def _action_sort_key(a: Interaction) -> Tuple[str, str]:
-    target = a.target_query.text if a.action_type is ActionType.SEARCH else a.target_item
-    return (a.action_type.value, target)
 
 
 def link_record(user: str, cid: str, actions: List[Tuple[Interaction, str]]) -> dict:
@@ -171,11 +166,7 @@ def link_record(user: str, cid: str, actions: List[Tuple[Interaction, str]]) -> 
             {
                 "type": a.action_type.value,
                 "ts_hours": a.timestamp,
-                "target": (
-                    a.target_query.text
-                    if a.action_type is ActionType.SEARCH
-                    else a.target_item
-                ),
+                "target": a.target,
                 "rule": rule,
             }
             for a, rule in actions
@@ -184,11 +175,8 @@ def link_record(user: str, cid: str, actions: List[Tuple[Interaction, str]]) -> 
 
 
 def dump_linkage(table: LinkageTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for user in sorted(table.links):
-            for cid in sorted(table.links[user]):
-                rec = link_record(user, cid, table.links[user][cid])
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (link_record(user, cid, table.links[user][cid])
+                       for user in sorted(table.links) for cid in sorted(table.links[user])))
 
 
 def _action_lookup(corpus: Corpus) -> Dict[Tuple[str, str, int, str], Interaction]:
@@ -196,12 +184,7 @@ def _action_lookup(corpus: Corpus) -> Dict[Tuple[str, str, int, str], Interactio
     table: Dict[Tuple[str, str, int, str], Interaction] = {}
     for user in corpus.users:
         for a in corpus.users[user].interactions:
-            target = (
-                a.target_query.text
-                if a.action_type is ActionType.SEARCH
-                else a.target_item
-            )
-            table.setdefault((user, a.action_type.value, a.timestamp, target), a)
+            table.setdefault((user, a.action_type.value, a.timestamp, a.target), a)
     return table
 
 
@@ -217,17 +200,13 @@ def load_linkage(path, corpus: Corpus) -> LinkageTable:
         for user in corpus.users
     }
     links: Dict[str, Dict[str, List[Tuple[Interaction, str]]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                _bind_row(json.loads(line), lookup, cids, links)
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{n}: {exc}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{n}: malformed linkage row ({exc!r})") from exc
+    for n, rec in read_jsonl(path, "linkage"):
+        try:
+            _bind_row(rec, lookup, cids, links)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{n}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{path}:{n}: malformed linkage row ({exc!r})") from exc
     return LinkageTable(links)
 
 

@@ -143,7 +143,7 @@ class Model:
 def corpus_digest(corpus: Corpus) -> str:
     """SHA-256 of the corpus's canonical records: each item in id order, then
     each user's events in user order, as one sorted-key JSON list."""
-    records = [item_event(corpus.items[i]) for i in sorted(corpus.items)]
+    records = [item_event(corpus.items[i]) for i in corpus.item_ids]
     records += chain.from_iterable(user_events(corpus.users[u]) for u in sorted(corpus.users))
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -159,12 +159,10 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     """
     histories = _histories(corpus)
     tokens = [normalize(t) for t in _table_texts(histories)]
-    item_tokens = [normalize(" ".join([item.title, *item.attributes]))
-                   for item in corpus.items.values()]
+    item_tokens = [normalize(item.text) for item in corpus.items.values()]
     vocab = {term: i + 1 for i, term in
              enumerate(sorted(set(chain.from_iterable(tokens + item_tokens))))}
-    item_ids = tuple(sorted(corpus.items))
-    item_rows = {v: i for i, v in enumerate(item_ids)}
+    item_rows = {v: i for i, v in enumerate(corpus.item_ids)}
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / math.sqrt(cfg.d)
 
@@ -175,7 +173,7 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     return Model(
         cfg=cfg,
         vocab=vocab,
-        item_ids=item_ids,
+        item_ids=corpus.item_ids,
         item_rows=item_rows,
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
         corpus_sha256=corpus_digest(corpus),
@@ -183,7 +181,7 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
                             item_rows),
         tables=EmbeddingTables(
             token=init(len(vocab) + 1, d),
-            item=init(len(item_ids), d),
+            item=init(len(item_rows), d),
             user=init(len(corpus.users), d),
             time=init(cfg.n_time_buckets, d),
             action=init(len(ACTION_ROWS), d),

@@ -218,10 +218,15 @@ def mean_pool(a: Tensor, offsets: Sequence[int]) -> Tensor:
     return out
 
 
-def l2_norm_sq(a: Tensor) -> Tensor:
-    out = _out(np.sum(a.data * a.data), (a,), None)
+def l2_norm_sq(*tensors: Tensor) -> Tensor:
+    """Sum of squares over every entry of every tensor, as one node; the
+    per-tensor sums are added left to right."""
+    out = _out(sum(np.sum(a.data * a.data) for a in tensors), tensors, None)
     if out._parents:
-        out._backward = lambda g: _accum(a, 2.0 * g * a.data)
+        def backward(g):
+            for a in tensors:
+                _accum(a, 2.0 * g * a.data)
+        out._backward = backward
     return out
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -224,8 +223,7 @@ def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
     if l_va is not None and cfg.lambda_va > 0:
         total = T.add(total, T.scale(l_va, cfg.lambda_va))
     if cfg.lambda_l2 > 0:
-        l2 = reduce(T.add, [T.l2_norm_sq(p) for p in params])
-        total = T.add(total, T.scale(l2, cfg.lambda_l2))
+        total = T.add(total, T.scale(T.l2_norm_sq(*params), cfg.lambda_l2))
     return total
 
 

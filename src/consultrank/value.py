@@ -15,7 +15,6 @@ consultations (up to a sequence cap) survive into model training.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -28,7 +27,9 @@ from .corpus import (
     Interaction,
     SearchSession,
     UserHistory,
+    read_jsonl,
     slice_before,
+    write_jsonl,
 )
 from .index import InvertedIndex, ScopeParams, build_index, scope_value
 from .linkage import LinkageTable
@@ -327,10 +328,7 @@ def report_record(r: ValueReport) -> dict:
 
 
 def dump_values(assessments: Sequence[SessionAssessment], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in assessments:
-            for r in a.reports:
-                fh.write(json.dumps(report_record(r), sort_keys=True) + "\n")
+    write_jsonl(path, (report_record(r) for a in assessments for r in a.reports))
 
 
 #: values.jsonl score fields, each in [0, 1]
@@ -350,31 +348,26 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
     earlier consultation has no rows, as `assess` writes none for it, and
     keeps nothing."""
     rows: Dict[Tuple[str, int], List[ValueReport]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            try:
-                bad = [key for key, types in _VALUE_FIELDS.items()
-                       if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
-                if bad:
-                    raise TypeError(f"wrong-typed {', '.join(bad)}")
-                bad = [key for key in _SCORE_FIELDS if not 0.0 <= rec[key] <= 1.0]
-                if rec["rank"] < 1:
-                    bad.append("rank")
-                if bad:
-                    raise ValueError(f"out-of-range {', '.join(bad)}")
-                report = ValueReport(
-                    user_id=rec["user"], search_ts=rec["search_ts"], cid=rec["cid"],
-                    o_time=rec["o_time"], o_scope=rec["o_scope"],
-                    o_action=rec["o_action"], o_aggregate=rec["o_aggregate"],
-                    rank=rec["rank"],
-                )
-                rows.setdefault((report.user_id, report.search_ts), []).append(report)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{n}: malformed value row ({exc!r})") from exc
+    for n, rec in read_jsonl(path, "value"):
+        try:
+            bad = [key for key, types in _VALUE_FIELDS.items()
+                   if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
+            if bad:
+                raise TypeError(f"wrong-typed {', '.join(bad)}")
+            bad = [key for key in _SCORE_FIELDS if not 0.0 <= rec[key] <= 1.0]
+            if rec["rank"] < 1:
+                bad.append("rank")
+            if bad:
+                raise ValueError(f"out-of-range {', '.join(bad)}")
+            report = ValueReport(
+                user_id=rec["user"], search_ts=rec["search_ts"], cid=rec["cid"],
+                o_time=rec["o_time"], o_scope=rec["o_scope"],
+                o_action=rec["o_action"], o_aggregate=rec["o_aggregate"],
+                rank=rec["rank"],
+            )
+            rows.setdefault((report.user_id, report.search_ts), []).append(report)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:{n}: malformed value row ({exc!r})") from exc
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):

@@ -116,6 +116,7 @@ def tensor_op_trials(rng: np.random.Generator):
          lambda: T.l2_norm_sq(T.tanh(T.embedding_lookup(pad_table, pad_idx))), [pad_table]),
         ("transpose", lambda: T.l2_norm_sq(T.matmul(T.transpose(a), m34)), [a, m34]),
         ("add row-wise", lambda: T.l2_norm_sq(T.tanh(T.add(m34, v4))), [m34, v4]),
-        ("l2_norm_sq", lambda: T.l2_norm_sq(s5), [s5]),
+        # one tensor, and two of different shapes in one node
+        ("l2_norm_sq", lambda: T.add(T.l2_norm_sq(s5), T.l2_norm_sq(t5, m34)), [s5, t5, m34]),
         ("reused leaf", lambda: T.l2_norm_sq(T.add(t5, t5)), [t5]),
     ]

@@ -10,7 +10,6 @@ import json
 import math
 import time
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -149,7 +148,7 @@ def _end_to_end_trial(tmp_path, seed):
         e_final = M.session_forward(model, [ex.features for ex in examples])
         loss = TR.loss_search(model, e_final, truths, negatives, cfg)
         loss = T.add(loss, T.scale(TR.loss_va(model, va, features, cfg), cfg.lambda_va))
-        reg = reduce(T.add, [T.l2_norm_sq(p) for p in model.parameters()])
+        reg = T.l2_norm_sq(*model.parameters())
         return T.add(loss, T.scale(reg, cfg.lambda_l2))
 
     return build, model.parameters()

@@ -317,6 +317,13 @@ def _edit_json(name, edit):
     return corrupt
 
 
+def _append_bytes(name, raw):
+    def corrupt(out):
+        with open(out / name, "ab") as fh:
+            fh.write(raw)
+    return corrupt
+
+
 def _edit_checkpoint(edit):
     return _edit_json("checkpoint.json", edit)
 
@@ -343,6 +350,7 @@ def _as_v1(payload):
 
 
 @pytest.mark.parametrize("stage, corrupt", [
+    ("index", _append_bytes("corpus/items.jsonl", b"\xff\n")),
     ("assess", _edit_first_row("linkage.jsonl",
         lambda row: {k: v for k, v in row.items() if k != "actions"})),
     ("assess", _edit_first_row("linkage.jsonl", lambda row: list(row))),
@@ -366,7 +374,7 @@ def _as_v1(payload):
     ("report", _edit_bm25_macro(lambda macro: macro.pop("hr@5"))),
     ("report", _edit_bm25_macro(lambda macro: macro.update({"ndcg@10": "x"}))),
     ("report", _edit_bm25_macro(lambda macro: macro.update({"mrr@50": 1.5}))),
-], ids=["linkage-row-without-actions", "linkage-row-not-an-object",
+], ids=["corpus-not-utf8", "linkage-row-without-actions", "linkage-row-not-an-object",
         "index-row-string-items", "index-row-number-term",
         "values-row-string-rank", "values-row-string-search-ts",
         "checkpoint-without-params", "checkpoint-param-without-shape",
@@ -424,12 +432,14 @@ def _sweep_rows(path):
 @given(data=st.data())
 def test_truncated_or_keyless_artifact_exits_4(reported_dir, capsys, name, data):
     """Cut one row short, or delete one key at any depth of one row: the
-    stage that reads the file must refuse it with exit 4."""
+    stage that reads the file must refuse it with exit 4.  A cut line of a
+    JSONL file is named by its file and line number."""
     rows = _sweep_rows(reported_dir / name)
     i = data.draw(st.integers(0, len(rows) - 1), label="row")
     row = json.loads(rows[i])
     paths = [path for path in _key_paths(row) if not _kept_by_sweep(name, path)]
-    if data.draw(st.booleans(), label="truncate"):
+    truncate = data.draw(st.booleans(), label="truncate")
+    if truncate:
         rows[i] = rows[i][:data.draw(st.integers(1, len(rows[i]) - 1), label="cut")]
     else:
         *parents, key = data.draw(st.sampled_from(paths), label="key")
@@ -443,7 +453,10 @@ def test_truncated_or_keyless_artifact_exits_4(reported_dir, capsys, name, data)
         shutil.copytree(reported_dir, out)
         (out / name).write_text("\n".join(rows) + "\n")
         assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if truncate and name.endswith(".jsonl"):
+        assert f"{name}:{i + 1}:" in err
 
 
 #: ModelConfig field -> the kind of JSON number its checkpoint value must be.

@@ -478,4 +478,4 @@ def test_step_graph_does_not_grow_with_batch():
         rngs = map(np.random.default_rng, (1, 2))
         return _graph_nodes(TR.step_loss(model, batch, table, pairs, kept_map, cfg, *rngs)[0])
 
-    assert nodes(examples[:1]) == nodes(examples[:24]) <= 150
+    assert nodes(examples[:1]) == nodes(examples[:24]) <= 106
