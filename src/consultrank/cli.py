@@ -15,8 +15,10 @@ resolved under ``--out`` unless absolute):
 Each stage validates its upstream artifacts and fails with an error
 naming the stage to run first when one is missing.  Every stage also
 writes ``manifests/<stage>.json`` (config hash, input/output hashes,
-timing); manifests carry timestamps and sit outside the byte-stable
-artifact contract, which covers the JSONL/JSON artifacts themselves.
+timing), and ``eval --ranker <ranker>`` writes ``manifests/eval_<ranker>.json``
+for the bm25 and semantic rankers, named like their metrics files;
+manifests carry timestamps and sit outside the byte-stable artifact
+contract, which covers the JSONL/JSON artifacts themselves.
 
 Config: a single flat JSON object.  Every setting is declared once, as a
 field of the dataclass that owns it (``GenSpec``, ``LinkageParams``,
@@ -206,7 +208,8 @@ def _sha256(path: str) -> str:
 
 def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
                    input_hashes: Dict[str, str], outputs: Sequence[str],
-                   started: float) -> str:
+                   started: float, name: str) -> str:
+    """Write the manifest of a run of `stage` to ``manifests/<name>.json``."""
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
     payload = {
         "stage": stage,
@@ -221,7 +224,7 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
         "started_unix": round(started, 3),
         "elapsed_seconds": round(time.time() - started, 3),
     }
-    path = os.path.join(out_dir, "manifests", f"{stage}.json")
+    path = os.path.join(out_dir, "manifests", f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -340,10 +343,15 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
     return [checkpoint_path, log_path]
 
 
+def _ranker_name(stem: str, ranker: str) -> str:
+    """`stem` for the vaps ranker, `stem`_`ranker` for the others: the
+    names of a ranker's metrics file and eval manifest."""
+    return stem if ranker == "vaps" else f"{stem}_{ranker}"
+
+
 def _metrics_path(cfg, out_dir, ranker: str) -> str:
     reports_dir = _resolve(cfg, out_dir, "reports")
-    name = "metrics.json" if ranker == "vaps" else f"metrics_{ranker}.json"
-    return os.path.join(reports_dir, name)
+    return os.path.join(reports_dir, _ranker_name("metrics", ranker) + ".json")
 
 
 def cmd_eval(cfg, out_dir, args) -> List[str]:
@@ -544,7 +552,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise MissingArtifact(f"missing {path}: run {writer} first")
         input_hashes = {path: _sha256(path) for path, _ in inputs}
         outputs = stage.run(cfg, out_dir, args)
-        write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started)
+        write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started,
+                       _ranker_name(args.stage, getattr(args, "ranker", "vaps")))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

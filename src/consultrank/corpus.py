@@ -170,10 +170,16 @@ def floor_hours(raw) -> int:
 
 def read_jsonl(path, kind: str) -> Iterable[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file of `kind` rows.  A line that is not valid JSON, or not a JSON
-    object, raises CorpusError naming ``path:line`` and the kind."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    file of `kind` rows.  A line that is not UTF-8, not valid JSON, or not a
+    JSON object raises CorpusError naming ``path:line`` and the kind.  Lines
+    end at ``\n``; a ``\r`` before it is stripped with the other whitespace."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{path}:{lineno}: malformed {kind} row: not UTF-8 ({exc})") from exc
             line = line.strip()
             if not line:
                 continue

@@ -1,10 +1,17 @@
 """Ranking metrics, the sampled-candidate protocol, and the BM25 baseline.
 
 Each evaluation session pairs one ground-truth item with uniformly sampled
-negatives (``N_NEG`` by default), shuffles the candidate list with a seed derived
-from the session identity, asks a scorer for one score per candidate, and
-reads HR, NDCG, and MRR at fixed cutoffs off the ground truth's rank.  The
-retrieval protocol scores the whole catalog instead of a sample.
+negatives (``N_NEG`` by default), shuffled with a seed derived from the
+session identity, and HR, NDCG, and MRR at fixed cutoffs are read off the
+ground truth's rank.  The retrieval protocol scores the whole catalog
+instead of a sample.
+
+A scorer (`ScoreFn`) scores a batch of sessions in one call: it takes
+(user-id, session) pairs and one candidate list per pair, or None for the
+whole catalog in `Corpus.item_ids` order, and returns a ``[B, n]`` score
+matrix.  `evaluate_sessions` hands it ``CHUNK`` sessions at a time, so the
+model ranker runs one forward pass per chunk, and under the retrieval
+protocol one ``[B, d] x [d, n_items]`` product against its item table.
 """
 
 from __future__ import annotations
@@ -29,8 +36,12 @@ METRIC_KEYS = tuple(f"{m}@{k}" for m in ("hr", "ndcg", "mrr") for k in K_CUTS)
 #: Negatives sampled per session under the ranking protocol.
 N_NEG = 99
 
-# score_fn(user_id, session, candidate_ids) -> one float per candidate
-ScoreFn = Callable[[str, SearchSession, Sequence[str]], Sequence[float]]
+#: Sessions per scorer call in `evaluate_sessions`.
+CHUNK = 64
+
+Sessions = Sequence[Tuple[str, SearchSession]]
+# score_fn(sessions, candidate lists or None for the catalog) -> [B, n] scores
+ScoreFn = Callable[[Sessions, Optional[Sequence[Sequence[str]]]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -70,22 +81,30 @@ def make_candidates(ground_truth: str, corpus: Corpus, n_neg: int = N_NEG,
 
 
 def ground_truth_rank(candidate_ids: Sequence[str], scores: Sequence[float],
-                      ground_truth: str) -> Optional[int]:
+                      ground_truth: str, sorted_ids: bool = False) -> Optional[int]:
     """1-based rank of the ground truth among the candidates, None when absent.
 
     Higher scores rank first and equal scores rank by item id, so the rank is
     1 + the number of higher scores + the number of equal scores on smaller
-    ids.  Candidate ids must be distinct, as both protocols build them.
+    ids.  Candidate ids must be distinct, as both protocols build them; with
+    `sorted_ids` they are in ascending order (the catalog), and the ground
+    truth is found by bisection.
     """
     values = np.asarray(scores, dtype=np.float64)
     if len(candidate_ids) != len(values):
         raise ValueError(f"{len(candidate_ids)} candidates but {len(values)} scores")
     if np.isnan(values).any():
         raise ValueError("NaN score: candidates cannot be ranked")
-    try:
-        own = values[candidate_ids.index(ground_truth)]
-    except ValueError:
-        return None
+    if sorted_ids:
+        at = bisect_left(candidate_ids, ground_truth)
+        if at == len(candidate_ids) or candidate_ids[at] != ground_truth:
+            return None
+    else:
+        try:
+            at = candidate_ids.index(ground_truth)
+        except ValueError:
+            return None
+    own = values[at]
     tied = np.flatnonzero(values == own)
     return (1 + int(np.count_nonzero(values > own))
             + sum(candidate_ids[i] < ground_truth for i in tied))
@@ -102,31 +121,36 @@ def session_metrics(rank: Optional[int]) -> Dict[str, float]:
     return out
 
 
-def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus,
-                      sessions: Sequence[Tuple[str, SearchSession]],
+def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus, sessions: Sessions,
                       protocol: str = "ranking", seed: int = 0,
                       n_neg: int = N_NEG) -> MetricReport:
-    """Run one scorer over evaluation sessions and macro-average."""
+    """Run one scorer over evaluation sessions, CHUNK sessions per call, and
+    macro-average.  Under `retrieval` the scorer gets None and scores the
+    whole catalog."""
     if protocol not in ("ranking", "retrieval"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if not sessions:
         raise ValueError("no sessions to evaluate")
     totals = {key: 0.0 for k in K_CUTS for key in (f"hr@{k}", f"ndcg@{k}", f"mrr@{k}")}
     by_user: Dict[str, List[Dict[str, float]]] = {}
-    for user_id, session in sessions:
+    for lo in range(0, len(sessions), CHUNK):
+        chunk = sessions[lo:lo + CHUNK]
         if protocol == "ranking":
-            candidates = make_candidates(
-                session.ground_truth_item, corpus, n_neg=n_neg,
-                seed=session_seed(seed, user_id, session),
-            )
+            candidates = [make_candidates(session.ground_truth_item, corpus, n_neg=n_neg,
+                                          seed=session_seed(seed, user_id, session))
+                          for user_id, session in chunk]
+            scores = score_fn(chunk, candidates)
         else:
-            candidates = corpus.item_ids
-        scores = score_fn(user_id, session, candidates)
-        metrics = session_metrics(
-            ground_truth_rank(candidates, scores, session.ground_truth_item))
-        for key, val in metrics.items():
-            totals[key] += val
-        by_user.setdefault(user_id, []).append(metrics)
+            candidates = [corpus.item_ids] * len(chunk)
+            scores = score_fn(chunk, None)
+        if len(scores) != len(chunk):
+            raise ValueError(f"{len(chunk)} sessions but {len(scores)} rows of scores")
+        for (user_id, session), ids, row in zip(chunk, candidates, scores):
+            metrics = session_metrics(ground_truth_rank(
+                ids, row, session.ground_truth_item, sorted_ids=protocol == "retrieval"))
+            for key, val in metrics.items():
+                totals[key] += val
+            by_user.setdefault(user_id, []).append(metrics)
     n = len(sessions)
     macro = {key: totals[key] / n for key in totals}
     per_user = {
@@ -177,9 +201,14 @@ class Bm25:
 
 def bm25_score_fn(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreFn:
     engine = Bm25(corpus, k1=k1, b=b)
-    def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
-        tokens = normalize(session.query.text)
-        return [engine.score(tokens, v) for v in candidates]
+    def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
+        if candidates is None:
+            candidates = [corpus.item_ids] * len(sessions)
+        rows = []
+        for (_, session), ids in zip(sessions, candidates):
+            tokens = normalize(session.query.text)
+            rows.append([engine.score(tokens, v) for v in ids])
+        return np.array(rows, dtype=np.float64)
     return score
 
 

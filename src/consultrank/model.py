@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -500,9 +500,13 @@ def session_forward(model: Model, batch: Sequence[SessionFeatures]) -> T.Tensor:
 
 
 def score_candidates(model: Model, e_final: T.Tensor,
-                     candidate_ids: Sequence[Sequence[str]]) -> T.Tensor:
+                     candidate_ids: Optional[Sequence[Sequence[str]]]) -> T.Tensor:
     """[B, n] dot-product scores of each session's e_final row against the
-    item rows of its n candidates, in input order."""
+    item rows of its n candidates, in input order; with None, against every
+    item row, in `Model.item_ids` order (the catalog of the model's corpus),
+    as one product with the item table."""
+    if candidate_ids is None:
+        return T.matmul(e_final, T.transpose(model.tables.item))
     rows = np.array([_rows(model.item_rows, ids, "item") for ids in candidate_ids])
     e_rows = T.embedding_lookup(e_final, np.arange(len(rows))[:, None])
     return squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(model.tables.item, rows))))

@@ -21,7 +21,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import Consultation, Corpus, SearchSession
-from .evaluate import N_NEG, ScoreFn, evaluate_sessions
+from .evaluate import N_NEG, ScoreFn, Sessions, evaluate_sessions
 from .linkage import LinkageTable
 from .value import SessionAssessment, ValueParams
 
@@ -322,14 +322,16 @@ class TrainResult:
 
 def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
                    l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
-    """A scorer of the sessions of `corpus`, the corpus the model was built
-    on; their inputs are sliced from the model's feature table."""
-    def score(user_id: str, session: SearchSession, candidates: Sequence[str]):
-        ex = build_example(model, corpus, model.features, user_id, session, kept_map, l_seq,
-                           value_filter)
+    """A batch scorer of the sessions of `corpus`, the corpus the model was
+    built on: their inputs are sliced from the model's feature table, and
+    the batch runs through one forward pass and one scoring product, with
+    no graph."""
+    def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
+        batch = [build_example(model, corpus, model.features, user_id, session, kept_map,
+                               l_seq, value_filter).features
+                 for user_id, session in sessions]
         with T.no_grad():
-            e_final = M.session_forward(model, [ex.features])
-            return M.score_candidates(model, e_final, [candidates]).data[0]
+            return M.score_candidates(model, M.session_forward(model, batch), candidates).data
     return score
 
 

@@ -67,6 +67,16 @@ def test_full_pipeline_artifacts(pipeline_dir):
         assert "config_sha256" in manifest
 
 
+def test_each_ranker_writes_its_own_eval_manifest(reported_dir):
+    metrics = {"eval": "metrics.json", "eval_semantic": "metrics_semantic.json",
+               "eval_bm25": "metrics_bm25.json"}
+    for name, metrics_file in metrics.items():
+        manifest = json.loads((reported_dir / "manifests" / f"{name}.json").read_text())
+        assert manifest["stage"] == "eval"
+        assert list(manifest["outputs"]) == [f"reports/{metrics_file}"], name
+        assert ("values.jsonl" in manifest["inputs"]) == (name == "eval"), name
+
+
 def test_report_collates_all_rankers(pipeline_dir, capsys):
     out, config = pipeline_dir
     assert run("report", out, config) == 3  # bm25/semantic not evaluated yet
@@ -318,9 +328,13 @@ def _edit_json(name, edit):
 
 
 def _append_bytes(name, raw):
+    """Append a line of `raw` bytes; return the `name:line:` the error names."""
     def corrupt(out):
-        with open(out / name, "ab") as fh:
+        path = out / name
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
             fh.write(raw)
+        return f"{path.name}:{line}:"
     return corrupt
 
 
@@ -386,9 +400,11 @@ def _as_v1(payload):
 def test_corrupt_artifact_exits_4(reported_dir, tmp_path, capsys, stage, corrupt):
     out = tmp_path / "run"
     shutil.copytree(reported_dir, out)
-    corrupt(out)
+    named = corrupt(out)
     assert run(stage, out, out / "config.json") == 4
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named is None or named in err, err
 
 
 #: Each artifact and the stage that reads it.

@@ -75,6 +75,20 @@ def test_invalid_json_reports_line_number(tmp_path):
         load_corpus(items_path, events_path)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_bad_line_is_named_by_its_number(tmp_path, newline):
+    """A line that is not UTF-8, or not JSON, is named by its 1-based number
+    in `\n` and `\r\n` files alike; blank lines count."""
+    items_path = tmp_path / "items.jsonl"
+    write_jsonl(items_path, ITEMS)
+    events_path = tmp_path / "events.jsonl"
+    rows = [json.dumps(search("u1", 5, "laptop", "i1")).encode(), b"", b"  "]
+    for bad, says in ((b'{"user": "caf\xe9"}', "not UTF-8"), (b'{"user"', "invalid JSON")):
+        events_path.write_bytes(newline.join(rows + [bad, b""]))
+        with pytest.raises(CorpusError, match=f"events.jsonl:4: malformed event row: {says}"):
+            load_corpus(items_path, events_path)
+
+
 def test_unknown_event_type_rejected(tmp_path):
     with pytest.raises(CorpusError, match="unknown event type"):
         corpus_from(tmp_path, ITEMS, [{"user": "u1", "type": "hover", "ts_hours": 1}])

@@ -133,8 +133,9 @@ def test_session_seed_distinguishes_sessions(eval_corpus):
 
 
 def test_perfect_oracle_scores_all_ones(eval_corpus):
-    def oracle(user_id, session, candidates):
-        return [1.0 if v == session.ground_truth_item else 0.0 for v in candidates]
+    def oracle(sessions, candidates):
+        return [[1.0 if v == session.ground_truth_item else 0.0 for v in ids]
+                for (_, session), ids in zip(sessions, candidates)]
 
     sessions = [(u, s) for u in sorted(eval_corpus.users)
                 for s in eval_corpus.users[u].searches]
@@ -172,15 +173,49 @@ def test_evaluate_validates_inputs(eval_corpus):
 
 
 def test_retrieval_protocol_uses_full_catalog(eval_corpus):
-    seen = {}
+    seen = []
 
-    def spy(user_id, session, candidates):
-        seen["n"] = len(candidates)
-        return list(range(len(candidates), 0, -1))
+    def spy(sessions, candidates):
+        seen.append(candidates)
+        # descending in catalog order: catalog position p ranks p + 1
+        return np.tile(np.arange(len(eval_corpus.items), 0, -1.0), (len(sessions), 1))
 
     sessions = [("u2", eval_corpus.users["u2"].searches[0])]
-    E.evaluate_sessions(spy, eval_corpus, sessions, protocol="retrieval")
-    assert seen["n"] == len(eval_corpus.items)
+    report = E.evaluate_sessions(spy, eval_corpus, sessions, protocol="retrieval")
+    assert seen == [None]
+    # i002 is catalog position 2 of 120
+    assert report.macro["mrr@5"] == pytest.approx(1 / 3)
+    with pytest.raises(ValueError, match="120 candidates but 119 scores"):
+        E.evaluate_sessions(lambda s, c: spy(s, c)[:, 1:], eval_corpus, sessions,
+                            protocol="retrieval")
+
+
+def test_ground_truth_rank_by_bisection_matches_search():
+    ids = [f"v{j:03d}" for j in range(40)]
+    scores = np.random.default_rng(3).integers(0, 5, size=40).astype(float)
+    for truth in [*ids, "nope", "v0395", "zz"]:
+        assert E.ground_truth_rank(ids, scores, truth, sorted_ids=True) == \
+            E.ground_truth_rank(ids, scores, truth)
+
+
+def test_evaluate_scores_sessions_in_chunks(eval_corpus, monkeypatch):
+    monkeypatch.setattr(E, "CHUNK", 2)
+    calls = []
+    score = random_score_fn(4)
+
+    def spy(sessions, candidates):
+        calls.append(len(sessions))
+        return score(sessions, candidates)
+
+    sessions = [(u, s) for u in sorted(eval_corpus.users)
+                for s in eval_corpus.users[u].searches]
+    report = E.evaluate_sessions(spy, eval_corpus, sessions, seed=2)
+    assert calls == [2, 1]
+    alone = [E.evaluate_sessions(score, eval_corpus, [pair], seed=2) for pair in sessions]
+    assert report.macro == pytest.approx(
+        {k: sum(r.macro[k] for r in alone) / 3 for k in report.macro})
+    with pytest.raises(ValueError, match="2 sessions but 1 rows"):
+        E.evaluate_sessions(lambda s, c: score(s, c)[:1], eval_corpus, sessions)
 
 
 def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
@@ -201,7 +236,7 @@ def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
 def bm25_scores(corpus, candidates):
     """BM25 scores of `candidates` for the corpus's only search session."""
     ((user, history),) = corpus.users.items()
-    return E.bm25_score_fn(corpus)(user, history.searches[0], candidates)
+    return E.bm25_score_fn(corpus)([(user, history.searches[0])], [candidates])[0].tolist()
 
 
 def test_bm25_matches_reference_formula(tmp_path):
@@ -219,6 +254,9 @@ def test_bm25_matches_reference_formula(tmp_path):
     scores = bm25_scores(corpus, ["d1", "d2", "d3"])
     expected = [bm25_reference(["copper", "kettle"], docs, v) for v in ("d1", "d2", "d3")]
     assert scores == pytest.approx(expected, rel=1e-12)
+    ((user, history),) = corpus.users.items()
+    catalog = E.bm25_score_fn(corpus)([(user, history.searches[0])], None)
+    assert catalog.tolist() == [scores]
 
 
 def test_bm25_unique_match_ranks_first(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from consultrank import ablation
+from consultrank import evaluate as E
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank import train as TR
@@ -479,3 +480,29 @@ def test_step_graph_does_not_grow_with_batch():
         return _graph_nodes(TR.step_loss(model, batch, table, pairs, kept_map, cfg, *rngs)[0])
 
     assert nodes(examples[:1]) == nodes(examples[:24]) <= 106
+
+
+def test_batched_scoring_matches_batches_of_one():
+    """On a trained model, `evaluate_sessions` over a test split longer than
+    one chunk gives the per-user metrics of each session scored alone, under
+    both protocols and with and without the value filter; the catalog
+    product gives the scores of the explicit catalog to 1e-12."""
+    corpus, _ = generate(GenSpec(n_users=E.CHUNK + 6, n_items=20, seed=3))
+    linkage, assessments = pipeline(corpus)
+    model = M.init_model(corpus, M.ModelConfig(d=16, seed=3))
+    cfg = TR.TrainConfig(max_epochs=2, batch_size=24, va_batch=16, lr=1e-2, seed=3)
+    model = TR.train(corpus, linkage, assessments, model, cfg).model
+    kept = TR.kept_consultations(assessments)
+    test = TR.split_sessions(corpus).test
+    assert len(test) > E.CHUNK
+    for value_filter in (True, False):
+        score = TR.model_score_fn(model, corpus, kept if value_filter else None,
+                                  value_filter=value_filter)
+        for protocol in ("ranking", "retrieval"):
+            run = lambda sessions: E.evaluate_sessions(score, corpus, sessions, protocol,
+                                                       seed=1, n_neg=19)
+            alone = {u: row for pair in test for u, row in run([pair]).per_user.items()}
+            assert run(test).per_user == alone
+        catalog = score(test, None)
+        assert catalog.shape == (len(test), len(corpus.items))
+        assert _relative(catalog, score(test, [corpus.item_ids] * len(test))) < 1e-12
