@@ -15,9 +15,11 @@ layers:
 - ``tensor``    minimal numpy-backed reverse-mode autodiff with Adam
 - ``model``     embedding tables, text encoder, consultation-action
                 cross-attention, cascaded encoder, candidate scoring
-- ``train``     contrastive losses and the training loop
+- ``train``     kept maps (the consultations each search reads), contrastive
+                losses and the training loop
 - ``evaluate``  HR/NDCG/MRR, candidate sampling, BM25 baseline
-- ``ablation``  multi-seed component-removal study over the full stack
+- ``ablation``  multi-seed component-removal study, one row of setting
+                overrides per variant
 - ``cli``       pipeline orchestration (datagen | ingest | index | link |
                 assess | train | eval | report)
 """

@@ -1,7 +1,9 @@
 """Ablation study: the full model against single-component removals.
 
 Every variant trains the same architecture from scratch on the same
-per-seed synthetic corpus; what changes is exactly one ingredient:
+per-seed synthetic corpus, through the same library calls as the CLI's
+``assess``, ``train`` and ``eval`` stages.  A variant is one row of
+`VARIANTS`, the settings it changes from the full model's:
 
 * ``no_time`` / ``no_scope`` / ``no_action`` drop one value signal by
   pinning the aggregation weights, which changes which consultations the
@@ -21,8 +23,8 @@ model is recorded as a soft inversion rather than an error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -37,21 +39,18 @@ FULL = "full"
 SEMANTIC_ONLY = "semantic_only"
 NO_CAI = "no_cai"
 
-#: name -> (value-params override, lambda_va override, lambda3 override,
-#: value_filter); None keeps the baseline setting.
-_VARIANTS: Tuple[Tuple[str, Optional[Dict[str, float]], Optional[float], Optional[float], bool], ...] = (
-    (FULL, None, None, None, True),
-    ("no_time", {"lambda1": 1.0}, None, None, True),
-    ("no_scope", {"lambda2": 0.0}, None, None, True),
-    ("no_action", {"lambda2": 1.0}, None, None, True),
-    ("no_va", None, 0.0, None, True),
-    (NO_CAI, None, None, 0.0, True),
-    (SEMANTIC_ONLY, None, 0.0, None, False),
-)
-
-
-def variant_names() -> Tuple[str, ...]:
-    return tuple(name for name, *_ in _VARIANTS)
+#: name -> the settings the variant changes from the full model's.  Each key
+#: names a field of ValueParams, ModelConfig or TrainConfig, or is the
+#: ``value_filter`` argument of `train.train` and `train.model_score_fn`.
+VARIANTS: Dict[str, Dict[str, object]] = {
+    FULL: {},
+    "no_time": {"lambda1": 1.0},
+    "no_scope": {"lambda2": 0.0},
+    "no_action": {"lambda2": 1.0},
+    "no_va": {"lambda_va": 0.0},
+    NO_CAI: {"lambda3_skip": 0.0},
+    SEMANTIC_ONLY: {"value_filter": False, "lambda_va": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class AblationConfig:
     gen: GenSpec = GenSpec(n_users=30, n_items=20, seed=0)
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
     d: int = 32
-    lambda3_skip: float = 1.0
     value_params: ValueParams = ValueParams(l_seq=1)
     train: TR.TrainConfig = TR.TrainConfig(
         max_epochs=40, patience=40, batch_size=24, va_batch=32,
@@ -81,30 +79,25 @@ class AblationResult:
     elapsed_seconds: float
 
 
-def _run_variant(corpus, linkage, buckets, name: str,
-                 value_overrides: Optional[Mapping[str, float]],
-                 lambda_va: Optional[float], lambda3: Optional[float],
-                 value_filter: bool, cfg: AblationConfig, seed: int) -> float:
-    params = cfg.value_params
-    if value_overrides:
-        params = replace(params, **value_overrides)
+def _override(settings, overrides: Mapping[str, object]):
+    """`settings` with the overrides that name one of its fields."""
+    names = {f.name for f in fields(settings)}
+    return replace(settings, **{k: v for k, v in overrides.items() if k in names})
+
+
+def _run_variant(corpus, linkage, buckets, overrides: Mapping[str, object],
+                 cfg: AblationConfig, seed: int) -> float:
+    """Test-split metric of one variant at one seed."""
+    params = _override(cfg.value_params, overrides)
+    value_filter = overrides.get("value_filter", True)
     assessments = assess_corpus(corpus, linkage, buckets, params)
-    kept_map = TR.kept_consultations(assessments) if value_filter else None
-
-    mcfg = M.ModelConfig(d=cfg.d, seed=seed,
-                         lambda3_skip=cfg.lambda3_skip if lambda3 is None else lambda3)
-    model = M.init_model(corpus, mcfg)
-    tcfg = replace(
-        cfg.train, seed=seed,
-        lambda_va=cfg.train.lambda_va if lambda_va is None else lambda_va,
-    )
-    result = TR.train(corpus, linkage, assessments, model, tcfg,
+    model = M.init_model(corpus, _override(M.ModelConfig(d=cfg.d, seed=seed), overrides))
+    result = TR.train(corpus, linkage, assessments, model,
+                      _override(replace(cfg.train, seed=seed), overrides),
                       l_seq=params.l_seq, value_filter=value_filter)
-
-    split = TR.split_sessions(corpus)
-    fn = TR.model_score_fn(result.model, corpus, kept_map,
+    fn = TR.model_score_fn(result.model, corpus, TR.kept_consultations(assessments),
                            l_seq=params.l_seq, value_filter=value_filter)
-    report = evaluate_sessions(fn, corpus, split.test,
+    report = evaluate_sessions(fn, corpus, TR.split_sessions(corpus).test,
                                n_neg=min(N_NEG, len(corpus.items) - 1), seed=0)
     return report.macro[cfg.metric]
 
@@ -115,20 +108,19 @@ def run_ablation(cfg: AblationConfig = AblationConfig(),
 
     ``progress`` (optional) is called with one line per finished run."""
     t0 = time.time()
-    per_seed: Dict[str, List[float]] = {name: [] for name in variant_names()}
+    per_seed: Dict[str, List[float]] = {name: [] for name in VARIANTS}
     for seed in cfg.seeds:
         corpus, _ = generate(replace(cfg.gen, seed=seed))
         linkage = build_linkage(corpus)
         buckets = fit_buckets(linkage, cfg.value_params.n_buckets)
-        for name, overrides, lam_va, lam3, filt in _VARIANTS:
-            score = _run_variant(corpus, linkage, buckets, name, overrides,
-                                 lam_va, lam3, filt, cfg, seed)
+        for name, overrides in VARIANTS.items():
+            score = _run_variant(corpus, linkage, buckets, overrides, cfg, seed)
             per_seed[name].append(score)
             if progress is not None:
                 progress(f"seed {seed} {name}: {cfg.metric}={score:.4f}")
     means = {name: float(np.mean(vals)) for name, vals in per_seed.items()}
     soft = tuple(
-        name for name in variant_names()
+        name for name in VARIANTS
         if name != FULL and means[name] > means[FULL]
     )
     return AblationResult(per_seed, means, soft, time.time() - t0)

@@ -364,15 +364,12 @@ def cmd_eval(cfg, out_dir, args) -> List[str]:
         score_fn = bm25_score_fn(corpus)
     else:
         model = _read("checkpoint", load_model, _resolve(cfg, out_dir, "checkpoint"), corpus)
+        kept_map = None  # semantic: the same checkpoint, most recent consultations
         if ranker == "vaps":
-            assessments = _read("values", load_assessments, _resolve(cfg, out_dir, "values"),
-                                corpus, params)
-            kept_map = kept_consultations(assessments)
-            score_fn = model_score_fn(model, corpus, kept_map,
-                                      l_seq=params.l_seq, value_filter=True)
-        else:  # semantic: same checkpoint, most recent consultations, no filter
-            score_fn = model_score_fn(model, corpus, None,
-                                      l_seq=params.l_seq, value_filter=False)
+            kept_map = kept_consultations(_read("values", load_assessments,
+                                                _resolve(cfg, out_dir, "values"), corpus, params))
+        score_fn = model_score_fn(model, corpus, kept_map, l_seq=params.l_seq,
+                                  value_filter=ranker == "vaps")
     split = split_sessions(corpus)
     if not split.test:
         raise DataError("corpus has no search sessions to evaluate")

@@ -160,12 +160,14 @@ def evaluate_sessions(score_fn: ScoreFn, corpus: Corpus, sessions: Sessions,
     return MetricReport(n_sessions=n, macro=macro, per_user=per_user)
 
 
+#: Okapi BM25's term-frequency saturation and length normalization.
+BM25_K1, BM25_B = 1.2, 0.75
+
+
 class Bm25:
     """Okapi BM25 over item title+attribute documents of one corpus."""
 
-    def __init__(self, corpus: Corpus, k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
+    def __init__(self, corpus: Corpus):
         self.doc_terms: Dict[str, Dict[str, int]] = {}
         self.doc_len: Dict[str, int] = {}
         for item_id in corpus.item_ids:
@@ -189,18 +191,18 @@ class Bm25:
     def score(self, query_tokens: Sequence[str], item_id: str) -> float:
         counts = self.doc_terms[item_id]
         dl = self.doc_len[item_id]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_len) if self.avg_len else 0.0
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avg_len) if self.avg_len else 0.0
         total = 0.0
         for term in query_tokens:
             tf = counts.get(term, 0)
             if tf == 0 or term not in self.idf:
                 continue
-            total += self.idf[term] * tf * (self.k1 + 1.0) / (tf + norm)
+            total += self.idf[term] * tf * (BM25_K1 + 1.0) / (tf + norm)
         return total
 
 
-def bm25_score_fn(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> ScoreFn:
-    engine = Bm25(corpus, k1=k1, b=b)
+def bm25_score_fn(corpus: Corpus) -> ScoreFn:
+    engine = Bm25(corpus)
     def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
         if candidates is None:
             candidates = [corpus.item_ids] * len(sessions)

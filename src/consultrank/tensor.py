@@ -305,16 +305,16 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adam moments and step counter for a fixed parameter list."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -328,7 +328,7 @@ def adam_step(state: AdamState) -> None:
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, p in enumerate(state.params):
         if p.grad is None:
             continue
@@ -337,7 +337,7 @@ def adam_step(state: AdamState) -> None:
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / (1.0 - b1**t)
         v_hat = state.v[i] / (1.0 - b2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import Consultation, Corpus, SearchSession
+from .corpus import Consultation, Corpus, SearchSession, slice_before
 from .evaluate import N_NEG, ScoreFn, Sessions, evaluate_sessions
 from .linkage import LinkageTable
 from .value import SessionAssessment, ValueParams
@@ -96,25 +96,25 @@ def kept_consultations(assessments: Sequence[SessionAssessment]) -> KeptMap:
     return {(a.user_id, a.session.timestamp): a.kept for a in assessments}
 
 
+def recent_consultations(corpus: Corpus, l_seq: int) -> KeptMap:
+    """Each search's l_seq most recent consultations strictly before it,
+    oldest first: what a session reads without the value filter."""
+    return {(user, s.timestamp): tuple(slice_before(history, s.timestamp)[0][-l_seq:])
+            for user, history in corpus.users.items() for s in history.searches}
+
+
 def build_example(model: M.Model, corpus: Corpus, table: M.CorpusFeatures, user_id: str,
-                  session: SearchSession, kept_map: Optional[KeptMap],
-                  l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> SessionExample:
+                  session: SearchSession, kept_map: KeptMap,
+                  l_seq: int = ValueParams.l_seq) -> SessionExample:
     """Slice one session's model inputs from the corpus table.
 
-    With value_filter the consultation sequence is the value-ranked kept
-    list; without it (the semantic-only ablation) it is simply the l_seq
-    most recent prior consultations.  The attention block reads every prior
-    action.
+    The consultation sequence is the session's entry in `kept_map`, from
+    `kept_consultations` or `recent_consultations`, and nothing else.  The
+    attention block reads every prior action.
     """
     ts = session.timestamp
-    if value_filter:
-        if kept_map is None:
-            raise ValueError("value_filter needs precomputed assessments")
-        consultations = [table.consultation_ids[user_id, c.id]
-                         for c in kept_map.get((user_id, ts), ())]
-    else:
-        own = table.span(user_id, 0)
-        consultations = own[table.consultation_ts[own] < ts][-l_seq:]
+    consultations = [table.consultation_ids[user_id, c.id]
+                     for c in kept_map.get((user_id, ts), ())]
     own = table.span(user_id, 1)
     actions = own[table.action_ts[own] < ts]
     items, texts = table.actions[actions, 1], table.actions[actions, 2]
@@ -228,7 +228,7 @@ def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
 
 
 def step_loss(model: M.Model, batch: Sequence[SessionExample], table: M.CorpusFeatures,
-              pairs: Optional[LinkedPairs], kept_map: Optional[KeptMap], cfg: TrainConfig,
+              pairs: Optional[LinkedPairs], kept_map: KeptMap, cfg: TrainConfig,
               rng_neg: np.random.Generator, rng_va: np.random.Generator
               ) -> Tuple[T.Tensor, T.Tensor, Optional[T.Tensor]]:
     """One training step's objective over a batch, as one graph: (total,
@@ -242,7 +242,7 @@ def step_loss(model: M.Model, batch: Sequence[SessionExample], table: M.CorpusFe
     l_search = loss_search(model, e_final, truths, negatives, cfg)
     l_va = None
     if pairs is not None:
-        va_samples = sample_va_batch(batch, table, pairs, cfg, rng_va, kept_map=kept_map)
+        va_samples = sample_va_batch(batch, table, pairs, cfg, rng_va, kept_map)
         if va_samples:
             l_va = loss_va(model, va_samples, table, cfg)
     return total_loss(l_search, l_va, model.parameters(), cfg), l_search, l_va
@@ -250,19 +250,19 @@ def step_loss(model: M.Model, batch: Sequence[SessionExample], table: M.CorpusFe
 
 def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
                     pairs: LinkedPairs, cfg: TrainConfig, rng: np.random.Generator,
-                    kept_map: Optional[KeptMap] = None) -> List[VaSample]:
+                    kept_map: KeptMap) -> List[VaSample]:
     """One alignment sample per batch example whose user has linked pairs
     that sit strictly before that example's session.
 
     Anchoring at the session keeps the supervised geometry identical to the
     inference-time one: queries and keys measure time backward from a later
-    search.  Pairs whose consultation the value filter keeps at that session
-    are preferred, since those are the consultations the attention block
-    actually reads at inference; without any such pair (or without a kept
-    map) the freshest linked consultation stands in.  Negatives: the user's
-    other prior actions first, then prior actions of the other batch
-    examples' users, then the global pool, up to va_batch in total, sampled
-    without replacement within each tier.
+    search.  Pairs whose consultation `kept_map` holds for that session are
+    preferred, since those are the consultations the attention block
+    actually reads at inference; without any such pair the freshest linked
+    consultation stands in.  Negatives: the user's other prior actions
+    first, then prior actions of the other batch examples' users, then the
+    global pool, up to va_batch in total, sampled without replacement
+    within each tier.
     """
     samples: List[VaSample] = []
     batch_users = [ex.user_id for ex in batch]
@@ -274,7 +274,7 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
         if not prior:
             continue
         kept = {table.consultation_ids[user, c.id]
-                for c in (kept_map.get((user, anchor), ()) if kept_map else ())}
+                for c in kept_map.get((user, anchor), ())}
         preferred = [(c, a) for c, a in prior if c in kept]
         if not preferred:
             newest = max(c_ts[c] for c, _ in prior)
@@ -325,10 +325,15 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
     """A batch scorer of the sessions of `corpus`, the corpus the model was
     built on: their inputs are sliced from the model's feature table, and
     the batch runs through one forward pass and one scoring product, with
-    no graph."""
+    no graph.  Sessions read the consultations of `kept_map`, or without
+    value_filter the l_seq most recent ones."""
+    if not value_filter:
+        kept_map = recent_consultations(corpus, l_seq)
+    elif kept_map is None:
+        raise ValueError("value_filter needs precomputed assessments")
     def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
         batch = [build_example(model, corpus, model.features, user_id, session, kept_map,
-                               l_seq, value_filter).features
+                               l_seq).features
                  for user_id, session in sessions]
         with T.no_grad():
             return M.score_candidates(model, M.session_forward(model, batch), candidates).data
@@ -349,12 +354,11 @@ def train(corpus: Corpus, linkage: LinkageTable,
     split = split_sessions(corpus)
     if not split.train:
         raise ValueError("empty training set: no user has more than two sessions")
-    kept_map = kept_consultations(assessments) if value_filter else None
+    kept_map = (kept_consultations(assessments) if value_filter
+                else recent_consultations(corpus, l_seq))
     table = model.features
-    examples = [
-        build_example(model, corpus, table, user, session, kept_map, l_seq, value_filter)
-        for user, session in split.train
-    ]
+    examples = [build_example(model, corpus, table, user, session, kept_map, l_seq)
+                for user, session in split.train]
     pairs = linked_pairs(table, corpus, linkage) if cfg.lambda_va > 0 else None
     params = model.parameters()
     opt = T.AdamState(params, lr=cfg.lr)
@@ -388,7 +392,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
 
         if split.valid:
             report = evaluate_sessions(
-                model_score_fn(model, corpus, kept_map, l_seq, value_filter),
+                model_score_fn(model, corpus, kept_map, l_seq),
                 corpus, split.valid, protocol="ranking", seed=cfg.seed,
                 n_neg=n_neg_valid,
             )

@@ -404,19 +404,22 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
     return out
 
 
-def score_histogram(assessments: Sequence[SessionAssessment], bins: int = 10) -> str:
+HISTOGRAM_BINS = 10
+
+
+def score_histogram(assessments: Sequence[SessionAssessment]) -> str:
     """Text histogram of aggregate scores, for quick corpus health checks."""
     scores = [r.o_aggregate for a in assessments for r in a.reports]
     if not scores:
         return "(no scored consultations)"
-    counts = [0] * bins
+    counts = [0] * HISTOGRAM_BINS
     for s in scores:
-        idx = min(int(s * bins), bins - 1)
-        counts[idx] += 1
+        counts[min(int(s * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
     peak = max(counts)
     lines = [f"aggregate score distribution over {len(scores)} consultations:"]
     for i, n in enumerate(counts):
-        lo, hi = i / bins, (i + 1) / bins
+        lo, hi = i / HISTOGRAM_BINS, (i + 1) / HISTOGRAM_BINS
         bar = "#" * (round(40 * n / peak) if peak else 0)
-        lines.append(f"  [{lo:.1f},{hi:.1f}{']' if i == bins - 1 else ')'} {n:6d} {bar}")
+        close = "]" if i == HISTOGRAM_BINS - 1 else ")"
+        lines.append(f"  [{lo:.1f},{hi:.1f}{close} {n:6d} {bar}")
     return "\n".join(lines)

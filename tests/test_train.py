@@ -1,6 +1,7 @@
 """Losses, splits, batching, early stopping, and training properties."""
 
 import csv
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -79,8 +80,8 @@ def test_build_example_slices_strictly_before(tmp_path):
     model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     session = corpus.users["u1"].searches[1]
-    f = TR.build_example(model, corpus, table, "u1", session, None,
-                         value_filter=False).features
+    f = TR.build_example(model, corpus, table, "u1", session,
+                         TR.recent_consultations(corpus, 30)).features
     ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
     assert texts_of(f, range(len(f.consultations))) == ids("tell me about the alpha beta gadget sure")
     # the search at 10 and the click at 11; gaps 20 and 19 hours share bucket 4
@@ -93,7 +94,7 @@ def test_build_example_slices_strictly_before(tmp_path):
     assert f.item_history.tolist() == [model.item_rows["i1"]]
     assert f.user == model.user_rows["u1"]
     with pytest.raises(ValueError, match="precomputed assessments"):
-        TR.build_example(model, corpus, table, "u1", session, None, value_filter=True)
+        TR.model_score_fn(model, corpus, None, value_filter=True)
 
 
 def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
@@ -107,9 +108,9 @@ def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
     model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
+    recent = TR.recent_consultations(corpus, 30)
     for session in corpus.users["u1"].searches:
-        f = TR.build_example(model, corpus, table, "u1", session, None,
-                             value_filter=False).features
+        f = TR.build_example(model, corpus, table, "u1", session, recent).features
         assert texts_of(f, [f.query]) == ids(session.query.text)
         prior = [s.query.text for s in corpus.users["u1"].searches
                  if s.timestamp < session.timestamp]
@@ -129,6 +130,36 @@ def test_build_example_uses_value_ranked_kept(gen_small):
     assert texts_of(f, range(len(f.consultations))) == [
         M.text_ids(model, [c.text])[0].tolist() for c in kept
     ]
+
+
+@pytest.mark.parametrize("l_seq", [1, 3, 30])
+def test_recent_consultations_match_brute_force(l_seq):
+    corpus, _ = generate(GenSpec(n_users=10, n_items=20, seed=l_seq))
+    want, longest = {}, 0
+    for user, history in corpus.users.items():
+        for s in history.searches:
+            prior = sorted((c for c in history.consultations if c.timestamp < s.timestamp),
+                           key=lambda c: (c.timestamp, c.id))
+            want[user, s.timestamp] = tuple(prior[max(0, len(prior) - l_seq):])
+            longest = max(longest, len(prior))
+    assert longest > min(l_seq, 3)
+    assert TR.recent_consultations(corpus, l_seq) == want
+
+
+def test_recent_consultations_hand_built(tmp_path):
+    items = [item("i1", "alpha beta gadget")]
+    events = [
+        search("u1", 3, "alpha beta gadget", "i1"),
+        consult("u1", 5, "c1", "first"),
+        consult("u1", 8, "c2", "second"),
+        consult("u1", 10, "c3", "same hour as the search"),
+        search("u1", 10, "alpha beta gadget", "i1"),
+    ]
+    corpus = corpus_from(tmp_path, items, events, "recent")
+    ids = {key: [c.id for c in kept]
+           for key, kept in TR.recent_consultations(corpus, 2).items()}
+    assert ids == {("u1", 3): [], ("u1", 10): ["c1", "c2"]}
+    assert [c.id for c in TR.recent_consultations(corpus, 1)["u1", 10]] == ["c2"]
 
 
 def test_loss_search_uniform_logits_closed_form(gen_small):
@@ -215,13 +246,13 @@ def test_sample_va_negatives_tier_up(gen_small):
     pairs = TR.linked_pairs(table, corpus, linkage)
     n_actions = len(table.action_ts)
     batch = [
-        TR.build_example(model, corpus, table, u, corpus.users[u].searches[-1], None,
-                         l_seq=30, value_filter=False)
+        TR.build_example(model, corpus, table, u, corpus.users[u].searches[-1],
+                         TR.recent_consultations(corpus, 30), l_seq=30)
         for u in sorted(pairs)[:2]
     ]
     rng = np.random.default_rng(0)
     cfg = TR.TrainConfig(va_batch=n_actions + 50)
-    samples = TR.sample_va_batch(batch, table, pairs, cfg, rng)
+    samples = TR.sample_va_batch(batch, table, pairs, cfg, rng, {})
     assert len(samples) == 2
     for s in samples:
         assert s.positive not in s.negatives
@@ -231,8 +262,56 @@ def test_sample_va_negatives_tier_up(gen_small):
         assert len(s.negatives) == prior - 1
     small = TR.TrainConfig(va_batch=3)
     rng = np.random.default_rng(0)
-    for s in TR.sample_va_batch(batch, table, pairs, small, rng):
+    for s in TR.sample_va_batch(batch, table, pairs, small, rng, {}):
         assert len(s.negatives) == 3
+
+
+def test_sample_va_draws_every_consultation_of_the_recent_set(tmp_path):
+    """Two linked consultations before a search: a recency map of both lets
+    the alignment sample draw either; without one in the map, the freshest
+    linked consultation stands in."""
+    items = [item("i1", "alpha beta gadget"), item("i2", "gamma delta widget")]
+    events = [
+        consult("u1", 0, "c1", "tell me about the alpha beta gadget"),
+        click("u1", 1, "i1"),
+        consult("u1", 5, "c2", "is the gamma delta widget any good"),
+        click("u1", 6, "i2"),
+        search("u1", 20, "alpha beta gadget", "i1"),
+    ]
+    corpus = corpus_from(tmp_path, items, events, "va-recent")
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    table = model.features
+    pairs = TR.linked_pairs(table, corpus, build_linkage(corpus))
+    session = corpus.users["u1"].searches[0]
+    cfg = TR.TrainConfig(va_batch=2)
+
+    def drawn(kept_map):
+        ex = TR.build_example(model, corpus, table, "u1", session, kept_map)
+        return {s.consultation for seed in range(8)
+                for s in TR.sample_va_batch([ex], table, pairs, cfg,
+                                            np.random.default_rng(seed), kept_map)}
+
+    c1, c2 = table.consultation_ids["u1", "c1"], table.consultation_ids["u1", "c2"]
+    assert drawn(TR.recent_consultations(corpus, 2)) == {c1, c2}
+    assert drawn(TR.recent_consultations(corpus, 1)) == {c2}
+    assert drawn({}) == {c2}
+
+
+def test_train_without_value_filter_reads_recent_consultations(gen_small, monkeypatch):
+    """With value_filter off, the alignment samples and the validation
+    scorer read the same recency map as the training examples."""
+    corpus, linkage, assessments = gen_small
+    maps = []
+    sample, score_fn = TR.sample_va_batch, TR.model_score_fn
+    monkeypatch.setattr(TR, "sample_va_batch", lambda *a: maps.append(a[-1]) or sample(*a))
+    monkeypatch.setattr(TR, "model_score_fn",
+                        lambda *a: maps.append(a[2]) or score_fn(*a))
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    TR.train(corpus, linkage, assessments, model,
+             TR.TrainConfig(max_epochs=1, batch_size=8, va_batch=8), l_seq=3,
+             value_filter=False)
+    assert len(maps) > 1
+    assert all(m == TR.recent_consultations(corpus, 3) for m in maps)
 
 
 def test_train_smoke_and_determinism(gen_small):
@@ -303,7 +382,7 @@ def test_every_parameter_receives_gradient(gen_small):
     l_search = TR.loss_search(model, M.session_forward(model, [ex.features for ex in examples]),
                               truths, negs, cfg)
     samples = TR.sample_va_batch(examples, table, TR.linked_pairs(table, corpus, linkage),
-                                 cfg, rng)
+                                 cfg, rng, {})
     assert samples
     total = TR.total_loss(l_search, TR.loss_va(model, samples, table, cfg),
                           model.parameters(), cfg)
@@ -378,6 +457,36 @@ def test_ablation_fits_buckets_with_its_value_params(monkeypatch):
     with pytest.raises(Fitted):
         ablation.run_ablation(cfg)
     assert seen == [5]
+
+
+def test_ablation_variants_name_real_settings():
+    """Every override key names a setting, so none is dropped silently, and
+    every variant but the full model changes a value."""
+    cfg = ablation.AblationConfig()
+    base = {"value_filter": True}
+    for settings in (M.ModelConfig(d=cfg.d), cfg.train, cfg.value_params):
+        base.update((f.name, getattr(settings, f.name)) for f in dataclasses.fields(settings))
+    for name, overrides in ablation.VARIANTS.items():
+        assert set(overrides) <= set(base), name
+        changed = [k for k, v in overrides.items() if v != base[k]]
+        assert bool(changed) == (name != ablation.FULL), name
+
+
+def test_ablation_scores_are_pinned():
+    """One seed of a 10-epoch ablation gives the scores it gave when each
+    variant was a hand-written column; at this seed all seven differ."""
+    stock = ablation.AblationConfig()
+    cfg = dataclasses.replace(stock, seeds=(1,), train=dataclasses.replace(
+        stock.train, max_epochs=10, patience=10))
+    assert ablation.run_ablation(cfg).per_seed == {
+        "full": [0.695818579045153],
+        "no_time": [0.6847791474095023],
+        "no_scope": [0.6914542539261045],
+        "no_action": [0.6970814889571204],
+        "no_va": [0.693765035323658],
+        "no_cai": [0.6737660665885538],
+        "semantic_only": [0.6814626937760399],
+    }
 
 
 def _relative(got, want):
