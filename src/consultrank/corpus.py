@@ -13,6 +13,7 @@ for concurrent readers.
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -168,31 +169,60 @@ def floor_hours(raw) -> int:
     return hours
 
 
-def read_jsonl(path, kind: str) -> Iterable[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL
-    file of `kind` rows.  A line that is not UTF-8, not valid JSON, or not a
-    JSON object raises CorpusError naming ``path:line`` and the kind.  Lines
-    end at ``\n``; a ``\r`` before it is stripped with the other whitespace."""
+#: One call parses one JSON value at an index of a string: the C scanner
+#: behind ``json.loads``, without its per-call Python wrapper.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def read_jsonl(path, kind: str) -> list[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSONL file of
+    `kind` rows.  A line that is not UTF-8, not valid JSON, or not a JSON
+    object raises CorpusError naming ``path:line`` and the kind.  Lines end
+    at ``\n``; a ``\r`` before it is stripped with the other whitespace.
+
+    The file is read and decoded once, and each line is parsed with one
+    scanner call.  A line the scanner refuses sends the whole file through
+    `_checked_rows`, which words the error of the first bad line."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(
-                    f"{path}:{lineno}: malformed {kind} row: not UTF-8 ({exc})") from exc
+        data = fh.read()
+    rows = []
+    try:
+        for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"{path}:{lineno}: malformed {kind} row: invalid JSON ({exc.msg})"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(
-                    f"{path}:{lineno}: malformed {kind} row: expected a JSON object")
-            yield lineno, obj
+            if line:
+                obj, end = _scan_json(line, 0)
+                if end != len(line) or type(obj) is not dict:
+                    break
+                rows.append((lineno, obj))
+        else:
+            return rows
+    except (UnicodeDecodeError, StopIteration, json.JSONDecodeError):
+        pass
+    return list(_checked_rows(data, path, kind))
+
+
+def _checked_rows(data: bytes, path, kind: str) -> Iterable[tuple[int, dict]]:
+    """`read_jsonl`'s rows, decoded and parsed one line at a time, which
+    names the first line that fails."""
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: malformed {kind} row: not UTF-8 ({exc})") from exc
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: malformed {kind} row: invalid JSON ({exc.msg})"
+            ) from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(
+                f"{path}:{lineno}: malformed {kind} row: expected a JSON object")
+        yield lineno, obj
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
@@ -293,8 +323,8 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
 
 def load_corpus(items_path, events_path) -> Corpus:
     """Load ``items.jsonl`` + ``events.jsonl`` into a validated Corpus."""
-    item_rows = list(read_jsonl(items_path, "item"))
-    event_rows = list(read_jsonl(events_path, "event"))
+    item_rows = read_jsonl(items_path, "item")
+    event_rows = read_jsonl(events_path, "event")
     try:
         return build_corpus((obj for _ln, obj in item_rows), (obj for _ln, obj in event_rows))
     except CorpusError as exc:

@@ -104,12 +104,15 @@ def dump_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an `index.jsonl` dump back into an InvertedIndex."""
+    """Read an `index.jsonl` dump back into an InvertedIndex.  A term must
+    have one row."""
     postings: Dict[str, List[str]] = {}
     for n, row in read_jsonl(path, "index"):
         if not (isinstance(row.get("term"), str) and isinstance(row.get("items"), list)
                 and all(isinstance(v, str) for v in row["items"])):
             raise ValueError(f"{path}:{n}: malformed index row: want a string "
                              "term and a list of item-id strings")
+        if row["term"] in postings:
+            raise ValueError(f"{path}:{n}: second index row for term {row['term']!r}")
         postings[row["term"]] = row["items"]
     return InvertedIndex(postings)

@@ -192,8 +192,9 @@ def load_linkage(path, corpus: Corpus) -> LinkageTable:
     """Read a `linkage.jsonl` dump, rebinding rows to corpus interactions.
 
     Every dumped action must exist in the corpus; a row that references an
-    unknown user, consultation, or action means the dump and the corpus
-    drifted apart and raises CorpusError."""
+    unknown user, consultation, or action, or a second row for one
+    consultation, means the dump and the corpus drifted apart and raises
+    CorpusError."""
     lookup = _action_lookup(corpus)
     cids = {
         user: {c.id for c in corpus.users[user].consultations}
@@ -216,6 +217,8 @@ def _bind_row(rec: dict, lookup: Dict[Tuple[str, str, int, str], Interaction],
     user, cid = rec["user"], rec["cid"]
     if cid not in cids.get(user, ()):
         raise CorpusError(f"linkage row for unknown {user!r}/{cid!r}")
+    if cid in links.get(user, ()):
+        raise CorpusError(f"second linkage row for {user!r}/{cid!r}")
     actions: List[Tuple[Interaction, str]] = []
     for row in rec["actions"]:
         key = (user, row["type"], row["ts_hours"], row["target"])

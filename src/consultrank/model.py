@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import ActionType, Corpus, UserHistory, item_event, user_events
+from .corpus import ActionType, Corpus, UserHistory
 from .index import normalize
 
 UNKNOWN_TOKEN = 0
@@ -70,6 +70,8 @@ class ModelConfig:
             raise ValueError(f"max_text_tokens must be >= 1, got {self.max_text_tokens}")
         if self.n_time_buckets < 2:
             raise ValueError(f"n_time_buckets must be >= 2, got {self.n_time_buckets}")
+        if self.seed < 0:  # numpy seeds its generators from non-negative ints only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -141,15 +143,41 @@ class Model:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """SHA-256 of the corpus's canonical records: each item in id order, then
-    each user's events in user order, as one sorted-key JSON list."""
-    records = [item_event(corpus.items[i]) for i in corpus.item_ids]
-    records += chain.from_iterable(user_events(corpus.users[u]) for u in sorted(corpus.users))
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+    """SHA-256 of one JSON list of the corpus's fields: each item's id, title
+    and attributes in id order, then each user in sorted order with its
+    searches, consultations and interactions.  `build_corpus` stores every
+    list in a canonical order, so any permutation of the input records
+    gives the same digest."""
+    items = [(item.id, item.title, item.attributes)
+             for item in map(corpus.items.__getitem__, corpus.item_ids)]
+    users = [(h.user_id,
+              [(s.timestamp, s.query.text, s.ground_truth_item) for s in h.searches],
+              [(c.id, c.user_turn, c.assistant_turn, c.timestamp) for c in h.consultations],
+              [(a.action_type.value, a.timestamp, a.target) for a in h.interactions])
+             for h in _histories(corpus)]
+    return hashlib.sha256(json.dumps([items, users]).encode("utf-8")).hexdigest()
 
 
-def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
-    """A freshly initialized model of `corpus`.
+def _param_shapes(cfg: ModelConfig, n_tokens: int, n_items: int,
+                  n_users: int) -> Dict[str, Tuple[int, ...]]:
+    """Each parameter's shape by its `Model.named_parameters` name, in the
+    order `init_model` draws them."""
+    d = cfg.d
+    return {
+        "token_emb": (n_tokens, d), "item_emb": (n_items, d), "user_emb": (n_users, d),
+        "time_emb": (cfg.n_time_buckets, d), "action_emb": (len(ACTION_ROWS), d),
+        "attn_wq": (d, d), "attn_wk": (d, d), "attn_wv": (d, d),
+        "text_w": (d, d), "text_b": (d,),
+        "enc_wq": (d, d), "enc_wk": (d, d), "enc_wv": (d, d),
+        "enc_ff_w": (d, d), "enc_ff_b": (d,), "segment_emb": (N_SEGMENTS, d),
+    }
+
+
+def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
+                 make_params: Callable[[Dict[str, Tuple[int, ...]]], Dict[str, T.Tensor]]
+                 ) -> Model:
+    """A model of `corpus` whose parameters `make_params` gives, from their
+    `_param_shapes`.
 
     Each text is normalized once: an item's title and attributes together,
     and each consultation and search query.  Those token lists give the
@@ -163,38 +191,35 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     vocab = {term: i + 1 for i, term in
              enumerate(sorted(set(chain.from_iterable(tokens + item_tokens))))}
     item_rows = {v: i for i, v in enumerate(corpus.item_ids)}
-    rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 / math.sqrt(cfg.d)
-
-    def init(*shape):
-        return T.parameter(rng, shape, scale)
-
-    d = cfg.d
+    p = make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows), len(corpus.users)))
     return Model(
         cfg=cfg,
         vocab=vocab,
         item_ids=corpus.item_ids,
         item_rows=item_rows,
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
-        corpus_sha256=corpus_digest(corpus),
+        corpus_sha256=digest,
         features=_featurize(histories, _token_ids(vocab, cfg.max_text_tokens, tokens),
                             item_rows),
-        tables=EmbeddingTables(
-            token=init(len(vocab) + 1, d),
-            item=init(len(item_rows), d),
-            user=init(len(corpus.users), d),
-            time=init(cfg.n_time_buckets, d),
-            action=init(len(ACTION_ROWS), d),
-        ),
-        block=AttentionBlock(w_q=init(d, d), w_k=init(d, d), w_v=init(d, d)),
-        text_w=init(d, d),
-        text_b=init(d),
-        encoder=EncoderLayer(
-            w_q=init(d, d), w_k=init(d, d), w_v=init(d, d),
-            ff_w=init(d, d), ff_b=init(d),
-            segment=init(N_SEGMENTS, d),
-        ),
+        tables=EmbeddingTables(token=p["token_emb"], item=p["item_emb"], user=p["user_emb"],
+                               time=p["time_emb"], action=p["action_emb"]),
+        block=AttentionBlock(w_q=p["attn_wq"], w_k=p["attn_wk"], w_v=p["attn_wv"]),
+        text_w=p["text_w"],
+        text_b=p["text_b"],
+        encoder=EncoderLayer(w_q=p["enc_wq"], w_k=p["enc_wk"], w_v=p["enc_wv"],
+                             ff_w=p["enc_ff_w"], ff_b=p["enc_ff_b"],
+                             segment=p["segment_emb"]),
     )
+
+
+def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
+    """A freshly initialized model of `corpus`: each parameter drawn
+    uniformly in [-1/sqrt(d), 1/sqrt(d)] from one generator seeded by
+    `cfg.seed`, in `_param_shapes` order."""
+    rng = np.random.default_rng(cfg.seed)
+    scale = 1.0 / math.sqrt(cfg.d)
+    return _build_model(corpus, cfg, corpus_digest(corpus), lambda shapes: {
+        name: T.parameter(rng, shape, scale) for name, shape in shapes.items()})
 
 
 @dataclass(frozen=True)
@@ -512,14 +537,19 @@ def score_candidates(model: Model, e_final: T.Tensor,
     return squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(model.tables.item, rows))))
 
 
+#: The checkpoint `extra` key of the `corpus_digest` a model was trained on.
+#: Checkpoints that carry the older ``corpus_sha256`` key, a digest of the
+#: corpus's event records, lack it and are refused.
+CORPUS_KEY = "corpus_fields_sha256"
+
+
 def save_model(model: Model, path) -> None:
     """Persist parameters plus the config needed to rebuild the skeleton.
 
     Vocabulary and id orderings are derived from the corpus, so the
-    checkpoint stays small; it stores the corpus's hash, and loading
+    checkpoint stays small; it stores the corpus's digest, and loading
     requires the same corpus."""
-    extra = {"model_config": dataclasses.asdict(model.cfg),
-             "corpus_sha256": model.corpus_sha256}
+    extra = {"model_config": dataclasses.asdict(model.cfg), CORPUS_KEY: model.corpus_sha256}
     T.save_checkpoint(model.named_parameters(), path, extra=extra)
 
 
@@ -533,8 +563,10 @@ def _fits(value, kind: str) -> bool:
 def load_model(path, corpus: Corpus) -> Model:
     """Rebuild a model from a checkpoint against the corpus it was trained on.
 
-    A corpus whose hash differs from the one stored at save time is refused
-    with a ValueError rather than bound silently."""
+    The checkpoint's arrays become the parameters as they are, shape-checked
+    against the corpus's table sizes; nothing is drawn.  A corpus whose
+    digest differs from the one stored at save time is refused with a
+    ValueError rather than bound silently."""
     arrays, extra = T.load_checkpoint(path)
     spec = extra.get("model_config")
     if not isinstance(spec, dict):
@@ -554,28 +586,31 @@ def load_model(path, corpus: Corpus) -> Model:
         raise ValueError(
             f"{path}: model_config does not fit this version's ModelConfig ({exc})"
         ) from exc
-    model = init_model(corpus, cfg)
-    trained_on = extra.get("corpus_sha256")
-    if trained_on != model.corpus_sha256:
+    if CORPUS_KEY not in extra:
+        raise ValueError(f"{path}: checkpoint has no {CORPUS_KEY}: it was written before "
+                         "the corpus digest changed; retrain to write one this version reads")
+    digest = corpus_digest(corpus)
+    if extra[CORPUS_KEY] != digest:
         raise ValueError(
-            f"{path}: checkpoint was trained on another corpus (corpus_sha256 "
-            f"{trained_on!r}, this corpus {model.corpus_sha256!r})"
+            f"{path}: checkpoint was trained on another corpus ({CORPUS_KEY} "
+            f"{extra[CORPUS_KEY]!r}, this corpus {digest!r})"
         )
-    named = model.named_parameters()
-    missing = sorted(set(named) - set(arrays))
-    unexpected = sorted(set(arrays) - set(named))
-    if missing or unexpected:
-        raise ValueError(
-            f"{path}: checkpoint/model parameter mismatch "
-            f"(missing {missing}, unexpected {unexpected})"
-        )
-    for name, tensor in named.items():
-        arr = arrays[name]
-        if arr.shape != tensor.data.shape:
+
+    def checked(shapes: Dict[str, Tuple[int, ...]]) -> Dict[str, T.Tensor]:
+        missing = sorted(set(shapes) - set(arrays))
+        unexpected = sorted(set(arrays) - set(shapes))
+        if missing or unexpected:
             raise ValueError(
-                f"{path}: parameter {name} has shape {arr.shape}, "
-                f"expected {tensor.data.shape}; was the checkpoint trained "
-                "on a different corpus?"
+                f"{path}: checkpoint/model parameter mismatch "
+                f"(missing {missing}, unexpected {unexpected})"
             )
-        tensor.data = arr
-    return model
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{path}: parameter {name} has shape {arrays[name].shape}, "
+                    f"expected {shape}; was the checkpoint trained "
+                    "on a different corpus?"
+                )
+        return {name: T.Tensor(arrays[name], requires_grad=True) for name in shapes}
+
+    return _build_model(corpus, cfg, digest, checked)

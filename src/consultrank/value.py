@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import (
     ActionType,
@@ -327,81 +327,117 @@ def report_record(r: ValueReport) -> dict:
     }
 
 
+def _hour_reports(assessments: Sequence[SessionAssessment]) -> Iterator[ValueReport]:
+    """The reports of each (user, search hour) once, in order.  Every value
+    depends only on the user's history and the search hour, so the searches
+    of one hour share one row set."""
+    hours = set()
+    for a in assessments:
+        if (a.user_id, a.session.timestamp) not in hours:
+            hours.add((a.user_id, a.session.timestamp))
+            yield from a.reports
+
+
 def dump_values(assessments: Sequence[SessionAssessment], path) -> None:
-    write_jsonl(path, (report_record(r) for a in assessments for r in a.reports))
+    write_jsonl(path, map(report_record, _hour_reports(assessments)))
 
 
 #: values.jsonl score fields, each in [0, 1]
 _SCORE_FIELDS = ("o_time", "o_scope", "o_action", "o_aggregate")
 
+_NUMBER = (int, float)
+
 #: values.jsonl field -> the types its value may take
 _VALUE_FIELDS = {"user": str, "cid": str, "search_ts": int, "rank": int,
-                 **dict.fromkeys(_SCORE_FIELDS, (int, float))}
+                 **dict.fromkeys(_SCORE_FIELDS, _NUMBER)}
+
+
+def _refuse_row(path, n: int, rec: dict) -> CorpusError:
+    """The refusal of a values.jsonl row that fails `load_assessments`'s
+    check, naming its missing, wrong-typed or out-of-range fields."""
+    try:
+        bad = [key for key, types in _VALUE_FIELDS.items()
+               if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
+        if bad:
+            raise TypeError(f"wrong-typed {', '.join(bad)}")
+        bad = [key for key in _SCORE_FIELDS if not 0.0 <= rec[key] <= 1.0]
+        if rec["rank"] < 1:
+            bad.append("rank")
+        raise ValueError(f"out-of-range {', '.join(bad)}")
+    except (KeyError, TypeError, ValueError) as exc:
+        return CorpusError(f"{path}:{n}: malformed value row ({exc!r})")
 
 
 def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) -> List[SessionAssessment]:
     """Rebuild SessionAssessments from a `values.jsonl` dump.
 
     Scores come back 6-decimal rounded (the dump's precision); ranks and the
-    kept set (rank <= l_seq) are exact.  Rows must match the corpus's
-    (user, search timestamp, consultation id) triples.  A search with no
-    earlier consultation has no rows, as `assess` writes none for it, and
-    keeps nothing."""
-    rows: Dict[Tuple[str, int], List[ValueReport]] = {}
+    kept set (rank <= l_seq) are exact.  The rows of one (user, search hour)
+    are its row set: they must name the user's consultations before that
+    hour, each exactly once, ranked 1..n.  Every search in the hour gets
+    that set.  A search with no earlier consultation has no rows, as
+    `assess` writes none for it, and keeps nothing."""
+    hours: Dict[Tuple[str, int], List[Tuple[int, int, str, tuple]]] = {}
     for n, rec in read_jsonl(path, "value"):
         try:
-            bad = [key for key, types in _VALUE_FIELDS.items()
-                   if isinstance(rec[key], bool) or not isinstance(rec[key], types)]
-            if bad:
-                raise TypeError(f"wrong-typed {', '.join(bad)}")
-            bad = [key for key in _SCORE_FIELDS if not 0.0 <= rec[key] <= 1.0]
-            if rec["rank"] < 1:
-                bad.append("rank")
-            if bad:
-                raise ValueError(f"out-of-range {', '.join(bad)}")
-            report = ValueReport(
-                user_id=rec["user"], search_ts=rec["search_ts"], cid=rec["cid"],
-                o_time=rec["o_time"], o_scope=rec["o_scope"],
-                o_action=rec["o_action"], o_aggregate=rec["o_aggregate"],
-                rank=rec["rank"],
-            )
-            rows.setdefault((report.user_id, report.search_ts), []).append(report)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}:{n}: malformed value row ({exc!r})") from exc
+            user, ts, cid, rank = rec["user"], rec["search_ts"], rec["cid"], rec["rank"]
+            scores = (rec["o_time"], rec["o_scope"], rec["o_action"], rec["o_aggregate"])
+        except KeyError:
+            raise _refuse_row(path, n, rec) from None
+        if not (type(user) is str and type(cid) is str and type(ts) is int
+                and type(rank) is int and rank >= 1
+                and all(type(v) in _NUMBER and 0.0 <= v <= 1.0 for v in scores)):
+            raise _refuse_row(path, n, rec)
+        hours.setdefault((user, ts), []).append((rank, n, cid, scores))
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):
         history = corpus.users[user]
-        by_id = {c.id: c for c in history.consultations}
+        hour = None
         for s in history.searches:
-            reports = rows.pop((user, s.timestamp), None)
-            if reports is None:
-                # consultations are time-sorted, so the first is the earliest
-                if history.consultations and history.consultations[0].timestamp < s.timestamp:
-                    raise CorpusError(
-                        f"{path}: no value rows for {user!r} search at t={s.timestamp}"
-                    )
-                reports = []
-            reports.sort(key=lambda r: r.rank)
-            kept = []
-            for r in reports[: params.l_seq]:
-                if r.cid not in by_id:
-                    raise CorpusError(
-                        f"{path}: value row names unknown consultation {r.cid!r}"
-                    )
-                kept.append(by_id[r.cid])
-            out.append(
-                SessionAssessment(
-                    user_id=user, session=s,
-                    kept=tuple(kept), reports=tuple(reports),
-                )
-            )
-    if rows:
-        extra = next(iter(rows))
+            if s.timestamp != hour:
+                hour = s.timestamp
+                kept, reports = _hour_set(path, history, hour, hours.pop((user, hour), []),
+                                          params.l_seq)
+            out.append(SessionAssessment(user_id=user, session=s, kept=kept, reports=reports))
+    if hours:
+        extra = next(iter(hours))
         raise CorpusError(
             f"{path}: value rows for {extra} do not match any corpus search"
         )
     return out
+
+
+def _hour_set(path, history: UserHistory, hour: int,
+              rows: List[Tuple[int, int, str, tuple]], l_seq: int
+              ) -> Tuple[Tuple[Consultation, ...], Tuple[ValueReport, ...]]:
+    """The kept prefix and the reports of one (user, search hour) from its
+    rows, each (rank, line number, consultation id, scores); refused unless
+    they name every consultation before the hour once, ranked 1..n."""
+    before = slice_before(history, hour)[0]
+    where = f"{history.user_id!r} search at t={hour}"
+    if before and not rows:
+        raise CorpusError(f"{path}: no value rows for {where}")
+    by_id = {c.id: c for c in before}
+    rows.sort()
+    reports = []
+    named = set()
+    for pos, (rank, n, cid, scores) in enumerate(rows, start=1):
+        if cid not in by_id:
+            raise CorpusError(f"{path}:{n}: value row for {where} names {cid!r}, "
+                              "which is no consultation of the user before it")
+        if cid in named:
+            raise CorpusError(f"{path}:{n}: value rows for {where} name consultation "
+                              f"{cid!r} twice")
+        if rank != pos:
+            raise CorpusError(f"{path}:{n}: value rows for {where} are not ranked 1..n: "
+                              f"rank {rank} where {pos} is due")
+        named.add(cid)
+        reports.append(ValueReport(history.user_id, hour, cid, *scores, rank))
+    if len(reports) < len(before):
+        absent = next(c.id for c in before if c.id not in named)
+        raise CorpusError(f"{path}: value rows for {where} lack consultation {absent!r}")
+    return tuple(by_id[r.cid] for r in reports[:l_seq]), tuple(reports)
 
 
 HISTOGRAM_BINS = 10
@@ -409,7 +445,7 @@ HISTOGRAM_BINS = 10
 
 def score_histogram(assessments: Sequence[SessionAssessment]) -> str:
     """Text histogram of aggregate scores, for quick corpus health checks."""
-    scores = [r.o_aggregate for a in assessments for r in a.reports]
+    scores = [r.o_aggregate for r in _hour_reports(assessments)]
     if not scores:
         return "(no scored consultations)"
     counts = [0] * HISTOGRAM_BINS

@@ -12,11 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from consultrank import cli
+from consultrank import corpus as corpus_module
+from consultrank import index as index_module
+from consultrank import linkage as linkage_module
+from consultrank import model as model_module
+from consultrank import tensor as tensor_module
+from consultrank import value as value_module
 from consultrank.evaluate import load_metrics
 from consultrank.index import load_index
 from consultrank.linkage import RULES, build_linkage, load_linkage
 from consultrank.corpus import load_corpus
-from consultrank.model import ModelConfig
+from consultrank.model import CORPUS_KEY, ModelConfig
 from consultrank.value import ValueParams, load_assessments
 
 from helpers import click, consult, item, search, write_jsonl
@@ -293,6 +299,71 @@ def test_search_before_first_consultation_trains_and_evaluates(tmp_path):
     assert load_metrics(tmp_path / "reports" / "metrics.json").n_sessions == 1
 
 
+def test_searches_in_one_hour_share_one_row_set(tmp_path, capsys):
+    """Two searches in the same hour: `assess` writes and counts that hour's
+    rows once, and both searches read the same kept set, each consultation
+    once."""
+    (tmp_path / "corpus").mkdir()
+    write_jsonl(tmp_path / "corpus/items.jsonl",
+                [item("i1", "alpha gadget"), item("i2", "beta widget")])
+    write_jsonl(tmp_path / "corpus/events.jsonl", [
+        consult("u1", 1, "c1", "which alpha gadget"), consult("u1", 2, "c2", "a beta widget"),
+        search("u1", 10, "alpha gadget", "i1"), search("u1", 10, "beta widget", "i2"),
+        click("u1", 11, "i1"), search("u1", 20, "beta widget", "i2"),
+        search("u1", 30, "alpha gadget", "i1")])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "l_seq": 5}))
+    for stage in ("ingest", "index", "link", "assess", "train", "eval"):
+        assert run(stage, tmp_path, config) == 0, stage
+    rows = [json.loads(line) for line in (tmp_path / "values.jsonl").read_text().splitlines()]
+    keys = [(row["search_ts"], row["cid"]) for row in rows]
+    assert len(keys) == len(set(keys))
+    assert f"distribution over {len(rows)} consultations" in capsys.readouterr().out
+    corpus = load_corpus(tmp_path / "corpus/items.jsonl", tmp_path / "corpus/events.jsonl")
+    first, second = [a for a in load_assessments(tmp_path / "values.jsonl", corpus,
+                                                 ValueParams(l_seq=5))
+                     if a.session.timestamp == 10]
+    assert first.session != second.session
+    assert first.kept == second.kept
+    assert sorted(c.id for c in first.kept) == ["c1", "c2"]
+
+
+def _spy(log, entry, fn):
+    """`fn`, appending `entry(first argument)` to `log` on each call."""
+    def spy(first, *args):
+        log.append(entry(first))
+        return fn(first, *args)
+    return spy
+
+
+#: The files each stage parses, by the stage's arguments.
+STAGE_READS = {
+    ("train",): ["events.jsonl", "items.jsonl", "linkage.jsonl", "values.jsonl"],
+    ("eval", "--ranker", "vaps"): ["checkpoint.json", "events.jsonl", "items.jsonl",
+                                   "values.jsonl"],
+}
+
+
+@pytest.mark.parametrize("argv", list(STAGE_READS), ids=" ".join)
+def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
+    """A count, not a timing: the stage parses each of its input files once
+    and takes the corpus digest once."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    reads, digests = [], []
+    named = lambda path: Path(path).name
+    for module in (corpus_module, index_module, linkage_module, value_module):
+        monkeypatch.setattr(module, "read_jsonl", _spy(reads, named, module.read_jsonl))
+    monkeypatch.setattr(tensor_module, "load_checkpoint",
+                        _spy(reads, named, tensor_module.load_checkpoint))
+    monkeypatch.setattr(model_module, "corpus_digest",
+                        _spy(digests, id, model_module.corpus_digest))
+    assert run(argv[0], out, out / "config.json", *argv[1:]) == 0
+    assert sorted(reads) == STAGE_READS[argv]
+    assert len(digests) == 1
+
+
 def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsys):
     """Same item, user and vocabulary counts, one click fewer: the corpus
     hash stored in the checkpoint no longer matches."""
@@ -310,12 +381,52 @@ def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsy
 
 
 def _edit_first_row(name, edit):
+    """Edit the first row of `name`; return the `name:1:` the error names."""
     def corrupt(out):
         path = out / name
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         rows[0] = edit(rows[0])
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return f"{path.name}:1:"
     return corrupt
+
+
+def _append_row(name, make):
+    """Append the row `make` builds from the first row of `name`; return the
+    `name:line:` the error names."""
+    def corrupt(out):
+        path = out / name
+        lines = path.read_text().splitlines()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(make(json.loads(lines[0]))) + "\n")
+        return f"{path.name}:{len(lines) + 1}:"
+    return corrupt
+
+
+def _repeat_first_value_row(out):
+    """Append the first values.jsonl row again, ranked after the last row
+    of its search hour, so that only the repeat is wrong."""
+    lines = (out / "values.jsonl").read_text().splitlines()
+    hour = lambda row: (row["user"], row["search_ts"])
+    first = json.loads(lines[0])
+    n = sum(hour(json.loads(line)) == hour(first) for line in lines)
+    return _append_row("values.jsonl", lambda row: {**row, "rank": n + 1})(out)
+
+
+def _value_row_of_later_consultation(out):
+    """Point the first values.jsonl row at a consultation of its user made
+    at or after its search."""
+    events = [json.loads(line) for line in
+              (out / "corpus" / "events.jsonl").read_text().splitlines()]
+    def edit(row):
+        later = next(ev["cid"] for ev in events if ev["type"] == "consult"
+                     and ev["user"] == row["user"] and ev["ts_hours"] >= row["search_ts"])
+        return {**row, "cid": later}
+    return _edit_first_row("values.jsonl", edit)(out)
+
+
+def _with_older_corpus_key(payload):
+    payload["extra"]["corpus_sha256"] = payload["extra"].pop(CORPUS_KEY)
 
 
 def _edit_json(name, edit):
@@ -373,6 +484,12 @@ def _as_v1(payload):
     ("eval", _edit_first_row("values.jsonl", lambda row: {**row, "rank": "1"})),
     ("eval", _edit_first_row("values.jsonl",
         lambda row: {**row, "search_ts": str(row["search_ts"])})),
+    ("eval", _repeat_first_value_row),
+    ("eval", _value_row_of_later_consultation),
+    ("eval", _edit_first_row("values.jsonl", lambda row: {**row, "rank": row["rank"] + 1})),
+    ("assess", _append_row("linkage.jsonl", lambda row: {**row, "actions": []})),
+    ("assess", _append_row("index.jsonl", lambda row: {**row, "items": []})),
+    ("eval", _edit_checkpoint(_with_older_corpus_key)),
     ("eval", _edit_checkpoint(lambda payload: payload.pop("params"))),
     ("eval", _edit_checkpoint(
         lambda payload: next(iter(payload["params"].values())).pop("shape"))),
@@ -391,6 +508,8 @@ def _as_v1(payload):
 ], ids=["corpus-not-utf8", "linkage-row-without-actions", "linkage-row-not-an-object",
         "index-row-string-items", "index-row-number-term",
         "values-row-string-rank", "values-row-string-search-ts",
+        "values-row-repeated", "values-row-of-later-consultation", "values-ranks-not-1-to-n",
+        "linkage-row-repeated", "index-row-repeated", "checkpoint-older-corpus-key",
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",

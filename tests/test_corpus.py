@@ -9,6 +9,7 @@ from consultrank.corpus import (
     CorpusError,
     dump_corpus,
     load_corpus,
+    read_jsonl,
     slice_before,
     user_events,
 )
@@ -87,6 +88,44 @@ def test_bad_line_is_named_by_its_number(tmp_path, newline):
         events_path.write_bytes(newline.join(rows + [bad, b""]))
         with pytest.raises(CorpusError, match=f"events.jsonl:4: malformed event row: {says}"):
             load_corpus(items_path, events_path)
+
+
+GOOD_ROW = b'{"user": "u1"}'
+
+
+@pytest.mark.parametrize("lines, says", [
+    ([GOOD_ROW, b'{"user"'], "2: malformed event row: invalid JSON (Expecting ':' delimiter)"),
+    ([GOOD_ROW, b'{"user": "u1"} {"user": "u2"}'],
+     "2: malformed event row: invalid JSON (Extra data)"),
+    ([b"\xef\xbb\xbf" + GOOD_ROW],
+     "1: malformed event row: invalid JSON "
+     "(Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ([GOOD_ROW, b'["u1"]'], "2: malformed event row: expected a JSON object"),
+    ([b'{"user": "u\x01"}'], "1: malformed event row: invalid JSON (Invalid control character at)"),
+    ([GOOD_ROW, b'{"user"', b'{"user": "caf\xe9"}'],
+     "2: malformed event row: invalid JSON (Expecting ':' delimiter)"),
+    ([GOOD_ROW, b"", b'{"user": "caf\xe9"}', b'{"user"'],
+     "3: malformed event row: not UTF-8 ('utf-8' codec can't decode byte 0xe9 "
+     "in position 13: invalid continuation byte)"),
+], ids=["invalid-json", "trailing-data", "utf8-bom", "not-an-object", "control-character",
+        "invalid-json-before-non-utf8", "non-utf8-before-invalid-json"])
+def test_read_jsonl_refusals_are_pinned(tmp_path, lines, says):
+    """Each refusal names the file, the first bad line and what is wrong
+    with it, in the words of a line-by-line `json.loads`."""
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorpusError) as info:
+        read_jsonl(path, "event")
+    assert str(info.value) == f"{path}:{says}"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_read_jsonl_numbers_lines_of_any_ending(tmp_path, newline):
+    """Blank lines count, a \r before the \n is stripped, and a last line
+    without a newline is read."""
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(newline.join([b'{"n": 1}', b"", b" \t", b'{"n": 4}', b'{"n": 5}']))
+    assert read_jsonl(path, "event") == [(1, {"n": 1}), (4, {"n": 4}), (5, {"n": 5})]
 
 
 def test_unknown_event_type_rejected(tmp_path):

@@ -1,12 +1,14 @@
 """Model architecture: encoders, CAI, cascade, scoring, gradients."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from consultrank import model as M
 from consultrank import tensor as T
-from consultrank.corpus import ActionType, Consultation, Interaction, Query
+from consultrank.corpus import ActionType, Consultation, Interaction, Query, build_corpus
 from consultrank.evaluate import ground_truth_rank
 from consultrank.value import time_bucket
 
@@ -14,28 +16,30 @@ from gradcheck import finite_diff_check
 from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
 
 
+ITEMS = [
+    item("i1", "alpha beta gadget", ["portable", "steel frame"]),
+    item("i2", "gamma delta widget", ["ceramic", "blue shell"]),
+    item("i3", "epsilon zeta console", ["wireless", "compact build"]),
+    item("i4", "eta theta lantern", ["solar", "rugged case"]),
+]
+EVENTS = [
+    consult("u1", 5, "c1", "tell me about the alpha beta gadget", "solid choice"),
+    consult("u1", 8, "c2", "what of the gamma delta widget", "worth a look"),
+    search("u1", 30, "alpha beta gadget", "i1"),
+    click("u1", 31, "i1"),
+    buy("u1", 33, "i1"),
+    search("u1", 80, "gamma delta widget", "i2"),
+    click("u1", 81, "i2"),
+    consult("u2", 10, "c3", "is the epsilon zeta console any good", "yes quite"),
+    search("u2", 40, "epsilon zeta console", "i3"),
+    click("u2", 41, "i3"),
+    search("u2", 120, "eta theta lantern", "i4"),
+]
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
-    items = [
-        item("i1", "alpha beta gadget", ["portable", "steel frame"]),
-        item("i2", "gamma delta widget", ["ceramic", "blue shell"]),
-        item("i3", "epsilon zeta console", ["wireless", "compact build"]),
-        item("i4", "eta theta lantern", ["solar", "rugged case"]),
-    ]
-    events = [
-        consult("u1", 5, "c1", "tell me about the alpha beta gadget", "solid choice"),
-        consult("u1", 8, "c2", "what of the gamma delta widget", "worth a look"),
-        search("u1", 30, "alpha beta gadget", "i1"),
-        click("u1", 31, "i1"),
-        buy("u1", 33, "i1"),
-        search("u1", 80, "gamma delta widget", "i2"),
-        click("u1", 81, "i2"),
-        consult("u2", 10, "c3", "is the epsilon zeta console any good", "yes quite"),
-        search("u2", 40, "epsilon zeta console", "i3"),
-        click("u2", 41, "i3"),
-        search("u2", 120, "eta theta lantern", "i4"),
-    ]
-    return corpus_from(tmp_path_factory.mktemp("model"), items, events, "model")
+    return corpus_from(tmp_path_factory.mktemp("model"), ITEMS, EVENTS, "model")
 
 
 def tiny_model(corpus, **overrides):
@@ -65,6 +69,8 @@ def test_config_validation():
         M.ModelConfig(n_time_buckets=1)
     with pytest.raises(ValueError, match="max_text_tokens must be >= 1"):
         M.ModelConfig(max_text_tokens=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        M.ModelConfig(seed=-1)
 
 
 def test_vocab_covers_all_text_surfaces(small_corpus):
@@ -308,3 +314,63 @@ def test_session_forward_gradients_match_finite_differences(small_corpus):
 
     worst = finite_diff_check(build, leaves, rng, max_coords=4)
     assert worst < 1e-3
+
+
+#: An item no event names, so its id can change too.
+DIGEST_ITEMS = ITEMS + [item("i5", "iota kappa kettle")]
+
+#: One field of one record of DIGEST_ITEMS or EVENTS, and a new value.
+FIELD_EDITS = [
+    ("items", 4, "id", "i6"), ("items", 0, "title", "alpha beta gizmo"),
+    ("items", 1, "attributes", ["ceramic"]),
+    ("events", 2, "user", "u3"), ("events", 2, "ts_hours", 29),
+    ("events", 2, "query", "alpha gadget"), ("events", 2, "ground_truth_item", "i2"),
+    ("events", 0, "user", "u3"), ("events", 0, "cid", "c9"), ("events", 0, "ts_hours", 6),
+    ("events", 0, "user_turn", "tell me more"), ("events", 0, "assistant_turn", "solid"),
+    ("events", 3, "user", "u2"), ("events", 3, "type", "buy"), ("events", 3, "ts_hours", 32),
+    ("events", 3, "item", "i2"),
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(items=st.permutations(DIGEST_ITEMS), events=st.permutations(EVENTS))
+def test_corpus_digest_ignores_record_order(items, events):
+    assert M.corpus_digest(build_corpus(items, events)) == \
+        M.corpus_digest(build_corpus(DIGEST_ITEMS, EVENTS))
+
+
+@pytest.mark.parametrize("records, k, key, value", FIELD_EDITS,
+                         ids=[f"{r}-{k}-{key}" for r, k, key, _ in FIELD_EDITS])
+def test_corpus_digest_changes_with_any_field(records, k, key, value):
+    edited = {"items": list(DIGEST_ITEMS), "events": list(EVENTS)}
+    edited[records][k] = {**edited[records][k], key: value}
+    assert M.corpus_digest(build_corpus(edited["items"], edited["events"])) != \
+        M.corpus_digest(build_corpus(DIGEST_ITEMS, EVENTS))
+
+
+def test_load_model_restores_saved_parameters_and_draws_nothing(small_corpus, tmp_path,
+                                                                 monkeypatch):
+    model = tiny_model(small_corpus, seed=7)
+    path = tmp_path / "checkpoint.json"
+    M.save_model(model, path)
+    monkeypatch.setattr(T, "parameter", lambda *a: pytest.fail("load_model drew parameters"))
+    loaded = M.load_model(path, small_corpus)
+    assert loaded.cfg == model.cfg and loaded.corpus_sha256 == model.corpus_sha256
+    saved = model.named_parameters()
+    for name, t in loaded.named_parameters().items():
+        assert t.requires_grad
+        assert t.data.shape == saved[name].data.shape
+        assert t.data.tobytes() == saved[name].data.tobytes(), name
+
+
+def test_load_model_refuses_older_corpus_key(small_corpus, tmp_path):
+    """A checkpoint that stores its corpus under the older key asks for a
+    retrain; it is not said to be of another corpus."""
+    path = tmp_path / "checkpoint.json"
+    M.save_model(tiny_model(small_corpus), path)
+    payload = json.loads(path.read_text())
+    payload["extra"]["corpus_sha256"] = payload["extra"].pop(M.CORPUS_KEY)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="retrain") as info:
+        M.load_model(path, small_corpus)
+    assert "another corpus" not in str(info.value)
