@@ -39,6 +39,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -144,10 +145,19 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
+def _finite(number) -> bool:
+    """Whether `number` converts to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def validate_config(supplied: Dict[str, object]) -> Dict[str, object]:
     """Merge supplied keys over the defaults; reject every bad key at once."""
     unknown = sorted(set(supplied) - set(CONFIG_DEFAULTS))
     bad_types: List[str] = []
+    non_finite: List[str] = []
     for key, value in supplied.items():
         if key in unknown:
             continue
@@ -162,11 +172,15 @@ def validate_config(supplied: Dict[str, object]) -> Dict[str, object]:
             ok = isinstance(value, str)
         if not ok:
             bad_types.append(f"{key}={value!r}")
+        elif isinstance(default, float) and not _finite(value):
+            non_finite.append(f"{key}={value!r}")
     problems = []
     if unknown:
         problems.append("unknown config keys: " + ", ".join(unknown))
     if bad_types:
         problems.append("wrong-typed config values: " + ", ".join(sorted(bad_types)))
+    if non_finite:
+        problems.append("non-finite config values: " + ", ".join(sorted(non_finite)))
     if problems:
         raise ConfigError("; ".join(problems))
     merged = dict(CONFIG_DEFAULTS)

@@ -7,12 +7,15 @@ interaction list always contains the search events as well.
 
 Timestamps are integer hours since an arbitrary epoch; sub-hour inputs are
 floored on ingestion.  All structures are immutable after loading and safe
-for concurrent readers.
+for concurrent readers.  The per-row records are NamedTuples: `build_corpus`
+checks each one as it builds it from a row, and building one directly checks
+nothing.
 """
 
 from __future__ import annotations
 
 import json
+import json.encoder
 import json.scanner
 import math
 from bisect import bisect_left
@@ -21,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class CorpusError(ValueError):
@@ -34,15 +37,10 @@ class ActionType(str, Enum):
     BUY = "buy"
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     id: str
     title: str
     attributes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.title:
-            raise CorpusError(f"item {self.id!r} has an empty title")
 
     @property
     def text(self) -> str:
@@ -51,19 +49,12 @@ class Item:
         return " ".join([self.title, *self.attributes])
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     text: str
     timestamp: int
 
-    def __post_init__(self):
-        if not self.text:
-            raise CorpusError("query text must be non-empty")
-        _check_ts(self.timestamp)
 
-
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
     """One consumer action: a search, a click, or a purchase.
 
     Exactly one of ``target_item`` / ``target_query`` is set, determined by
@@ -75,44 +66,25 @@ class Interaction:
     target_item: Optional[str] = None
     target_query: Optional[Query] = None
 
-    def __post_init__(self):
-        _check_ts(self.timestamp)
-        if self.action_type is ActionType.SEARCH:
-            if self.target_query is None or self.target_item is not None:
-                raise CorpusError("search interaction must carry a query and no item")
-        else:
-            if self.target_item is None or self.target_query is not None:
-                raise CorpusError(
-                    f"{self.action_type.value} interaction must carry an item and no query"
-                )
-
     @property
     def target(self) -> str:
         """The query text of a search, the item id of a click or buy."""
         return self.target_item if self.target_query is None else self.target_query.text
 
 
-@dataclass(frozen=True)
-class SearchSession:
+class SearchSession(NamedTuple):
     """A query together with its search action and the item that resolved it."""
 
     query: Query
     interaction: Interaction
     ground_truth_item: str
 
-    def __post_init__(self):
-        if self.interaction.action_type is not ActionType.SEARCH:
-            raise CorpusError("session interaction must be of type search")
-        if self.interaction.timestamp != self.query.timestamp:
-            raise CorpusError("session interaction and query timestamps differ")
-
     @property
     def timestamp(self) -> int:
         return self.query.timestamp
 
 
-@dataclass(frozen=True)
-class Consultation:
+class Consultation(NamedTuple):
     """One user/assistant exchange.  Multi-turn dialogues are ingested as
     several consultations sharing an id prefix."""
 
@@ -120,11 +92,6 @@ class Consultation:
     user_turn: str
     assistant_turn: str
     timestamp: int
-
-    def __post_init__(self):
-        if not self.user_turn and not self.assistant_turn:
-            raise CorpusError(f"consultation {self.id!r} has two empty turns")
-        _check_ts(self.timestamp)
 
     @property
     def text(self) -> str:
@@ -154,15 +121,12 @@ class Corpus:
         return tuple(sorted(self.items))
 
 
-def _check_ts(ts) -> None:
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
-        raise CorpusError(f"timestamp must be a non-negative integer, got {ts!r}")
-
-
 def floor_hours(raw) -> int:
     """Coerce a raw hour value to the integer-hour grid (sub-hour floored)."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise CorpusError(f"ts_hours must be a number, got {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise CorpusError(f"ts_hours must be finite, got {raw!r}")
     hours = int(math.floor(raw))
     if hours < 0:
         raise CorpusError(f"ts_hours must be non-negative, got {raw!r}")
@@ -225,11 +189,28 @@ def _checked_rows(data: bytes, path, kind: str) -> Iterable[tuple[int, dict]]:
         yield lineno, obj
 
 
+def json_encoder(check_circular: bool = True):
+    """The C encoder that ``json.dumps(obj, sort_keys=True)`` builds, with
+    the settings it passes: ``"".join(encode(obj, 0))`` is that call's text.
+    Its circular-reference marks are its own, so one encoder serves one
+    file, not concurrent writers; without them it can be shared."""
+    settings = json.JSONEncoder(sort_keys=True)
+    return json.encoder.c_make_encoder(
+        {} if check_circular else None, settings.default,
+        json.encoder.encode_basestring_ascii, settings.indent, settings.key_separator,
+        settings.item_separator, settings.sort_keys, settings.skipkeys, settings.allow_nan)
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line: the byte-stable format of
-    every JSONL artifact."""
+    every JSONL artifact.  One encoder serves the whole file."""
+    encode = json_encoder()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        fh.writelines("".join(encode(rec, 0)) + "\n" for rec in records)
+
+
+#: The action type of a click or buy event row, by its ``type`` field.
+_ITEM_ACTIONS = {"click": ActionType.CLICK, "buy": ActionType.BUY}
 
 
 def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) -> Corpus:
@@ -240,68 +221,65 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
     duplicate consultation ids are rejected.  Raised errors carry the
     0-based record position as ``#<n>`` so file loaders can map them back
     to line numbers.
+
+    Each row goes through one exact-type test of its fields.  A row that
+    fails it is built field by field by `_checked_item` or `_checked_event`,
+    which word the refusal of a bad row.
     """
     items: dict[str, Item] = {}
     for pos, obj in enumerate(item_records):
-        try:
-            item = Item(
-                id=_req_str(obj, "id"),
-                title=_req_str(obj, "title"),
-                attributes=_str_list(obj, "attributes"),
-            )
-            if item.id in items:
-                raise CorpusError(f"duplicate item id {item.id!r}")
-        except CorpusError as exc:
-            raise CorpusError(f"item record #{pos}: {exc}") from exc
-        items[item.id] = item
+        iid, title, attrs = obj.get("id"), obj.get("title"), obj.get("attributes")
+        if (type(iid) is str and type(title) is str and iid and title and iid not in items
+                and (attrs is None or type(attrs) is list and all(type(a) is str for a in attrs))):
+            items[iid] = Item(iid, title, tuple(attrs or ()))
+        else:
+            try:
+                item = _checked_item(obj, items)
+            except CorpusError as exc:
+                raise CorpusError(f"item record #{pos}: {exc}") from exc
+            items[item.id] = item
 
     searches: dict[str, list[SearchSession]] = {}
-    consults: dict[str, list[Consultation]] = {}
+    consults: dict[str, dict[str, Consultation]] = {}
     inters: dict[str, list[Interaction]] = {}
-    seen_cids: dict[str, set[str]] = {}
-
     for pos, obj in enumerate(event_records):
-        try:
-            user = _req_str(obj, "user")
-            etype = _req_str(obj, "type")
-            ts = floor_hours(obj.get("ts_hours"))
-            if etype == "search":
-                query = Query(text=_req_str(obj, "query"), timestamp=ts)
-                gt = _req_str(obj, "ground_truth_item")
-                if gt not in items:
-                    raise CorpusError(f"ground_truth_item {gt!r} not in items")
-                act = Interaction(ActionType.SEARCH, ts, target_query=query)
-                searches.setdefault(user, []).append(SearchSession(query, act, gt))
-                inters.setdefault(user, []).append(act)
-            elif etype in ("click", "buy"):
-                iid = _req_str(obj, "item")
-                if iid not in items:
-                    raise CorpusError(f"item {iid!r} not in items")
-                inters.setdefault(user, []).append(
-                    Interaction(ActionType(etype), ts, target_item=iid)
-                )
-            elif etype == "consult":
-                cid = _req_str(obj, "cid")
-                if cid in seen_cids.setdefault(user, set()):
-                    raise CorpusError(f"duplicate consultation id {cid!r} for user {user!r}")
-                seen_cids[user].add(cid)
-                consults.setdefault(user, []).append(
-                    Consultation(
-                        id=cid,
-                        user_turn=_opt_str(obj, "user_turn"),
-                        assistant_turn=_opt_str(obj, "assistant_turn"),
-                        timestamp=ts,
-                    )
-                )
+        user, etype, ts = obj.get("user"), obj.get("type"), obj.get("ts_hours")
+        rec = None
+        if type(user) is str and type(etype) is str and type(ts) is int and user and ts >= 0:
+            if etype == "consult":
+                cid, turn, answer = obj.get("cid"), obj.get("user_turn"), obj.get("assistant_turn")
+                if (type(cid) is str and cid and (turn is None or type(turn) is str)
+                        and (answer is None or type(answer) is str) and (turn or answer)
+                        and cid not in consults.get(user, ())):
+                    rec = Consultation(cid, turn or "", answer or "", ts)
+            elif etype == "search":
+                text, gt = obj.get("query"), obj.get("ground_truth_item")
+                if type(text) is str and text and type(gt) is str and gt in items:
+                    query = Query(text, ts)
+                    rec = SearchSession(query, Interaction(ActionType.SEARCH, ts, None, query), gt)
             else:
-                raise CorpusError(f"unknown event type {etype!r}")
-        except CorpusError as exc:
-            raise CorpusError(f"event record #{pos}: {exc}") from exc
+                atype, iid = _ITEM_ACTIONS.get(etype), obj.get("item")
+                if atype is not None and type(iid) is str and iid in items:
+                    rec = Interaction(atype, ts, iid)
+        if rec is None:
+            try:
+                user, rec = _checked_event(obj, items, consults)
+            except CorpusError as exc:
+                raise CorpusError(f"event record #{pos}: {exc}") from exc
+        kind = type(rec)
+        if kind is Consultation:
+            consults.setdefault(user, {})[rec.id] = rec
+        elif kind is SearchSession:
+            searches.setdefault(user, []).append(rec)
+            inters.setdefault(user, []).append(rec.interaction)
+        else:
+            inters.setdefault(user, []).append(rec)
 
     # Full (not just stable) sort keys make the stored order canonical:
     # any permutation of the input records builds the identical Corpus.
+    # An ActionType orders as its value, the string it subclasses.
     def _act_key(a: Interaction):
-        return (a.timestamp, a.action_type.value, a.target)
+        return (a.timestamp, a.action_type, a.target)
 
     users: dict[str, UserHistory] = {}
     for user in sorted(set(searches) | set(consults) | set(inters)):
@@ -314,11 +292,51 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
                 )
             ),
             consultations=tuple(
-                sorted(consults.get(user, []), key=lambda c: (c.timestamp, c.id))
+                sorted(consults.get(user, {}).values(), key=lambda c: (c.timestamp, c.id))
             ),
             interactions=tuple(sorted(inters.get(user, []), key=_act_key)),
         )
     return Corpus(items=items, users=users)
+
+
+def _checked_item(obj: dict, items: dict[str, Item]) -> Item:
+    """The item of a row, built field by field; refused as `build_corpus`
+    words it."""
+    item = Item(_req_str(obj, "id"), _req_str(obj, "title"), _str_list(obj, "attributes"))
+    if item.id in items:
+        raise CorpusError(f"duplicate item id {item.id!r}")
+    return item
+
+
+def _checked_event(obj: dict, items: dict[str, Item],
+                   consults: dict[str, dict[str, Consultation]]
+                   ) -> tuple[str, SearchSession | Interaction | Consultation]:
+    """``(user, record)`` of an event row, built field by field: a
+    SearchSession, a click or buy Interaction, or a Consultation.  Refused
+    as `build_corpus` words it."""
+    user = _req_str(obj, "user")
+    etype = _req_str(obj, "type")
+    ts = floor_hours(obj.get("ts_hours"))
+    if etype == "search":
+        query = Query(_req_str(obj, "query"), ts)
+        gt = _req_str(obj, "ground_truth_item")
+        if gt not in items:
+            raise CorpusError(f"ground_truth_item {gt!r} not in items")
+        return user, SearchSession(query, Interaction(ActionType.SEARCH, ts, None, query), gt)
+    if etype in _ITEM_ACTIONS:
+        iid = _req_str(obj, "item")
+        if iid not in items:
+            raise CorpusError(f"item {iid!r} not in items")
+        return user, Interaction(_ITEM_ACTIONS[etype], ts, iid)
+    if etype == "consult":
+        cid = _req_str(obj, "cid")
+        if cid in consults.get(user, ()):
+            raise CorpusError(f"duplicate consultation id {cid!r} for user {user!r}")
+        turn, answer = _opt_str(obj, "user_turn"), _opt_str(obj, "assistant_turn")
+        if not turn and not answer:
+            raise CorpusError(f"consultation {cid!r} has two empty turns")
+        return user, Consultation(cid, turn, answer, ts)
+    raise CorpusError(f"unknown event type {etype!r}")
 
 
 def load_corpus(items_path, events_path) -> Corpus:
@@ -386,6 +404,11 @@ def item_event(item: Item) -> dict:
     return {"id": item.id, "title": item.title, "attributes": list(item.attributes)}
 
 
+#: The encoder of `user_events`' tie keys, shared by every call: an event
+#: row is a flat dict, which needs no circular-reference marks.
+_event_text = json_encoder(check_circular=False)
+
+
 def user_events(history: UserHistory) -> list[dict]:
     """Flatten one user's history back into event dicts, time-sorted.
 
@@ -444,7 +467,7 @@ def user_events(history: UserHistory) -> list[dict]:
     for _, tied in groupby(events, key=lambda e: (e[0], e[1])):
         group = [e[2] for e in tied]
         if len(group) > 1:
-            group.sort(key=lambda ev: json.dumps(ev, sort_keys=True))
+            group.sort(key=lambda ev: "".join(_event_text(ev, 0)))
         out.extend(group)
     return out
 

@@ -179,17 +179,20 @@ def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
     """A model of `corpus` whose parameters `make_params` gives, from their
     `_param_shapes`.
 
-    Each text is normalized once: an item's title and attributes together,
-    and each consultation and search query.  Those token lists give the
-    vocabulary (id 0 is reserved for unknown tokens) and, with the corpus's
-    item and user counts, the table sizes; the consultation and query
-    tokens also give the model's `features` table.
+    Each consultation and search query is normalized once, and the item
+    texts in one call on their space-joined concatenation: `normalize`
+    lowercases and filters character by character and then splits at
+    whitespace, so that call yields the tokens of every item text.  The
+    tokens give the vocabulary (id 0 is
+    reserved for unknown tokens) and, with the corpus's item and user
+    counts, the table sizes; the consultation and query tokens also give
+    the model's `features` table.
     """
     histories = _histories(corpus)
     tokens = [normalize(t) for t in _table_texts(histories)]
-    item_tokens = [normalize(item.text) for item in corpus.items.values()]
+    item_tokens = normalize(" ".join(item.text for item in corpus.items.values()))
     vocab = {term: i + 1 for i, term in
-             enumerate(sorted(set(chain.from_iterable(tokens + item_tokens))))}
+             enumerate(sorted(set(chain.from_iterable(tokens)).union(item_tokens)))}
     item_rows = {v: i for i, v in enumerate(corpus.item_ids)}
     p = make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows), len(corpus.users)))
     return Model(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
     ActionType,
@@ -73,8 +73,7 @@ class BucketTable:
                 raise ValueError(f"cut points for {atype.value} are not sorted")
 
 
-@dataclass(frozen=True)
-class ValueReport:
+class ValueReport(NamedTuple):
     user_id: str
     search_ts: int
     cid: str
@@ -262,19 +261,8 @@ def rank_and_filter(
         reports_raw[c.id] = (o_time, o_scope, o_action, o_agg)
         scored.append((o_agg, c.timestamp, c.id))
     scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    reports = [
-        ValueReport(
-            user_id=history.user_id,
-            search_ts=s.timestamp,
-            cid=cid,
-            o_time=reports_raw[cid][0],
-            o_scope=reports_raw[cid][1],
-            o_action=reports_raw[cid][2],
-            o_aggregate=reports_raw[cid][3],
-            rank=pos + 1,
-        )
-        for pos, (_agg, _ts, cid) in enumerate(scored)
-    ]
+    reports = [ValueReport(history.user_id, s.timestamp, cid, *reports_raw[cid], rank)
+               for rank, (_agg, _ts, cid) in enumerate(scored, start=1)]
     kept = [by_id[cid] for _agg, _ts, cid in scored[: params.l_seq]]
     return kept, reports
 

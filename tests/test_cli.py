@@ -131,6 +131,25 @@ def test_unknown_config_keys_listed(tmp_path, capsys):
     assert "gen_userz" in err and "bogus" in err and "lr" in err
 
 
+@pytest.mark.parametrize("argv, config, says", [
+    (["datagen"], '{"lr": NaN, "lambda_l2": Infinity, "bogus": 1}',
+     "unknown config keys: bogus; non-finite config values: lambda_l2=inf, lr=nan"),
+    (["datagen"], '{"tau1": -Infinity, "d": "x"}',
+     "wrong-typed config values: d='x'; non-finite config values: tau1=-inf"),
+    (["datagen"], '{"lr": 1e400}', "non-finite config values: lr=inf"),
+    (["datagen"], '{"lr": 1%s}' % ("0" * 400,), "non-finite config values: lr=1" + "0" * 400),
+    (["train", "--lr", "nan"], "{}", "non-finite config values: lr=nan"),
+    (["train", "--tau1", "inf"], "{}", "non-finite config values: tau1=inf"),
+], ids=["config-nan-and-infinity", "config-with-wrong-type", "config-overflowing-float",
+        "config-int-beyond-float", "flag-nan", "flag-infinity"])
+def test_non_finite_config_values_refused(tmp_path, capsys, argv, config, says):
+    """Refused before any stage runs, with exit 2 and every bad key named."""
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
 @pytest.mark.parametrize("argv, config, name", [
     (["datagen"], {"time_bucket_count": 13}, "time_bucket_count"),
     (["datagen"], {"encoder_layers": 1}, "encoder_layers"),
@@ -330,9 +349,9 @@ def test_searches_in_one_hour_share_one_row_set(tmp_path, capsys):
 
 def _spy(log, entry, fn):
     """`fn`, appending `entry(first argument)` to `log` on each call."""
-    def spy(first, *args):
+    def spy(first, *args, **kwargs):
         log.append(entry(first))
-        return fn(first, *args)
+        return fn(first, *args, **kwargs)
     return spy
 
 
@@ -362,6 +381,36 @@ def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
     assert run(argv[0], out, out / "config.json", *argv[1:]) == 0
     assert sorted(reads) == STAGE_READS[argv]
     assert len(digests) == 1
+
+
+def test_dumps_build_one_encoder_per_file(pipeline_dir, tmp_path, monkeypatch):
+    """A count, not a timing: each dump builds one JSON encoder for its file
+    and calls `json.dumps` for none of its rows, and rewrites the bytes the
+    pipeline wrote."""
+    out, _ = pipeline_dir
+    corpus = load_corpus(out / "corpus/items.jsonl", out / "corpus/events.jsonl")
+    index = load_index(out / "index.jsonl")
+    linkage = load_linkage(out / "linkage.jsonl", corpus)
+    assessments = load_assessments(out / "values.jsonl", corpus, ValueParams(l_seq=1))
+    (tmp_path / "corpus").mkdir()
+    encoders, dumps = [], []
+    monkeypatch.setattr(json.encoder, "c_make_encoder",
+                        _spy(encoders, type, json.encoder.c_make_encoder))
+    monkeypatch.setattr(json, "dumps", _spy(dumps, type, json.dumps))
+    for files, dump in [
+        (2, lambda: corpus_module.dump_corpus(
+            corpus, tmp_path / "corpus/items.jsonl", tmp_path / "corpus/events.jsonl")),
+        (1, lambda: index_module.dump_index(index, tmp_path / "index.jsonl")),
+        (1, lambda: linkage_module.dump_linkage(linkage, tmp_path / "linkage.jsonl")),
+        (1, lambda: value_module.dump_values(assessments, tmp_path / "values.jsonl")),
+    ]:
+        encoders.clear()
+        dump()
+        assert len(encoders) == files
+    assert dumps == []
+    for name in ("corpus/items.jsonl", "corpus/events.jsonl", "index.jsonl", "linkage.jsonl",
+                 "values.jsonl"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_eval_refuses_checkpoint_of_another_corpus(pipeline_dir, tmp_path, capsys):

@@ -1,18 +1,28 @@
 """Ingestion, validation, slicing, and round-trip behavior of the data model."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from consultrank import corpus as corpus_module
 from consultrank.corpus import (
     ActionType,
+    Consultation,
     CorpusError,
+    Interaction,
+    Item,
+    Query,
+    SearchSession,
+    build_corpus,
     dump_corpus,
     load_corpus,
     read_jsonl,
     slice_before,
     user_events,
 )
+from consultrank.value import ValueReport
 from helpers import buy, click, consult, corpus_from, item, search, write_jsonl
 
 ITEMS = [
@@ -241,3 +251,172 @@ def test_round_trip_is_identity(tmp_path):
     dump_corpus(first, tmp_path / "items2.jsonl", tmp_path / "events2.jsonl")
     second = load_corpus(tmp_path / "items2.jsonl", tmp_path / "events2.jsonl")
     assert first == second
+
+
+#: Item rows after two good ones, each with the refusal that names it, as
+#: worded before records became NamedTuples.
+ITEM_REFUSALS = {
+    "no-id": ('{"title": "tripod"}', "missing or empty field 'id'"),
+    "empty-id": ('{"id": "", "title": "tripod"}', "missing or empty field 'id'"),
+    "number-id": ('{"id": 7, "title": "tripod"}', "missing or empty field 'id'"),
+    "no-title": ('{"id": "i3"}', "missing or empty field 'title'"),
+    "empty-title": ('{"id": "i3", "title": ""}', "missing or empty field 'title'"),
+    "string-attributes": ('{"id": "i3", "title": "tripod", "attributes": "black"}',
+                          "field 'attributes' must be a list of strings or null, got 'black'"),
+    "number-attribute": ('{"id": "i3", "title": "tripod", "attributes": ["black", 2]}',
+                         "field 'attributes' must be a list of strings or null, "
+                         "got ['black', 2]"),
+    "repeated-id": ('{"id": "i1", "title": "tripod"}', "duplicate item id 'i1'"),
+}
+
+_CLICK = '{"user": "u1", "type": "click", "ts_hours": %s, "item": "i1"}'
+_CONSULT = '{"user": "u1", "type": "consult", "ts_hours": 3, "cid": "c1", %s}'
+
+#: Event rows after a consultation "c0" of u1, each with its refusal: all
+#: but the non-finite hours as worded before records became NamedTuples.
+EVENT_REFUSALS = {
+    "no-user": ('{"type": "click", "ts_hours": 3, "item": "i1"}',
+                "missing or empty field 'user'"),
+    "empty-user": ('{"user": "", "type": "click", "ts_hours": 3, "item": "i1"}',
+                   "missing or empty field 'user'"),
+    "list-user": ('{"user": ["u1"], "type": "click", "ts_hours": 3, "item": "i1"}',
+                  "missing or empty field 'user'"),
+    "no-type": ('{"user": "u1", "ts_hours": 3, "item": "i1"}', "missing or empty field 'type'"),
+    "list-type": ('{"user": "u1", "type": ["click"], "ts_hours": 3, "item": "i1"}',
+                  "missing or empty field 'type'"),
+    "unknown-type": ('{"user": "u1", "type": "view", "ts_hours": 3, "item": "i1"}',
+                     "unknown event type 'view'"),
+    "no-hours": ('{"user": "u1", "type": "click", "item": "i1"}',
+                 "ts_hours must be a number, got None"),
+    "string-hours": (_CLICK % '"3"', "ts_hours must be a number, got '3'"),
+    "bool-hours": (_CLICK % "true", "ts_hours must be a number, got True"),
+    "negative-hours": (_CLICK % "-1", "ts_hours must be non-negative, got -1"),
+    "negative-fractional-hours": (_CLICK % "-0.5", "ts_hours must be non-negative, got -0.5"),
+    "infinite-hours": (_CLICK % "Infinity", "ts_hours must be finite, got inf"),
+    "overflowing-hours": (_CLICK % "1e400", "ts_hours must be finite, got inf"),
+    "negative-infinite-hours": (_CLICK % "-Infinity", "ts_hours must be finite, got -inf"),
+    "nan-hours": (_CLICK % "NaN", "ts_hours must be finite, got nan"),
+    "click-no-item": ('{"user": "u1", "type": "click", "ts_hours": 3}',
+                      "missing or empty field 'item'"),
+    "buy-number-item": ('{"user": "u1", "type": "buy", "ts_hours": 3, "item": 1}',
+                        "missing or empty field 'item'"),
+    "buy-dangling-item": ('{"user": "u1", "type": "buy", "ts_hours": 3, "item": "i9"}',
+                          "item 'i9' not in items"),
+    "search-no-query": ('{"user": "u1", "type": "search", "ts_hours": 3, '
+                        '"ground_truth_item": "i1"}', "missing or empty field 'query'"),
+    "search-empty-query": ('{"user": "u1", "type": "search", "ts_hours": 3, "query": "", '
+                           '"ground_truth_item": "i1"}', "missing or empty field 'query'"),
+    "search-no-ground-truth": ('{"user": "u1", "type": "search", "ts_hours": 3, '
+                               '"query": "laptop"}',
+                               "missing or empty field 'ground_truth_item'"),
+    "search-dangling-ground-truth": ('{"user": "u1", "type": "search", "ts_hours": 3, '
+                                     '"query": "laptop", "ground_truth_item": "i9"}',
+                                     "ground_truth_item 'i9' not in items"),
+    "consult-no-cid": ('{"user": "u1", "type": "consult", "ts_hours": 3, "user_turn": "hi"}',
+                       "missing or empty field 'cid'"),
+    "consult-number-cid": ('{"user": "u1", "type": "consult", "ts_hours": 3, "cid": 5, '
+                           '"user_turn": "hi"}', "missing or empty field 'cid'"),
+    "consult-repeated-cid": ('{"user": "u1", "type": "consult", "ts_hours": 3, "cid": "c0", '
+                             '"user_turn": "hi"}',
+                             "duplicate consultation id 'c0' for user 'u1'"),
+    "consult-zero-user-turn": (_CONSULT % '"user_turn": 0, "assistant_turn": "hi"',
+                               "field 'user_turn' must be a string or null, got 0"),
+    "consult-false-user-turn": (_CONSULT % '"user_turn": false, "assistant_turn": "hi"',
+                                "field 'user_turn' must be a string or null, got False"),
+    "consult-list-user-turn": (_CONSULT % '"user_turn": [], "assistant_turn": "hi"',
+                               "field 'user_turn' must be a string or null, got []"),
+    "consult-number-assistant-turn": (_CONSULT % '"user_turn": "hi", "assistant_turn": 1',
+                                      "field 'assistant_turn' must be a string or null, got 1"),
+    "consult-two-empty-turns": (_CONSULT % '"user_turn": "", "assistant_turn": ""',
+                                "consultation 'c1' has two empty turns"),
+    "consult-two-null-turns": (_CONSULT % '"user_turn": null, "assistant_turn": null',
+                               "consultation 'c1' has two empty turns"),
+    "consult-no-turns": (_CONSULT % '"user_turn": ""', "consultation 'c1' has two empty turns"),
+}
+
+_GOOD_ITEMS = ['{"id": "i1", "title": "gaming laptop", "attributes": ["16gb"]}',
+               '{"id": "i2", "title": "folding phone"}']
+_GOOD_EVENTS = ['{"user": "u1", "type": "consult", "ts_hours": 2, "cid": "c0", "user_turn": "hi"}']
+
+
+def _refusal(tmp_path, items, events) -> str:
+    items_path, events_path = tmp_path / "items.jsonl", tmp_path / "events.jsonl"
+    items_path.write_text("\n".join(items) + "\n", encoding="utf-8")
+    events_path.write_text("\n".join(events) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(items_path, events_path)
+    return str(info.value).replace(f"{tmp_path}/", "")
+
+
+@pytest.mark.parametrize("row, says", ITEM_REFUSALS.values(), ids=ITEM_REFUSALS)
+def test_item_row_refusals_are_pinned(tmp_path, row, says):
+    assert _refusal(tmp_path, _GOOD_ITEMS + [row], []) == f"items.jsonl:3: {says}"
+
+
+@pytest.mark.parametrize("row, says", EVENT_REFUSALS.values(), ids=EVENT_REFUSALS)
+def test_event_row_refusals_are_pinned(tmp_path, row, says):
+    assert _refusal(tmp_path, _GOOD_ITEMS, _GOOD_EVENTS + [row]) == f"events.jsonl:2: {says}"
+
+
+def test_rows_off_the_exact_types_build_the_same_corpus():
+    """A row that fails `build_corpus`'s exact-type test is built field by
+    field, into the records an exact row builds."""
+    class Text(str):
+        pass
+
+    exact = build_corpus(
+        [{"id": "i1", "title": "gaming laptop", "attributes": []}],
+        [search("u1", 7, "laptop", "i1"), click("u1", 8, "i1"),
+         consult("u1", 6, "c1", "which laptop", "")])
+    loose = build_corpus(
+        [{"id": Text("i1"), "title": "gaming laptop"}],
+        [search("u1", 7.5, Text("laptop"), "i1"), click(Text("u1"), 8.0, "i1"),
+         {**consult("u1", 6.9, "c1", "which laptop"), "assistant_turn": None}])
+    assert loose == exact
+
+
+RECORDS = [
+    Item("i1", "gaming laptop", ("16gb",)),
+    Query("laptop", 3),
+    Interaction(ActionType.CLICK, 3, target_item="i1"),
+    SearchSession(Query("laptop", 3),
+                  Interaction(ActionType.SEARCH, 3, target_query=Query("laptop", 3)), "i1"),
+    Consultation("c1", "which laptop", "", 2),
+    ValueReport("u1", 3, "c1", 0.5, 0.25, 0.0, 0.3, 1),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_hashable_and_immutable(record):
+    assert hash(record) == hash(type(record)(*record))
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.note = "x"
+
+
+_json_scalars = (st.none() | st.booleans()
+                 | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+                 | st.floats() | st.sampled_from([1e-7, 1e16, -0.0, 5e-324, 1.7976931348623157e308])
+                 | st.text(st.characters(blacklist_categories=())))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(blacklist_categories=()), max_size=6), inner,
+                      max_size=4),
+    max_leaves=12)
+_records = st.lists(st.dictionaries(st.text(max_size=8), _json_values, max_size=5), max_size=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_records)
+@example(records=[{"t": "caf\u00e9 \U0001f600 \x00\x1f\u2028", "f": [1e-7, 1e16, -0.0],
+                   "n": 2**100, "b": [True, False, None], "d": {"z": {}, "a": [[]]},
+                   "x": [math.inf, -math.inf, math.nan]}])
+def test_write_jsonl_writes_the_bytes_of_json_dumps(tmp_path, records):
+    path = tmp_path / "rows.jsonl"
+    corpus_module.write_jsonl(path, records)
+    expected = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    assert path.read_bytes() == expected.encode("utf-8")
