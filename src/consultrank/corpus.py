@@ -121,6 +121,10 @@ class Corpus:
         return tuple(sorted(self.items))
 
 
+#: The latest hour an event may carry: the model packs hours into int64 arrays.
+MAX_HOURS = 2**63 - 1
+
+
 def floor_hours(raw) -> int:
     """Coerce a raw hour value to the integer-hour grid (sub-hour floored)."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -130,6 +134,8 @@ def floor_hours(raw) -> int:
     hours = int(math.floor(raw))
     if hours < 0:
         raise CorpusError(f"ts_hours must be non-negative, got {raw!r}")
+    if hours > MAX_HOURS:
+        raise CorpusError(f"ts_hours must be at most {MAX_HOURS}, got {raw!r}")
     return hours
 
 
@@ -245,7 +251,8 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
     for pos, obj in enumerate(event_records):
         user, etype, ts = obj.get("user"), obj.get("type"), obj.get("ts_hours")
         rec = None
-        if type(user) is str and type(etype) is str and type(ts) is int and user and ts >= 0:
+        if (type(user) is str and type(etype) is str and type(ts) is int and user
+                and 0 <= ts <= MAX_HOURS):
             if etype == "consult":
                 cid, turn, answer = obj.get("cid"), obj.get("user_turn"), obj.get("assistant_turn")
                 if (type(cid) is str and cid and (turn is None or type(turn) is str)

@@ -429,16 +429,15 @@ def squeeze(t: T.Tensor) -> T.Tensor:
 def cai_queries(model: Model, consultations: np.ndarray, texts: T.Tensor) -> T.Tensor:
     """Attention queries: each consultation's text vector plus the embedding
     of its time bucket ([..., 2] rows of text index, time bucket)."""
-    return T.add(T.embedding_lookup(texts, consultations[..., 0]),
-                 T.embedding_lookup(model.tables.time, consultations[..., 1]))
+    return T.lookup_sum((texts, consultations[..., 0]),
+                        (model.tables.time, consultations[..., 1]))
 
 
 def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
     """Attention keys (= values): each action's type row, plus its item's
     row or its query's text vector, plus its time bucket's row."""
     sources = (model.tables.action, model.tables.item, texts, model.tables.time)
-    return reduce(T.add, [T.embedding_lookup(table, actions[..., k])
-                          for k, table in enumerate(sources)])
+    return T.lookup_sum(*[(table, actions[..., k]) for k, table in enumerate(sources)])
 
 
 def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
@@ -448,6 +447,29 @@ def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
     q_proj = T.matmul(queries, model.block.w_q)
     k_proj = T.matmul(keys, model.block.w_k)
     return T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
+
+
+def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
+                   texts: T.Tensor) -> T.Tensor:
+    """[n, n_keys]: the logits `cai_logits` gives each of n queries ([n, d])
+    against its own row of keys, `cai_keys` of `actions` ([n, n_keys, 4],
+    -1 rows for padding, which score 0), with no key built.
+
+    A key is a sum of table rows, so a query's projected product with it
+    is the sum of the query's products with those rows.  The queries meet
+    w_q w_k^T once, then each key table in one product (of the item table,
+    only the rows `actions` names), and each logit adds one column of each
+    product."""
+    qk = T.scale(T.matmul(T.matmul(queries, model.block.w_q), T.transpose(model.block.w_k)),
+                 1.0 / math.sqrt(model.cfg.d))
+    items = actions[..., 1]
+    used = np.unique(items[items >= 0])
+    sources = ((model.tables.action, actions[..., 0]),
+               (T.embedding_lookup(model.tables.item, used),
+                np.where(items >= 0, np.searchsorted(used, items), -1)),
+               (texts, actions[..., 2]), (model.tables.time, actions[..., 3]))
+    return reduce(T.add, [T.gather_columns(T.matmul(qk, T.transpose(table)), cols)
+                          for table, cols in sources])
 
 
 def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
@@ -508,13 +530,14 @@ def session_forward(model: Model, batch: Sequence[SessionFeatures]) -> T.Tensor:
     segments = np.repeat(np.arange(N_SEGMENTS), [np.shape(b)[1] for b in blocks])
     real = layout >= 0
     enc = model.encoder
-    x = T.embedding_lookup(enc.segment, np.where(real, segments, -1))
+    lookups = [(enc.segment, np.where(real, segments, -1))]
     for source, segs in ((model.tables.user, [SEG_USER]),
                          (texts, [SEG_QUERY_HISTORY, SEG_QUERY]),
                          (model.tables.item, [SEG_ITEM_HISTORY])):
         at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
         if (at >= 0).any():
-            x = T.add(x, T.embedding_lookup(source, at))
+            lookups.append((source, at))
+    x = T.lookup_sum(*lookups)
     if real[:, segments == SEG_CONSULTATION].any():
         # consultation c sits at position 1 + c
         x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))

@@ -82,9 +82,10 @@ def _out(data, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # a copy: a backward closure may hand one array to two parents
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -176,9 +177,7 @@ def softmax(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return out
 
 
-def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Rows of a 2-D tensor, [*indices.shape, d].  Index -1 gives a zero row,
-    which takes no gradient."""
+def _row_indices(table: Tensor, indices) -> np.ndarray:
     if table.data.ndim != 2:
         raise ValueError(f"embedding table must be 2-D, got {table.shape}")
     idx = np.asarray(indices, dtype=np.int64)
@@ -186,18 +185,65 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         raise ValueError(
             f"index out of range for table with {table.shape[0]} rows: {idx.tolist()}"
         )
-    keep = idx >= 0
-    rows = table.data[idx]  # a fresh copy; index -1 read the last row
-    rows[~keep] = 0.0
-    out = _out(rows, (table,), None)
+    return idx
+
+
+def _bincount_into(t: Tensor, cells: np.ndarray, weights: np.ndarray) -> None:
+    """Accumulates weights into the flat cells of `t`, summing repeated cells
+    in order, as np.add.at would, but faster."""
+    _accum(t, np.bincount(cells, weights=weights, minlength=t.data.size).reshape(t.shape))
+
+
+def lookup_sum(*lookups) -> Tensor:
+    """Sum of row gathers, [*indices.shape, d], as one node: each (table,
+    indices) pair gathers rows of a 2-D tensor, and the gathers are added
+    in place, left to right.  Index -1 gives a zero row, which takes no
+    gradient.  All tables share their width and all indices their shape."""
+    pairs = [(table, _row_indices(table, indices)) for table, indices in lookups]
+    (first, idx), rest = pairs[0], pairs[1:]
+    for table, other in rest:
+        if table.shape[1] != first.shape[1] or other.shape != idx.shape:
+            raise ValueError(f"cannot add rows of {table.shape} at {other.shape} "
+                             f"to rows of {first.shape} at {idx.shape}")
+    rows = first.data[idx]  # a fresh copy; index -1 read the last row
+    rows[idx < 0] = 0.0
+    for table, other in rest:
+        np.add(rows, table.data[other], out=rows, where=(other >= 0)[..., None])
+    out = _out(rows, [table for table, _ in pairs], None)
     if out._parents:
         def backward(g):
-            # sums repeated rows in index order, as np.add.at would, but faster
-            d = table.shape[1]
-            cells = (idx[keep][:, None] * d + np.arange(d)).ravel()
-            _accum(table, np.bincount(cells, weights=g[keep].ravel(),
-                                      minlength=table.data.size).reshape(table.shape))
+            for table, idx in pairs:
+                if table.requires_grad or table._parents:
+                    keep = idx >= 0
+                    d = table.shape[1]
+                    _bincount_into(table, (idx[keep][:, None] * d + np.arange(d)).ravel(),
+                                   g[keep].ravel())
         out._backward = backward
+    return out
+
+
+def embedding_lookup(table: Tensor, indices) -> Tensor:
+    """Rows of a 2-D tensor, [*indices.shape, d]: `lookup_sum` of one table."""
+    return lookup_sum((table, indices))
+
+
+def gather_columns(a: Tensor, columns) -> Tensor:
+    """Per-row column gather of a 2-D tensor, [n, m]: entry (i, j) is
+    a[i, columns[i, j]], for an [n, m] `columns`.  Column -1 gives 0,
+    which takes no gradient."""
+    cols = np.asarray(columns, dtype=np.int64)
+    if a.data.ndim != 2 or cols.ndim != 2 or len(cols) != len(a.data):
+        raise ValueError(f"gather_columns needs an [n, k] input and [n, m] columns, "
+                         f"got {a.shape} and {cols.shape}")
+    if cols.size and (cols.min() < -1 or cols.max() >= a.shape[1]):
+        raise ValueError(f"column out of range for {a.shape[1]} columns: {cols.tolist()}")
+    keep = cols >= 0
+    cells = (np.arange(len(cols))[:, None] * a.shape[1] + cols)[keep]
+    data = np.zeros(cols.shape)
+    data[keep] = np.take(a.data, cells)
+    out = _out(data, (a,), None)
+    if out._parents:
+        out._backward = lambda g: _bincount_into(a, cells, g[keep])
     return out
 
 

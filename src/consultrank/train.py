@@ -195,9 +195,10 @@ def loss_va(model: M.Model, samples: Sequence[VaSample], table: M.CorpusFeatures
     1/sqrt(d) factor as the attention block, so the trained projections act
     at inference exactly as they were supervised.
 
-    Each sample's query meets its own 1 + K keys in one batched product,
-    [samples, 1 + K] logits with the positive first; a sample with fewer
-    negatives than the longest has its padding masked out.
+    Each sample's query is scored against its own 1 + K keys, [samples,
+    1 + K] logits with the positive first, by `model.cai_key_logits`: one
+    product per key table, not one per key.  A sample with fewer negatives
+    than the longest has its padding masked out.
     """
     if not samples:
         raise ValueError("loss_va needs at least one sample")
@@ -209,11 +210,11 @@ def loss_va(model: M.Model, samples: Sequence[VaSample], table: M.CorpusFeatures
     texts = M.encode_text(model, ids, offsets)
     queries = M.cai_queries(model, np.column_stack(
         [np.arange(len(cons)), M.time_buckets(model, anchors - table.consultation_ts[cons])]
-    )[:, None, :], texts)
+    ), texts)
     key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
     key_rows[real] = np.column_stack(
         [acts, M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])])
-    logits = M.squeeze(M.cai_logits(model, queries, M.cai_keys(model, key_rows, texts)))
+    logits = M.cai_key_logits(model, queries, key_rows, texts)
     return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)
 
 

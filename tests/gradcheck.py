@@ -69,9 +69,9 @@ def tensor_op_trials(rng: np.random.Generator):
     th6 = leaf(6)
     sm7, w7 = leaf(7), leaf(7)
     nl5 = leaf(5)
-    nr34 = leaf(3, 4)
+    nr36 = leaf(3, 6)
     table, w42 = leaf(6, 4), leaf(4, 2)
-    pad_table = leaf(5, 3)
+    pad_table, pad_other = leaf(5, 3), leaf(4, 3)
     d1, d2 = leaf(6), leaf(6)
     st3, sw, sk3, sv = leaf(2, 3, 4), leaf(4, 4), leaf(2, 5, 4), leaf(3)
     ms3, mv = leaf(2, 3, 4), leaf(4, 2)
@@ -80,9 +80,13 @@ def tensor_op_trials(rng: np.random.Generator):
     lookup_idx = [0, 2, 2, 5, 1]
     pool_offsets = [0, 2, 5]
     pad_idx = [int(i) for i in rng.integers(-1, 5, size=4)] + [3]
+    other_idx = [int(i) for i in rng.integers(-1, 4, size=4)] + [-1]
+    again_idx = [int(i) for i in rng.integers(-1, 5, size=4)] + [3]
     # every row keeps at least its target; the targets are not all zero
     row_mask = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
     row_targets = [2, 1, 3]
+    # each row's logits gathered from its own columns, repeats allowed
+    row_columns = np.where(row_mask, rng.integers(0, 6, size=row_mask.shape), -1)
     # per stacked row; the second stack's last row is masked throughout
     soft_mask = np.array([[[1, 0, 1, 1], [1, 1, 1, 1], [0, 0, 1, 0]],
                           [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]]], dtype=bool)
@@ -104,16 +108,20 @@ def tensor_op_trials(rng: np.random.Generator):
         ("tanh", lambda: T.l2_norm_sq(T.tanh(th6)), [th6]),
         ("softmax", lambda: T.matmul(T.softmax(sm7), w7), [sm7, w7]),
         ("nll_index", lambda: T.nll_index(nl5, nll_pos), [nl5]),
-        ("nll_index masked rows",
-         lambda: T.nll_index(nr34, row_targets, row_mask), [nr34]),
+        ("gather_columns + nll_index masked rows",
+         lambda: T.nll_index(T.gather_columns(nr36, row_columns), row_targets, row_mask),
+         [nr36]),
         (
             "embedding+mean_pool segments",
             lambda: T.l2_norm_sq(T.matmul(
                 T.mean_pool(T.embedding_lookup(table, lookup_idx), pool_offsets), w42)),
             [table, w42],
         ),
-        ("embedding padding rows",
-         lambda: T.l2_norm_sq(T.tanh(T.embedding_lookup(pad_table, pad_idx))), [pad_table]),
+        # padding rows in each lookup, and one table looked up twice
+        ("lookup_sum padding rows",
+         lambda: T.l2_norm_sq(T.tanh(T.lookup_sum(
+             (pad_table, pad_idx), (pad_other, other_idx), (pad_table, again_idx)))),
+         [pad_table, pad_other]),
         ("transpose", lambda: T.l2_norm_sq(T.matmul(T.transpose(a), m34)), [a, m34]),
         ("add row-wise", lambda: T.l2_norm_sq(T.tanh(T.add(m34, v4))), [m34, v4]),
         # one tensor, and two of different shapes in one node

@@ -4,12 +4,18 @@ Everything here recomputes its answer straight from the defining formulas,
 with no caching, no prefit tables, and no reuse of library internals beyond
 the corpus data model and the stopword list (which define input
 conventions, not the math under test).  Slow and obvious on purpose.
+
+The exception is `materialized_loss_va`: it reads the model's feature table
+and runs on the autodiff engine, so its gradients can be compared too.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
+from consultrank import model as M
+from consultrank import tensor as T
 from consultrank.corpus import ActionType
 from consultrank.index import STOPWORDS
 
@@ -179,3 +185,30 @@ def candidates_from_pool(ground_truth, item_ids, n_neg, seed):
     candidates = [ground_truth] + [pool[i] for i in chosen]
     rng.shuffle(candidates)
     return candidates
+
+
+def materialized_loss_va(model, samples, table, cfg):
+    """The alignment loss from its definition: each sample's 1 + K keys
+    built as [samples, 1 + K, d] sums of one-table lookups, projected
+    through w_k and met by the sample's projected query in one batched
+    product, then the masked InfoNCE over the positive (column 0)."""
+    cols = M.pad([np.append(s.positive, s.negatives) for s in samples])
+    real = cols >= 0
+    anchors = np.array([s.anchor_ts for s in samples])
+    cons = np.array([s.consultation for s in samples])
+    ids, offsets, acts = M.gather_texts(table, cons, cols[real])
+    texts = M.encode_text(model, ids, offsets)
+    query = T.add(T.embedding_lookup(texts, np.arange(len(cons))[:, None]),
+                  T.embedding_lookup(model.tables.time, M.time_buckets(
+                      model, anchors - table.consultation_ts[cons])[:, None]))
+    key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
+    key_rows[real] = np.column_stack(
+        [acts, M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])])
+    sources = (model.tables.action, model.tables.item, texts, model.tables.time)
+    keys = reduce(T.add, [T.embedding_lookup(source, key_rows[..., k])
+                          for k, source in enumerate(sources)])
+    logits = T.scale(T.matmul(T.matmul(query, model.block.w_q),
+                              T.transpose(T.matmul(keys, model.block.w_k))),
+                     1.0 / math.sqrt(model.cfg.d))  # [samples, 1, 1 + K]
+    logits = T.matmul(T.Tensor(np.ones(1)), logits)
+    return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)

@@ -207,6 +207,26 @@ def test_corrupt_events_exit_4(tmp_path, capsys):
     assert run("ingest", tmp_path, config) == 4
 
 
+@pytest.mark.parametrize("hours", ["1e300", "9223372036854775808"])
+def test_hours_beyond_int64_exit_4(tmp_path, capsys, hours):
+    """A finite ts_hours past int64 is refused in ingest, naming its line:
+    the model packs hours into int64 arrays."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert run("datagen", tmp_path, config) == 0
+    events = tmp_path / "corpus" / "events.jsonl"
+    rows = events.read_text().splitlines()
+    user, iid = json.loads(rows[0])["user"], load_corpus(
+        tmp_path / "corpus/items.jsonl", events).item_ids[0]
+    events.write_text("\n".join(rows) + "\n"
+                      + '{"user": "%s", "type": "click", "ts_hours": %s, "item": "%s"}\n'
+                      % (user, hours, iid))
+    capsys.readouterr()
+    assert run("ingest", tmp_path, config) == 4
+    assert (f"events.jsonl:{len(rows) + 1}: ts_hours must be at most 9223372036854775807"
+            in capsys.readouterr().err)
+
+
 def test_flags_override_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))

@@ -273,7 +273,8 @@ _CLICK = '{"user": "u1", "type": "click", "ts_hours": %s, "item": "i1"}'
 _CONSULT = '{"user": "u1", "type": "consult", "ts_hours": 3, "cid": "c1", %s}'
 
 #: Event rows after a consultation "c0" of u1, each with its refusal: all
-#: but the non-finite hours as worded before records became NamedTuples.
+#: but the non-finite and beyond-int64 hours as worded before records
+#: became NamedTuples.
 EVENT_REFUSALS = {
     "no-user": ('{"type": "click", "ts_hours": 3, "item": "i1"}',
                 "missing or empty field 'user'"),
@@ -296,6 +297,10 @@ EVENT_REFUSALS = {
     "overflowing-hours": (_CLICK % "1e400", "ts_hours must be finite, got inf"),
     "negative-infinite-hours": (_CLICK % "-Infinity", "ts_hours must be finite, got -inf"),
     "nan-hours": (_CLICK % "NaN", "ts_hours must be finite, got nan"),
+    "finite-hours-beyond-int64": (_CLICK % "1e300",
+                                  "ts_hours must be at most 9223372036854775807, got 1e+300"),
+    "int-hours-beyond-int64": (_CLICK % "9223372036854775808", "ts_hours must be at most "
+                               "9223372036854775807, got 9223372036854775808"),
     "click-no-item": ('{"user": "u1", "type": "click", "ts_hours": 3}',
                       "missing or empty field 'item'"),
     "buy-number-item": ('{"user": "u1", "type": "buy", "ts_hours": 3, "item": 1}',

@@ -2,6 +2,7 @@
 
 import base64
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -144,6 +145,80 @@ def test_embedding_lookup_accumulates_repeated_rows():
     assert np.allclose(table.grad[1], 0.75)
     assert np.allclose(table.grad[0], 0.25)
     assert np.allclose(table.grad[2], 0.0)
+
+
+def test_lookup_sum_forward_is_the_add_chain_bit_for_bit():
+    """One lookup-sum node gives the bits of the chain of one-table lookups
+    and adds it replaced, padding rows included, and the same gradients."""
+    rng = np.random.default_rng(8)
+    tables = [T.Tensor(rng.normal(size=(n, 5)), requires_grad=True) for n in (3, 7, 4, 13)]
+    idx = [rng.integers(-1, len(t.data), size=(6, 9)) for t in tables]
+    fused = T.lookup_sum(*zip(tables, idx))
+    chain = reduce(T.add, [T.embedding_lookup(t, i) for t, i in zip(tables, idx)])
+    assert fused.data.tobytes() == chain.data.tobytes()
+    T.backward(T.l2_norm_sq(fused))
+    fused_grads = [t.grad for t in tables]
+    T.zero_grads(tables)
+    T.backward(T.l2_norm_sq(chain))
+    for got, t in zip(fused_grads, tables):
+        assert got.tobytes() == t.grad.tobytes()
+
+
+def test_lookup_sum_refuses_mismatched_lookups():
+    a, b = T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="cannot add rows"):
+        T.lookup_sum((a, [0, 1]), (b, [0, 1]))
+    with pytest.raises(ValueError, match="cannot add rows"):
+        T.lookup_sum((a, [0, 1]), (a, [0]))
+    with pytest.raises(ValueError, match="out of range"):
+        T.lookup_sum((a, [0, 1]), (a, [0, 3]))
+
+
+def test_padding_indices_take_no_gradient():
+    """Index -1 reads no row and no column: the last row of each table and
+    the last column of the matrix, which only -1 would reach, get zero
+    gradient, in a multi-table lookup-sum and in a column gather."""
+    rng = np.random.default_rng(9)
+    first, second = (T.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
+    out = T.lookup_sum((first, [[-1, 0], [2, -1]]), (second, [[1, -1], [-1, -1]]))
+    assert np.array_equal(out.data, [[second.data[1], first.data[0]],
+                                     [first.data[2], np.zeros(3)]])
+    T.backward(T.l2_norm_sq(out))
+    assert np.array_equal(first.grad[[1, 3]], np.zeros((2, 3)))
+    assert np.array_equal(second.grad[[0, 2, 3]], np.zeros((3, 3)))
+
+    m = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    picked = T.gather_columns(m, [[0, -1, 2], [-1, 1, 1]])
+    assert np.array_equal(picked.data, [[m.data[0, 0], 0.0, m.data[0, 2]],
+                                        [0.0, m.data[1, 1], m.data[1, 1]]])
+    T.backward(T.l2_norm_sq(picked))
+    want = np.zeros((2, 4))
+    want[0, [0, 2]] = 2.0 * m.data[0, [0, 2]]
+    want[1, 1] = 4.0 * m.data[1, 1]  # a repeated column sums its gradients
+    assert np.array_equal(m.grad, want)
+
+
+def test_gather_columns_refuses_bad_columns():
+    m = T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="out of range"):
+        T.gather_columns(m, [[0, 3], [1, 1]])
+    with pytest.raises(ValueError, match="out of range"):
+        T.gather_columns(m, [[0, -2], [1, 1]])
+    with pytest.raises(ValueError, match=r"\(2, 3\) and \(3, 1\)"):
+        T.gather_columns(m, [[0], [1], [2]])
+    assert T.gather_columns(T.Tensor(np.zeros((2, 0))), [[-1], [-1]]).data.tolist() == [[0.0],
+                                                                                         [0.0]]
+
+
+def test_nodes_fed_one_gradient_keep_their_own_grad_arrays():
+    """`add` hands its upstream gradient to both parents; each keeps its own
+    array, so a later accumulation into one does not leak into the other."""
+    x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    y = T.Tensor([0.25, 3.0, -1.0], requires_grad=True)
+    T.backward(T.l2_norm_sq(T.add(T.add(x, y), x)))
+    assert not np.shares_memory(x.grad, y.grad)
+    assert np.array_equal(y.grad, 2.0 * (2.0 * x.data + y.data))
+    assert np.array_equal(x.grad, 4.0 * (2.0 * x.data + y.data))
 
 
 def test_mean_pool_of_single_row_is_identity():
