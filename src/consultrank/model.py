@@ -433,11 +433,16 @@ def cai_queries(model: Model, consultations: np.ndarray, texts: T.Tensor) -> T.T
                         (model.tables.time, consultations[..., 1]))
 
 
+def key_tables(model: Model, texts: T.Tensor) -> Tuple[T.Tensor, ...]:
+    """The tables that columns 0-3 of an action row index."""
+    return (model.tables.action, model.tables.item, texts, model.tables.time)
+
+
 def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
     """Attention keys (= values): each action's type row, plus its item's
     row or its query's text vector, plus its time bucket's row."""
-    sources = (model.tables.action, model.tables.item, texts, model.tables.time)
-    return T.lookup_sum(*[(table, actions[..., k]) for k, table in enumerate(sources)])
+    return T.lookup_sum(*[(table, actions[..., k])
+                          for k, table in enumerate(key_tables(model, texts))])
 
 
 def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
@@ -457,19 +462,12 @@ def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
 
     A key is a sum of table rows, so a query's projected product with it
     is the sum of the query's products with those rows.  The queries meet
-    w_q w_k^T once, then each key table in one product (of the item table,
-    only the rows `actions` names), and each logit adds one column of each
-    product."""
+    w_q w_k^T once, then each key table in one product, and each logit adds
+    one column of each product."""
     qk = T.scale(T.matmul(T.matmul(queries, model.block.w_q), T.transpose(model.block.w_k)),
                  1.0 / math.sqrt(model.cfg.d))
-    items = actions[..., 1]
-    used = np.unique(items[items >= 0])
-    sources = ((model.tables.action, actions[..., 0]),
-               (T.embedding_lookup(model.tables.item, used),
-                np.where(items >= 0, np.searchsorted(used, items), -1)),
-               (texts, actions[..., 2]), (model.tables.time, actions[..., 3]))
-    return reduce(T.add, [T.gather_columns(T.matmul(qk, T.transpose(table)), cols)
-                          for table, cols in sources])
+    return reduce(T.add, [T.gather_columns(T.matmul(qk, T.transpose(table)), actions[..., k])
+                          for k, table in enumerate(key_tables(model, texts))])
 
 
 def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,

@@ -69,7 +69,7 @@ def tensor_op_trials(rng: np.random.Generator):
     th6 = leaf(6)
     sm7, w7 = leaf(7), leaf(7)
     nl5 = leaf(5)
-    nr36 = leaf(3, 6)
+    nr34, nr36 = leaf(3, 4), leaf(3, 6)
     table, w42 = leaf(6, 4), leaf(4, 2)
     pad_table, pad_other = leaf(5, 3), leaf(4, 3)
     d1, d2 = leaf(6), leaf(6)
@@ -108,9 +108,11 @@ def tensor_op_trials(rng: np.random.Generator):
         ("tanh", lambda: T.l2_norm_sq(T.tanh(th6)), [th6]),
         ("softmax", lambda: T.matmul(T.softmax(sm7), w7), [sm7, w7]),
         ("nll_index", lambda: T.nll_index(nl5, nll_pos), [nl5]),
-        ("gather_columns + nll_index masked rows",
-         lambda: T.nll_index(T.gather_columns(nr36, row_columns), row_targets, row_mask),
-         [nr36]),
+        # nr34 reaches nll_index directly, so its masked entries are probed
+        ("nll_index masked rows + gather_columns",
+         lambda: T.nll_index(T.add(nr34, T.gather_columns(nr36, row_columns)),
+                             row_targets, row_mask),
+         [nr34, nr36]),
         (
             "embedding+mean_pool segments",
             lambda: T.l2_norm_sq(T.matmul(
