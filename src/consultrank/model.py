@@ -11,12 +11,12 @@ candidate scoring against item embedding rows.
 
 A model is built on one corpus (`init_model`), which it featurizes once
 into `Model.features`: its texts become token ids and its actions become
-integer rows.  Each session's inputs are sliced from that table
-(`session_features`), with its time gaps as bucket ids.
+integer rows.  A session's inputs (`SessionInputs`) are indices into
+such a table, plus the hour its time gaps are measured back from.
 The forward pass runs on a batch of sessions (one session is a batch of
 one), padded with -1, the zero row of every gather, and masked out of
-every softmax: one gather per table, one text encoding, and a handful of
-batched matrix products.
+every softmax: one gather per table, one encoding of each distinct text
+of the batch, and a handful of batched matrix products.
 
 All attention logits are scaled by 1/sqrt(d).  With lambda3_skip = 0 the
 CAI attended term vanishes, so model scores no longer depend on the action
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,33 +225,28 @@ def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
         name: T.parameter(rng, shape, scale) for name, shape in shapes.items()})
 
 
-@dataclass(frozen=True)
-class SessionFeatures:
-    """One session's model inputs as integer arrays.
-
-    Every text the session reads is stored once, as token ids: text i is
-    ``token_ids[text_offsets[i]:text_offsets[i + 1]]``.  The other arrays
-    point at texts by that index and at table rows by row number; -1 means
-    none.  Time buckets are measured back from the session's anchor.
-    """
+class SessionInputs(NamedTuple):
+    """One session's model inputs as indices into a corpus feature table
+    (`CorpusFeatures`) and the embedding tables.  Time buckets are measured
+    back from the anchor."""
 
     user: int                  # user-table row
-    token_ids: np.ndarray      # every text of the session, concatenated
-    text_offsets: np.ndarray   # [n_texts + 1]
-    consultations: np.ndarray  # [n_c, 2]: text index (i for consultation i), time bucket
-    actions: np.ndarray        # [n_a, 4]: action-type row, item row, text index, time bucket
-    query_history: np.ndarray  # text indices
+    consultations: np.ndarray  # table consultation indices, in the order read
+    actions: np.ndarray        # table action indices
+    query_history: np.ndarray  # table text indices
     item_history: np.ndarray   # item rows
-    query: int                 # text index
+    query: int                 # table text index
+    anchor_ts: int
 
 
 @dataclass(frozen=True)
 class CorpusFeatures:
     """Every consultation and action of a corpus as integer arrays,
-    tokenized once; sessions are featurized by slicing it.
+    tokenized once; a session's inputs are indices into it.
 
-    Texts are laid out as in `SessionFeatures`: consultation j's text is
-    text j, and the query texts of search actions follow in action order.
+    Text i is ``token_ids[text_offsets[i]:text_offsets[i + 1]]``:
+    consultation j's text is text j, and the query texts of search actions
+    follow in action order.
     Action i is row i of `actions` (action-type row, item row, text index;
     -1 where a field does not apply) at `action_ts[i]`.  Each user's
     consultations and actions are contiguous and in corpus order, users in
@@ -293,6 +288,11 @@ def _rows(index: Dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
     if missing:
         raise ValueError(f"unknown {kind}-id {missing[0]!r}")
     return np.array([index[v] for v in ids], dtype=np.int32)
+
+
+def user_row(model: Model, user_id: str) -> int:
+    """The user's row of the user table; unknown user ids are rejected."""
+    return int(_rows(model.user_rows, [user_id], "user")[0])
 
 
 def _histories(corpus: Corpus) -> List[UserHistory]:
@@ -340,22 +340,6 @@ def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
     return _featurize(histories, text_ids(model, _table_texts(histories)), model.item_rows)
 
 
-def gather_texts(table: CorpusFeatures, texts: np.ndarray,
-                 actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token ids and offsets of the table's texts `texts`, followed by the
-    query texts of the search actions among `actions`; and those actions'
-    rows, their text indices renumbered to that layout."""
-    rows = table.actions[actions]
-    searching = rows[:, 2] >= 0
-    picked = np.concatenate([texts, rows[searching, 2]]).astype(np.int64)
-    rows[searching, 2] = len(texts) + np.arange(searching.sum())
-    starts = table.text_offsets[picked]
-    lengths = table.text_offsets[picked + 1] - starts
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-    return table.token_ids[gather], offsets, rows
-
-
 def time_buckets(model: Model, deltas) -> np.ndarray:
     """Log-scale bucket of each hour gap, as `value.time_bucket` gives it:
     floor(log2(gap + 1)), capped at the last bucket.  Negative gaps (an
@@ -365,32 +349,6 @@ def time_buckets(model: Model, deltas) -> np.ndarray:
                      dtype=np.int64)
     return np.searchsorted(edges, np.asarray(deltas, dtype=np.int64),
                            side="right").astype(np.int32)
-
-
-def session_features(model: Model, table: CorpusFeatures, user_id: str,
-                     consultations: Sequence[int], actions: Sequence[int],
-                     query_history: Sequence[int], item_history: Sequence[int],
-                     anchor_ts: int, query: int) -> SessionFeatures:
-    """Slice one session's inputs from the corpus table: its consultations
-    and prior actions (table indices), its query history and query (table
-    text indices) and its item history (item rows).  Texts are laid out as
-    consultations, query history, the query, then search actions."""
-    consultations = np.asarray(consultations, dtype=np.int64)
-    actions = np.asarray(actions, dtype=np.int64)
-    n_c, n_q = len(consultations), len(query_history)
-    ids, offsets, rows = gather_texts(
-        table, np.concatenate([consultations, query_history, [query]]), actions)
-    return SessionFeatures(
-        user=int(_rows(model.user_rows, [user_id], "user")[0]),
-        token_ids=ids, text_offsets=offsets,
-        consultations=np.column_stack([
-            np.arange(n_c), time_buckets(model, anchor_ts - table.consultation_ts[consultations])]),
-        actions=np.column_stack(
-            [rows, time_buckets(model, anchor_ts - table.action_ts[actions])]),
-        query_history=np.arange(n_c, n_c + n_q, dtype=np.int32),
-        item_history=np.asarray(item_history, dtype=np.int32),
-        query=n_c + n_q,
-    )
 
 
 def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.Tensor:
@@ -411,6 +369,22 @@ def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.T
     return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
 
 
+def encode_texts(model: Model, table: CorpusFeatures,
+                 texts: np.ndarray) -> Tuple[T.Tensor, np.ndarray]:
+    """Each distinct table text among `texts` (-1 entries are skipped),
+    encoded once by one `encode_text` call, in index order; and the map
+    from table text index to encoded row, -1 for a text not encoded.  The
+    map has one entry more than the table has texts, so -1 maps to -1."""
+    distinct = np.unique(texts[texts >= 0])
+    where = np.full(len(table.text_offsets), -1, dtype=np.int64)
+    where[distinct] = np.arange(len(distinct))
+    starts = table.text_offsets[distinct]
+    lengths = table.text_offsets[distinct + 1] - starts
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return encode_text(model, table.token_ids[gather], offsets), where
+
+
 def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
     """[len(rows), n_max, ...]: each array's rows, then -1 rows up to the
     longest; the arrays share their shape past the first axis."""
@@ -419,6 +393,33 @@ def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out
+
+
+def cai_inputs(model: Model, table: CorpusFeatures, consultations: np.ndarray,
+               actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray
+               ) -> Tuple[T.Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """The cross-attention inputs of [B, n] table consultation and action
+    indices (-1 for padding) with anchors [B, 1]: `encode_texts` of the
+    consultations', the search actions' and `texts`'s table texts, and the
+    consultations' [B, n_c, 2] and actions' [B, n_a, 4] rows that
+    `cai_queries` and `cai_keys` read, time buckets counted back from the
+    anchors and -1 rows for padding."""
+    encoded, where = encode_texts(model, table, np.concatenate([
+        np.ravel(consultations), table.actions[actions[actions >= 0], 2],
+        *map(np.ravel, texts)]))
+
+    def timed(fields: np.ndarray, ts: np.ndarray, index: np.ndarray) -> np.ndarray:
+        real = index >= 0
+        rows = np.full(index.shape + (fields.shape[1] + 1,), -1, dtype=np.int64)
+        rows[real] = np.column_stack([fields[index[real]],
+                                      time_buckets(model, (anchors - ts[index])[real])])
+        return rows
+
+    # consultation j's text is table text j
+    c_rows = timed(where[:, None], table.consultation_ts, consultations)
+    a_rows = timed(table.actions, table.action_ts, actions)
+    a_rows[..., 2] = where[a_rows[..., 2]]
+    return encoded, where, c_rows, a_rows
 
 
 def squeeze(t: T.Tensor) -> T.Tensor:
@@ -492,19 +493,15 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     return T.add(c_texts, T.scale(attended, lam))
 
 
-def _shift_texts(rows: np.ndarray, column: int, first: int) -> np.ndarray:
-    """`rows` with the text indices of `column` moved up by `first`."""
-    rows = rows.astype(np.int64)
-    rows[rows[:, column] >= 0, column] += first
-    return rows
+def session_forward(model: Model, table: CorpusFeatures,
+                    batch: Sequence[SessionInputs]) -> T.Tensor:
+    """Full forward pass from a batch of sessions' inputs, indices into
+    `table`, to e_final, [B, d].
 
-
-def session_forward(model: Model, batch: Sequence[SessionFeatures]) -> T.Tensor:
-    """Full forward pass from a batch of sessions' features to e_final, [B, d].
-
-    All the batch's texts are encoded in one call.  The CAI output feeds one
-    self-attention encoder layer over each session's joint sequence [user;
-    consultations; query history; item history; current query], each
+    Every distinct text of the batch is encoded once (`cai_inputs`).  The
+    CAI output feeds one self-attention encoder layer over each session's
+    joint sequence [user; consultations; query history; item history;
+    current query], each
     segment padded to its longest in the batch, and read at the
     current-query position (always last).  The sequence is a sum of
     gathers, each placing one source's rows at its segment's positions (the
@@ -512,17 +509,17 @@ def session_forward(model: Model, batch: Sequence[SessionFeatures]) -> T.Tensor:
     positions are masked out of the attention; past the keys and values
     only the last position is computed, since nothing else is read.
     """
-    first = np.cumsum([0] + [len(f.text_offsets) - 1 for f in batch])
-    starts = np.cumsum([0] + [len(f.token_ids) for f in batch])
-    texts = encode_text(model, np.concatenate([f.token_ids for f in batch]), np.concatenate(
-        [[0]] + [f.text_offsets[1:] + s for f, s in zip(batch, starts)]))
-    consultations = pad([_shift_texts(f.consultations, 0, k) for f, k in zip(batch, first)])
-    h = cai_forward(model, consultations,
-                    pad([_shift_texts(f.actions, 2, k) for f, k in zip(batch, first)]), texts)
+    consultations = pad([s.consultations for s in batch])
+    query_texts = np.column_stack([pad([s.query_history for s in batch]),
+                                   [s.query for s in batch]])
+    texts, where, c_rows, a_rows = cai_inputs(
+        model, table, consultations, pad([s.actions for s in batch]),
+        np.array([[s.anchor_ts] for s in batch]), query_texts)
+    h = cai_forward(model, c_rows, a_rows, texts)
+    queries = where[query_texts]
     blocks = (  # each segment's rows in its source, -1 for padding
-        [[f.user] for f in batch], consultations[..., 0],
-        pad([f.query_history + k for f, k in zip(batch, first)]),
-        pad([f.item_history for f in batch]), [[f.query + k] for f, k in zip(batch, first)],
+        [[s.user] for s in batch], consultations, queries[:, :-1],
+        pad([s.item_history for s in batch]), queries[:, -1:],
     )
     layout = np.concatenate(blocks, axis=1)
     segments = np.repeat(np.arange(N_SEGMENTS), [np.shape(b)[1] for b in blocks])

@@ -81,12 +81,11 @@ def split_sessions(corpus: Corpus) -> Split:
 
 @dataclass(frozen=True)
 class SessionExample:
-    """One search session and its model inputs, featurized once and sliced
-    strictly before the session's timestamp."""
+    """One training search session and its model inputs (`build_example`)."""
 
     user_id: str
     session: SearchSession
-    features: M.SessionFeatures
+    inputs: M.SessionInputs
 
 
 KeptMap = Dict[Tuple[str, int], Tuple[Consultation, ...]]
@@ -105,8 +104,9 @@ def recent_consultations(corpus: Corpus, l_seq: int) -> KeptMap:
 
 def build_example(model: M.Model, corpus: Corpus, table: M.CorpusFeatures, user_id: str,
                   session: SearchSession, kept_map: KeptMap,
-                  l_seq: int = ValueParams.l_seq) -> SessionExample:
-    """Slice one session's model inputs from the corpus table.
+                  l_seq: int = ValueParams.l_seq) -> M.SessionInputs:
+    """One session's model inputs as indices into the corpus table, all
+    strictly before the session's timestamp.
 
     The consultation sequence is the session's entry in `kept_map`, from
     `kept_consultations` or `recent_consultations`, and nothing else.  The
@@ -124,10 +124,9 @@ def build_example(model: M.Model, corpus: Corpus, table: M.CorpusFeatures, user_
              if corpus.users[user_id].interactions[k - own[0]] == session.interaction]
     if not query:
         raise ValueError(f"no search of {user_id!r} at {ts} matches the session")
-    return SessionExample(user_id, session, M.session_features(
-        model, table, user_id, consultations, actions, texts[texts >= 0][-l_seq:],
-        items[items >= 0][-l_seq:], ts, table.actions[query[0], 2],
-    ))
+    return M.SessionInputs(M.user_row(model, user_id), np.array(consultations, dtype=np.int64),
+                           actions, texts[texts >= 0][-l_seq:], items[items >= 0][-l_seq:],
+                           int(table.actions[query[0], 2]), ts)
 
 
 def sample_negative_items(item_ids: Sequence[str], positive: str, n: int,
@@ -198,24 +197,17 @@ def loss_va(model: M.Model, samples: Sequence[VaSample], table: M.CorpusFeatures
     Each sample's query is scored against its own 1 + K keys, [samples,
     1 + K] logits with the positive first, by `model.cai_key_logits`: one
     product per key table, not one per key.  A sample with fewer negatives
-    than the longest has its padding masked out.
+    than the longest has its padding masked out.  The samples' rows come
+    from `model.cai_inputs`, as a forward pass's do.
     """
     if not samples:
         raise ValueError("loss_va needs at least one sample")
     cols = M.pad([np.append(s.positive, s.negatives) for s in samples])
-    real = cols >= 0
-    anchors = np.array([s.anchor_ts for s in samples])
-    cons = np.array([s.consultation for s in samples])
-    ids, offsets, acts = M.gather_texts(table, cons, cols[real])
-    texts = M.encode_text(model, ids, offsets)
-    queries = M.cai_queries(model, np.column_stack(
-        [np.arange(len(cons)), M.time_buckets(model, anchors - table.consultation_ts[cons])]
-    ), texts)
-    key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
-    key_rows[real] = np.column_stack(
-        [acts, M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])])
-    logits = M.cai_key_logits(model, queries, key_rows, texts)
-    return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)
+    cons = np.array([[s.consultation] for s in samples])
+    texts, _, c_rows, key_rows = M.cai_inputs(
+        model, table, cons, cols, np.array([[s.anchor_ts] for s in samples]))
+    logits = M.cai_key_logits(model, M.cai_queries(model, c_rows[:, 0], texts), key_rows, texts)
+    return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=cols >= 0)
 
 
 def total_loss(l_search: T.Tensor, l_va: Optional[T.Tensor],
@@ -239,7 +231,7 @@ def step_loss(model: M.Model, batch: Sequence[SessionExample], table: M.CorpusFe
     truths = [ex.session.ground_truth_item for ex in batch]
     negatives = [sample_negative_items(model.item_ids, t, cfg.n_neg_search, rng_neg)
                  for t in truths]
-    e_final = M.session_forward(model, [ex.features for ex in batch])
+    e_final = M.session_forward(model, table, [ex.inputs for ex in batch])
     l_search = loss_search(model, e_final, truths, negatives, cfg)
     l_va = None
     if pairs is not None:
@@ -333,11 +325,11 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
     elif kept_map is None:
         raise ValueError("value_filter needs precomputed assessments")
     def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
-        batch = [build_example(model, corpus, model.features, user_id, session, kept_map,
-                               l_seq).features
+        batch = [build_example(model, corpus, model.features, user_id, session, kept_map, l_seq)
                  for user_id, session in sessions]
         with T.no_grad():
-            return M.score_candidates(model, M.session_forward(model, batch), candidates).data
+            return M.score_candidates(
+                model, M.session_forward(model, model.features, batch), candidates).data
     return score
 
 
@@ -358,7 +350,8 @@ def train(corpus: Corpus, linkage: LinkageTable,
     kept_map = (kept_consultations(assessments) if value_filter
                 else recent_consultations(corpus, l_seq))
     table = model.features
-    examples = [build_example(model, corpus, table, user, session, kept_map, l_seq)
+    examples = [SessionExample(user, session,
+                               build_example(model, corpus, table, user, session, kept_map, l_seq))
                 for user, session in split.train]
     pairs = linked_pairs(table, corpus, linkage) if cfg.lambda_va > 0 else None
     params = model.parameters()

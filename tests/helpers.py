@@ -178,16 +178,18 @@ def pipeline_reports(corpus, params=ValueParams(), window_days=14):
 
 def raw_features(model, user_id, consultations, actions, query_history=(),
                  item_history=(), anchor_ts=200, query_text="alpha beta gadget"):
-    """Featurize one session from raw parts: a one-user corpus holds the
-    consultations and the actions, then one search action per query-history
-    text and for the query, all at the anchor."""
+    """One session's feature table and inputs from raw parts: a one-user
+    corpus holds the consultations and the actions, then one search action
+    per query-history text and for the query, all at the anchor."""
     searches = [Interaction(ActionType.SEARCH, anchor_ts, target_query=Query(t, anchor_ts))
                 for t in (*query_history, query_text)]
     history = UserHistory(user_id, consultations=tuple(consultations),
                           interactions=(*actions, *searches))
     table = M.corpus_features(model, Corpus(users={user_id: history}))
     texts = table.actions[len(actions):, 2]
-    return M.session_features(
-        model, table, user_id, range(len(consultations)), range(len(actions)),
-        texts[:-1], [model.item_rows[v] for v in item_history], anchor_ts, texts[-1],
+    return table, M.SessionInputs(
+        user=M.user_row(model, user_id), consultations=np.arange(len(consultations)),
+        actions=np.arange(len(actions)), query_history=texts[:-1],
+        item_history=np.array([model.item_rows[v] for v in item_history], dtype=np.int64),
+        query=int(texts[-1]), anchor_ts=anchor_ts,
     )

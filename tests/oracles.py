@@ -196,14 +196,20 @@ def materialized_loss_va(model, samples, table, cfg):
     real = cols >= 0
     anchors = np.array([s.anchor_ts for s in samples])
     cons = np.array([s.consultation for s in samples])
-    ids, offsets, acts = M.gather_texts(table, cons, cols[real])
-    texts = M.encode_text(model, ids, offsets)
+    # texts: each sample's consultation, then each search key's query, in
+    # key order; a text read twice is encoded twice
+    key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
+    key_rows[real, :3] = table.actions[cols[real]]
+    key_rows[real, 3] = M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])
+    searching = key_rows[..., 2] >= 0
+    picked = np.concatenate([cons, key_rows[searching, 2]])
+    key_rows[searching, 2] = len(cons) + np.arange(searching.sum())
+    tokens = [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]] for i in picked]
+    texts = M.encode_text(model, np.concatenate(tokens),
+                          np.cumsum([0] + [len(t) for t in tokens]))
     query = T.add(T.embedding_lookup(texts, np.arange(len(cons))[:, None]),
                   T.embedding_lookup(model.tables.time, M.time_buckets(
                       model, anchors - table.consultation_ts[cons])[:, None]))
-    key_rows = np.full(cols.shape + (4,), -1, dtype=np.int64)
-    key_rows[real] = np.column_stack(
-        [acts, M.time_buckets(model, (anchors[:, None] - table.action_ts[cols])[real])])
     sources = (model.tables.action, model.tables.item, texts, model.tables.time)
     keys = reduce(T.add, [T.embedding_lookup(source, key_rows[..., k])
                           for k, source in enumerate(sources)])

@@ -133,7 +133,8 @@ def _end_to_end_trial(tmp_path, seed):
     split = TR.split_sessions(corpus)
     features = M.corpus_features(model, corpus)
     examples = [
-        TR.build_example(model, corpus, features, user, session, kept)
+        TR.SessionExample(user, session,
+                          TR.build_example(model, corpus, features, user, session, kept))
         for user, session in split.train
     ][:2]
     rng = np.random.default_rng(seed)
@@ -145,7 +146,7 @@ def _end_to_end_trial(tmp_path, seed):
                  for t in truths]
 
     def build():
-        e_final = M.session_forward(model, [ex.features for ex in examples])
+        e_final = M.session_forward(model, features, [ex.inputs for ex in examples])
         loss = TR.loss_search(model, e_final, truths, negatives, cfg)
         loss = T.add(loss, T.scale(TR.loss_va(model, va, features, cfg), cfg.lambda_va))
         reg = T.l2_norm_sq(*model.parameters())
@@ -331,13 +332,13 @@ def test_09_complexity_scaling(capsys):
         return raw_features(model, user, cons, acts, q_hist, i_hist, 10_000, titles[0])
 
     def median_time(length, repeats=9):
-        f = features(length)
+        table, inputs = features(length)
         samples = []
         for _ in range(repeats):
             # CPU time of this process, so other processes on the machine
             # cannot inflate a ratio
             t0 = time.process_time()
-            M.session_forward(model, [f])
+            M.session_forward(model, table, [inputs])
             samples.append(time.process_time() - t0)
         return float(np.median(samples))
 

@@ -111,9 +111,21 @@ def encode(model, *texts):
     return M.encode_text(model, *M.text_ids(model, texts))
 
 
-def cai(model, f):
-    texts = M.encode_text(model, f.token_ids, f.text_offsets)
-    return M.cai_forward(model, f.consultations, f.actions, texts), texts
+def cai_rows(model, table, s):
+    """One session's encoded texts and its consultation and action rows, as
+    the library's row builder gives them."""
+    texts, _, c_rows, a_rows = M.cai_inputs(model, table, s.consultations[None],
+                                            s.actions[None], np.array([[s.anchor_ts]]))
+    return texts, c_rows[0], a_rows[0]
+
+
+def cai(model, table, s):
+    texts, c_rows, a_rows = cai_rows(model, table, s)
+    return M.cai_forward(model, c_rows, a_rows, texts)
+
+
+def forward(model, table, s):
+    return M.session_forward(model, table, [s])
 
 
 def test_encode_text_is_order_invariant(small_corpus):
@@ -169,19 +181,18 @@ def test_action_embedding_cases(small_corpus):
         Interaction(ActionType.BUY, 10, target_item="i1"),
         Interaction(ActionType.SEARCH, 10, target_query=Query("alpha beta gadget", 10)),
     ]
-    f = features(model, "u1", [], actions)
-    texts = M.encode_text(model, f.token_ids, f.text_offsets)
-    keys = M.cai_keys(model, f.actions, texts).data
+    texts, _, rows = cai_rows(model, *features(model, "u1", [], actions))
+    keys = M.cai_keys(model, rows, texts).data
     # the timestamp enters a key only through its time bucket
     time = model.tables.time.data
-    assert f.actions[0, 3] != f.actions[1, 3]
-    assert np.allclose(keys[1] - keys[0], time[f.actions[1, 3]] - time[f.actions[0, 3]])
+    assert rows[0, 3] != rows[1, 3]
+    assert np.allclose(keys[1] - keys[0], time[rows[1, 3]] - time[rows[0, 3]])
     table = model.tables.action.data
     expected = table[M.ACTION_ROWS[ActionType.BUY]] - table[M.ACTION_ROWS[ActionType.CLICK]]
     assert np.allclose(keys[2] - keys[0], expected)
     expected_s = (
         table[M.ACTION_ROWS[ActionType.SEARCH]]
-        + encode(model, "alpha beta gadget").data[0] + time[f.actions[3, 3]]
+        + encode(model, "alpha beta gadget").data[0] + time[rows[3, 3]]
     )
     assert np.allclose(keys[3], expected_s)
     with pytest.raises(ValueError, match="unknown item-id 'nope'"):
@@ -191,7 +202,7 @@ def test_action_embedding_cases(small_corpus):
 def test_cai_lambda_zero_returns_raw_text(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.0)
     u1 = small_corpus.users["u1"]
-    h, _ = cai(model, features(model, "u1", u1.consultations, u1.interactions))
+    h = cai(model, *features(model, "u1", u1.consultations, u1.interactions))
     raw = encode(model, *(c.text for c in u1.consultations))
     assert np.array_equal(h.data, raw.data)
 
@@ -199,7 +210,7 @@ def test_cai_lambda_zero_returns_raw_text(small_corpus):
 def test_cai_empty_action_list_returns_raw_text(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.7)
     u1 = small_corpus.users["u1"]
-    h, _ = cai(model, features(model, "u1", u1.consultations, []))
+    h = cai(model, *features(model, "u1", u1.consultations, []))
     raw = encode(model, *(c.text for c in u1.consultations))
     assert np.array_equal(h.data, raw.data)
 
@@ -207,10 +218,10 @@ def test_cai_empty_action_list_returns_raw_text(small_corpus):
 def test_cai_singleton_action_gets_full_attention(small_corpus):
     model = tiny_model(small_corpus)
     u1 = small_corpus.users["u1"]
-    f = features(model, "u1", u1.consultations, u1.interactions[:1])
-    texts = M.encode_text(model, f.token_ids, f.text_offsets)
-    weights = T.softmax(M.cai_logits(model, M.cai_queries(model, f.consultations, texts),
-                                     M.cai_keys(model, f.actions, texts)))
+    texts, c_rows, a_rows = cai_rows(
+        model, *features(model, "u1", u1.consultations, u1.interactions[:1]))
+    weights = T.softmax(M.cai_logits(model, M.cai_queries(model, c_rows, texts),
+                                     M.cai_keys(model, a_rows, texts)))
     assert weights.shape == (len(u1.consultations), 1)
     assert np.allclose(weights.data, 1.0)
 
@@ -218,7 +229,7 @@ def test_cai_singleton_action_gets_full_attention(small_corpus):
 def test_cai_output_mixes_attended_value(small_corpus):
     model = tiny_model(small_corpus, lambda3_skip=0.5)
     u1 = small_corpus.users["u1"]
-    h, _ = cai(model, features(model, "u1", u1.consultations, u1.interactions))
+    h = cai(model, *features(model, "u1", u1.consultations, u1.interactions))
     raw = encode(model, *(c.text for c in u1.consultations))
     for hi, ri in zip(h.data, raw.data):
         assert not np.allclose(hi, ri)
@@ -229,18 +240,18 @@ def test_cascade_handles_all_zero_inputs(small_corpus):
     model.tables.user.data[:] = 0.0
     model.tables.item.data[:] = 0.0
     stopwords = Consultation("c0", "of the", "and", 5)
-    f = features(model, "u1", [stopwords], [], ["of the"], ["i1"], query_text="and the")
-    texts = M.encode_text(model, f.token_ids, f.text_offsets)
-    assert np.array_equal(texts.data, np.zeros_like(texts.data))
-    out = M.session_forward(model, [f])
+    table, s = features(model, "u1", [stopwords], [], ["of the"], ["i1"], query_text="and the")
+    texts, _ = M.encode_texts(model, table, np.arange(len(table.text_offsets) - 1))
+    assert len(texts.data) == 3 and np.array_equal(texts.data, np.zeros_like(texts.data))
+    out = forward(model, table, s)
     assert out.shape == (1, model.cfg.d)
     assert np.isfinite(out.data).all()
 
 
 def test_cascade_item_history_order_invariant(small_corpus):
     model = tiny_model(small_corpus)
-    out_a = M.session_forward(model, [features(model, "u1", [], [], [], ["i1", "i2", "i3"])])
-    out_b = M.session_forward(model, [features(model, "u1", [], [], [], ["i3", "i1", "i2"])])
+    out_a = forward(model, *features(model, "u1", [], [], [], ["i1", "i2", "i3"]))
+    out_b = forward(model, *features(model, "u1", [], [], [], ["i3", "i1", "i2"]))
     assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
 
@@ -248,10 +259,10 @@ def test_lambda_zero_scores_ignore_cai_actions(small_corpus):
     u1 = small_corpus.users["u1"]
 
     def e_final(model, actions):
-        return M.session_forward(model, [features(
+        return forward(model, *features(
             model, "u1", u1.consultations, actions, ["alpha beta gadget"], ["i1"],
             80, "gamma delta widget",
-        )])
+        ))
 
     model = tiny_model(small_corpus, lambda3_skip=0.0)
     s_with = M.score_candidates(model, e_final(model, u1.interactions[:3]), [model.item_ids])
@@ -303,13 +314,13 @@ def test_session_forward_gradients_match_finite_differences(small_corpus):
     u1 = small_corpus.users["u1"]
     rng = np.random.default_rng(99)
     leaves = model.parameters()
-    f = features(
+    table, s = features(
         model, "u1", u1.consultations, list(u1.interactions[:3]),
         ["alpha beta gadget"], ["i1"], 80, "gamma delta widget",
     )
 
     def build():
-        e = M.session_forward(model, [f])
+        e = forward(model, table, s)
         return T.nll_index(M.score_candidates(model, e, [model.item_ids]), 1)
 
     worst = finite_diff_check(build, leaves, rng, max_coords=4)

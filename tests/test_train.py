@@ -18,7 +18,7 @@ from consultrank.linkage import build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets
 
 import oracles
-from helpers import buy, click, consult, corpus_from, item, raw_features, search
+from helpers import buy, click, consult, corpus_from, item, search
 
 
 def pipeline(corpus):
@@ -61,9 +61,15 @@ def test_split_sessions_leave_last_out(tmp_path):
     assert [(u, s.timestamp) for u, s in split.train] == [("u1", 10), ("u1", 40)]
 
 
-def texts_of(f, indices):
-    """Token ids of the example's texts at these text indices."""
-    return [f.token_ids[f.text_offsets[i]:f.text_offsets[i + 1]].tolist() for i in indices]
+def texts_of(table, indices):
+    """Token ids of the table's texts at these text indices."""
+    return [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]].tolist()
+            for i in indices]
+
+
+def examples_of(model, corpus, table, sessions, kept_map, l_seq=ValueParams.l_seq):
+    return [TR.SessionExample(u, s, TR.build_example(model, corpus, table, u, s, kept_map, l_seq))
+            for u, s in sessions]
 
 
 def test_build_example_slices_strictly_before(tmp_path):
@@ -81,19 +87,22 @@ def test_build_example_slices_strictly_before(tmp_path):
     model = M.init_model(corpus, M.ModelConfig(d=8))
     table = M.corpus_features(model, corpus)
     session = corpus.users["u1"].searches[1]
-    f = TR.build_example(model, corpus, table, "u1", session,
-                         TR.recent_consultations(corpus, 30)).features
+    s = TR.build_example(model, corpus, table, "u1", session,
+                         TR.recent_consultations(corpus, 30))
     ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
-    assert texts_of(f, range(len(f.consultations))) == ids("tell me about the alpha beta gadget sure")
+    assert texts_of(table, s.consultations) == ids("tell me about the alpha beta gadget sure")
     # the search at 10 and the click at 11; gaps 20 and 19 hours share bucket 4
-    assert f.actions.tolist() == [
-        [M.ACTION_ROWS[ActionType.SEARCH], -1, 3, 4],
+    _, where, _, rows = M.cai_inputs(model, table, s.consultations[None], s.actions[None],
+                                     np.array([[s.anchor_ts]]))
+    searched = table.actions[s.actions[0], 2]
+    assert rows[0].tolist() == [
+        [M.ACTION_ROWS[ActionType.SEARCH], -1, where[searched], 4],
         [M.ACTION_ROWS[ActionType.CLICK], model.item_rows["i1"], -1, 4],
     ]
-    assert texts_of(f, f.query_history) == ids("alpha beta gadget")
-    assert texts_of(f, [f.query, 3]) == ids("gamma delta widget", "alpha beta gadget")
-    assert f.item_history.tolist() == [model.item_rows["i1"]]
-    assert f.user == model.user_rows["u1"]
+    assert texts_of(table, s.query_history) == ids("alpha beta gadget")
+    assert texts_of(table, [s.query, searched]) == ids("gamma delta widget", "alpha beta gadget")
+    assert s.item_history.tolist() == [model.item_rows["i1"]]
+    assert s.user == model.user_rows["u1"] and s.anchor_ts == 30
     with pytest.raises(ValueError, match="precomputed assessments"):
         TR.model_score_fn(model, corpus, None, value_filter=True)
 
@@ -111,11 +120,11 @@ def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
     ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
     recent = TR.recent_consultations(corpus, 30)
     for session in corpus.users["u1"].searches:
-        f = TR.build_example(model, corpus, table, "u1", session, recent).features
-        assert texts_of(f, [f.query]) == ids(session.query.text)
+        inputs = TR.build_example(model, corpus, table, "u1", session, recent)
+        assert texts_of(table, [inputs.query]) == ids(session.query.text)
         prior = [s.query.text for s in corpus.users["u1"].searches
                  if s.timestamp < session.timestamp]
-        assert texts_of(f, f.query_history) == ids(*prior)
+        assert texts_of(table, inputs.query_history) == ids(*prior)
 
 
 def test_build_example_uses_value_ranked_kept(gen_small):
@@ -125,10 +134,10 @@ def test_build_example_uses_value_ranked_kept(gen_small):
     split = TR.split_sessions(corpus)
     user, session = split.test[0]
     table = M.corpus_features(model, corpus)
-    f = TR.build_example(model, corpus, table, user, session, kept_map).features
+    inputs = TR.build_example(model, corpus, table, user, session, kept_map)
     kept = kept_map[(user, session.timestamp)]
     assert kept
-    assert texts_of(f, range(len(f.consultations))) == [
+    assert texts_of(table, inputs.consultations) == [
         M.text_ids(model, [c.text])[0].tolist() for c in kept
     ]
 
@@ -246,11 +255,9 @@ def test_sample_va_negatives_tier_up(gen_small):
     table = M.corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
     n_actions = len(table.action_ts)
-    batch = [
-        TR.build_example(model, corpus, table, u, corpus.users[u].searches[-1],
-                         TR.recent_consultations(corpus, 30), l_seq=30)
-        for u in sorted(pairs)[:2]
-    ]
+    batch = examples_of(model, corpus, table,
+                        [(u, corpus.users[u].searches[-1]) for u in sorted(pairs)[:2]],
+                        TR.recent_consultations(corpus, 30), l_seq=30)
     rng = np.random.default_rng(0)
     cfg = TR.TrainConfig(va_batch=n_actions + 50)
     samples = TR.sample_va_batch(batch, table, pairs, cfg, rng, {})
@@ -287,7 +294,7 @@ def test_sample_va_draws_every_consultation_of_the_recent_set(tmp_path):
     cfg = TR.TrainConfig(va_batch=2)
 
     def drawn(kept_map):
-        ex = TR.build_example(model, corpus, table, "u1", session, kept_map)
+        ex = examples_of(model, corpus, table, [("u1", session)], kept_map)[0]
         return {s.consultation for seed in range(8)
                 for s in TR.sample_va_batch([ex], table, pairs, cfg,
                                             np.random.default_rng(seed), kept_map)}
@@ -377,11 +384,11 @@ def test_every_parameter_receives_gradient(gen_small):
     split = TR.split_sessions(corpus)
     rng = np.random.default_rng(3)
     table = M.corpus_features(model, corpus)
-    examples = [TR.build_example(model, corpus, table, u, s, kept_map) for u, s in split.train]
+    examples = examples_of(model, corpus, table, split.train, kept_map)
     truths = [ex.session.ground_truth_item for ex in examples]
     negs = [TR.sample_negative_items(model.item_ids, t, 5, rng) for t in truths]
-    l_search = TR.loss_search(model, M.session_forward(model, [ex.features for ex in examples]),
-                              truths, negs, cfg)
+    l_search = TR.loss_search(
+        model, M.session_forward(model, table, [ex.inputs for ex in examples]), truths, negs, cfg)
     samples = TR.sample_va_batch(examples, table, TR.linked_pairs(table, corpus, linkage),
                                  cfg, rng, {})
     assert samples
@@ -424,11 +431,10 @@ def test_training_raises_attention_mass_on_linked_pairs():
     def mean_true_mass(model):
         masses = []
         for user, c, col, anchor, prior in flat:
-            # the consultation's own text stands in as the query
-            f = M.session_features(model, table, user, [c], prior, [], [], anchor, c)
-            texts = M.encode_text(model, f.token_ids, f.text_offsets)
-            logits = M.cai_logits(model, M.cai_queries(model, f.consultations, texts),
-                                  M.cai_keys(model, f.actions, texts))
+            texts, _, c_rows, a_rows = M.cai_inputs(model, table, np.array([[c]]), prior[None],
+                                                    np.array([[anchor]]))
+            logits = M.cai_logits(model, M.cai_queries(model, c_rows[0], texts),
+                                  M.cai_keys(model, a_rows[0], texts))
             masses.append(float(T.softmax(logits).data[0, col]))
         return float(np.mean(masses))
 
@@ -509,7 +515,8 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
     """Random batches of 1-24 sessions of SMALL_CONFIG-sized corpora: the
     padded batch gives the e_final rows, the losses and the gradients of
     the same sessions run one at a time, the way training ran them before
-    it batched.  Two added sessions have no actions and no consultations."""
+    it batched.  Two added sessions, built by hand on the model's table,
+    have no actions and no consultations."""
     corpus, _ = generate(GenSpec(n_users=8, n_items=16, seed=seed))
     linkage = build_linkage(corpus)
     params = ValueParams(l_seq=l_seq)
@@ -518,14 +525,18 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
     cfg = TR.TrainConfig(va_batch=8)
     table, kept = model.features, TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
-    examples = [TR.build_example(model, corpus, table, u, s, kept, l_seq)
-                for u, s in split.train + split.valid + split.test]
+    examples = examples_of(model, corpus, table, split.train + split.valid + split.test,
+                           kept, l_seq)
     user = sorted(corpus.users)[0]
-    history = corpus.users[user]
-    features = [ex.features for ex in examples] + [
-        raw_features(model, user, history.consultations[:3], [], ["alpha"], anchor_ts=10**4),
-        raw_features(model, user, [], history.interactions[:6], [], [model.item_ids[0]],
-                     anchor_ts=10**4)]
+    row, consultations, actions = M.user_row(model, user), table.span(user, 0), table.span(user, 1)
+    searched = table.actions[actions, 2]
+    searched = searched[searched >= 0]
+    none = np.empty(0, dtype=np.int64)
+    features = [ex.inputs for ex in examples] + [
+        M.SessionInputs(row, consultations[:3], none, searched[:1], none, int(searched[-1]),
+                        10**4),
+        M.SessionInputs(row, none, actions[:6], none, np.array([model.item_rows[
+            model.item_ids[0]]]), int(searched[0]), 10**4)]
     assert not len(features[-2].actions) and not len(features[-1].consultations)
     truths = [ex.session.ground_truth_item for ex in examples] + list(model.item_ids[:2])
     pairs = TR.linked_pairs(table, corpus, linkage)
@@ -542,14 +553,14 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
                                      table, pairs, cfg, rng, kept)
 
         T.zero_grads(model.parameters())
-        e_batch = M.session_forward(model, batch_f)
+        e_batch = M.session_forward(model, table, batch_f)
         l_search = TR.loss_search(model, e_batch, batch_t, negs, cfg)
         terms = [l_search] + ([TR.loss_va(model, samples, table, cfg)] if samples else [])
         T.backward(reduce(T.add, terms))
         batched = [p.grad.copy() for p in model.parameters()]
 
         T.zero_grads(model.parameters())
-        e_one = [M.session_forward(model, [f]) for f in batch_f]
+        e_one = [M.session_forward(model, table, [f]) for f in batch_f]
         one_terms = [T.scale(reduce(T.add, [
             TR.loss_search(model, e, [t], [n], cfg) for e, t, n in zip(e_one, batch_t, negs)
         ]), 1.0 / size)]
@@ -619,9 +630,8 @@ def test_step_graph_does_not_grow_with_batch():
     pairs = TR.linked_pairs(table, corpus, linkage)
     cfg = TR.TrainConfig(va_batch=8)
     examples = [
-        ex for ex in (TR.build_example(model, corpus, table, u, s, kept_map)
-                      for u, s in TR.split_sessions(corpus).train)
-        if len(ex.features.consultations) and len(ex.features.item_history)
+        ex for ex in examples_of(model, corpus, table, TR.split_sessions(corpus).train, kept_map)
+        if len(ex.inputs.consultations) and len(ex.inputs.item_history)
         and TR.sample_va_batch([ex], table, pairs, cfg, np.random.default_rng(0), kept_map)
     ]
     assert len(examples) >= 24
@@ -631,6 +641,50 @@ def test_step_graph_does_not_grow_with_batch():
         return _graph_nodes(TR.step_loss(model, batch, table, pairs, kept_map, cfg, *rngs)[0])
 
     assert nodes(examples[:1]) == nodes(examples[:24]) <= 96
+
+
+def test_each_batch_text_is_encoded_once(gen_small, monkeypatch):
+    """One training step and one scoring call over two sessions of one user
+    encode each distinct table text their inputs read once, the history
+    the sessions share too; the alignment loss encodes its samples' texts
+    once each in a call of its own."""
+    corpus, linkage, assessments = gen_small
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    table, kept_map = model.features, TR.kept_consultations(assessments)
+    pairs = TR.linked_pairs(table, corpus, linkage)
+    train = TR.split_sessions(corpus).train
+    user = max(pairs, key=lambda u: sum(v == u for v, _ in train))
+    batch = examples_of(model, corpus, table, [(u, s) for u, s in train if u == user][-2:],
+                        kept_map)
+    assert len(batch) == 2
+
+    def read(inputs):
+        searched = table.actions[inputs.actions, 2]
+        return {*inputs.consultations, *inputs.query_history, inputs.query,
+                *searched[searched >= 0]}
+
+    def rows_of(texts):
+        """The token ids and offsets of these table texts, in index order."""
+        tokens = [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]]
+                  for i in sorted(texts)]
+        return np.concatenate(tokens).tolist(), np.cumsum([0] + [len(t) for t in tokens]).tolist()
+
+    encoded, drawn = [], []
+    encode_text, sample_va_batch = M.encode_text, TR.sample_va_batch
+    monkeypatch.setattr(M, "encode_text", lambda model, ids, offsets: encoded.append(
+        (ids.tolist(), offsets.tolist())) or encode_text(model, ids, offsets))
+    monkeypatch.setattr(TR, "sample_va_batch", lambda *a: drawn.extend(sample_va_batch(*a))
+                        or drawn)
+    TR.step_loss(model, batch, table, pairs, kept_map, TR.TrainConfig(va_batch=8),
+                 *map(np.random.default_rng, (1, 2)))
+    TR.model_score_fn(model, corpus, kept_map)([(ex.user_id, ex.session) for ex in batch], None)
+
+    sessions = read(batch[0].inputs) | read(batch[1].inputs)
+    assert len(sessions) < len(read(batch[0].inputs)) + len(read(batch[1].inputs))
+    keys = table.actions[np.concatenate([np.append(s.positive, s.negatives) for s in drawn]), 2]
+    samples = {s.consultation for s in drawn} | set(keys[keys >= 0])
+    assert drawn
+    assert encoded == [rows_of(sessions), rows_of(samples), rows_of(sessions)]
 
 
 def test_batched_scoring_matches_batches_of_one():
