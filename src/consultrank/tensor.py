@@ -413,7 +413,9 @@ def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None
         fh.write(text)
 
 
-def _decode_param(spec: dict) -> np.ndarray:
+def _decode_param(name: str, spec: dict) -> np.ndarray:
+    """One parameter's array; a malformed spec or a NaN or infinite value
+    is refused with a ValueError."""
     shape = spec["shape"]
     if not isinstance(shape, list) or not all(
         isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
@@ -424,7 +426,10 @@ def _decode_param(spec: dict) -> np.ndarray:
         raise ValueError(
             f"{len(raw)} data bytes do not fit shape {shape} of float64 values"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError(f"parameter {name} holds non-finite values")
+    return values
 
 
 def load_checkpoint(path) -> tuple:
@@ -442,7 +447,7 @@ def load_checkpoint(path) -> tuple:
             f"expected {CHECKPOINT_MAGIC!r}); retrain to write one in this format"
         )
     try:
-        arrays = {name: _decode_param(spec) for name, spec in payload["params"].items()}
+        arrays = {name: _decode_param(name, spec) for name, spec in payload["params"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint parameters ({exc!r})") from exc
     extra = payload.get("extra", {})

@@ -536,6 +536,20 @@ def _drop_last_value(payload):
     param["data"] = base64.b64encode(raw).decode("ascii")
 
 
+def _non_finite_values(out):
+    """Set the first value of the first checkpoint parameter to NaN and its
+    last to -inf; return the parameter's name."""
+    path = out / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    name, param = next(iter(payload["params"].items()))
+    raw = bytearray(base64.b64decode(param["data"]))
+    values = memoryview(raw).cast("d")
+    values[0], values[-1] = float("nan"), float("-inf")
+    param["data"] = base64.b64encode(raw).decode("ascii")
+    path.write_text(json.dumps(payload))
+    return name
+
+
 def _as_v1(payload):
     """Rewrite a checkpoint in the older layout: JSON float lists."""
     payload["format"] = "tensor-checkpoint-v1"
@@ -571,6 +585,7 @@ def _as_v1(payload):
     ("eval", _edit_checkpoint(lambda payload: _first_param(payload).update(data="not base64!"))),
     ("eval", _edit_checkpoint(_drop_last_value)),
     ("eval", _edit_checkpoint(_as_v1)),
+    ("eval", _non_finite_values),
     ("report", _edit_bm25_macro(lambda macro: macro.pop("hr@5"))),
     ("report", _edit_bm25_macro(lambda macro: macro.update({"ndcg@10": "x"}))),
     ("report", _edit_bm25_macro(lambda macro: macro.update({"mrr@50": 1.5}))),
@@ -583,7 +598,7 @@ def _as_v1(payload):
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",
         "checkpoint-data-not-base64", "checkpoint-data-short-of-shape",
-        "checkpoint-v1-format", "metrics-macro-missing-key",
+        "checkpoint-v1-format", "checkpoint-non-finite-value", "metrics-macro-missing-key",
         "metrics-macro-string-value", "metrics-macro-value-above-one"])
 def test_corrupt_artifact_exits_4(reported_dir, tmp_path, capsys, stage, corrupt):
     out = tmp_path / "run"
