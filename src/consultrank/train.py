@@ -253,12 +253,14 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
     preferred, since those are the consultations the attention block
     actually reads at inference; without any such pair the freshest linked
     consultation stands in.  Negatives: the user's other prior actions
-    first, then prior actions of the other batch examples' users, then the
+    first, then prior actions of the other users of the batch, then the
     global pool, up to va_batch in total, sampled without replacement
-    within each tier.
+    within each tier.  Each user's actions are looked up once per call,
+    and a user with several sessions in the batch enters the batch tier
+    once.
     """
     samples: List[VaSample] = []
-    batch_users = [ex.user_id for ex in batch]
+    spans = {user: table.span(user, 1) for user in dict.fromkeys(ex.user_id for ex in batch)}
     c_ts, a_ts = table.consultation_ts, table.action_ts
     for ex in batch:
         user = ex.user_id
@@ -280,11 +282,10 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
                 return usable
             return usable[np.sort(rng.choice(len(usable), size=need, replace=False))]
 
-        negatives = draw(table.span(user, 1), cfg.va_batch)
+        negatives = draw(spans[user], cfg.va_batch)
         if len(negatives) < cfg.va_batch:
             batch_pool = np.concatenate([np.empty(0, dtype=np.int64)] + [
-                table.span(other, 1) for other in batch_users if other != user
-            ])
+                span for other, span in spans.items() if other != user])
             negatives = np.append(negatives, draw(batch_pool, cfg.va_batch - len(negatives)))
         if len(negatives) < cfg.va_batch:
             spare = np.ones(len(a_ts), dtype=bool)

@@ -274,6 +274,29 @@ def test_sample_va_negatives_tier_up(gen_small):
         assert len(s.negatives) == 3
 
 
+def test_sample_va_batch_tier_holds_each_user_once(gen_small, monkeypatch):
+    """A batch of every session, several per user, with room for negatives
+    from all three tiers: no sample repeats an action among its negatives,
+    and each user's actions are looked up once per call."""
+    corpus, linkage, _ = gen_small
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    table = model.features
+    split = TR.split_sessions(corpus)
+    batch = examples_of(model, corpus, table, split.train + split.valid + split.test, {})
+    users = [ex.user_id for ex in batch]
+    assert len(set(users)) < len(users)
+    pairs, looked_up = TR.linked_pairs(table, corpus, linkage), []
+    span = M.CorpusFeatures.span
+    monkeypatch.setattr(M.CorpusFeatures, "span",
+                        lambda self, user, kind: looked_up.append(user) or span(self, user, kind))
+    cfg = TR.TrainConfig(va_batch=len(table.actions))
+    samples = TR.sample_va_batch(batch, table, pairs, cfg, np.random.default_rng(0), {})
+    assert len({s.anchor_ts for s in samples}) > 1
+    for s in samples:
+        assert len(np.unique(s.negatives)) == len(s.negatives)
+    assert sorted(looked_up) == sorted(set(users))
+
+
 def test_sample_va_draws_every_consultation_of_the_recent_set(tmp_path):
     """Two linked consultations before a search: a recency map of both lets
     the alignment sample draw either; without one in the map, the freshest
