@@ -398,12 +398,12 @@ def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
 def cai_inputs(model: Model, table: CorpusFeatures, consultations: np.ndarray,
                actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray
                ) -> Tuple[T.Tensor, np.ndarray, np.ndarray, np.ndarray]:
-    """The cross-attention inputs of [B, n] table consultation and action
-    indices (-1 for padding) with anchors [B, 1]: `encode_texts` of the
-    consultations', the search actions' and `texts`'s table texts, and the
-    consultations' [B, n_c, 2] and actions' [B, n_a, 4] rows that
-    `cai_queries` and `cai_keys` read, time buckets counted back from the
-    anchors and -1 rows for padding."""
+    """The cross-attention inputs of a batch, from [B, n] table indices of
+    its consultations and actions (-1 for padding) and its anchors [B, 1]:
+    `encode_texts` of every text the consultations, the search actions and
+    the extra `texts` read (encoded rows, then the map to them), and the
+    rows `cai_queries` and `cai_keys` read: [B, n_c, 2] per consultation,
+    [B, n_a, 4] per action, time buckets counted back from the anchors."""
     encoded, where = encode_texts(model, table, np.concatenate([
         np.ravel(consultations), table.actions[actions[actions >= 0], 2],
         *map(np.ravel, texts)]))

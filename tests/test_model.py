@@ -113,7 +113,7 @@ def encode(model, *texts):
 
 def cai_rows(model, table, s):
     """One session's encoded texts and its consultation and action rows, as
-    the library's row builder gives them."""
+    `model.cai_inputs` gives them."""
     texts, _, c_rows, a_rows = M.cai_inputs(model, table, s.consultations[None],
                                             s.actions[None], np.array([[s.anchor_ts]]))
     return texts, c_rows[0], a_rows[0]
