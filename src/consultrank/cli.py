@@ -8,7 +8,8 @@ resolved under ``--out`` unless absolute):
     index    <index>            inverted-index dump
     link     <linkage>          consultation-action links
     assess   <values>           per-search value reports (+ histogram)
-    train    <checkpoint>       model parameters; <reports>/train_log.csv
+    train    <checkpoint>       model parameters; <reports>/train_log.csv,
+                                a row per epoch as it ends
     eval     <reports>/metrics.json (or metrics_<ranker>.json)
     report   <reports>/comparison.txt
 
@@ -60,7 +61,8 @@ from .evaluate import (
 from .index import ScopeParams, build_index, dump_index, load_index
 from .linkage import LinkageParams, build_linkage, dump_linkage, load_linkage
 from .model import ModelConfig, init_model, load_model, save_model
-from .train import TrainConfig, kept_consultations, model_score_fn, split_sessions, train
+from .train import (EpochRow, TrainConfig, kept_consultations, model_score_fn,
+                    split_sessions, train)
 from .value import (
     ValueParams,
     assess_corpus,
@@ -347,9 +349,15 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
     reports_dir = _resolve(cfg, out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     log_path = os.path.join(reports_dir, "train_log.csv")
+
+    def progress(row: EpochRow) -> None:
+        print(f"epoch {row.epoch}/{tcfg.max_epochs}: l_search {row.l_search:.4f} "
+              f"l_va {row.l_va:.4f} valid ndcg@10 {row.valid_ndcg10:.4f} "
+              f"({row.elapsed_seconds:.1f} s)", flush=True)
+
     result = train(corpus, linkage, assessments, model, tcfg,
                    l_seq=params.l_seq, value_filter=cfg["value_filter"],
-                   log_path=log_path)
+                   log_path=log_path, on_epoch=progress)
     checkpoint_path = _resolve(cfg, out_dir, "checkpoint")
     save_model(result.model, checkpoint_path)
     print(f"best epoch {result.best_epoch}: "

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class EncoderLayer:
     ff_w: T.Tensor
     ff_b: T.Tensor
     segment: T.Tensor
+
+
+#: A layer `attend` reads: its query, key and value projections.
+Attention = Union[AttentionBlock, EncoderLayer]
 
 
 @dataclass
@@ -446,13 +450,34 @@ def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
                           for k, table in enumerate(key_tables(model, texts))])
 
 
-def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
+def key_space(layer: Attention, queries: T.Tensor) -> T.Tensor:
+    """queries w_q w_k^T / sqrt(d): the queries carried into the space of
+    the unprojected keys, where a dot product with a key is the projected,
+    scaled logit (q w_q)(k w_k)^T / sqrt(d)."""
+    return T.scale(T.matmul(T.matmul(queries, layer.w_q), T.transpose(layer.w_k)),
+                   1.0 / math.sqrt(layer.w_q.shape[1]))
+
+
+def attention_logits(layer: Attention, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
     """[..., n_queries, n_keys] projected dot products scaled by 1/sqrt(d),
-    per session for stacked inputs; the attention block softmaxes them and
+    per session for stacked inputs.  The d x d projections multiply the
+    few query rows (`key_space`), never the many key rows."""
+    return T.matmul(key_space(layer, queries), T.transpose(keys))
+
+
+def attend(layer: Attention, queries: T.Tensor, keys: T.Tensor,
+           mask: np.ndarray) -> T.Tensor:
+    """[..., n_queries, d]: softmax((q w_q)(k w_k)^T / sqrt(d)) (k w_v),
+    keys masked where `mask` is False, computed as (softmax k) w_v from
+    `attention_logits`: no [..., n_keys, d] projection is built."""
+    weights = T.softmax(attention_logits(layer, queries, keys), mask=mask)
+    return T.matmul(T.matmul(weights, keys), layer.w_v)
+
+
+def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
+    """The attention block's `attention_logits`: the CAI softmaxes them and
     the alignment loss trains them."""
-    q_proj = T.matmul(queries, model.block.w_q)
-    k_proj = T.matmul(keys, model.block.w_k)
-    return T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(model.cfg.d))
+    return attention_logits(model.block, queries, keys)
 
 
 def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
@@ -465,8 +490,7 @@ def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
     is the sum of the query's products with those rows.  The queries meet
     w_q w_k^T once, then each key table in one product, and each logit adds
     one column of each product."""
-    qk = T.scale(T.matmul(T.matmul(queries, model.block.w_q), T.transpose(model.block.w_k)),
-                 1.0 / math.sqrt(model.cfg.d))
+    qk = key_space(model.block, queries)
     return reduce(T.add, [T.gather_columns(T.matmul(qk, T.transpose(table)), actions[..., k])
                           for k, table in enumerate(key_tables(model, texts))])
 
@@ -485,11 +509,9 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     lam = model.cfg.lambda3_skip
     if not consultations.size or not actions.size or lam == 0.0:
         return c_texts
-    keys = cai_keys(model, actions, texts)
     pairs = (consultations[..., :, None, 0] >= 0) & (actions[..., None, :, 0] >= 0)
-    weights = T.softmax(cai_logits(model, cai_queries(model, consultations, texts), keys),
-                        mask=pairs)
-    attended = T.matmul(weights, T.matmul(keys, model.block.w_v))
+    attended = attend(model.block, cai_queries(model, consultations, texts),
+                      cai_keys(model, actions, texts), pairs)
     return T.add(c_texts, T.scale(attended, lam))
 
 
@@ -506,8 +528,9 @@ def session_forward(model: Model, table: CorpusFeatures,
     current-query position (always last).  The sequence is a sum of
     gathers, each placing one source's rows at its segment's positions (the
     CAI rows by a product with a constant placement matrix), and padding
-    positions are masked out of the attention; past the keys and values
-    only the last position is computed, since nothing else is read.
+    positions are masked out of the attention.  Only the current query's
+    row is read, so it alone attends (`attend`), and it is gathered from
+    its sources, not selected from the sequence.
     """
     consultations = pad([s.consultations for s in batch])
     query_texts = np.column_stack([pad([s.query_history for s in batch]),
@@ -536,12 +559,10 @@ def session_forward(model: Model, table: CorpusFeatures,
     if real[:, segments == SEG_CONSULTATION].any():
         # consultation c sits at position 1 + c
         x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
-    last = len(segments) - 1
-    x_query = T.matmul(T.Tensor((np.arange(len(segments)) == last)[None, :]), x)
-    logits = T.scale(T.matmul(T.matmul(x_query, enc.w_q), T.transpose(T.matmul(x, enc.w_k))),
-                     1.0 / math.sqrt(model.cfg.d))
-    attended = T.matmul(T.softmax(logits, mask=real[:, None, :]), T.matmul(x, enc.w_v))
-    y = squeeze(T.add(x_query, attended))
+    # the current query's position holds its segment row and its text only
+    x_query = T.lookup_sum((enc.segment, np.full((len(batch), 1), SEG_QUERY)),
+                           (texts, queries[:, -1:]))
+    y = squeeze(T.add(x_query, attend(enc, x_query, x, real[:, None, :])))
     return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
 
 

@@ -81,9 +81,20 @@ def _out(data, parents: Sequence[Tensor], backward) -> Tensor:
     return t
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:  # a copy: a backward closure may hand one array to two parents
-        t.grad = np.array(g, dtype=np.float64)
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient sent to `t` is used: it is a tracked leaf or
+    passes gradients on.  A constant operand takes none."""
+    return t.requires_grad or bool(t._parents)
+
+
+def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Adds `g` to t's gradient.  The first gradient is kept as it is, so
+    the caller hands over an array it just made; a `shared` one (also
+    handed to another parent, or a view) is copied first."""
+    if not _tracked(t):
+        return
+    if t.grad is None:  # asarray: a 0-d product is a numpy scalar
+        t.grad = np.array(g, dtype=np.float64) if shared else np.asarray(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -96,8 +107,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data + b.data, (a, b), None)
     if out._parents:
         def backward(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0) if rowwise else g)
+            _accum(a, g, shared=True)
+            _accum(b, g.sum(axis=0) if rowwise else g, shared=not rowwise)
         out._backward = backward
     return out
 
@@ -133,9 +144,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gm = gm if a.data.ndim > 1 else gm[..., None, :]
             if am.ndim == 3 and bm.ndim == 2:  # a stack against one shared matrix
                 am, gm = am.reshape(-1, am.shape[-1]), gm.reshape(-1, gm.shape[-1])
-            ga, gb = gm @ np.swapaxes(bm, -1, -2), np.swapaxes(am, -1, -2) @ gm
-            _accum(a, (ga if ga.ndim == am.ndim else ga.sum(axis=0)).reshape(a.shape))
-            _accum(b, (gb if gb.ndim == bm.ndim else gb.sum(axis=0)).reshape(b.shape))
+            if _tracked(a):
+                ga = gm @ np.swapaxes(bm, -1, -2)
+                _accum(a, (ga if ga.ndim == am.ndim else ga.sum(axis=0)).reshape(a.shape))
+            if _tracked(b):
+                gb = np.swapaxes(am, -1, -2) @ gm
+                _accum(b, (gb if gb.ndim == bm.ndim else gb.sum(axis=0)).reshape(b.shape))
         out._backward = backward
     return out
 
@@ -146,7 +160,7 @@ def transpose(a: Tensor) -> Tensor:
         raise ValueError(f"transpose needs a 2-D or 3-D input, got {a.shape}")
     out = _out(np.swapaxes(a.data, -1, -2), (a,), None)
     if out._parents:
-        out._backward = lambda g: _accum(a, np.swapaxes(g, -1, -2))
+        out._backward = lambda g: _accum(a, np.swapaxes(g, -1, -2), shared=True)
     return out
 
 
@@ -213,7 +227,7 @@ def lookup_sum(*lookups) -> Tensor:
     if out._parents:
         def backward(g):
             for table, idx in pairs:
-                if table.requires_grad or table._parents:
+                if _tracked(table):
                     keep = idx >= 0
                     d = table.shape[1]
                     _bincount_into(table, (idx[keep][:, None] * d + np.arange(d)).ravel(),
@@ -375,15 +389,25 @@ def adam_step(state: AdamState) -> None:
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for i, p in enumerate(state.params):
+    for p, m, v in zip(state.params, state.m, state.v):
         if p.grad is None:
             continue
         g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # In place, in the order of m = b1 m + (1 - b1) g,
+        # v = b2 v + (1 - b2) g^2 and p = p - lr m_hat / (sqrt(v_hat) + eps).
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = g * g
+        g2 *= 1.0 - b2
+        v += g2
+        step = m / (1.0 - b1**t)
+        step *= state.lr
+        denom = np.divide(v, 1.0 - b2**t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p.data -= step
 
 
 def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -338,12 +338,16 @@ def train(corpus: Corpus, linkage: LinkageTable,
           assessments: Sequence[SessionAssessment], model: M.Model,
           cfg: TrainConfig = TrainConfig(), l_seq: int = ValueParams.l_seq,
           value_filter: bool = True,
-          log_path=None) -> TrainResult:
+          log_path=None,
+          on_epoch: Optional[Callable[[EpochRow], None]] = None) -> TrainResult:
     """Mini-batch training of a model built on `corpus`, with per-epoch
     validation and early stopping.
 
     Returns the model restored to its best-validation parameters plus the
-    epoch log.  Fully deterministic for a fixed config seed.
+    epoch log.  Fully deterministic for a fixed config seed.  With a
+    `log_path`, the log's header is written at the start and each epoch's
+    row is appended as the epoch ends; `on_epoch`, when given, is called
+    with each row after that.
     """
     split = split_sessions(corpus)
     if not split.train:
@@ -368,6 +372,8 @@ def train(corpus: Corpus, linkage: LinkageTable,
     best_epoch = 0
     best_params: Dict[str, np.ndarray] = {}
     started = time.perf_counter()
+    if log_path is not None:
+        write_epoch_log([], log_path)
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_order.permutation(len(examples))
@@ -402,6 +408,10 @@ def train(corpus: Corpus, linkage: LinkageTable,
             valid_ndcg10=valid_ndcg,
             elapsed_seconds=time.perf_counter() - started,
         ))
+        if log_path is not None:
+            write_epoch_log(rows[-1:], log_path, append=True)
+        if on_epoch is not None:
+            on_epoch(rows[-1])
         if valid_ndcg > best_ndcg:
             best_ndcg = valid_ndcg
             best_epoch = epoch
@@ -412,18 +422,19 @@ def train(corpus: Corpus, linkage: LinkageTable,
     if best_params:
         for name, t in model.named_parameters().items():
             t.data = best_params[name]
-    if log_path is not None:
-        write_epoch_log(rows, log_path)
     return TrainResult(model=model, rows=rows, best_epoch=best_epoch,
                        best_valid_ndcg10=best_ndcg)
 
 
-def write_epoch_log(rows: Sequence[EpochRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_epoch_log(rows: Sequence[EpochRow], path, append: bool = False) -> None:
+    """Writes the epoch log's header and `rows` as CSV, or appends the rows
+    to a log written before."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "l_search", "l_va", "total", "valid_ndcg10", "elapsed_seconds"]
-        )
+        if not append:
+            writer.writerow(
+                ["epoch", "l_search", "l_va", "total", "valid_ndcg10", "elapsed_seconds"]
+            )
         for r in rows:
             writer.writerow([
                 r.epoch, f"{r.l_search:.6f}", f"{r.l_va:.6f}", f"{r.total:.6f}",

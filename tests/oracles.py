@@ -5,8 +5,9 @@ with no caching, no prefit tables, and no reuse of library internals beyond
 the corpus data model and the stopword list (which define input
 conventions, not the math under test).  Slow and obvious on purpose.
 
-The exception is `materialized_loss_va`: it reads the model's feature table
-and runs on the autodiff engine, so its gradients can be compared too.
+The exceptions are `materialized_loss_va` and the `materialized_*`
+forward passes: they read the model's feature table and run on the
+autodiff engine, so their gradients can be compared too.
 """
 
 import math
@@ -218,3 +219,62 @@ def materialized_loss_va(model, samples, table, cfg):
                      1.0 / math.sqrt(model.cfg.d))  # [samples, 1, 1 + K]
     logits = T.matmul(T.Tensor(np.ones(1)), logits)
     return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)
+
+
+def materialized_attention(queries, keys, mask, w_q, w_k, w_v):
+    """Attention from its definition: the queries, keys and values each
+    projected ([..., n, d] each), then softmax(q_proj k_proj^T / sqrt(d))
+    over the keys `mask` keeps, times v_proj."""
+    q_proj, k_proj, v_proj = (T.matmul(queries, w_q), T.matmul(keys, w_k),
+                              T.matmul(keys, w_v))
+    logits = T.scale(T.matmul(q_proj, T.transpose(k_proj)), 1.0 / math.sqrt(w_q.shape[1]))
+    return T.matmul(T.softmax(logits, mask=mask), v_proj)
+
+
+def materialized_cai_forward(model, consultations, actions, texts):
+    """`model.cai_forward` with `materialized_attention`."""
+    c_texts = T.embedding_lookup(texts, consultations[..., 0])
+    lam = model.cfg.lambda3_skip
+    if not consultations.size or not actions.size or lam == 0.0:
+        return c_texts
+    pairs = (consultations[..., :, None, 0] >= 0) & (actions[..., None, :, 0] >= 0)
+    block = model.block
+    attended = materialized_attention(M.cai_queries(model, consultations, texts),
+                                      M.cai_keys(model, actions, texts), pairs,
+                                      block.w_q, block.w_k, block.w_v)
+    return T.add(c_texts, T.scale(attended, lam))
+
+
+def materialized_session_forward(model, table, batch):
+    """`model.session_forward` over the whole joint sequence: each source
+    added by a lookup of its own, the current query selected from the
+    sequence by a one-hot product, and `materialized_attention` in both
+    the cross-attention and the encoder."""
+    consultations = M.pad([s.consultations for s in batch])
+    query_texts = np.column_stack([M.pad([s.query_history for s in batch]),
+                                   [s.query for s in batch]])
+    texts, where, c_rows, a_rows = M.cai_inputs(
+        model, table, consultations, M.pad([s.actions for s in batch]),
+        np.array([[s.anchor_ts] for s in batch]), query_texts)
+    h = materialized_cai_forward(model, c_rows, a_rows, texts)
+    queries = where[query_texts]
+    blocks = ([[s.user] for s in batch], consultations, queries[:, :-1],
+              M.pad([s.item_history for s in batch]), queries[:, -1:])
+    sources = (model.tables.user, None, texts, model.tables.item, texts)
+    segments = np.repeat(np.arange(M.N_SEGMENTS), [np.shape(b)[1] for b in blocks])
+    layout = np.concatenate(blocks, axis=1)
+    real = layout >= 0
+    enc = model.encoder
+    x = T.embedding_lookup(enc.segment, np.where(real, segments, -1))
+    for k, source in enumerate(sources):
+        if not real[:, segments == k].any():
+            continue
+        if source is None:  # consultation c sits at position 1 + c
+            x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
+        else:
+            x = T.add(x, T.embedding_lookup(source, np.where(segments == k, layout, -1)))
+    select = (np.arange(len(segments)) == len(segments) - 1)[None, :]
+    x_query = T.matmul(T.Tensor(select), x)
+    attended = materialized_attention(x_query, x, real[:, None, :], enc.w_q, enc.w_k, enc.w_v)
+    y = M.squeeze(T.add(x_query, attended))
+    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))

@@ -73,6 +73,19 @@ def test_full_pipeline_artifacts(pipeline_dir):
         assert "config_sha256" in manifest
 
 
+def test_train_prints_a_line_per_epoch(pipeline_dir, tmp_path, capsys):
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    capsys.readouterr()
+    assert run("train", out, out / "config.json") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["epoch 1/2", "epoch 2/2"]
+    assert lines[-1].startswith("best epoch ")
+    log = (out / "reports" / "train_log.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in log] == ["epoch", "1", "2"]
+
+
 def test_each_ranker_writes_its_own_eval_manifest(reported_dir):
     metrics = {"eval": "metrics.json", "eval_semantic": "metrics_semantic.json",
                "eval_bm25": "metrics_bm25.json"}

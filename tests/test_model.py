@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from consultrank import model as M
 from consultrank import tensor as T
+from consultrank import train as TR
 from consultrank.corpus import ActionType, Consultation, Interaction, Query, build_corpus
+from consultrank.datagen import GenSpec, generate
 from consultrank.evaluate import ground_truth_rank
 from consultrank.value import time_bucket
 
+import oracles
 from gradcheck import finite_diff_check
 from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
 
@@ -325,6 +328,70 @@ def test_session_forward_gradients_match_finite_differences(small_corpus):
 
     worst = finite_diff_check(build, leaves, rng, max_coords=4)
     assert worst < 1e-3
+
+
+@pytest.fixture(scope="module")
+def gen_sessions():
+    """A generated corpus and the inputs of every one of its searches, each
+    reading up to three recent consultations."""
+    corpus, _ = generate(GenSpec(n_users=8, n_items=20, seed=4))
+    kept_map = TR.recent_consultations(corpus, 3)
+    sessions = [(u, s) for u in sorted(corpus.users) for s in corpus.users[u].searches]
+    return corpus, kept_map, sessions
+
+
+def assert_matches_materialized(model, build, reference):
+    """`build()` and `reference()` give the same output, and the same
+    gradient of every parameter under one loss, to 1e-12 relative."""
+    results = []
+    for forward_pass in (build, reference):
+        T.zero_grads(model.parameters())
+        out = forward_pass()
+        shift = T.Tensor(np.random.default_rng(5).normal(size=out.shape))
+        T.backward(T.l2_norm_sq(T.add(out, shift)))
+        results.append((out.data, {n: p.grad for n, p in model.named_parameters().items()}))
+    (out, grads), (want, want_grads) = results
+
+    def close(a, b):
+        return np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+
+    assert out.shape == want.shape and close(out, want)
+    for name, grad in grads.items():
+        if want_grads[name] is None:
+            assert grad is None, name
+        else:
+            assert grad is not None and close(grad, want_grads[name]), name
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.4, 0.0])
+def test_attention_matches_materialized_projections(gen_sessions, lam):
+    """The reassociated attention of `cai_forward` and `session_forward`
+    matches the one that projects every key and value and selects the
+    current query by a one-hot product, on a batch of one and random
+    padded batches: each session keeps a random number of its
+    consultations, and the first has its actions removed."""
+    corpus, kept_map, sessions = gen_sessions
+    model = M.init_model(corpus, M.ModelConfig(d=8, lambda3_skip=lam, seed=3))
+    rng = np.random.default_rng(11)
+    for size in (1, *rng.integers(2, 7, size=3)):
+        picked = rng.choice(len(sessions), size=size, replace=False)
+        batch = [TR.build_example(model, corpus, model.features, *sessions[k], kept_map)
+                 for k in picked]
+        batch = [s._replace(consultations=s.consultations[:rng.integers(len(s.consultations) + 1)])
+                 for s in batch]
+        batch[0] = batch[0]._replace(actions=batch[0].actions[:0])
+        assert_matches_materialized(model, lambda: M.session_forward(model, model.features, batch),
+                                    lambda: oracles.materialized_session_forward(
+                                        model, model.features, batch))
+
+        def rows():  # cai_forward's arguments after the model
+            texts, _, c_rows, a_rows = M.cai_inputs(
+                model, model.features, M.pad([s.consultations for s in batch]),
+                M.pad([s.actions for s in batch]), np.array([[s.anchor_ts] for s in batch]))
+            return c_rows, a_rows, texts
+
+        assert_matches_materialized(model, lambda: M.cai_forward(model, *rows()),
+                                    lambda: oracles.materialized_cai_forward(model, *rows()))
 
 
 #: An item no event names, so its id can change too.

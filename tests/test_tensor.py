@@ -51,6 +51,38 @@ def test_sum_gradient_is_ones():
     assert ones.grad is None
 
 
+#: Operand shapes of every rank pair `matmul` supports.
+MATMUL_SHAPES = {1: {1: ((3,), (3,)), 2: ((3,), (3, 4)), 3: ((3,), (2, 3, 4))},
+                 2: {1: ((2, 3), (3,)), 2: ((2, 3), (3, 4)), 3: ((2, 3), (2, 3, 4))},
+                 3: {1: ((2, 2, 3), (3,)), 2: ((2, 2, 3), (3, 4)), 3: ((2, 2, 3), (2, 3, 4))}}
+
+
+@pytest.mark.parametrize("ranks", [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+@pytest.mark.parametrize("constant", [0, 1])
+def test_matmul_constant_operand_takes_no_gradient(ranks, constant):
+    """A constant operand gets no gradient, not even from the product's own
+    backward step, and its partner's gradient is the one it gets when
+    both operands are tracked."""
+    rng = np.random.default_rng(sum(ranks))
+    values = [rng.normal(size=shape) for shape in MATMUL_SHAPES[ranks[0]][ranks[1]]]
+    shift = rng.normal(size=np.matmul(*values).shape)
+
+    def grads(tracked):
+        ops = [T.Tensor(v, requires_grad=k in tracked) for k, v in enumerate(values)]
+        out = T.matmul(*ops)
+        if constant not in tracked:
+            out._backward(np.ones(out.shape))
+            assert ops[constant].grad is None
+            T.zero_grads(ops)
+        T.backward(T.l2_norm_sq(T.add(out, T.Tensor(shift))))
+        return [op.grad for op in ops]
+
+    partner = 1 - constant
+    alone = grads({partner})
+    assert alone[constant] is None
+    assert np.array_equal(alone[partner], grads({0, 1})[partner])
+
+
 def test_untracked_leaf_gets_no_gradient():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     c = T.Tensor([5.0, 6.0])
@@ -311,6 +343,39 @@ def test_adam_first_step_hand_value():
     T.adam_step(state)
     expected = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)
     assert float(p.data[0]) == pytest.approx(expected, abs=1e-15)
+
+
+def test_adam_updates_in_place_as_the_out_of_place_formula():
+    """Three steps move the parameters bit for bit as the out-of-place
+    update would, in their own arrays; a parameter whose grad is None
+    keeps its values and its moments."""
+    rng = np.random.default_rng(8)
+    shapes = [(3, 2), (4,), (2,)]
+    params = [T.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    state = T.AdamState(params, lr=0.05)
+    arrays = [p.data for p in params] + state.m + state.v
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2 = T.ADAM_BETA1, T.ADAM_BETA2
+    for t in range(1, 4):
+        for i, p in enumerate(params):
+            p.grad = None if i == 2 else rng.normal(size=shapes[i])
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            m_hat = m[i] / (1.0 - b1**t)
+            v_hat = v[i] / (1.0 - b2**t)
+            want[i] = want[i] - state.lr * m_hat / (np.sqrt(v_hat) + T.ADAM_EPS)
+        T.adam_step(state)
+        for i, p in enumerate(params):
+            assert p.data.tobytes() == want[i].tobytes()
+            assert state.m[i].tobytes() == m[i].tobytes()
+            assert state.v[i].tobytes() == v[i].tobytes()
+    assert all(a is b for a, b in zip(arrays, [p.data for p in params] + state.m + state.v))
+    assert not state.m[2].any() and not state.v[2].any()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -399,6 +399,35 @@ def test_epoch_log_csv_round_trip(gen_small, tmp_path):
                              "valid_ndcg10", "elapsed_seconds"]
 
 
+def test_epoch_log_grows_as_training_runs(gen_small, tmp_path, monkeypatch):
+    """Each epoch's validation sees the log with a header and one row per
+    finished epoch; each finished row reaches `on_epoch` once its line is
+    in the file, and the final file holds the rows of the result."""
+    corpus, linkage, assessments = gen_small
+    path = tmp_path / "log.csv"
+    seen, reported = [], []
+    validate = TR.evaluate_sessions
+
+    def read_log():
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def spy(*args, **kwargs):
+        seen.append(read_log())
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "evaluate_sessions", spy)
+    model = M.init_model(corpus, M.ModelConfig(d=8, seed=2))
+    cfg = TR.TrainConfig(max_epochs=3, patience=3, batch_size=8, va_batch=8, seed=2)
+    result = TR.train(corpus, linkage, assessments, model, cfg, log_path=path,
+                      on_epoch=lambda row: reported.append((row, len(read_log()))))
+    final = read_log()
+    assert [len(log) for log in seen] == [1, 2, 3]
+    assert all(log == final[:len(log)] for log in seen)
+    assert reported == [(row, row.epoch + 1) for row in result.rows]
+    assert [int(line[0]) for line in final[1:]] == [1, 2, 3]
+
+
 def test_every_parameter_receives_gradient(gen_small):
     corpus, linkage, assessments = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8, seed=3))
