@@ -46,7 +46,7 @@ def main():
 
         print("\n== 2. what each stage left behind ==")
         for path in sorted(out.rglob("*")):
-            if path.is_file() and path.suffix in (".jsonl", ".json", ".csv", ".txt"):
+            if path.is_file() and path.suffix in (".jsonl", ".json", ".f64", ".csv", ".txt"):
                 size = path.stat().st_size
                 print(f"  {path.relative_to(out)!s:32s} {size:8d} bytes")
 

@@ -8,7 +8,8 @@ resolved under ``--out`` unless absolute):
     index    <index>            inverted-index dump
     link     <linkage>          consultation-action links
     assess   <values>           per-search value reports (+ histogram)
-    train    <checkpoint>       model parameters; <reports>/train_log.csv,
+    train    <checkpoint>       model parameters (a JSON header and its
+                                data file); <reports>/train_log.csv,
                                 a row per epoch as it ends
     eval     <reports>/metrics.json (or metrics_<ranker>.json)
     report   <reports>/comparison.txt
@@ -202,6 +203,8 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Dict[str, 
             raise ConfigError(f"config file not readable: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold one JSON object")
         supplied.update(raw)
@@ -359,10 +362,10 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
                    l_seq=params.l_seq, value_filter=cfg["value_filter"],
                    log_path=log_path, on_epoch=progress)
     checkpoint_path = _resolve(cfg, out_dir, "checkpoint")
-    save_model(result.model, checkpoint_path)
+    written = save_model(result.model, checkpoint_path)
     print(f"best epoch {result.best_epoch}: "
           f"valid ndcg@10 {result.best_valid_ndcg10:.4f}")
-    return [checkpoint_path, log_path]
+    return [*written, log_path]
 
 
 def _ranker_name(stem: str, ranker: str) -> str:
@@ -567,8 +570,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         started = time.time()
         inputs = stage.inputs(cfg, out_dir, args)
         for path, writer in inputs:
-            if not os.path.exists(path):
-                raise MissingArtifact(f"missing {path}: run {writer} first")
+            if not os.path.isfile(path):
+                problem = "not a file" if os.path.exists(path) else "missing"
+                raise MissingArtifact(f"{problem} {path}: run {writer} first")
         input_hashes = {path: _sha256(path) for path, _ in inputs}
         outputs = stage.run(cfg, out_dir, args)
         write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started,

@@ -585,14 +585,15 @@ def score_candidates(model: Model, e_final: T.Tensor,
 CORPUS_KEY = "corpus_fields_sha256"
 
 
-def save_model(model: Model, path) -> None:
-    """Persist parameters plus the config needed to rebuild the skeleton.
+def save_model(model: Model, path) -> List[str]:
+    """Persist parameters plus the config needed to rebuild the skeleton;
+    returns the paths of the files written.
 
     Vocabulary and id orderings are derived from the corpus, so the
     checkpoint stays small; it stores the corpus's digest, and loading
     requires the same corpus."""
     extra = {"model_config": dataclasses.asdict(model.cfg), CORPUS_KEY: model.corpus_sha256}
-    T.save_checkpoint(model.named_parameters(), path, extra=extra)
+    return T.save_checkpoint(model.named_parameters(), path, extra=extra)
 
 
 def _fits(value, kind: str) -> bool:

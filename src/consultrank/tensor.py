@@ -7,22 +7,23 @@ pass, and none is recorded inside `no_grad`.  There is no broadcasting
 beyond what the ops define, and everything is 64-bit, so finite-difference
 checks can run at tight tolerances.
 
-Also here: the Adam optimizer the training loop uses, and the JSON
-checkpoint format for named parameter sets.
+Also here: the Adam optimizer the training loop uses, and the checkpoint
+format for named parameter sets: a JSON header beside a raw float64 file.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import contextvars
+import hashlib
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+import os
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "tensor-checkpoint-v2"
+CHECKPOINT_MAGIC = "tensor-checkpoint-v3"
 
 
 class Tensor:
@@ -410,71 +411,107 @@ def adam_step(state: AdamState) -> None:
         p.data -= step
 
 
-def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> None:
-    """Write named parameters as versioned JSON; `extra` rides along as-is.
+def checkpoint_data_path(path) -> str:
+    """The data file that goes with the checkpoint header at `path`."""
+    return os.fspath(path) + ".f64"
 
-    Each parameter is ``{"shape": [...], "data": <base64>}``, where the data
-    is its little-endian float64 bytes in C order, so every value round-trips
-    bit for bit.  The payload is encoded in one ``json.dumps`` call, which
-    uses the C encoder (``json.dump`` streams through the pure-Python one),
-    and the same parameters always give the same file bytes.
+
+def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> List[str]:
+    """Write named parameters as a raw data file plus a JSON header at
+    `path`; `extra` rides along in the header as-is.  Returns both paths.
+
+    The data file holds every parameter's little-endian float64 values in C
+    order, one parameter after another in sorted-name order, so every value
+    round-trips bit for bit.  The header holds each parameter's shape and the
+    data file's SHA-256.  It is written second, so a header never vouches for
+    data that was not fully written, and the same parameters always give the
+    same bytes in both files.
     """
-    payload = {
+    names = sorted(named)
+    data_path = checkpoint_data_path(path)
+    digest = hashlib.sha256()
+    with open(data_path, "wb") as fh:
+        for name in names:
+            values = np.ascontiguousarray(named[name].data, dtype="<f8")
+            digest.update(values)
+            fh.write(values)
+    header = {
         "format": CHECKPOINT_MAGIC,
-        "params": {
-            name: {
-                "shape": list(t.data.shape),
-                "data": base64.b64encode(t.data.astype("<f8", copy=False).tobytes())
-                .decode("ascii"),
-            }
-            for name, t in sorted(named.items())
-        },
+        "params": {name: {"shape": list(named[name].data.shape)} for name in names},
+        "data_sha256": digest.hexdigest(),
     }
     if extra:
-        payload["extra"] = extra
-    text = json.dumps(payload, sort_keys=True)
+        header["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(json.dumps(header, sort_keys=True))
+    return [os.fspath(path), data_path]
 
 
-def _decode_param(name: str, spec: dict) -> np.ndarray:
-    """One parameter's array; a malformed spec or a NaN or infinite value
+def _shape(spec: dict) -> Tuple[int, ...]:
+    """One parameter's shape; anything but a list of non-negative integers
     is refused with a ValueError."""
     shape = spec["shape"]
     if not isinstance(shape, list) or not all(
         isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
     ):
         raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
-    raw = base64.b64decode(spec["data"], validate=True)
-    if len(raw) != math.prod(shape) * 8:
-        raise ValueError(
-            f"{len(raw)} data bytes do not fit shape {shape} of float64 values"
-        )
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(values).all():
-        raise ValueError(f"parameter {name} holds non-finite values")
-    return values
+    return tuple(shape)
+
+
+def _read_data(data_path: str, n_values: int) -> np.ndarray:
+    """The data file's values in one float64 array, read once; a file of
+    any other length is refused with a ValueError."""
+    try:
+        fh = open(data_path, "rb")
+    except OSError as exc:
+        raise ValueError(f"{data_path}: checkpoint data file not readable ({exc.strerror})") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 * n_values:
+            raise ValueError(f"{data_path}: {size} bytes do not fit the header's shapes "
+                             f"({n_values} float64 values, {8 * n_values} bytes)")
+        values = np.empty(n_values, dtype="<f8")
+        if fh.readinto(values) != size:
+            raise ValueError(f"{data_path}: checkpoint data file changed while read")
+    return values.astype(np.float64, copy=False)
 
 
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ({name: array}, extra-dict).
 
-    The arrays are fresh, writable, C-contiguous native float64 arrays.
+    The data file is read once into one array; its length, its SHA-256 and
+    the finiteness of every value are checked on that array.  The returned
+    arrays are writable, C-contiguous native float64 views of it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("not a recognized checkpoint (not a JSON object)")
-    if payload.get("format") != CHECKPOINT_MAGIC:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a checkpoint header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: not a recognized checkpoint (not a JSON object)")
+    if header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(
-            f"not a recognized checkpoint (format={payload.get('format')!r}, "
+            f"{path}: not a recognized checkpoint (format={header.get('format')!r}, "
             f"expected {CHECKPOINT_MAGIC!r}); retrain to write one in this format"
         )
     try:
-        arrays = {name: _decode_param(name, spec) for name, spec in payload["params"].items()}
+        shapes = {name: _shape(spec) for name, spec in sorted(header["params"].items())}
+        recorded = header["data_sha256"]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint parameters ({exc!r})") from exc
-    extra = payload.get("extra", {})
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+    extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise ValueError(f"{path}: checkpoint extra block is not an object")
+    data_path = checkpoint_data_path(path)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    values = _read_data(data_path, sum(sizes))
+    if hashlib.sha256(values).hexdigest() != recorded:
+        raise ValueError(f"{data_path}: SHA-256 does not match the one recorded in {path}")
+    ends = np.cumsum([0, *sizes])
+    arrays = {name: values[start:end].reshape(shape)
+              for (name, shape), start, end in zip(shapes.items(), ends[:-1], ends[1:])}
+    if not np.isfinite(values).all():
+        name = next(name for name, a in arrays.items() if not np.isfinite(a).all())
+        raise ValueError(f"{data_path}: parameter {name} holds non-finite values")
     return arrays, extra

@@ -1,8 +1,11 @@
 """Pipeline CLI: stage wiring, config validation, exit codes, determinism."""
 
 import base64
+import builtins
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -64,13 +67,16 @@ def test_full_pipeline_artifacts(pipeline_dir):
     out, _ = pipeline_dir
     for name in ("corpus/items.jsonl", "corpus/events.jsonl", "corpus/oracle.jsonl",
                  "index.jsonl", "linkage.jsonl", "values.jsonl", "checkpoint.json",
-                 "reports/train_log.csv", "reports/metrics.json"):
+                 "checkpoint.json.f64", "reports/train_log.csv", "reports/metrics.json"):
         assert (out / name).exists(), name
     for stage in ("datagen", "ingest", "index", "link", "assess", "train", "eval"):
         manifest = json.loads((out / "manifests" / f"{stage}.json").read_text())
         assert manifest["stage"] == stage
         assert manifest["outputs"], stage
         assert "config_sha256" in manifest
+    train_outputs = json.loads((out / "manifests" / "train.json").read_text())["outputs"]
+    assert sorted(train_outputs) == ["checkpoint.json", "checkpoint.json.f64",
+                                     os.path.join("reports", "train_log.csv")]
 
 
 def test_train_prints_a_line_per_epoch(pipeline_dir, tmp_path, capsys):
@@ -182,12 +188,16 @@ def test_removed_knobs_refused(tmp_path, capsys, argv, config, name):
     assert name in capsys.readouterr().err
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run("datagen", tmp_path, missing) == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("datagen", tmp_path, broken) == 2
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    assert run("eval", tmp_path, not_utf8) == 2
+    assert "config file is not UTF-8" in capsys.readouterr().err
 
 
 def test_assess_without_link_names_stage(tmp_path, capsys):
@@ -295,6 +305,23 @@ def test_eval_bm25_needs_no_checkpoint(tmp_path):
     assert (tmp_path / "reports" / "metrics_bm25.json").exists()
 
 
+@pytest.mark.parametrize("stage, name, writer", [
+    ("eval", "checkpoint.json", "train"),
+    ("assess", "linkage.jsonl", "link"),
+])
+def test_input_that_is_not_a_file_exits_3(pipeline_dir, tmp_path, capsys, stage, name, writer):
+    """An input path that names a directory is reported, with its path, as
+    an artifact still to be written."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    (out / name).unlink()
+    (out / name).mkdir()
+    assert run(stage, out, out / "config.json") == 3
+    err = capsys.readouterr().err
+    assert f"not a file {out / name}: run {writer} first" in err
+
+
 def test_eval_without_train_names_stage(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))
@@ -399,11 +426,13 @@ STAGE_READS = {
 @pytest.mark.parametrize("argv", list(STAGE_READS), ids=" ".join)
 def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
     """A count, not a timing: the stage parses each of its input files once
-    and takes the corpus digest once."""
+    and takes the corpus digest once.  `eval` opens the checkpoint's data
+    file once, to load it; the manifest hashes the checkpoint header, whose
+    recorded SHA-256 pins the data file, and not the data file itself."""
     src, _ = pipeline_dir
     out = tmp_path / "run"
     shutil.copytree(src, out)
-    reads, digests = [], []
+    reads, digests, opened, hashed = [], [], [], []
     named = lambda path: Path(path).name
     for module in (corpus_module, index_module, linkage_module, value_module):
         monkeypatch.setattr(module, "read_jsonl", _spy(reads, named, module.read_jsonl))
@@ -411,9 +440,15 @@ def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
                         _spy(reads, named, tensor_module.load_checkpoint))
     monkeypatch.setattr(model_module, "corpus_digest",
                         _spy(digests, id, model_module.corpus_digest))
+    monkeypatch.setattr(builtins, "open", _spy(opened, named, builtins.open))
+    monkeypatch.setattr(cli, "_sha256", _spy(hashed, named, cli._sha256))
     assert run(argv[0], out, out / "config.json", *argv[1:]) == 0
     assert sorted(reads) == STAGE_READS[argv]
     assert len(digests) == 1
+    if argv[0] == "eval":
+        assert opened.count("checkpoint.json.f64") == 1
+        assert hashed.count("checkpoint.json") == 1
+        assert "checkpoint.json.f64" not in hashed
 
 
 def test_dumps_build_one_encoder_per_file(pipeline_dir, tmp_path, monkeypatch):
@@ -532,7 +567,13 @@ def _append_bytes(name, raw):
 
 
 def _edit_checkpoint(edit):
-    return _edit_json("checkpoint.json", edit)
+    """Edit the checkpoint header; return the `checkpoint.json:` the error
+    names."""
+    corrupt = _edit_json("checkpoint.json", edit)
+    def edited(out):
+        corrupt(out)
+        return "checkpoint.json:"
+    return edited
 
 
 def _edit_bm25_macro(edit):
@@ -543,31 +584,84 @@ def _first_param(payload):
     return next(iter(payload["params"].values()))
 
 
-def _drop_last_value(payload):
-    param = _first_param(payload)
-    raw = base64.b64decode(param["data"])[:-8]
-    param["data"] = base64.b64encode(raw).decode("ascii")
+def _edit_data(edit, rehash=False):
+    """Edit the bytes of the checkpoint's data file; with `rehash`, record
+    their new SHA-256 in the header, so that only the edit is wrong.
+    Return the `checkpoint.json.f64:` the error names."""
+    def corrupt(out):
+        path = out / "checkpoint.json.f64"
+        raw = bytearray(path.read_bytes())
+        edit(raw)
+        path.write_bytes(raw)
+        if rehash:
+            _edit_checkpoint(lambda payload: payload.update(
+                data_sha256=hashlib.sha256(raw).hexdigest()))(out)
+        return "checkpoint.json.f64:"
+    return corrupt
+
+
+def _bad_digest(out):
+    """Record a SHA-256 in the header that no data file has."""
+    _edit_checkpoint(lambda payload: payload.update(data_sha256="not a digest"))(out)
+    return "checkpoint.json.f64: SHA-256 does not match"
+
+
+def _drop_last_value(raw):
+    del raw[-8:]
+
+
+def _flip_a_byte(raw):
+    raw[len(raw) // 2] ^= 0x01
+
+
+def _grow_first_dim(out):
+    """Claim one row more of the first parameter than the data file holds."""
+    _edit_checkpoint(lambda payload: _first_param(payload)["shape"].__setitem__(
+        0, _first_param(payload)["shape"][0] + 1))(out)
+    return "checkpoint.json.f64:"
 
 
 def _non_finite_values(out):
     """Set the first value of the first checkpoint parameter to NaN and its
-    last to -inf; return the parameter's name."""
-    path = out / "checkpoint.json"
-    payload = json.loads(path.read_text())
+    last to -inf, with the data file's SHA-256 updated to match; return the
+    data file and the parameter it names."""
+    payload = json.loads((out / "checkpoint.json").read_text())
     name, param = next(iter(payload["params"].items()))
-    raw = bytearray(base64.b64decode(param["data"]))
-    values = memoryview(raw).cast("d")
-    values[0], values[-1] = float("nan"), float("-inf")
-    param["data"] = base64.b64encode(raw).decode("ascii")
-    path.write_text(json.dumps(payload))
-    return name
+    size = math.prod(param["shape"])
+    def edit(raw):
+        values = memoryview(raw).cast("d")
+        values[0], values[size - 1] = float("nan"), float("-inf")
+    _edit_data(edit, rehash=True)(out)
+    return f"checkpoint.json.f64: parameter {name} "
 
 
-def _as_v1(payload):
-    """Rewrite a checkpoint in the older layout: JSON float lists."""
-    payload["format"] = "tensor-checkpoint-v1"
-    for param in payload["params"].values():
-        param["values"] = memoryview(base64.b64decode(param.pop("data"))).cast("d").tolist()
+def _remove_data_file(out):
+    (out / "checkpoint.json.f64").unlink()
+    return "checkpoint.json.f64:"
+
+
+def _as_older_format(version):
+    """Rewrite the checkpoint as one file in an older layout: v1 holds JSON
+    float lists, v2 base64 float64 bytes."""
+    def corrupt(out):
+        path = out / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        data_path = out / "checkpoint.json.f64"
+        raw = data_path.read_bytes()
+        data_path.unlink()
+        offset = 0
+        for _, param in sorted(payload["params"].items()):
+            chunk = raw[offset:offset + 8 * math.prod(param["shape"])]
+            offset += len(chunk)
+            if version == 1:
+                param["values"] = memoryview(chunk).cast("d").tolist()
+            else:
+                param["data"] = base64.b64encode(chunk).decode("ascii")
+        del payload["data_sha256"]
+        payload["format"] = f"tensor-checkpoint-v{version}"
+        path.write_text(json.dumps(payload))
+        return "checkpoint.json:"
+    return corrupt
 
 
 @pytest.mark.parametrize("stage, corrupt", [
@@ -595,9 +689,14 @@ def _as_v1(payload):
         lambda payload: payload["extra"]["model_config"].pop("d"))),
     ("eval", _edit_checkpoint(
         lambda payload: payload["extra"]["model_config"].pop("lambda3_skip"))),
-    ("eval", _edit_checkpoint(lambda payload: _first_param(payload).update(data="not base64!"))),
-    ("eval", _edit_checkpoint(_drop_last_value)),
-    ("eval", _edit_checkpoint(_as_v1)),
+    ("eval", _bad_digest),
+    ("eval", _grow_first_dim),
+    ("eval", _remove_data_file),
+    ("eval", _edit_data(_drop_last_value)),
+    ("eval", _edit_data(lambda raw: raw.append(0))),
+    ("eval", _edit_data(_flip_a_byte)),
+    ("eval", _as_older_format(1)),
+    ("eval", _as_older_format(2)),
     ("eval", _non_finite_values),
     ("report", _edit_bm25_macro(lambda macro: macro.pop("hr@5"))),
     ("report", _edit_bm25_macro(lambda macro: macro.update({"ndcg@10": "x"}))),
@@ -610,8 +709,11 @@ def _as_v1(payload):
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",
-        "checkpoint-data-not-base64", "checkpoint-data-short-of-shape",
-        "checkpoint-v1-format", "checkpoint-non-finite-value", "metrics-macro-missing-key",
+        "checkpoint-sha256-not-a-digest", "checkpoint-data-short-of-shape",
+        "checkpoint-data-file-missing", "checkpoint-data-one-value-short",
+        "checkpoint-data-one-byte-extra", "checkpoint-data-byte-flipped",
+        "checkpoint-v1-format", "checkpoint-v2-format", "checkpoint-non-finite-value",
+        "metrics-macro-missing-key",
         "metrics-macro-string-value", "metrics-macro-value-above-one"])
 def test_corrupt_artifact_exits_4(reported_dir, tmp_path, capsys, stage, corrupt):
     out = tmp_path / "run"
@@ -689,6 +791,29 @@ def test_truncated_or_keyless_artifact_exits_4(reported_dir, capsys, name, data)
     assert err.startswith("error: ")
     if truncate and name.endswith(".jsonl"):
         assert f"{name}:{i + 1}:" in err
+
+
+def test_checkpoint_header_without_any_key_exits_4(reported_dir, tmp_path, capsys):
+    """The sweep above draws its keys at random; this deletes every key of
+    the checkpoint header in turn (of the parameters, the first one's and
+    its shape): `eval` must refuse each with exit 4, naming the header or
+    its data file."""
+    header = json.loads((reported_dir / "checkpoint.json").read_text())
+    first = next(iter(header["params"]))
+    paths = [path for path in _key_paths(header)
+             if path[0] != "params" or len(path) == 1 or path[1] == first]
+    assert ("data_sha256",) in paths and ("params", first, "shape") in paths
+    for n, (*parents, key) in enumerate(paths):
+        def drop(payload):
+            target = payload
+            for step in parents:
+                target = target[step]
+            del target[key]
+        out = tmp_path / str(n)
+        shutil.copytree(reported_dir, out)
+        _edit_checkpoint(drop)(out)
+        assert run("eval", out, out / "config.json") == 4, (*parents, key)
+        assert f"{out / 'checkpoint.json'}" in capsys.readouterr().err, (*parents, key)
 
 
 #: ModelConfig field -> the kind of JSON number its checkpoint value must be.

@@ -1,11 +1,16 @@
 """Autodiff engine: op semantics, gradients, Adam, checkpoints."""
 
 import base64
+import hashlib
 import json
+import tempfile
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from consultrank import tensor as T
 
@@ -401,8 +406,16 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         "transposed": T.Tensor(np.random.default_rng(1).normal(size=(3, 5)).T),
     }
     path = tmp_path / "model.json"
-    T.save_checkpoint(named, path)
-    first = path.read_bytes()
+    data_path = Path(T.checkpoint_data_path(path))
+    assert T.save_checkpoint(named, path) == [str(path), str(data_path)]
+    first = path.read_bytes(), data_path.read_bytes()
+    assert first[1] == b"".join(np.ascontiguousarray(named[name].data, dtype="<f8").tobytes()
+                                for name in sorted(named))
+    header = json.loads(first[0])
+    assert header == {"format": T.CHECKPOINT_MAGIC,
+                      "params": {name: {"shape": list(t.data.shape)}
+                                 for name, t in named.items()},
+                      "data_sha256": hashlib.sha256(first[1]).hexdigest()}
     arrays, extra = T.load_checkpoint(path)
     assert extra == {}
     for name, t in named.items():
@@ -412,34 +425,95 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert arr.dtype == np.float64
         assert arr.flags.writeable and arr.flags.c_contiguous
     T.save_checkpoint(named, path)
-    assert path.read_bytes() == first
+    assert (path.read_bytes(), data_path.read_bytes()) == first
 
 
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+#: Finite float64 values at the edges of the format: signed zeros, the
+#: smallest subnormals, the largest finite magnitudes and their neighbours.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                np.nextafter(np.finfo(np.float64).max, 0.0), -1.7e308]
+
+_PARAMETER_SETS = st.dictionaries(
+    st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=3).flatmap(lambda shape: arrays(
+        np.float64, tuple(shape),
+        elements=st.one_of(st.sampled_from(_EDGE_VALUES),
+                           st.floats(allow_nan=False, allow_infinity=False)))),
+    max_size=5)
 
 
-@pytest.mark.parametrize("spec, match", [
-    ({"shape": [2], "data": "not base64!"}, "malformed"),
-    ({"shape": [2], "data": _b64([1.0])}, "do not fit shape"),
-    ({"shape": [2]}, "data"),
-    ({"data": _b64([1.0, 2.0])}, "shape"),
-    ({"shape": [-1, -2], "data": _b64([1.0, 2.0])}, "non-negative"),
-    ({"shape": [True, 2], "data": _b64([1.0, 2.0])}, "non-negative"),
-    ([2], "malformed"),
-], ids=["not-base64", "short-data", "no-data", "no-shape", "negative-dims",
-        "bool-dim", "entry-not-an-object"])
-def test_checkpoint_rejects_malformed_parameter(tmp_path, spec, match):
+@settings(max_examples=60, deadline=None)
+@given(params=_PARAMETER_SETS)
+def test_checkpoint_round_trip_property(params):
+    """Any set of finite parameters, zero-size shapes included, loads back
+    bit for bit as writable arrays, and the same parameters give the same
+    bytes in both files wherever they are written."""
+    named = {name: T.Tensor(values) for name, values in params.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for sub in ("a", "b"):
+            path = Path(tmp) / sub / "checkpoint.json"
+            path.parent.mkdir()
+            written = T.save_checkpoint(named, path, extra={"k": 1})
+            files.append([Path(p).read_bytes() for p in written])
+        arrays, extra = T.load_checkpoint(path)
+    assert files[0] == files[1]
+    assert extra == {"k": 1}
+    assert sorted(arrays) == sorted(params)
+    for name, values in params.items():
+        assert arrays[name].shape == values.shape
+        assert arrays[name].tobytes() == values.tobytes(), name
+        assert arrays[name].flags.writeable and arrays[name].flags.c_contiguous
+
+
+def _write_checkpoint(path, params, values, **header):
+    """A v3 header over `params` and a data file of `values`, its SHA-256
+    recorded, so that only the fault a test plants is wrong."""
+    data = np.asarray(values, dtype="<f8").tobytes()
+    Path(T.checkpoint_data_path(path)).write_bytes(data)
+    path.write_text(json.dumps({"format": T.CHECKPOINT_MAGIC, "params": params,
+                                "data_sha256": hashlib.sha256(data).hexdigest(), **header}))
+
+
+@pytest.mark.parametrize("spec, values, match", [
+    ({"shape": [2]}, [1.0], "do not fit"),
+    ({"shape": [2]}, [1.0, 2.0, 3.0], "do not fit"),
+    ({}, [1.0, 2.0], "shape"),
+    ({"shape": [-1, -2]}, [1.0, 2.0], "non-negative"),
+    ({"shape": [True, 2]}, [1.0, 2.0], "non-negative"),
+    ({"shape": [2.0]}, [1.0, 2.0], "non-negative"),
+    ([2], [1.0, 2.0], "malformed"),
+    ({"shape": [2]}, [1.0, float("nan")], "parameter w holds non-finite"),
+], ids=["short-data", "long-data", "no-shape", "negative-dims", "bool-dim", "float-dim",
+        "entry-not-an-object", "nan-value"])
+def test_checkpoint_rejects_malformed_parameter(tmp_path, spec, values, match):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": T.CHECKPOINT_MAGIC, "params": {"w": spec}}))
+    _write_checkpoint(path, {"w": spec}, values)
     with pytest.raises(ValueError, match=match):
         T.load_checkpoint(path)
 
 
-def test_checkpoint_refuses_older_format(tmp_path):
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"format": "tensor-checkpoint-v1",
-                                "params": {"w": {"shape": [1], "values": [1.0]}}}))
+def test_checkpoint_rejects_a_data_file_it_does_not_vouch_for(tmp_path):
+    path = tmp_path / "model.json"
+    _write_checkpoint(path, {"w": {"shape": [2]}}, [1.0, 2.0])
+    data_path = Path(T.checkpoint_data_path(path))
+    data_path.write_bytes(np.array([1.0, 3.0]).tobytes())
+    with pytest.raises(ValueError, match="SHA-256 does not match"):
+        T.load_checkpoint(path)
+    data_path.unlink()
+    with pytest.raises(ValueError, match="data file not readable"):
+        T.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {"format": "tensor-checkpoint-v1", "params": {"w": {"shape": [1], "values": [1.0]}}},
+    {"format": "tensor-checkpoint-v2",
+     "params": {"w": {"shape": [1], "data": base64.b64encode(b"\0" * 8).decode("ascii")}}},
+], ids=["v1", "v2"])
+def test_checkpoint_refuses_older_format(tmp_path, payload):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="retrain"):
         T.load_checkpoint(path)
 
