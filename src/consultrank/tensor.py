@@ -464,7 +464,8 @@ def _read_data(data_path: str, n_values: int) -> np.ndarray:
     try:
         fh = open(data_path, "rb")
     except OSError as exc:
-        raise ValueError(f"{data_path}: checkpoint data file not readable ({exc.strerror})") from exc
+        raise ValueError(f"{data_path}: checkpoint data file not readable "
+                         f"({exc.strerror})") from exc
     with fh:
         size = os.fstat(fh.fileno()).st_size
         if size != 8 * n_values:

@@ -616,8 +616,9 @@ def _flip_a_byte(raw):
 
 def _grow_first_dim(out):
     """Claim one row more of the first parameter than the data file holds."""
-    _edit_checkpoint(lambda payload: _first_param(payload)["shape"].__setitem__(
-        0, _first_param(payload)["shape"][0] + 1))(out)
+    def edit(payload):
+        _first_param(payload)["shape"][0] += 1
+    _edit_checkpoint(edit)(out)
     return "checkpoint.json.f64:"
 
 
