@@ -225,10 +225,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+Outputs = Dict[str, Optional[str]]  # path -> SHA-256 of what the stage wrote there, or None
+
+
 def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
-                   input_hashes: Dict[str, str], outputs: Sequence[str],
+                   input_hashes: Dict[str, str], outputs: Outputs,
                    started: float, name: str) -> str:
-    """Write the manifest of a run of `stage` to ``manifests/<name>.json``."""
+    """Write the manifest of a run of `stage` to ``manifests/<name>.json``;
+    an output whose digest the stage did not give is hashed here."""
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
     payload = {
         "stage": stage,
@@ -239,7 +243,8 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
         "inputs": {
             os.path.relpath(p, out_dir): h for p, h in sorted(input_hashes.items())
         },
-        "outputs": {os.path.relpath(p, out_dir): _sha256(p) for p in sorted(outputs)},
+        "outputs": {os.path.relpath(p, out_dir): digest or _sha256(p)
+                    for p, digest in sorted(outputs.items())},
         "started_unix": round(started, 3),
         "elapsed_seconds": round(time.time() - started, 3),
     }
@@ -282,17 +287,16 @@ def _build(cls, cfg: Dict[str, object]):
         raise ConfigError(f"bad {cls.__name__} setting: {exc}") from exc
 
 
-def cmd_datagen(cfg, out_dir, args) -> List[str]:
+def cmd_datagen(cfg, out_dir, args) -> Outputs:
     spec = _build(GenSpec, cfg)
     corpus_dir = _resolve(cfg, out_dir, "corpus")
     write_dataset(spec, corpus_dir)
-    outputs = [os.path.join(corpus_dir, name)
-               for name in ("items.jsonl", "events.jsonl", "oracle.jsonl")]
     print(f"wrote synthetic dataset under {corpus_dir}")
-    return outputs
+    return dict.fromkeys(os.path.join(corpus_dir, name)
+                         for name in ("items.jsonl", "events.jsonl", "oracle.jsonl"))
 
 
-def cmd_ingest(cfg, out_dir, args) -> List[str]:
+def cmd_ingest(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_raw_corpus_paths(cfg, out_dir, args))
     os.makedirs(_resolve(cfg, out_dir, "corpus"), exist_ok=True)
     items_out, events_out = _corpus_paths(cfg, out_dir)
@@ -302,29 +306,29 @@ def cmd_ingest(cfg, out_dir, args) -> List[str]:
     )
     print(f"ingested {len(corpus.users)} users, {len(corpus.items)} items, "
           f"{n_events} events")
-    return [items_out, events_out]
+    return dict.fromkeys([items_out, events_out])
 
 
-def cmd_index(cfg, out_dir, args) -> List[str]:
+def cmd_index(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     index = build_index(corpus)
     path = _resolve(cfg, out_dir, "index")
     dump_index(index, path)
     print(f"indexed {len(index.postings)} terms over {len(corpus.items)} items")
-    return [path]
+    return {path: None}
 
 
-def cmd_link(cfg, out_dir, args) -> List[str]:
+def cmd_link(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     table = build_linkage(corpus, _build(LinkageParams, cfg))
     path = _resolve(cfg, out_dir, "linkage")
     dump_linkage(table, path)
     n_links = sum(len(v) for user in table.links.values() for v in user.values())
     print(f"linked {n_links} consultation-action pairs")
-    return [path]
+    return {path: None}
 
 
-def cmd_assess(cfg, out_dir, args) -> List[str]:
+def cmd_assess(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     index = _read("index", load_index, _resolve(cfg, out_dir, "index"))
     linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
@@ -335,10 +339,10 @@ def cmd_assess(cfg, out_dir, args) -> List[str]:
     path = _resolve(cfg, out_dir, "values")
     dump_values(assessments, path)
     print(score_histogram(assessments))
-    return [path]
+    return {path: None}
 
 
-def cmd_train(cfg, out_dir, args) -> List[str]:
+def cmd_train(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     params = _build(ValueParams, cfg)
     linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
@@ -365,7 +369,7 @@ def cmd_train(cfg, out_dir, args) -> List[str]:
     written = save_model(result.model, checkpoint_path)
     print(f"best epoch {result.best_epoch}: "
           f"valid ndcg@10 {result.best_valid_ndcg10:.4f}")
-    return [*written, log_path]
+    return {**written, log_path: None}
 
 
 def _ranker_name(stem: str, ranker: str) -> str:
@@ -379,7 +383,7 @@ def _metrics_path(cfg, out_dir, ranker: str) -> str:
     return os.path.join(reports_dir, _ranker_name("metrics", ranker) + ".json")
 
 
-def cmd_eval(cfg, out_dir, args) -> List[str]:
+def cmd_eval(cfg, out_dir, args) -> Outputs:
     if cfg["n_neg_eval"] < 1:
         raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
@@ -406,10 +410,10 @@ def cmd_eval(cfg, out_dir, args) -> List[str]:
     path = _metrics_path(cfg, out_dir, ranker)
     dump_metrics(report, path)
     print(format_metric_table({ranker: report}))
-    return [path]
+    return {path: None}
 
 
-def cmd_report(cfg, out_dir, args) -> List[str]:
+def cmd_report(cfg, out_dir, args) -> Outputs:
     reports: Dict[str, MetricReport] = {}
     for ranker in RANKERS:
         reports[ranker] = _read("metrics", load_metrics, _metrics_path(cfg, out_dir, ranker))
@@ -420,7 +424,7 @@ def cmd_report(cfg, out_dir, args) -> List[str]:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    return [path]
+    return {path: None}
 
 
 Inputs = List[Tuple[str, str]]  # (path, the stage that writes it)
@@ -466,7 +470,7 @@ class Stage:
     reads: each must exist before `run` starts and is hashed into the
     manifest."""
 
-    run: Callable[..., List[str]]
+    run: Callable[..., Outputs]
     help: str
     flags: Tuple[str, ...] = ()
     options: Tuple[Tuple[str, dict], ...] = ()

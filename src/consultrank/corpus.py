@@ -393,6 +393,13 @@ def _str_list(obj: dict, key: str) -> tuple[str, ...]:
     return tuple(val)
 
 
+def consultations_before(history: UserHistory, t: int) -> tuple[Consultation, ...]:
+    """The consultations strictly before ``t``, in their stored order; they
+    are time-sorted, so the cut is found by bisection."""
+    return history.consultations[:bisect_left(history.consultations, t,
+                                              key=attrgetter("timestamp"))]
+
+
 def slice_before(history: UserHistory, t: int) -> tuple[list[Consultation], list[Interaction]]:
     """Split a history around a search timestamp.
 
@@ -401,10 +408,8 @@ def slice_before(history: UserHistory, t: int) -> tuple[list[Consultation], list
     keeps a consultation from being valued by a search it coincides with.
     Both lists are time-sorted, so each cut is found by bisection.
     """
-    by_time = attrgetter("timestamp")
-    cut_c = bisect_left(history.consultations, t, key=by_time)
-    cut_a = bisect_left(history.interactions, t, key=by_time)
-    return list(history.consultations[:cut_c]), list(history.interactions[cut_a:])
+    cut_a = bisect_left(history.interactions, t, key=attrgetter("timestamp"))
+    return list(consultations_before(history, t)), list(history.interactions[cut_a:])
 
 
 def item_event(item: Item) -> dict:

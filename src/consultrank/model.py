@@ -400,17 +400,25 @@ def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def cai_inputs(model: Model, table: CorpusFeatures, consultations: np.ndarray,
-               actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray
+               actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray,
+               encoded: Optional[T.Tensor] = None
                ) -> Tuple[T.Tensor, np.ndarray, np.ndarray, np.ndarray]:
     """The cross-attention inputs of a batch, from [B, n] table indices of
     its consultations and actions (-1 for padding) and its anchors [B, 1]:
     `encode_texts` of every text the consultations, the search actions and
     the extra `texts` read (encoded rows, then the map to them), and the
     rows `cai_queries` and `cai_keys` read: [B, n_c, 2] per consultation,
-    [B, n_a, 4] per action, time buckets counted back from the anchors."""
-    encoded, where = encode_texts(model, table, np.concatenate([
-        np.ravel(consultations), table.actions[actions[actions >= 0], 2],
-        *map(np.ravel, texts)]))
+    [B, n_a, 4] per action, time buckets counted back from the anchors.
+
+    Given `encoded`, every text of the table already encoded ([n_texts,
+    d], row i for text i), the batch reads its rows from it through the
+    identity map and encodes nothing."""
+    if encoded is None:
+        encoded, where = encode_texts(model, table, np.concatenate([
+            np.ravel(consultations), table.actions[actions[actions >= 0], 2],
+            *map(np.ravel, texts)]))
+    else:
+        where = np.append(np.arange(len(table.text_offsets) - 1), -1)
 
     def timed(fields: np.ndarray, ts: np.ndarray, index: np.ndarray) -> np.ndarray:
         real = index >= 0
@@ -515,12 +523,13 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     return T.add(c_texts, T.scale(attended, lam))
 
 
-def session_forward(model: Model, table: CorpusFeatures,
-                    batch: Sequence[SessionInputs]) -> T.Tensor:
+def session_forward(model: Model, table: CorpusFeatures, batch: Sequence[SessionInputs],
+                    encoded: Optional[T.Tensor] = None) -> T.Tensor:
     """Full forward pass from a batch of sessions' inputs, indices into
     `table`, to e_final, [B, d].
 
-    Every distinct text of the batch is encoded once (`cai_inputs`).  The
+    Every distinct text of the batch is encoded once (`cai_inputs`), or
+    read from `encoded`, every table text encoded ahead of the call.  The
     CAI output feeds one self-attention encoder layer over each session's
     joint sequence [user; consultations; query history; item history;
     current query], each
@@ -537,7 +546,7 @@ def session_forward(model: Model, table: CorpusFeatures,
                                    [s.query for s in batch]])
     texts, where, c_rows, a_rows = cai_inputs(
         model, table, consultations, pad([s.actions for s in batch]),
-        np.array([[s.anchor_ts] for s in batch]), query_texts)
+        np.array([[s.anchor_ts] for s in batch]), query_texts, encoded=encoded)
     h = cai_forward(model, c_rows, a_rows, texts)
     queries = where[query_texts]
     blocks = (  # each segment's rows in its source, -1 for padding
@@ -585,9 +594,9 @@ def score_candidates(model: Model, e_final: T.Tensor,
 CORPUS_KEY = "corpus_fields_sha256"
 
 
-def save_model(model: Model, path) -> List[str]:
+def save_model(model: Model, path) -> Dict[str, str]:
     """Persist parameters plus the config needed to rebuild the skeleton;
-    returns the paths of the files written.
+    returns the SHA-256 of each file written, by path.
 
     Vocabulary and id orderings are derived from the corpus, so the
     checkpoint stays small; it stores the corpus's digest, and loading

@@ -416,9 +416,11 @@ def checkpoint_data_path(path) -> str:
     return os.fspath(path) + ".f64"
 
 
-def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None) -> List[str]:
+def save_checkpoint(named: Dict[str, Tensor], path,
+                    extra: Optional[dict] = None) -> Dict[str, str]:
     """Write named parameters as a raw data file plus a JSON header at
-    `path`; `extra` rides along in the header as-is.  Returns both paths.
+    `path`; `extra` rides along in the header as-is.  Returns the SHA-256
+    of the bytes written to each file, by path: header, then data file.
 
     The data file holds every parameter's little-endian float64 values in C
     order, one parameter after another in sorted-name order, so every value
@@ -442,9 +444,10 @@ def save_checkpoint(named: Dict[str, Tensor], path, extra: Optional[dict] = None
     }
     if extra:
         header["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True))
-    return [os.fspath(path), data_path]
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    return {os.fspath(path): hashlib.sha256(text).hexdigest(), data_path: header["data_sha256"]}
 
 
 def _shape(spec: dict) -> Tuple[int, ...]:

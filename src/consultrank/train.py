@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import Consultation, Corpus, SearchSession, slice_before
+from .corpus import Consultation, Corpus, SearchSession, consultations_before
 from .evaluate import N_NEG, ScoreFn, Sessions, evaluate_sessions
 from .linkage import LinkageTable
 from .value import SessionAssessment, ValueParams
@@ -98,7 +98,7 @@ def kept_consultations(assessments: Sequence[SessionAssessment]) -> KeptMap:
 def recent_consultations(corpus: Corpus, l_seq: int) -> KeptMap:
     """Each search's l_seq most recent consultations strictly before it,
     oldest first: what a session reads without the value filter."""
-    return {(user, s.timestamp): tuple(slice_before(history, s.timestamp)[0][-l_seq:])
+    return {(user, s.timestamp): consultations_before(history, s.timestamp)[-l_seq:]
             for user, history in corpus.users.items() for s in history.searches}
 
 
@@ -152,13 +152,13 @@ def loss_search(model: M.Model, e_final: T.Tensor, positives: Sequence[str],
     return T.nll_index(T.scale(scores, 1.0 / cfg.tau2), 0)
 
 
-LinkedPairs = Dict[str, List[Tuple[int, int]]]  # user -> (consultation, action) indices
+LinkedPairs = Dict[str, np.ndarray]  # user -> [n_pairs, 2] (consultation, action) indices
 
 
 def linked_pairs(table: M.CorpusFeatures, corpus: Corpus,
                  linkage: LinkageTable) -> LinkedPairs:
-    """Each user's linked consultation-action pairs as corpus-table indices;
-    users without links are left out."""
+    """Each user's linked consultation-action pairs as corpus-table indices,
+    one row per pair; users without links are left out."""
     pairs: LinkedPairs = {}
     for user, links in linkage.links.items():
         if not any(links.values()):
@@ -166,8 +166,9 @@ def linked_pairs(table: M.CorpusFeatures, corpus: Corpus,
         # equal actions of a user have equal features, so one index stands for all
         own = {a: i for i, a in enumerate(corpus.users[user].interactions,
                                           table.span(user, 1)[0])}
-        pairs[user] = [(table.consultation_ids[user, cid], own[a])
-                       for cid in sorted(links) for a, _ in links[cid]]
+        pairs[user] = np.array([(table.consultation_ids[user, cid], own[a])
+                                for cid in sorted(links) for a, _ in links[cid]],
+                               dtype=np.int64).reshape(-1, 2)
     return pairs
 
 
@@ -265,16 +266,19 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
     for ex in batch:
         user = ex.user_id
         anchor = ex.session.timestamp
-        prior = [(c, a) for c, a in pairs.get(user, ()) if c_ts[c] < anchor and a_ts[a] < anchor]
-        if not prior:
+        if user not in pairs:
             continue
-        kept = {table.consultation_ids[user, c.id]
-                for c in kept_map.get((user, anchor), ())}
-        preferred = [(c, a) for c, a in prior if c in kept]
-        if not preferred:
-            newest = max(c_ts[c] for c, _ in prior)
-            preferred = [(c, a) for c, a in prior if c_ts[c] == newest]
-        consultation, positive = preferred[int(rng.integers(0, len(preferred)))]
+        cs, acts = pairs[user].T
+        before = (c_ts[cs] < anchor) & (a_ts[acts] < anchor)
+        if not before.any():
+            continue
+        cs, acts = cs[before], acts[before]
+        kept = [table.consultation_ids[user, c.id] for c in kept_map.get((user, anchor), ())]
+        preferred = np.flatnonzero(np.isin(cs, kept))
+        if not len(preferred):
+            preferred = np.flatnonzero(c_ts[cs] == c_ts[cs].max())
+        k = preferred[int(rng.integers(0, len(preferred)))]
+        consultation, positive = int(cs[k]), int(acts[k])
 
         def draw(candidates: np.ndarray, need: int) -> np.ndarray:
             usable = candidates[(candidates != positive) & (a_ts[candidates] < anchor)]
@@ -320,17 +324,25 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
     built on: their inputs are sliced from the model's feature table, and
     the batch runs through one forward pass and one scoring product, with
     no graph.  Sessions read the consultations of `kept_map`, or without
-    value_filter the l_seq most recent ones."""
+    value_filter the l_seq most recent ones.
+
+    Every text of the feature table is encoded once, here, so the scorer
+    reads the parameters as they are when it is made: make it after they
+    are final."""
     if not value_filter:
         kept_map = recent_consultations(corpus, l_seq)
     elif kept_map is None:
         raise ValueError("value_filter needs precomputed assessments")
+    table = model.features
+    with T.no_grad():
+        encoded = M.encode_text(model, table.token_ids, table.text_offsets)
+
     def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
-        batch = [build_example(model, corpus, model.features, user_id, session, kept_map, l_seq)
+        batch = [build_example(model, corpus, table, user_id, session, kept_map, l_seq)
                  for user_id, session in sessions]
         with T.no_grad():
             return M.score_candidates(
-                model, M.session_forward(model, model.features, batch), candidates).data
+                model, M.session_forward(model, table, batch, encoded), candidates).data
     return score
 
 

@@ -27,6 +27,7 @@ from .corpus import (
     Interaction,
     SearchSession,
     UserHistory,
+    consultations_before,
     read_jsonl,
     slice_before,
     write_jsonl,
@@ -402,7 +403,7 @@ def _hour_set(path, history: UserHistory, hour: int,
     """The kept prefix and the reports of one (user, search hour) from its
     rows, each (rank, line number, consultation id, scores); refused unless
     they name every consultation before the hour once, ranked 1..n."""
-    before = slice_before(history, hour)[0]
+    before = consultations_before(history, hour)
     where = f"{history.user_id!r} search at t={hour}"
     if before and not rows:
         raise CorpusError(f"{path}: no value rows for {where}")

@@ -77,6 +77,8 @@ def test_full_pipeline_artifacts(pipeline_dir):
     train_outputs = json.loads((out / "manifests" / "train.json").read_text())["outputs"]
     assert sorted(train_outputs) == ["checkpoint.json", "checkpoint.json.f64",
                                      os.path.join("reports", "train_log.csv")]
+    for name, digest in train_outputs.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
 def test_train_prints_a_line_per_epoch(pipeline_dir, tmp_path, capsys):
@@ -426,9 +428,11 @@ STAGE_READS = {
 @pytest.mark.parametrize("argv", list(STAGE_READS), ids=" ".join)
 def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
     """A count, not a timing: the stage parses each of its input files once
-    and takes the corpus digest once.  `eval` opens the checkpoint's data
-    file once, to load it; the manifest hashes the checkpoint header, whose
-    recorded SHA-256 pins the data file, and not the data file itself."""
+    and takes the corpus digest once, and no manifest re-reads the
+    checkpoint's data file to hash it: `train` takes both checkpoint
+    digests from the write.  `eval` opens the data file once, to load it;
+    its manifest hashes the checkpoint header, whose recorded SHA-256 pins
+    the data file."""
     src, _ = pipeline_dir
     out = tmp_path / "run"
     shutil.copytree(src, out)
@@ -445,10 +449,10 @@ def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
     assert run(argv[0], out, out / "config.json", *argv[1:]) == 0
     assert sorted(reads) == STAGE_READS[argv]
     assert len(digests) == 1
+    assert "checkpoint.json.f64" not in hashed
     if argv[0] == "eval":
         assert opened.count("checkpoint.json.f64") == 1
         assert hashed.count("checkpoint.json") == 1
-        assert "checkpoint.json.f64" not in hashed
 
 
 def test_dumps_build_one_encoder_per_file(pipeline_dir, tmp_path, monkeypatch):

@@ -407,8 +407,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     }
     path = tmp_path / "model.json"
     data_path = Path(T.checkpoint_data_path(path))
-    assert T.save_checkpoint(named, path) == [str(path), str(data_path)]
+    written = T.save_checkpoint(named, path)
     first = path.read_bytes(), data_path.read_bytes()
+    assert written == {str(path): hashlib.sha256(first[0]).hexdigest(),
+                       str(data_path): hashlib.sha256(first[1]).hexdigest()}
     assert first[1] == b"".join(np.ascontiguousarray(named[name].data, dtype="<f8").tobytes()
                                 for name in sorted(named))
     header = json.loads(first[0])

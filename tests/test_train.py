@@ -696,10 +696,10 @@ def test_step_graph_does_not_grow_with_batch():
 
 
 def test_each_batch_text_is_encoded_once(gen_small, monkeypatch):
-    """One training step and one scoring call over two sessions of one user
-    encode each distinct table text their inputs read once, the history
-    the sessions share too; the alignment loss encodes its samples' texts
-    once each in a call of its own."""
+    """One training step over two sessions of one user encodes each
+    distinct table text their inputs read once, the history the sessions
+    share too; the alignment loss encodes its samples' texts once each in
+    a call of its own."""
     corpus, linkage, assessments = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
     table, kept_map = model.features, TR.kept_consultations(assessments)
@@ -715,28 +715,88 @@ def test_each_batch_text_is_encoded_once(gen_small, monkeypatch):
         return {*inputs.consultations, *inputs.query_history, inputs.query,
                 *searched[searched >= 0]}
 
-    def rows_of(texts):
-        """The token ids and offsets of these table texts, in index order."""
-        tokens = [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]]
-                  for i in sorted(texts)]
-        return np.concatenate(tokens).tolist(), np.cumsum([0] + [len(t) for t in tokens]).tolist()
-
     encoded, drawn = [], []
-    encode_text, sample_va_batch = M.encode_text, TR.sample_va_batch
-    monkeypatch.setattr(M, "encode_text", lambda model, ids, offsets: encoded.append(
-        (ids.tolist(), offsets.tolist())) or encode_text(model, ids, offsets))
+    sample_va_batch = TR.sample_va_batch
+    monkeypatch.setattr(M, "encode_text", _logged(encoded, M.encode_text))
     monkeypatch.setattr(TR, "sample_va_batch", lambda *a: drawn.extend(sample_va_batch(*a))
                         or drawn)
     TR.step_loss(model, batch, table, pairs, kept_map, TR.TrainConfig(va_batch=8),
                  *map(np.random.default_rng, (1, 2)))
-    TR.model_score_fn(model, corpus, kept_map)([(ex.user_id, ex.session) for ex in batch], None)
 
     sessions = read(batch[0].inputs) | read(batch[1].inputs)
     assert len(sessions) < len(read(batch[0].inputs)) + len(read(batch[1].inputs))
     keys = table.actions[np.concatenate([np.append(s.positive, s.negatives) for s in drawn]), 2]
     samples = {s.consultation for s in drawn} | set(keys[keys >= 0])
     assert drawn
-    assert encoded == [rows_of(sessions), rows_of(samples), rows_of(sessions)]
+    assert encoded == [_rows_of(table, sessions), _rows_of(table, samples)]
+
+
+def _logged(log, encode_text):
+    """`encode_text`, appending the token ids and offsets of each call to `log`."""
+    return lambda model, ids, offsets: log.append(
+        (ids.tolist(), offsets.tolist())) or encode_text(model, ids, offsets)
+
+
+def _rows_of(table, texts):
+    """The token ids and offsets of these table texts, in index order."""
+    tokens = [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]]
+              for i in sorted(texts)]
+    return np.concatenate(tokens).tolist(), np.cumsum([0] + [len(t) for t in tokens]).tolist()
+
+
+def test_scorer_encodes_every_table_text_once(gen_small, monkeypatch):
+    """A scorer encodes every text of the feature table in one call when it
+    is made; scoring batches under both protocols encodes nothing more."""
+    corpus, _, assessments = gen_small
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    table = model.features
+    encoded = []
+    monkeypatch.setattr(M, "encode_text", _logged(encoded, M.encode_text))
+    score = TR.model_score_fn(model, corpus, TR.kept_consultations(assessments))
+    assert encoded == [_rows_of(table, range(len(table.text_offsets) - 1))]
+    test = TR.split_sessions(corpus).test
+    for lo in range(0, len(test), 2):
+        chunk = test[lo:lo + 2]
+        score(chunk, None)
+        score(chunk, [model.item_ids[:3]] * len(chunk))
+    assert len(encoded) == 1
+
+
+@pytest.mark.parametrize("value_filter", [True, False])
+def test_scorer_matches_per_batch_encoding(value_filter):
+    """On a SMALL_CONFIG-sized corpus and a briefly trained model, the
+    scorer's [B, n] scores, read from the table it encoded ahead, equal bit
+    for bit a forward pass that encodes each batch's own texts, under both
+    protocols."""
+    corpus, _ = generate(GenSpec(n_users=8, n_items=16, seed=5))
+    linkage = build_linkage(corpus)
+    params = ValueParams(l_seq=1)
+    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
+    model = M.init_model(corpus, M.ModelConfig(d=16, seed=5))
+    cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.3, va_batch=8, batch_size=16, max_epochs=2,
+                         patience=2, lr=0.003, seed=5)
+    model = TR.train(corpus, linkage, assessments, model, cfg, l_seq=1,
+                     value_filter=value_filter).model
+    kept = (TR.kept_consultations(assessments) if value_filter
+            else TR.recent_consultations(corpus, 1))
+    score = TR.model_score_fn(model, corpus, kept if value_filter else None, l_seq=1,
+                              value_filter=value_filter)
+    split = TR.split_sessions(corpus)
+    sessions = split.train + split.valid + split.test
+    rng = np.random.default_rng(5)
+    for lo in range(0, len(sessions), 7):
+        chunk = sessions[lo:lo + 7]
+        batch = [TR.build_example(model, corpus, model.features, u, s, kept, 1)
+                 for u, s in chunk]
+        ranking = [E.make_candidates(s.ground_truth_item, corpus, n_neg=9, seed=int(seed))
+                   for (_, s), seed in zip(chunk, rng.integers(0, 2**31, len(chunk)))]
+        for candidates in (ranking, None):
+            with T.no_grad():
+                want = M.score_candidates(
+                    model, M.session_forward(model, model.features, batch), candidates).data
+            got = score(chunk, candidates)
+            assert got.shape == (len(chunk), 10 if candidates else len(corpus.items))
+            assert np.array_equal(got, want)
 
 
 def test_batched_scoring_matches_batches_of_one():
