@@ -167,8 +167,7 @@ def linked_pairs(table: M.CorpusFeatures, corpus: Corpus,
         own = {a: i for i, a in enumerate(corpus.users[user].interactions,
                                           table.span(user, 1)[0])}
         pairs[user] = np.array([(table.consultation_ids[user, cid], own[a])
-                                for cid in sorted(links) for a, _ in links[cid]],
-                               dtype=np.int64).reshape(-1, 2)
+                                for cid in sorted(links) for a, _ in links[cid]], dtype=np.int64)
     return pairs
 
 
