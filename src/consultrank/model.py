@@ -379,7 +379,10 @@ def encode_texts(model: Model, table: CorpusFeatures,
     encoded once by one `encode_text` call, in index order; and the map
     from table text index to encoded row, -1 for a text not encoded.  The
     map has one entry more than the table has texts, so -1 maps to -1."""
-    distinct = np.unique(texts[texts >= 0])
+    # A mask over the table, not np.unique, which would import numpy.ma.
+    read = np.zeros(len(table.text_offsets) - 1, dtype=bool)
+    read[texts[texts >= 0]] = True
+    distinct = np.flatnonzero(read)
     where = np.full(len(table.text_offsets), -1, dtype=np.int64)
     where[distinct] = np.arange(len(distinct))
     starts = table.text_offsets[distinct]

@@ -382,7 +382,9 @@ class AdamState:
 
 
 def adam_step(state: AdamState) -> None:
-    """One bias-corrected Adam update over the state's parameter list.
+    """One bias-corrected Adam update over the state's parameter list,
+    which spends the gradients: each is overwritten and then released, so
+    every parameter's grad is None afterwards.
 
     Parameters whose grad is None (no gradient flowed this step) are left
     untouched, moments included.
@@ -391,20 +393,23 @@ def adam_step(state: AdamState) -> None:
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, m, v in zip(state.params, state.m, state.v):
-        if p.grad is None:
-            continue
         g = p.grad
+        if g is None:
+            continue
+        p.grad = None
         # In place, in the order of m = b1 m + (1 - b1) g,
-        # v = b2 v + (1 - b2) g^2 and p = p - lr m_hat / (sqrt(v_hat) + eps).
+        # v = b2 v + (1 - b2) g^2 and p = p - lr m_hat / (sqrt(v_hat) + eps),
+        # with one scratch array; the denominator overwrites the gradient.
+        scratch = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
         v *= b2
-        g2 = g * g
-        g2 *= 1.0 - b2
-        v += g2
-        step = m / (1.0 - b1**t)
+        v += scratch
+        step = np.divide(m, 1.0 - b1**t, out=scratch)
         step *= state.lr
-        denom = np.divide(v, 1.0 - b2**t, out=g2)
+        denom = np.divide(v, 1.0 - b2**t, out=g)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         step /= denom

@@ -261,6 +261,10 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
     """
     samples: List[VaSample] = []
     spans = {user: table.span(user, 1) for user in dict.fromkeys(ex.user_id for ex in batch)}
+    # Every batch user's actions in `spans` order: a user's batch tier is
+    # this pool without the user's own slice.
+    pool = np.concatenate([np.empty(0, dtype=np.int64), *spans.values()])
+    ends = dict(zip(spans, np.cumsum([len(span) for span in spans.values()]).tolist()))
     c_ts, a_ts = table.consultation_ts, table.action_ts
     for ex in batch:
         user = ex.user_id
@@ -272,8 +276,8 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
         if not before.any():
             continue
         cs, acts = cs[before], acts[before]
-        kept = [table.consultation_ids[user, c.id] for c in kept_map.get((user, anchor), ())]
-        preferred = np.flatnonzero(np.isin(cs, kept))
+        kept = {table.consultation_ids[user, c.id] for c in kept_map.get((user, anchor), ())}
+        preferred = np.flatnonzero([c in kept for c in cs.tolist()])
         if not len(preferred):
             preferred = np.flatnonzero(c_ts[cs] == c_ts[cs].max())
         k = preferred[int(rng.integers(0, len(preferred)))]
@@ -287,9 +291,9 @@ def sample_va_batch(batch: Sequence[SessionExample], table: M.CorpusFeatures,
 
         negatives = draw(spans[user], cfg.va_batch)
         if len(negatives) < cfg.va_batch:
-            batch_pool = np.concatenate([np.empty(0, dtype=np.int64)] + [
-                span for other, span in spans.items() if other != user])
-            negatives = np.append(negatives, draw(batch_pool, cfg.va_batch - len(negatives)))
+            end = ends[user]
+            others = np.concatenate([pool[:end - len(spans[user])], pool[end:]])
+            negatives = np.append(negatives, draw(others, cfg.va_batch - len(negatives)))
         if len(negatives) < cfg.va_batch:
             spare = np.ones(len(a_ts), dtype=bool)
             spare[negatives] = False
@@ -370,8 +374,7 @@ def train(corpus: Corpus, linkage: LinkageTable,
                                build_example(model, corpus, table, user, session, kept_map, l_seq))
                 for user, session in split.train]
     pairs = linked_pairs(table, corpus, linkage) if cfg.lambda_va > 0 else None
-    params = model.parameters()
-    opt = T.AdamState(params, lr=cfg.lr)
+    opt = T.AdamState(model.parameters(), lr=cfg.lr)
     # Independent streams per sampling role: toggling one loss term (say
     # lambda_va = 0) must not reshuffle the draws of the others.
     rng_order, rng_neg, rng_va = map(np.random.default_rng,
@@ -394,7 +397,6 @@ def train(corpus: Corpus, linkage: LinkageTable,
             batch = [examples[i] for i in order[lo:lo + cfg.batch_size]]
             total, l_search, l_va = step_loss(model, batch, table, pairs, kept_map, cfg,
                                               rng_neg, rng_va)
-            T.zero_grads(params)
             T.backward(total)
             T.adam_step(opt)
             sum_search += float(l_search.data)

@@ -7,7 +7,10 @@ conventions, not the math under test).  Slow and obvious on purpose.
 
 The exceptions are `materialized_loss_va` and the `materialized_*`
 forward passes: they read the model's feature table and run on the
-autodiff engine, so their gradients can be compared too.
+autodiff engine, so their gradients can be compared too.  So are
+`reference_adam_step` and `reference_sample_va_batch`, the optimizer step
+and the alignment sampler as they were before the library's versions
+were tuned: the library's must match them bit for bit and draw for draw.
 """
 
 import math
@@ -17,6 +20,7 @@ import numpy as np
 
 from consultrank import model as M
 from consultrank import tensor as T
+from consultrank import train as TR
 from consultrank.corpus import ActionType
 from consultrank.index import STOPWORDS
 
@@ -278,3 +282,72 @@ def materialized_session_forward(model, table, batch):
     attended = materialized_attention(x_query, x, real[:, None, :], enc.w_q, enc.w_k, enc.w_v)
     y = M.squeeze(T.add(x_query, attended))
     return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
+
+
+def reference_adam_step(state):
+    """`tensor.adam_step` with a fresh array per operand, the gradients
+    left in place: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p = p - lr m_hat / (sqrt(v_hat) + eps), in place in p, m and v."""
+    state.step += 1
+    t = state.step
+    b1, b2 = T.ADAM_BETA1, T.ADAM_BETA2
+    for p, m, v in zip(state.params, state.m, state.v):
+        if p.grad is None:
+            continue
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = g * g
+        g2 *= 1.0 - b2
+        v += g2
+        step = m / (1.0 - b1**t)
+        step *= state.lr
+        denom = np.divide(v, 1.0 - b2**t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += T.ADAM_EPS
+        step /= denom
+        p.data -= step
+
+
+def reference_sample_va_batch(batch, table, pairs, cfg, rng, kept_map):
+    """`train.sample_va_batch` with `np.isin` for the preferred pairs and
+    each example's batch tier concatenated from the other users' spans."""
+    samples = []
+    spans = {user: table.span(user, 1) for user in dict.fromkeys(ex.user_id for ex in batch)}
+    c_ts, a_ts = table.consultation_ts, table.action_ts
+    for ex in batch:
+        user = ex.user_id
+        anchor = ex.session.timestamp
+        if user not in pairs:
+            continue
+        cs, acts = pairs[user].T
+        before = (c_ts[cs] < anchor) & (a_ts[acts] < anchor)
+        if not before.any():
+            continue
+        cs, acts = cs[before], acts[before]
+        kept = [table.consultation_ids[user, c.id] for c in kept_map.get((user, anchor), ())]
+        preferred = np.flatnonzero(np.isin(cs, kept))
+        if not len(preferred):
+            preferred = np.flatnonzero(c_ts[cs] == c_ts[cs].max())
+        k = preferred[int(rng.integers(0, len(preferred)))]
+        consultation, positive = int(cs[k]), int(acts[k])
+
+        def draw(candidates, need):
+            usable = candidates[(candidates != positive) & (a_ts[candidates] < anchor)]
+            if len(usable) <= need:
+                return usable
+            return usable[np.sort(rng.choice(len(usable), size=need, replace=False))]
+
+        negatives = draw(spans[user], cfg.va_batch)
+        if len(negatives) < cfg.va_batch:
+            batch_pool = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                span for other, span in spans.items() if other != user])
+            negatives = np.append(negatives, draw(batch_pool, cfg.va_batch - len(negatives)))
+        if len(negatives) < cfg.va_batch:
+            spare = np.ones(len(a_ts), dtype=bool)
+            spare[negatives] = False
+            negatives = np.append(
+                negatives, draw(np.flatnonzero(spare), cfg.va_batch - len(negatives)))
+        samples.append(TR.VaSample(consultation, positive, negatives, anchor))
+    return samples

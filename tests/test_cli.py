@@ -8,6 +8,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -884,3 +886,41 @@ def test_out_of_range_artifact_value_exits_4(pipeline_dir, capsys, name, data):
         (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert run(ARTIFACT_READERS[name], out, out / "config.json") == 4
     assert capsys.readouterr().err.startswith("error: ")
+
+
+ONE_STEP = """
+import json, sys
+import numpy as np
+from consultrank import cli, model as M, tensor as T, train as TR
+from consultrank.datagen import GenSpec, generate
+from consultrank.linkage import build_linkage
+from consultrank.value import ValueParams, assess_corpus, fit_buckets
+cfg = cli.validate_config(json.loads(sys.argv[1]))
+corpus, _ = generate(cli._build(GenSpec, cfg))
+linkage = build_linkage(corpus)
+params = cli._build(ValueParams, cfg)
+assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
+model = M.init_model(corpus, cli._build(M.ModelConfig, cfg))
+tcfg, table = cli._build(TR.TrainConfig, cfg), model.features
+kept = TR.kept_consultations(assessments)
+batch = [TR.SessionExample(u, s, TR.build_example(model, corpus, table, u, s, kept, params.l_seq))
+         for u, s in TR.split_sessions(corpus).train[:tcfg.batch_size]]
+total, _, l_va = TR.step_loss(model, batch, table, TR.linked_pairs(table, corpus, linkage),
+                              kept, tcfg, np.random.default_rng(1), np.random.default_rng(2))
+T.backward(total)
+T.adam_step(T.AdamState(model.parameters(), lr=tcfg.lr))
+print(json.dumps({"alignment_loss": l_va is not None, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_training_step_does_not_import_numpy_ma():
+    """One training step (both losses, backward, Adam) on the SMALL_CONFIG
+    corpus, in a fresh interpreter, leaves numpy.ma unimported: its import
+    costs every training process time and memory."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", ONE_STEP, json.dumps(SMALL_CONFIG)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"alignment_loss": True, "numpy.ma": False}

@@ -4,6 +4,7 @@ import base64
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from consultrank import tensor as T
 
+import oracles
 from gradcheck import finite_diff_check, tensor_op_trials
 
 
@@ -381,6 +383,56 @@ def test_adam_updates_in_place_as_the_out_of_place_formula():
             assert state.v[i].tobytes() == v[i].tobytes()
     assert all(a is b for a, b in zip(arrays, [p.data for p in params] + state.m + state.v))
     assert not state.m[2].any() and not state.v[2].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_adam_step_matches_the_reference_and_spends_the_gradients(shapes, seed):
+    """Over four steps, with gradients of many magnitudes, the parameters
+    and moments move bit for bit as under the reference step, which keeps
+    the gradients; a parameter whose grad is None stays as it was, and
+    every grad is None after each step."""
+    rng = np.random.default_rng(seed)
+    start = [rng.normal(size=s) for s in shapes]
+    params = [T.Tensor(a.copy(), requires_grad=True) for a in start]
+    twins = [T.Tensor(a.copy(), requires_grad=True) for a in start]
+    state, ref = T.AdamState(params, lr=0.01), T.AdamState(twins, lr=0.01)
+    for step in range(4):
+        for i, (p, twin) in enumerate(zip(params, twins)):
+            g = (None if (i + step) % 3 == 2
+                 else np.asarray(rng.normal(size=shapes[i]) * 10.0 ** rng.integers(-6, 6)))
+            p.grad, twin.grad = (None, None) if g is None else (g.copy(), g)
+        before = [p.data.copy() for p in params]
+        T.adam_step(state)
+        oracles.reference_adam_step(ref)
+        for i, (p, twin) in enumerate(zip(params, twins)):
+            assert p.grad is None
+            assert p.data.tobytes() == twin.data.tobytes()
+            assert state.m[i].tobytes() == ref.m[i].tobytes()
+            assert state.v[i].tobytes() == ref.v[i].tobytes()
+            if twin.grad is None:
+                assert p.data.tobytes() == before[i].tobytes()
+
+
+def test_adam_step_allocates_one_parameter_sized_array():
+    """Over a [5000, 64] parameter, the step's traced allocations peak at
+    one parameter-sized scratch array (the denominator reuses the
+    gradient's buffer)."""
+    rng = np.random.default_rng(0)
+    p = T.Tensor(rng.normal(size=(5000, 64)), requires_grad=True)
+    state = T.AdamState([p])
+    p.grad = rng.normal(size=p.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T.adam_step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.grad is None
+    assert peak - base <= p.data.nbytes + 64 * 1024
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -328,6 +328,46 @@ def test_sample_va_draws_every_consultation_of_the_recent_set(tmp_path):
     assert drawn({}) == {c2}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_va_batch_matches_the_reference_sampler(gen_small, seed):
+    """Over shuffled batches of every session, kept maps of each kind and
+    va_batch sizes that stop in the user's own tier, the batch tier and the
+    global tier, the sampler returns the reference's samples and leaves its
+    generator in the same state."""
+    corpus, linkage, assessments = gen_small
+    model = M.init_model(corpus, M.ModelConfig(d=8))
+    table = model.features
+    pairs = TR.linked_pairs(table, corpus, linkage)
+    split = TR.split_sessions(corpus)
+    sessions = split.train + split.valid + split.test
+    order = np.random.default_rng(seed).permutation(len(sessions))
+    owner = {a: u for u in corpus.users for a in table.span(u, 1).tolist()}
+    tiers = set()
+    for kept_map in (TR.kept_consultations(assessments), TR.recent_consultations(corpus, 1), {}):
+        examples = examples_of(model, corpus, table, [sessions[i] for i in order], kept_map)
+        for size in (1, 3, len(examples)):
+            batches = [examples[lo:lo + size] for lo in range(0, len(examples), size)]
+            for va_batch in (2, 12, len(table.actions)):
+                cfg = TR.TrainConfig(va_batch=va_batch)
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for batch in batches:
+                    got = TR.sample_va_batch(batch, table, pairs, cfg, rng, kept_map)
+                    want = oracles.reference_sample_va_batch(batch, table, pairs, cfg,
+                                                             ref_rng, kept_map)
+                    assert len(got) == len(want)
+                    users = {ex.user_id for ex in batch}
+                    for g, w in zip(got, want):
+                        assert (g.consultation, g.positive, g.anchor_ts) == \
+                            (w.consultation, w.positive, w.anchor_ts)
+                        assert g.negatives.dtype == w.negatives.dtype
+                        assert np.array_equal(g.negatives, w.negatives)
+                        owners = {owner[a] for a in g.negatives.tolist()}
+                        tiers.add("global" if owners - users else
+                                  "batch" if owners - {owner[g.positive]} else "own")
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert tiers == {"own", "batch", "global"}
+
+
 def test_train_without_value_filter_reads_recent_consultations(gen_small, monkeypatch):
     """With value_filter off, the alignment samples and the validation
     scorer read the same recency map as the training examples."""
@@ -361,6 +401,29 @@ def test_train_smoke_and_determinism(gen_small):
     assert key(first) == key(second)
     for name, t in first.model.named_parameters().items():
         assert np.array_equal(t.data, second.model.named_parameters()[name].data)
+
+
+def test_train_spends_every_gradient_and_trains_as_the_reference_step(
+        gen_small, tmp_path, monkeypatch):
+    """`train` returns with no gradient held, and writes the checkpoint a
+    loop of the reference Adam step, gradients zeroed after it, writes."""
+    corpus, linkage, assessments = gen_small
+    cfg = TR.TrainConfig(max_epochs=3, patience=3, batch_size=8, va_batch=8, seed=4)
+
+    def checkpoint(name):
+        model = M.init_model(corpus, M.ModelConfig(d=8, seed=4))
+        result = TR.train(corpus, linkage, assessments, model, cfg)
+        assert all(p.grad is None for p in result.model.parameters())
+        written = M.save_model(result.model, tmp_path / name)
+        return [open(path, "rb").read() for path in written]
+
+    spent = checkpoint("spent.json")
+
+    def reference_step(state):
+        oracles.reference_adam_step(state)
+        T.zero_grads(state.params)
+    monkeypatch.setattr(T, "adam_step", reference_step)
+    assert spent == checkpoint("reference.json")
 
 
 def test_train_requires_training_sessions(tmp_path):
