@@ -390,30 +390,33 @@ def adam_step(state: AdamState) -> None:
     untouched, moments included.
     """
     state.step += 1
-    t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, m, v in zip(state.params, state.m, state.v):
-        g = p.grad
-        if g is None:
-            continue
-        p.grad = None
-        # In place, in the order of m = b1 m + (1 - b1) g,
-        # v = b2 v + (1 - b2) g^2 and p = p - lr m_hat / (sqrt(v_hat) + eps),
-        # with one scratch array; the denominator overwrites the gradient.
-        scratch = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
-        m *= b1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - b2
-        v *= b2
-        v += scratch
-        step = np.divide(m, 1.0 - b1**t, out=scratch)
-        step *= state.lr
-        denom = np.divide(v, 1.0 - b2**t, out=g)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p.data -= step
+        if p.grad is not None:
+            _adam_update(p, m, v, state.step, state.lr)
+
+
+def _adam_update(p: Tensor, m: np.ndarray, v: np.ndarray, t: int, lr: float) -> None:
+    """Step t of Adam on one parameter, in place, in the order of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p = p - lr m_hat / (sqrt(v_hat) + eps).  It works in one scratch array
+    and writes the denominator into the gradient, which it releases; both
+    are freed on return, before the next parameter's update allocates."""
+    g, p.grad = p.grad, None
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    scratch = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
+    m *= b1
+    m += scratch
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    step = np.divide(m, 1.0 - b1**t, out=scratch)
+    step *= lr
+    denom = np.divide(v, 1.0 - b2**t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    p.data -= step
 
 
 def checkpoint_data_path(path) -> str:

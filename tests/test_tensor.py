@@ -417,22 +417,25 @@ def test_adam_step_matches_the_reference_and_spends_the_gradients(shapes, seed):
 
 
 def test_adam_step_allocates_one_parameter_sized_array():
-    """Over a [5000, 64] parameter, the step's traced allocations peak at
-    one parameter-sized scratch array (the denominator reuses the
-    gradient's buffer)."""
+    """Over three [5000, 64] parameters, the step's traced allocations
+    peak at one parameter-sized scratch array: the denominator reuses the
+    gradient's buffer, and each parameter's scratch array is freed before
+    the next one's is allocated."""
     rng = np.random.default_rng(0)
-    p = T.Tensor(rng.normal(size=(5000, 64)), requires_grad=True)
-    state = T.AdamState([p])
-    p.grad = rng.normal(size=p.shape)
+    params = [T.Tensor(rng.normal(size=(5000, 64)), requires_grad=True) for _ in range(3)]
+    state = T.AdamState(params)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         T.adam_step(state)
-        peak = tracemalloc.get_traced_memory()[1]
+        end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert p.grad is None
-    assert peak - base <= p.data.nbytes + 64 * 1024
+    assert all(p.grad is None for p in params)
+    assert peak - base <= params[0].data.nbytes + 64 * 1024
+    assert end - base <= 64 * 1024
 
 
 def test_checkpoint_round_trip(tmp_path):
