@@ -359,7 +359,9 @@ def train(corpus: Corpus, linkage: LinkageTable,
     validation and early stopping.
 
     Returns the model restored to its best-validation parameters plus the
-    epoch log.  Fully deterministic for a fixed config seed.  With a
+    epoch log.  Fully deterministic for a fixed config seed.  Each step's
+    gradients are spent by `tensor.adam_step`, so none is held from one
+    step to the next or on return.  With a
     `log_path`, the log's header is written at the start and each epoch's
     row is appended as the epoch ends; `on_epoch`, when given, is called
     with each row after that.
