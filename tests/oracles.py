@@ -9,8 +9,9 @@ The exceptions are `materialized_loss_va` and the `materialized_*`
 forward passes: they read the model's feature table and run on the
 autodiff engine, so their gradients can be compared too.  So are
 `reference_adam_step` and `reference_sample_va_batch`, the optimizer step
-and the alignment sampler as they were before the library's versions
-were tuned: the library's must match them bit for bit and draw for draw.
+and the alignment sampler written plainly (a fresh array per operand,
+`np.isin`, each example's batch tier concatenated on its own): the
+library's must match them bit for bit and draw for draw.
 """
 
 import math
