@@ -31,14 +31,30 @@ flags override config keys; ``--seed``, ``--config``, and ``--out`` exist
 on every subcommand.  ``STAGES`` declares each subcommand once: what it
 runs, the config keys it takes as flags, and the artifacts it reads.
 
-Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
-4 data validation error.
+Exit codes: 0 success, 2 config error (among them an output directory
+whose path a file takes), 3 missing upstream artifact, 4 data validation
+error.
+
+`main` runs with Python's cyclic garbage collector off and turns it back on
+afterwards only if it was on before.  The collector finds nothing to free
+in a stage: the only cycles a stage leaves are the few hundred objects of
+its argparse parser, the same number on every corpus and after every
+epoch count (a test holds this).  With the collector on, the allocations
+of loading and building trigger dozens of collections per stage, which
+walk the corpus, index or model objects the stage builds, the older ones
+again in each pass over an older generation.  The
+simpler-looking ways out do not remove that work: ``gc.freeze()`` only
+hides what exists before the stage and still runs the young collections
+over what the stage builds, a raised threshold is one more knob to set,
+and a cache of loaded inputs shared across stages helps nothing, because a
+CLI user runs one stage per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -217,6 +233,15 @@ def _resolve(cfg: Dict[str, object], out_dir: str, key: str) -> str:
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
+def _makedirs(path: str) -> None:
+    """Make directory `path` and its parents, if missing.  A path that a
+    file takes is a config error naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make directory {path}: a file is in the way") from exc
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -233,7 +258,7 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
                    started: float, name: str) -> str:
     """Write the manifest of a run of `stage` to ``manifests/<name>.json``;
     an output whose digest the stage did not give is hashed here."""
-    os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
+    _makedirs(os.path.join(out_dir, "manifests"))
     payload = {
         "stage": stage,
         "version": __version__,
@@ -290,6 +315,7 @@ def _build(cls, cfg: Dict[str, object]):
 def cmd_datagen(cfg, out_dir, args) -> Outputs:
     spec = _build(GenSpec, cfg)
     corpus_dir = _resolve(cfg, out_dir, "corpus")
+    _makedirs(corpus_dir)
     write_dataset(spec, corpus_dir)
     print(f"wrote synthetic dataset under {corpus_dir}")
     return dict.fromkeys(os.path.join(corpus_dir, name)
@@ -298,7 +324,7 @@ def cmd_datagen(cfg, out_dir, args) -> Outputs:
 
 def cmd_ingest(cfg, out_dir, args) -> Outputs:
     corpus = _read("corpus", load_corpus, *_raw_corpus_paths(cfg, out_dir, args))
-    os.makedirs(_resolve(cfg, out_dir, "corpus"), exist_ok=True)
+    _makedirs(_resolve(cfg, out_dir, "corpus"))
     items_out, events_out = _corpus_paths(cfg, out_dir)
     dump_corpus(corpus, items_out, events_out)
     n_events = sum(
@@ -354,7 +380,7 @@ def cmd_train(cfg, out_dir, args) -> Outputs:
         raise DataError("corpus has no training sessions: no user has more than two searches")
     model = init_model(corpus, mcfg)
     reports_dir = _resolve(cfg, out_dir, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
+    _makedirs(reports_dir)
     log_path = os.path.join(reports_dir, "train_log.csv")
 
     def progress(row: EpochRow) -> None:
@@ -406,7 +432,7 @@ def cmd_eval(cfg, out_dir, args) -> Outputs:
     report = evaluate_sessions(score_fn, corpus, split.test,
                                n_neg=n_neg, seed=cfg["seed"])
     reports_dir = _resolve(cfg, out_dir, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
+    _makedirs(reports_dir)
     path = _metrics_path(cfg, out_dir, ranker)
     dump_metrics(report, path)
     print(format_metric_table({ranker: report}))
@@ -419,7 +445,7 @@ def cmd_report(cfg, out_dir, args) -> Outputs:
         reports[ranker] = _read("metrics", load_metrics, _metrics_path(cfg, out_dir, ranker))
     table = format_metric_table(reports)
     reports_dir = _resolve(cfg, out_dir, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
+    _makedirs(reports_dir)
     path = os.path.join(reports_dir, "comparison.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
@@ -558,9 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    stage = STAGES[args.stage]
+    """Run one stage with the cyclic collector off (see the module
+    docstring); return its exit code."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        stage = STAGES[args.stage]
         overrides: Dict[str, object] = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
@@ -570,7 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 overrides[key] = value
         cfg = load_config(args.config, overrides)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        _makedirs(out_dir)
         started = time.time()
         inputs = stage.inputs(cfg, out_dir, args)
         for path, writer in inputs:
@@ -584,6 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

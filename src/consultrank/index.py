@@ -65,16 +65,15 @@ class InvertedIndex:
 def build_index(corpus: Corpus) -> InvertedIndex:
     """Index every item under each normalized title/attribute token.
 
-    Posting lists are deduplicated and sorted, so the index is identical no
-    matter what order the items arrive in.
+    Items are visited in catalog order and each adds a term once, so every
+    posting list comes out sorted and free of repeats, whatever order the
+    items arrive in.
     """
-    postings: Dict[str, Set[str]] = {}
+    postings: Dict[str, List[str]] = {}
     for iid in corpus.item_ids:
         for term in set(normalize(corpus.items[iid].text)):
-            postings.setdefault(term, set()).add(iid)
-    return InvertedIndex(
-        postings={term: sorted(ids) for term, ids in sorted(postings.items())}
-    )
+            postings.setdefault(term, []).append(iid)
+    return InvertedIndex(postings={term: postings[term] for term in sorted(postings)})
 
 
 def matched_terms(index: InvertedIndex, c: Consultation) -> Set[str]:

@@ -11,9 +11,12 @@ autodiff engine, so their gradients can be compared too.  So are
 `reference_adam_step` and `reference_sample_va_batch`, the optimizer step
 and the alignment sampler written plainly (a fresh array per operand,
 `np.isin`, each example's batch tier concatenated on its own): the
-library's must match them bit for bit and draw for draw.
+library's must match them bit for bit and draw for draw.  And so is
+`reference_read_jsonl`, a JSONL reader that parses one line at a time.
 """
 
+import json
+import json.scanner
 import math
 from functools import reduce
 
@@ -22,12 +25,55 @@ import numpy as np
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank import train as TR
-from consultrank.corpus import ActionType
+from consultrank.corpus import ActionType, CorpusError
 from consultrank.index import STOPWORDS
 
 ACTION_NAMES = ("buy", "click", "search")
 
 _KEEP = set("abcdefghijklmnopqrstuvwxyz0123456789 \t\n\r")
+
+
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def reference_read_jsonl(path, kind):
+    """``(line number, object)`` for each non-blank line of a JSONL file:
+    one C-scanner call per line, and on the first line that fails, a
+    `json.loads` of each line to word the refusal of the first bad one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = []
+    try:
+        for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+            line = line.strip()
+            if line:
+                obj, end = _scan_json(line, 0)
+                if end != len(line) or type(obj) is not dict:
+                    break
+                rows.append((lineno, obj))
+        else:
+            return rows
+    except (UnicodeDecodeError, StopIteration, json.JSONDecodeError):
+        pass
+    rows = []
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: malformed {kind} row: not UTF-8 ({exc})") from exc
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: malformed {kind} row: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}:{lineno}: malformed {kind} row: expected a JSON object")
+        rows.append((lineno, obj))
+    return rows
 
 
 def normalize(text):

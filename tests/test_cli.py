@@ -3,6 +3,7 @@
 import base64
 import builtins
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -924,3 +925,127 @@ def test_training_step_does_not_import_numpy_ma():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == {"alignment_loss": True, "numpy.ma": False}
+
+
+def test_read_jsonl_parses_a_canonical_file_in_one_call(pipeline_dir, monkeypatch):
+    """A count, not a timing: a file the pipeline wrote is parsed with one
+    `json.loads`, not one call per line."""
+    out, _ = pipeline_dir
+    calls = []
+    monkeypatch.setattr(json, "loads", _spy(calls, len, json.loads))
+    for name in ("corpus/items.jsonl", "values.jsonl"):
+        calls.clear()
+        rows = corpus_module.read_jsonl(out / name, "row")
+        assert len(calls) == 1, name
+        assert len(rows) == len((out / name).read_text().splitlines()) > 1, name
+
+
+def _raise(*_args):
+    raise RuntimeError("stage failed")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", ["exit-0", "cli-error", "stage-raises"])
+def test_main_restores_the_collector(tmp_path, monkeypatch, collecting, outcome):
+    """`main` runs its stage with the cyclic collector off and leaves it as
+    it found it, whether the stage succeeds, fails as the CLI documents, or
+    raises."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    stage = "assess" if outcome == "cli-error" else "datagen"
+    run_stage = _raise if outcome == "stage-raises" else cli.STAGES[stage].run
+    during = []
+    monkeypatch.setitem(cli.STAGES, stage, dataclasses.replace(
+        cli.STAGES[stage], run=_spy(during, lambda _cfg: gc.isenabled(), run_stage)))
+    gc.enable() if collecting else gc.disable()
+    try:
+        if outcome == "stage-raises":
+            with pytest.raises(RuntimeError, match="stage failed"):
+                run(stage, tmp_path, config)
+        else:
+            assert run(stage, tmp_path, config) == (0 if outcome == "exit-0" else 3)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert during == ([] if outcome == "cli-error" else [False])
+
+
+@pytest.mark.parametrize("taken, argv", [
+    (".", ["datagen"]),
+    ("corpus", ["datagen"]),
+    ("corpus", ["ingest", "--items", "{out}/raw/items.jsonl",
+                "--events", "{out}/raw/events.jsonl"]),
+    ("reports", ["train"]),
+    ("reports", ["eval"]),
+    ("manifests", ["index"]),
+], ids=["out", "corpus-datagen", "corpus-ingest", "reports-train", "reports-eval",
+        "manifests"])
+def test_output_directory_taken_by_a_file_exits_2(pipeline_dir, tmp_path, capsys, taken, argv):
+    """A directory a stage writes into whose path a file takes is a config
+    error naming that path, not a traceback."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    (out / "raw").mkdir()
+    for name in ("items.jsonl", "events.jsonl"):
+        shutil.copy(out / "corpus" / name, out / "raw" / name)
+    target = out / taken
+    if target.is_dir():
+        shutil.rmtree(target)
+    target.write_text("not a directory\n")
+    code = cli.main([argv[0], "--config", str(src / "config.json"), "--out", str(out),
+                     *(arg.format(out=out) for arg in argv[1:])])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"cannot make directory {target}" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_event_line_exits_4(tmp_path, capsys):
+    """A line nested past the parser's recursion limit is a refused row that
+    names its line, not a RecursionError traceback."""
+    write_jsonl(tmp_path / "items.jsonl", [item("i1", "gaming laptop")])
+    events = tmp_path / "events.jsonl"
+    write_jsonl(events, [click("u1", 4, "i1")])
+    with open(events, "a", encoding="utf-8") as fh:
+        fh.write("[" * 100000 + "\n")
+    code = cli.main(["ingest", "--out", str(tmp_path / "run"),
+                     "--items", str(tmp_path / "items.jsonl"), "--events", str(events)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert f"{events}:2: malformed event row: nested too deeply" in err
+
+
+PIPELINE = [["datagen"], ["ingest"], ["index"], ["link"], ["assess"], ["train"], ["eval"],
+            ["eval", "--ranker", "bm25"], ["eval", "--ranker", "semantic"], ["report"]]
+
+
+def _cyclic_garbage_per_stage(out, config, epochs):
+    """What `gc.collect()` finds after each stage of a pipeline run with the
+    collector held off."""
+    found = []
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in PIPELINE:
+            extra = ["--max-epochs", str(epochs)] if argv[0] == "train" else []
+            assert run(argv[0], out, config, *argv[1:], *extra) == 0, argv
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    return found
+
+
+def test_stages_leave_the_same_cyclic_garbage_at_any_size(tmp_path):
+    """`main` holds the collector off during a stage, which is safe only
+    while no stage makes cyclic garbage per row or per step: what each
+    stage leaves must not grow with the corpus or the epoch count."""
+    runs = {}
+    for scale in (1, 2):
+        config = tmp_path / f"config{scale}.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "gen_users": 8 * scale,
+                                      "gen_items": 16 * scale, "patience": 3}))
+        for epochs in (1, 3):
+            out = tmp_path / f"run{scale}x{epochs}"
+            runs[scale, epochs] = _cyclic_garbage_per_stage(out, config, epochs)
+    assert len(set(map(tuple, runs.values()))) == 1, runs

@@ -24,6 +24,7 @@ from consultrank.corpus import (
 )
 from consultrank.value import ValueReport
 from helpers import buy, click, consult, corpus_from, item, search, write_jsonl
+from oracles import reference_read_jsonl
 
 ITEMS = [
     item("i1", "gaming laptop", ["16gb", "silver"]),
@@ -117,8 +118,14 @@ GOOD_ROW = b'{"user": "u1"}'
     ([GOOD_ROW, b"", b'{"user": "caf\xe9"}', b'{"user"'],
      "3: malformed event row: not UTF-8 ('utf-8' codec can't decode byte 0xe9 "
      "in position 13: invalid continuation byte)"),
+    ([GOOD_ROW, b"[" * 100000], "2: malformed event row: nested too deeply"),
+    ([b'{"a": [1', b'2]}', b'{"a": 1}, {"b": 2}'],
+     "1: malformed event row: invalid JSON (Expecting ',' delimiter)"),
+    ([GOOD_ROW, b'{"n": ' + b"9" * 5000 + b"}"],
+     "2: malformed event row: an integer longer than 4300 digits"),
 ], ids=["invalid-json", "trailing-data", "utf8-bom", "not-an-object", "control-character",
-        "invalid-json-before-non-utf8", "non-utf8-before-invalid-json"])
+        "invalid-json-before-non-utf8", "non-utf8-before-invalid-json", "nested-too-deeply",
+        "open-line-then-two-values", "integer-past-the-digit-limit"])
 def test_read_jsonl_refusals_are_pinned(tmp_path, lines, says):
     """Each refusal names the file, the first bad line and what is wrong
     with it, in the words of a line-by-line `json.loads`."""
@@ -136,6 +143,43 @@ def test_read_jsonl_numbers_lines_of_any_ending(tmp_path, newline):
     path = tmp_path / "events.jsonl"
     path.write_bytes(newline.join([b'{"n": 1}', b"", b" \t", b'{"n": 4}', b'{"n": 5}']))
     assert read_jsonl(path, "event") == [(1, {"n": 1}), (4, {"n": 4}), (5, {"n": 5})]
+
+
+_row_values = st.recursive(
+    st.text(st.characters(blacklist_categories=()), max_size=8)
+    | st.sampled_from(["\\", '"', "\\u00e9", "caf\u00e9 \U0001f600", "\u2028\x00\x1f"])
+    | st.floats() | st.integers(min_value=-2**200, max_value=2**200) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8)
+_row_lines = st.lists(st.one_of(
+    st.tuples(st.dictionaries(st.text(max_size=4), _row_values, max_size=4),
+              st.booleans(), st.sampled_from(["", " ", "  \t"])).map(
+        lambda row: json.dumps(row[0], ensure_ascii=row[1]) + row[2]),
+    st.sampled_from(["", "   ", '{"user"', "[1]", '{"a": 1} {"b": 2}', '{"a": 1}, {"b": 2}',
+                     '{"a": [1', '2]}', '2]}, {"b": 2}', "null", "\ufeff{}", "\u00a0{}"])),
+    max_size=8)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_row_lines, newline=st.sampled_from(["\n", "\r\n"]), last_newline=st.booleans())
+@example(lines=['{"n": NaN, "i": Infinity, "j": -Infinity, "big": 123456789012345678901234567890}',
+                "", '{"t": "caf\u00e9 \\" \\\\ \\n", "l": [[[]], [1.5e300]]}  '],
+         newline="\r\n", last_newline=False)
+def test_read_jsonl_matches_a_line_by_line_reader(tmp_path, lines, newline, last_newline):
+    """The one-call parse reads what a parse of each line reads, and refuses
+    what it refuses in the same words."""
+    path = tmp_path / "rows.jsonl"
+    text = newline.join(lines) + (newline if last_newline else "")
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate: not UTF-8
+    try:
+        want = reference_read_jsonl(path, "event")
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as info:
+            read_jsonl(path, "event")
+        assert str(info.value) == str(exc)
+    else:
+        assert repr(read_jsonl(path, "event")) == repr(want)  # repr: NaN equals NaN
 
 
 def test_unknown_event_type_rejected(tmp_path):
