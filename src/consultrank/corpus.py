@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import json.encoder
+import json.scanner
 import math
 import sys
 from bisect import bisect_left
@@ -139,32 +140,34 @@ def floor_hours(raw) -> int:
     return hours
 
 
+#: One call parses one JSON value at an index of a string: the C scanner
+#: behind ``json.loads``, without its per-call Python wrapper.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_jsonl(path, kind: str) -> list[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSONL file of
     `kind` rows.  A line that is not UTF-8, not valid JSON, or not a JSON
     object raises CorpusError naming ``path:line`` and the kind.  Lines end
     at ``\n``; a ``\r`` before it is stripped with the other whitespace.
 
-    The file is read and decoded once and parsed with one ``json.loads``:
-    its lines joined into one JSON array, with a ``null`` between each two.
-    In a file holding no ``null`` text those are the only nulls.  When the
-    array holds all of them at its top, between one object per line, each
-    line is one object: a line left open would take in the null after it.
-    Any other file (a blank line, a bad line, a ``null``, text outside
-    JSON's whitespace) goes through `_checked_rows`, which words the error
-    of the first bad line."""
+    The file is read and decoded once, and each line is parsed with one
+    scanner call.  A line the scanner refuses sends the whole file through
+    `_checked_rows`, which words the error of the first bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
+    rows = []
     try:
-        text = data.decode("utf-8").removesuffix("\n")
-        if "null" not in text:
-            parsed = json.loads("[" + text.replace("\n", ",null,\n") + "]")
-            n_lines = text.count("\n") + 1
-            rows = parsed[::2]
-            if (len(parsed) == 2 * n_lines - 1 and parsed.count(None) == n_lines - 1
-                    and set(map(type, rows)) == {dict}):
-                return list(enumerate(rows, start=1))
-    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError among them
+        for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+            line = line.strip()
+            if line:
+                obj, end = _scan_json(line, 0)
+                if end != len(line) or type(obj) is not dict:
+                    break
+                rows.append((lineno, obj))
+        else:
+            return rows
+    except (ValueError, StopIteration, RecursionError):  # decode and JSON errors are ValueErrors
         pass
     return list(_checked_rows(data, path, kind))
 

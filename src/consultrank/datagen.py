@@ -396,9 +396,9 @@ def dump_oracle(oracle: Dict[Tuple[str, int, str], str], path) -> None:
 
 
 def write_dataset(spec: GenSpec, out_dir) -> Tuple[Corpus, Dict[Tuple[str, int, str], str]]:
-    """Generate and persist items.jsonl, events.jsonl, and oracle.jsonl in
-    `out_dir`, which must exist."""
+    """Generate and persist items.jsonl, events.jsonl, and oracle.jsonl."""
     corpus, oracle = generate(spec)
+    os.makedirs(out_dir, exist_ok=True)
     dump_corpus(
         corpus,
         os.path.join(out_dir, "items.jsonl"),

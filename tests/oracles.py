@@ -12,11 +12,11 @@ autodiff engine, so their gradients can be compared too.  So are
 and the alignment sampler written plainly (a fresh array per operand,
 `np.isin`, each example's batch tier concatenated on its own): the
 library's must match them bit for bit and draw for draw.  And so is
-`reference_read_jsonl`, a JSONL reader that parses one line at a time.
+`reference_read_jsonl`, a JSONL reader with one `json.loads` per line:
+the library's scanner loop must read and refuse what it does.
 """
 
 import json
-import json.scanner
 import math
 from functools import reduce
 
@@ -33,28 +33,12 @@ ACTION_NAMES = ("buy", "click", "search")
 _KEEP = set("abcdefghijklmnopqrstuvwxyz0123456789 \t\n\r")
 
 
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
-
-
 def reference_read_jsonl(path, kind):
-    """``(line number, object)`` for each non-blank line of a JSONL file:
-    one C-scanner call per line, and on the first line that fails, a
-    `json.loads` of each line to word the refusal of the first bad one."""
+    """``(line number, object)`` for each non-blank line of a JSONL file,
+    each line decoded and parsed with its own `json.loads`, refusing the
+    first bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
-    rows = []
-    try:
-        for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
-            line = line.strip()
-            if line:
-                obj, end = _scan_json(line, 0)
-                if end != len(line) or type(obj) is not dict:
-                    break
-                rows.append((lineno, obj))
-        else:
-            return rows
-    except (UnicodeDecodeError, StopIteration, json.JSONDecodeError):
-        pass
     rows = []
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:

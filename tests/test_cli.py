@@ -927,19 +927,6 @@ def test_training_step_does_not_import_numpy_ma():
     assert json.loads(proc.stdout) == {"alignment_loss": True, "numpy.ma": False}
 
 
-def test_read_jsonl_parses_a_canonical_file_in_one_call(pipeline_dir, monkeypatch):
-    """A count, not a timing: a file the pipeline wrote is parsed with one
-    `json.loads`, not one call per line."""
-    out, _ = pipeline_dir
-    calls = []
-    monkeypatch.setattr(json, "loads", _spy(calls, len, json.loads))
-    for name in ("corpus/items.jsonl", "values.jsonl"):
-        calls.clear()
-        rows = corpus_module.read_jsonl(out / name, "row")
-        assert len(calls) == 1, name
-        assert len(rows) == len((out / name).read_text().splitlines()) > 1, name
-
-
 def _raise(*_args):
     raise RuntimeError("stage failed")
 

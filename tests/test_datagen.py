@@ -55,8 +55,6 @@ def test_generated_corpus_passes_validation_and_round_trips(tmp_path):
 
 
 def test_same_seed_is_byte_identical(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
     write_dataset(SMALL, tmp_path / "a")
     write_dataset(SMALL, tmp_path / "b")
     for name in ("items.jsonl", "events.jsonl", "oracle.jsonl"):
@@ -66,8 +64,6 @@ def test_same_seed_is_byte_identical(tmp_path):
 
 
 def test_different_seed_changes_output(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
     write_dataset(SMALL, tmp_path / "a")
     write_dataset(GenSpec(n_users=12, n_items=40, seed=8), tmp_path / "b")
     assert (tmp_path / "a" / "events.jsonl").read_bytes() != (
