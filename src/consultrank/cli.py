@@ -560,15 +560,22 @@ def _flag_type(default):
     return str
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of a command line `argv`.  Every subcommand is registered
+    with its help, but only the one `argv` names gets its arguments: the
+    first argument not starting with ``-`` is the one the top-level parser
+    reads as the subcommand, as it has no options that take a value."""
     parser = argparse.ArgumentParser(
         prog="consultrank",
         description="consultation value assessment and value-aware search",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="stage", required=True)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, stage in STAGES.items():
         p = sub.add_parser(name, help=stage.help)
+        if name != invoked:
+            continue
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--out", default=".", help="directory artifacts live under")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -589,7 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         stage = STAGES[args.stage]
         overrides: Dict[str, object] = {}
         if args.seed is not None:

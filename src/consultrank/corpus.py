@@ -215,12 +215,18 @@ def json_encoder(check_circular: bool = True):
         settings.item_separator, settings.sort_keys, settings.skipkeys, settings.allow_nan)
 
 
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write text lines, each ending in its own newline, to a UTF-8 file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line: the byte-stable format of
-    every JSONL artifact.  One encoder serves the whole file."""
+    every JSONL artifact, which the index, linkage and value row writers
+    reproduce field by field.  One encoder serves the whole file."""
     encode = json_encoder()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("".join(encode(rec, 0)) + "\n" for rec in records)
+    write_lines(path, ("".join(encode(rec, 0)) + "\n" for rec in records))
 
 
 #: The action type of a click or buy event row, by its ``type`` field.

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, List, Sequence, Set
 
-from .corpus import Consultation, Corpus, read_jsonl, write_jsonl
+from .corpus import Consultation, Corpus, read_jsonl, write_lines
 
 # Compact English function-word list.  Kept short on purpose: consultation
 # text is noisy chat, and aggressive stopping starts eating product terms.
@@ -96,10 +97,17 @@ def scope_value(index: InvertedIndex, c: Consultation, p: ScopeParams = ScopePar
     return 1.0
 
 
+def index_line(term: str, items: Sequence[str]) -> str:
+    """One `index.jsonl` row with its newline: byte for byte
+    ``json.dumps({"term": term, "items": items}, sort_keys=True)``.  Strings
+    are quoted by the function the C encoder calls."""
+    return f'{{"items": [{", ".join(map(_quote, items))}], "term": {_quote(term)}}}\n'
+
+
 def dump_index(index: InvertedIndex, path) -> None:
     """Write `index.jsonl`, one term per line, lexicographic and bit-stable."""
-    write_jsonl(path, ({"term": term, "items": index.postings[term]}
-                       for term in sorted(index.postings)))
+    postings = index.postings
+    write_lines(path, (index_line(term, postings[term]) for term in sorted(postings)))
 
 
 def load_index(path) -> InvertedIndex:

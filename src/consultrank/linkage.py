@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Set, Tuple
 
-from .corpus import ActionType, Corpus, CorpusError, Interaction, read_jsonl, write_jsonl
+from .corpus import ActionType, Corpus, CorpusError, Interaction, read_jsonl, write_lines
 from .index import normalize
 
 RULE_FULL_TEXT = "full-text"
@@ -157,26 +158,28 @@ def build_linkage(corpus: Corpus, params: LinkageParams = LinkageParams()) -> Li
     return LinkageTable(links=table)
 
 
-def link_record(user: str, cid: str, actions: List[Tuple[Interaction, str]]) -> dict:
-    """One linkage table row in its serialized form."""
-    return {
-        "user": user,
-        "cid": cid,
-        "actions": [
-            {
-                "type": a.action_type.value,
-                "ts_hours": a.timestamp,
-                "target": a.target,
-                "rule": rule,
-            }
-            for a, rule in actions
-        ],
-    }
+#: Each action type's ``type`` field, quoted.
+_TYPE_TEXT = {atype: _quote(atype.value) for atype in ActionType}
+
+
+def link_line(user: str, cid: str, actions: List[Tuple[Interaction, str]]) -> str:
+    """One `linkage.jsonl` row with its newline: byte for byte
+    ``json.dumps(row, sort_keys=True)`` of the row ``{"user", "cid",
+    "actions"}``, each action ``{"type", "ts_hours", "target", "rule"}``.
+    Strings are quoted by the function the C encoder calls and timestamps
+    written by `repr`, as the encoder writes ints."""
+    acts = ", ".join(
+        f'{{"rule": {_quote(rule)}, "target": {_quote(a.target)}, '
+        f'"ts_hours": {a.timestamp!r}, "type": {_TYPE_TEXT[a.action_type]}}}'
+        for a, rule in actions)
+    return f'{{"actions": [{acts}], "cid": {_quote(cid)}, "user": {_quote(user)}}}\n'
 
 
 def dump_linkage(table: LinkageTable, path) -> None:
-    write_jsonl(path, (link_record(user, cid, table.links[user][cid])
-                       for user in sorted(table.links) for cid in sorted(table.links[user])))
+    """Write `linkage.jsonl`: one row per consultation, by user then id."""
+    links = table.links
+    write_lines(path, (link_line(user, cid, links[user][cid])
+                       for user in sorted(links) for cid in sorted(links[user])))
 
 
 def _action_lookup(corpus: Corpus) -> Dict[Tuple[str, str, int, str], Interaction]:

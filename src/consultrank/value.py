@@ -16,7 +16,10 @@ consultations (up to a sequence cap) survive into model training.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
@@ -30,7 +33,7 @@ from .corpus import (
     consultations_before,
     read_jsonl,
     slice_before,
-    write_jsonl,
+    write_lines,
 )
 from .index import InvertedIndex, ScopeParams, build_index, scope_value
 from .linkage import LinkageTable
@@ -64,7 +67,8 @@ class ValueParams:
 
 @dataclass(frozen=True)
 class BucketTable:
-    """Per action type: the quantile cut points over linked-action counts."""
+    """Per action type: the quantile cut points over linked-action counts,
+    sorted and, like the counts, never negative."""
 
     cuts: Dict[ActionType, Tuple[int, ...]]
 
@@ -72,6 +76,8 @@ class BucketTable:
         for atype, row in self.cuts.items():
             if list(row) != sorted(row):
                 raise ValueError(f"cut points for {atype.value} are not sorted")
+            if row and row[0] < 0:
+                raise ValueError(f"cut points for {atype.value} are negative")
 
 
 class ValueReport(NamedTuple):
@@ -164,9 +170,7 @@ def gamma_weights(posterior: Sequence[Interaction]) -> Dict[ActionType, float]:
     dominate.  An empty slice yields an empty map.  The reciprocals are
     summed in the order each type first appears in the slice.
     """
-    counts: Dict[ActionType, int] = {}
-    for act in posterior:
-        counts[act.action_type] = counts.get(act.action_type, 0) + 1
+    counts = Counter(map(attrgetter("action_type"), posterior))
     if not counts:
         return {}
     denom = sum(1.0 / n for n in counts.values())
@@ -197,36 +201,51 @@ def consultation_terms(
     return scopes, times
 
 
+#: One action type's term of a search's action value: (type, gamma, cut points).
+ActionTerm = Tuple[ActionType, float, Tuple[int, ...]]
+
+
+def action_terms(gammas: Mapping[ActionType, float], buckets: BucketTable
+                 ) -> Tuple[ActionTerm, ...]:
+    """The part of `action_value` that depends on the search alone: the
+    gamma and the cut points of each action type present in its posterior
+    slice (`gammas`, from `gamma_weights`), in the order the terms are
+    summed."""
+    return tuple((atype, gammas[atype], buckets.cuts[atype])
+                 for atype in _SUM_ORDER if atype in gammas)
+
+
 def action_value(
     times: Mapping[ActionType, Sequence[int]],
     s_ts: int,
-    gammas: Mapping[ActionType, float],
-    buckets: BucketTable,
+    terms: Sequence[ActionTerm],
 ) -> float:
     """Posterior verification score of one consultation at one search time.
 
-    `times` are the consultation's `linked_times` and `gammas` the
-    `gamma_weights` of the search's posterior slice.  Only linked actions at
-    or after the search timestamp count toward the frequencies, and only
-    action types present in the posterior slice carry weight.  No posterior
-    activity at all means no verification signal: 0.
+    `times` are the consultation's `linked_times` and `terms` the search's
+    `action_terms`.  Only linked actions at or after the search timestamp
+    count toward the frequencies, and only action types present in the
+    posterior slice carry weight.  No posterior activity at all means no
+    verification signal: 0.
     """
     total = 0.0
-    for atype in _SUM_ORDER:
-        gamma = gammas.get(atype)
-        if gamma is not None:
-            row = times[atype]
-            freq = len(row) - bisect_left(row, s_ts)
-            total += gamma * bucketize(freq, buckets.cuts[atype])
+    for atype, gamma, cuts in terms:
+        row = times[atype]
+        # A count of zero lies below every cut point, in bucket 0, and adds
+        # nothing; the rows are sorted, so the last time tells.
+        if row and row[-1] >= s_ts:
+            total += gamma * bucketize(len(row) - bisect_left(row, s_ts), cuts)
     # Convex mixture of [0, 1] terms; clamp the last-bit rounding overshoot.
     return min(total, 1.0)
 
 
 def aggregate_value(o_time: float, o_scope: float, o_action: float, p: ValueParams) -> float:
     """Convex mixture of the three component scores."""
-    for name, v in (("o_time", o_time), ("o_scope", o_scope), ("o_action", o_action)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} out of range: {v}")
+    # Each of the three lies in [0, 1], in one chained comparison.
+    if not 0.0 <= o_time <= 1.0 >= o_scope >= 0.0 <= o_action <= 1.0:
+        for name, v in (("o_time", o_time), ("o_scope", o_scope), ("o_action", o_action)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} out of range: {v}")
     return (1.0 - p.lambda1) * o_time + p.lambda1 * (
         p.lambda2 * o_scope + (1.0 - p.lambda2) * o_action
     )
@@ -248,23 +267,29 @@ def rank_and_filter(
     list for every scored consultation, kept or not.  Ties on the aggregate
     break toward recency, then lexically by consultation id, so reruns
     always produce the identical ordering.
+
+    What depends on the search alone, its timestamp and its `action_terms`,
+    is computed once, outside the loop over consultations.
     """
-    before, posterior = slice_before(history, s.timestamp)
-    gammas = gamma_weights(posterior)
-    by_id = {c.id: c for c in before}
-    scored: List[Tuple[float, int, str]] = []
-    reports_raw: Dict[str, Tuple[float, float, float, float]] = {}
+    user, s_ts = history.user_id, s.timestamp
+    before, posterior = slice_before(history, s_ts)
+    terms = action_terms(gamma_weights(posterior), buckets)
+    alpha = params.alpha
+    scored: List[Tuple[float, int, str, float, float, float, Consultation]] = []
     for c in before:
-        o_time = time_decay_value(s.timestamp, c.timestamp, params.alpha)
-        o_scope = scopes[c.id]
-        o_action = action_value(times[c.id], s.timestamp, gammas, buckets)
+        cid, t_c = c.id, c.timestamp
+        o_time = time_decay_value(s_ts, t_c, alpha)
+        o_scope = scopes[cid]
+        o_action = action_value(times[cid], s_ts, terms)
         o_agg = aggregate_value(o_time, o_scope, o_action, params)
-        reports_raw[c.id] = (o_time, o_scope, o_action, o_agg)
-        scored.append((o_agg, c.timestamp, c.id))
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    reports = [ValueReport(history.user_id, s.timestamp, cid, *reports_raw[cid], rank)
-               for rank, (_agg, _ts, cid) in enumerate(scored, start=1)]
-    kept = [by_id[cid] for _agg, _ts, cid in scored[: params.l_seq]]
+        scored.append((-o_agg, -t_c, cid, o_time, o_scope, o_action, c))
+    # Aggregate and time negated, so the tuples' own order is the ranking;
+    # a user's consultation ids are distinct, so no comparison goes past them.
+    scored.sort()
+    reports = [ValueReport(user, s_ts, cid, o_time, o_scope, o_action, -neg_agg, rank)
+               for rank, (neg_agg, _ts, cid, o_time, o_scope, o_action, _c)
+               in enumerate(scored, start=1)]
+    kept = [t[-1] for t in scored[: params.l_seq]]
     return kept, reports
 
 
@@ -286,34 +311,36 @@ def assess_corpus(
     scope_params: ScopeParams = ScopeParams(),
     index: Optional[InvertedIndex] = None,
 ) -> List[SessionAssessment]:
-    """Run rank_and_filter over every search session of every user."""
+    """Run rank_and_filter over every search session of every user.  Every
+    value depends only on the user's history and the search hour, so each
+    (user, search hour) is scored once and its result given to every search
+    in the hour."""
     if index is None:
         index = build_index(corpus)
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):
         history = corpus.users[user]
         scopes, times = consultation_terms(history, index, linkage, scope_params)
+        hour = None
         for s in history.searches:
-            kept, reports = rank_and_filter(history, s, scopes, times, buckets, params)
-            out.append(
-                SessionAssessment(
-                    user_id=user, session=s, kept=tuple(kept), reports=tuple(reports)
-                )
-            )
+            if s.timestamp != hour:
+                hour = s.timestamp
+                kept, reports = rank_and_filter(history, s, scopes, times, buckets, params)
+                kept, reports = tuple(kept), tuple(reports)
+            out.append(SessionAssessment(user_id=user, session=s, kept=kept, reports=reports))
     return out
 
 
-def report_record(r: ValueReport) -> dict:
-    return {
-        "user": r.user_id,
-        "search_ts": r.search_ts,
-        "cid": r.cid,
-        "o_time": round(r.o_time, 6),
-        "o_scope": round(r.o_scope, 6),
-        "o_action": round(r.o_action, 6),
-        "o_aggregate": round(r.o_aggregate, 6),
-        "rank": r.rank,
-    }
+def value_line(r: ValueReport) -> str:
+    """One `values.jsonl` row with its newline: byte for byte
+    ``json.dumps(row, sort_keys=True)`` of the row, whose scores are rounded
+    to 6 decimals.  Strings are quoted by the function the C encoder calls
+    and numbers written by `repr`, as the encoder writes finite ones."""
+    user, search_ts, cid, o_time, o_scope, o_action, o_aggregate, rank = r
+    return (f'{{"cid": {_quote(cid)}, "o_action": {round(o_action, 6)!r}, '
+            f'"o_aggregate": {round(o_aggregate, 6)!r}, "o_scope": {round(o_scope, 6)!r}, '
+            f'"o_time": {round(o_time, 6)!r}, "rank": {rank!r}, '
+            f'"search_ts": {search_ts!r}, "user": {_quote(user)}}}\n')
 
 
 def _hour_reports(assessments: Sequence[SessionAssessment]) -> Iterator[ValueReport]:
@@ -328,7 +355,8 @@ def _hour_reports(assessments: Sequence[SessionAssessment]) -> Iterator[ValueRep
 
 
 def dump_values(assessments: Sequence[SessionAssessment], path) -> None:
-    write_jsonl(path, map(report_record, _hour_reports(assessments)))
+    """Write `values.jsonl`: each hour's row set once, in rank order."""
+    write_lines(path, map(value_line, _hour_reports(assessments)))
 
 
 #: values.jsonl score fields, each in [0, 1]
@@ -370,14 +398,16 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
     for n, rec in read_jsonl(path, "value"):
         try:
             user, ts, cid, rank = rec["user"], rec["search_ts"], rec["cid"], rec["rank"]
-            scores = (rec["o_time"], rec["o_scope"], rec["o_action"], rec["o_aggregate"])
+            o_t, o_s, o_a, o_g = rec["o_time"], rec["o_scope"], rec["o_action"], rec["o_aggregate"]
         except KeyError:
             raise _refuse_row(path, n, rec) from None
         if not (type(user) is str and type(cid) is str and type(ts) is int
                 and type(rank) is int and rank >= 1
-                and all(type(v) in _NUMBER and 0.0 <= v <= 1.0 for v in scores)):
+                and type(o_t) in _NUMBER and type(o_s) in _NUMBER
+                and type(o_a) in _NUMBER and type(o_g) in _NUMBER
+                and 0.0 <= o_t <= 1.0 >= o_s >= 0.0 <= o_a <= 1.0 >= o_g >= 0.0):
             raise _refuse_row(path, n, rec)
-        hours.setdefault((user, ts), []).append((rank, n, cid, scores))
+        hours.setdefault((user, ts), []).append((rank, n, cid, (o_t, o_s, o_a, o_g)))
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):

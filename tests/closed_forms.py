@@ -39,6 +39,7 @@ from consultrank.linkage import (
 )
 from consultrank.value import (
     ValueParams,
+    action_terms,
     action_value,
     aggregate_value,
     bucketize,
@@ -93,7 +94,7 @@ def _verified(c, s_ts, table, buckets, history):
     """`action_value` on the inputs `assess_corpus` passes it."""
     _before, posterior = slice_before(history, s_ts)
     times = linked_times(table.actions_for(history.user_id, c.id))
-    return action_value(times, s_ts, gamma_weights(posterior), buckets)
+    return action_value(times, s_ts, action_terms(gamma_weights(posterior), buckets))
 
 
 def index_examples():

@@ -3,12 +3,13 @@
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from consultrank import model as M
 from consultrank.corpus import ActionType, Corpus, Interaction, Query, UserHistory, load_corpus
 from consultrank.evaluate import session_seed
 from consultrank.linkage import LinkageParams, build_linkage
-from consultrank.value import ValueParams, assess_corpus, fit_buckets, report_record
+from consultrank.value import ValueParams, assess_corpus, fit_buckets, value_line
 
 PRODUCT_WORDS = [
     "laptop", "gaming", "phone", "folding", "case", "camera", "lens",
@@ -19,6 +20,10 @@ CHATTER_WORDS = [
     "garden", "movie", "novel",
 ]
 NOISE_WORDS = ["the", "and", "a", "x", "of", "to"]
+
+#: Any string: non-ASCII, non-BMP, lone surrogates, quotes, backslashes and
+#: control characters included.
+ANY_TEXT = st.text(st.characters(blacklist_categories=()))
 
 
 def item(iid, title, attrs=()):
@@ -160,7 +165,8 @@ def random_micro_events(rng):
 
 
 def pipeline_reports(corpus, params=ValueParams(), window_days=14):
-    """Run the full scoring pipeline; shape the output like the oracle's."""
+    """Run the full scoring pipeline; shape the output like the oracle's,
+    each row read back from its `values.jsonl` line."""
     table = build_linkage(corpus, LinkageParams(window_days=window_days))
     buckets = fit_buckets(table, params.n_buckets)
     assessments = assess_corpus(corpus, table, buckets, params)
@@ -168,7 +174,7 @@ def pipeline_reports(corpus, params=ValueParams(), window_days=14):
     for a in assessments:
         rows = []
         for r in a.reports:
-            rec = report_record(r)
+            rec = json.loads(value_line(r))
             rec.pop("user")
             rec.pop("search_ts")
             rows.append(rec)

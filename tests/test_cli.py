@@ -458,10 +458,11 @@ def test_stage_loads_each_input_once(pipeline_dir, tmp_path, monkeypatch, argv):
         assert hashed.count("checkpoint.json") == 1
 
 
-def test_dumps_build_one_encoder_per_file(pipeline_dir, tmp_path, monkeypatch):
-    """A count, not a timing: each dump builds one JSON encoder for its file
-    and calls `json.dumps` for none of its rows, and rewrites the bytes the
-    pipeline wrote."""
+def test_only_corpus_dumps_build_encoders(pipeline_dir, tmp_path, monkeypatch):
+    """A count, not a timing: the corpus dump builds one JSON encoder for
+    each of its two files, the index, linkage and value dumps write their
+    rows through their own line formatters and build none, no dump calls
+    `json.dumps` for a row, and each rewrites the bytes the pipeline wrote."""
     out, _ = pipeline_dir
     corpus = load_corpus(out / "corpus/items.jsonl", out / "corpus/events.jsonl")
     index = load_index(out / "index.jsonl")
@@ -472,16 +473,16 @@ def test_dumps_build_one_encoder_per_file(pipeline_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(json.encoder, "c_make_encoder",
                         _spy(encoders, type, json.encoder.c_make_encoder))
     monkeypatch.setattr(json, "dumps", _spy(dumps, type, json.dumps))
-    for files, dump in [
+    for built, dump in [
         (2, lambda: corpus_module.dump_corpus(
             corpus, tmp_path / "corpus/items.jsonl", tmp_path / "corpus/events.jsonl")),
-        (1, lambda: index_module.dump_index(index, tmp_path / "index.jsonl")),
-        (1, lambda: linkage_module.dump_linkage(linkage, tmp_path / "linkage.jsonl")),
-        (1, lambda: value_module.dump_values(assessments, tmp_path / "values.jsonl")),
+        (0, lambda: index_module.dump_index(index, tmp_path / "index.jsonl")),
+        (0, lambda: linkage_module.dump_linkage(linkage, tmp_path / "linkage.jsonl")),
+        (0, lambda: value_module.dump_values(assessments, tmp_path / "values.jsonl")),
     ]:
         encoders.clear()
         dump()
-        assert len(encoders) == files
+        assert len(encoders) == built
     assert dumps == []
     for name in ("corpus/items.jsonl", "corpus/events.jsonl", "index.jsonl", "linkage.jsonl",
                  "values.jsonl"):
@@ -1001,6 +1002,98 @@ def test_deeply_nested_event_line_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4, err
     assert f"{events}:2: malformed event row: nested too deeply" in err
+
+
+TOP_HELP = """\
+usage: consultrank [-h] [--version]
+                   {datagen,ingest,index,link,assess,train,eval,report} ...
+
+consultation value assessment and value-aware search
+
+positional arguments:
+  {datagen,ingest,index,link,assess,train,eval,report}
+    datagen             generate a synthetic dataset with planted patterns
+    ingest              validate raw items/events and write the canonical
+                        corpus
+    index               build the scenario-term inverted index
+    link                link consultations to their subsequent related actions
+    assess              score every consultation against every search
+    train               train the ranking model
+    eval                rank held-out sessions and write metrics
+    report              collate vaps/bm25/semantic metrics into one table
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+ASSESS_HELP = """\
+usage: consultrank assess [-h] [--config CONFIG] [--out OUT] [--seed SEED]
+                          [--alpha ALPHA] [--lambda1 LAMBDA1]
+                          [--lambda2 LAMBDA2] [--n-buckets N_BUCKETS]
+                          [--lambda-thresh LAMBDA_THRESH]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat JSON config file
+  --out OUT             directory artifacts live under
+  --seed SEED           override the config seed
+  --alpha ALPHA         override config key alpha (default 0.99)
+  --lambda1 LAMBDA1     override config key lambda1 (default 0.5)
+  --lambda2 LAMBDA2     override config key lambda2 (default 0.3)
+  --n-buckets N_BUCKETS
+                        override config key n_buckets (default 11)
+  --lambda-thresh LAMBDA_THRESH
+                        override config key lambda_thresh (default 4)
+"""
+
+EVAL_HELP = """\
+usage: consultrank eval [-h] [--config CONFIG] [--out OUT] [--seed SEED]
+                        [--l-seq L_SEQ] [--n-neg-eval N_NEG_EVAL]
+                        [--ranker {vaps,bm25,semantic}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat JSON config file
+  --out OUT             directory artifacts live under
+  --seed SEED           override the config seed
+  --l-seq L_SEQ         override config key l_seq (default 30)
+  --n-neg-eval N_NEG_EVAL
+                        override config key n_neg_eval (default 99)
+  --ranker {vaps,bm25,semantic}
+                        which system to evaluate
+"""
+
+
+def _help(argv, monkeypatch, capsys):
+    """What `main(argv)` prints and its exit code, on an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    return capsys.readouterr().out, exit_info.value.code
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--help"], TOP_HELP), (["assess", "--help"], ASSESS_HELP),
+    (["eval", "-h"], EVAL_HELP),
+])
+def test_help_texts_are_pinned(argv, text, monkeypatch, capsys):
+    """The parser gives only the invoked subcommand its arguments; every
+    subcommand is still listed with its help, and the invoked one's help
+    lists all of its arguments."""
+    assert _help(argv, monkeypatch, capsys) == (text, 0)
+
+
+@pytest.mark.parametrize("name", list(cli.STAGES))
+def test_every_stage_help_lists_its_arguments(name, monkeypatch, capsys):
+    text, code = _help([name, "--help"], monkeypatch, capsys)
+    assert code == 0
+    assert text.startswith(f"usage: consultrank {name} [-h] [--config CONFIG] [--out OUT] "
+                           "[--seed SEED]")
+    stage = cli.STAGES[name]
+    for option in [f"--{key.replace('_', '-')}" for key in stage.flags] + [
+            flag for flag, _ in stage.options]:
+        assert f"  {option} " in text, option
 
 
 PIPELINE = [["datagen"], ["ingest"], ["index"], ["link"], ["assess"], ["train"], ["eval"],

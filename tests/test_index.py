@@ -10,13 +10,14 @@ from consultrank.index import (
     ScopeParams,
     build_index,
     dump_index,
+    index_line,
     load_index,
     matched_terms,
     normalize,
     scope_value,
 )
 from closed_forms import index_examples
-from helpers import corpus_from, item
+from helpers import ANY_TEXT, corpus_from, item
 import oracles
 
 
@@ -133,6 +134,15 @@ def test_dump_index_is_bit_stable(tmp_path):
     assert a == (tmp_path / "b.jsonl").read_bytes()
     terms = [json.loads(line)["term"] for line in a.decode().splitlines()]
     assert terms == sorted(terms) == ["case", "folding", "phone"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(term=ANY_TEXT, items=st.lists(ANY_TEXT, max_size=4))
+@example(term='q"uo\\te\x00\x1f\x7f\u2028\ud800', items=["caf\u00e9", "\U0001f600", "\udfff"])
+@example(term="", items=[])
+def test_index_line_is_the_json_dumps_line(term, items):
+    assert index_line(term, items) == (
+        json.dumps({"term": term, "items": items}, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("row", [

@@ -1,17 +1,21 @@
 """Action-to-consultation linking: rules, windowing, inversion, ordering."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
-from consultrank.corpus import ActionType, CorpusError, Interaction, build_corpus
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from consultrank.corpus import ActionType, CorpusError, Interaction, Query, build_corpus
 from consultrank.linkage import (
+    RULES,
     LinkageParams,
     action_text,
     build_linkage,
     dump_linkage,
+    link_line,
 )
 from closed_forms import linkage_examples
-from helpers import buy, click, consult, corpus_from, item, search
+from helpers import ANY_TEXT, buy, click, consult, corpus_from, item, search
 from oracles import ACTION_NAMES, linked_action_times
 
 CATALOG = [
@@ -205,3 +209,24 @@ def test_dump_is_sorted_and_complete(tmp_path):
     assert len(lines) == 2
     assert '"user": "u1"' in lines[0] and '"user": "u2"' in lines[1]
     assert '"rule": "full-text"' in lines[1]
+
+
+_linked_actions = st.lists(st.tuples(st.sampled_from(ActionType),
+                                     st.integers(min_value=0, max_value=2**63 - 1),
+                                     ANY_TEXT, st.sampled_from(RULES)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(user=ANY_TEXT, cid=ANY_TEXT, actions=_linked_actions)
+@example(user="u1", cid="c1", actions=[])
+@example(user='u"\\\x00', cid="\U0001f600\ud800", actions=[
+    (ActionType.SEARCH, 7, 'caf\u00e9 "x"\\\n\x1f', RULES[2]),
+    (ActionType.BUY, 2**63 - 1, "\udfff", RULES[0])])
+def test_link_line_is_the_json_dumps_line(user, cid, actions):
+    pairs = [(Interaction(atype, ts, target_query=Query(text, ts))
+              if atype is ActionType.SEARCH else Interaction(atype, ts, target_item=text), rule)
+             for atype, ts, text, rule in actions]
+    row = {"user": user, "cid": cid, "actions": [
+        {"type": atype.value, "ts_hours": ts, "target": text, "rule": rule}
+        for atype, ts, text, rule in actions]}
+    assert link_line(user, cid, pairs) == json.dumps(row, sort_keys=True) + "\n"

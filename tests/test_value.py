@@ -1,12 +1,18 @@
 """Value scoring: decay, buckets, scarcity weights, aggregation, ranking."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from consultrank.corpus import ActionType
 from consultrank.index import build_index
 from consultrank.linkage import build_linkage
 from consultrank.value import (
+    BucketTable,
     ValueParams,
+    ValueReport,
     aggregate_value,
     assess_corpus,
     bucketize,
@@ -17,9 +23,11 @@ from consultrank.value import (
     score_histogram,
     time_bucket,
     time_decay_value,
+    value_line,
 )
 from closed_forms import value_examples
 from helpers import (
+    ANY_TEXT,
     buy,
     consult,
     corpus_from,
@@ -70,6 +78,15 @@ def test_time_bucket_boundaries():
         time_bucket(-1, 13)
     with pytest.raises(ValueError):
         time_bucket(5, 1)
+
+
+def test_bucket_table_refuses_unsorted_or_negative_cut_points():
+    """Cut points are counts: a count of zero then lies in bucket 0, which
+    `action_value` relies on to skip it."""
+    with pytest.raises(ValueError, match="not sorted"):
+        BucketTable(cuts={ActionType.CLICK: (0, 2, 1)})
+    with pytest.raises(ValueError, match="negative"):
+        BucketTable(cuts={ActionType.BUY: (-1, 0, 1)})
 
 
 def test_bucketize_monotone():
@@ -185,3 +202,21 @@ def test_pipeline_matches_brute_force_oracle(tmp_path):
         items, events = random_micro_events(rng)
         corpus = corpus_from(tmp_path, items, events, tag=str(trial))
         assert pipeline_reports(corpus) == oracle_reports(corpus), trial
+
+
+_score = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 1.0, 1e-06, 5e-07, 4.9999999e-07, 0.1 + 0.2, 0.99 ** 720, 5e-324])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(user=ANY_TEXT, cid=ANY_TEXT, search_ts=st.integers(min_value=0, max_value=2**63 - 1),
+       scores=st.tuples(_score, _score, _score, _score), rank=st.integers(min_value=1))
+@example(user='u"\\\x00\x1f', cid="\U0001f600\ud800caf\u00e9", search_ts=0,
+         scores=(1.0, 0.0, 1e-06, 0.123456789), rank=1)
+def test_value_line_is_the_json_dumps_line(user, cid, search_ts, scores, rank):
+    o_time, o_scope, o_action, o_aggregate = scores
+    row = {"user": user, "search_ts": search_ts, "cid": cid,
+           "o_time": round(o_time, 6), "o_scope": round(o_scope, 6),
+           "o_action": round(o_action, 6), "o_aggregate": round(o_aggregate, 6), "rank": rank}
+    line = value_line(ValueReport(user, search_ts, cid, *scores, rank))
+    assert line == json.dumps(row, sort_keys=True) + "\n"
