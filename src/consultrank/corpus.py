@@ -8,8 +8,8 @@ interaction list always contains the search events as well.
 Timestamps are integer hours since an arbitrary epoch; sub-hour inputs are
 floored on ingestion.  All structures are immutable after loading and safe
 for concurrent readers.  The per-row records are NamedTuples: `build_corpus`
-checks each one as it builds it from a row, and building one directly checks
-nothing.
+checks each field of a row once, in one pass, as it builds the row's record,
+and building one directly checks nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ from typing import Iterable, NamedTuple, Optional
 
 class CorpusError(ValueError):
     """Raised for schema violations, dangling references or parse errors."""
+
+
+class RecordError(CorpusError):
+    """A row `build_corpus` refuses: its `kind` ("item" or "event"), its
+    0-based position `pos` among the rows of that kind, and the `reason`.
+    Its text is ``<kind> record #<pos>: <reason>``."""
+
+    def __init__(self, kind: str, pos: int, reason: str):
+        super().__init__(f"{kind} record #{pos}: {reason}")
+        self.kind, self.pos, self.reason = kind, pos, reason
 
 
 class ActionType(str, Enum):
@@ -238,63 +248,89 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
 
     Events are grouped per user and stably sorted by timestamp, so
     non-monotone input order is tolerated.  Dangling item references and
-    duplicate consultation ids are rejected.  Raised errors carry the
-    0-based record position as ``#<n>`` so file loaders can map them back
-    to line numbers.
+    duplicate consultation ids are rejected.
 
-    Each row goes through one exact-type test of its fields.  A row that
-    fails it is built field by field by `_checked_item` or `_checked_event`,
-    which word the refusal of a bad row.
+    One pass checks each field of a row once as it builds the row's record:
+    an item's id, title and attributes, then a repeated id; an event's user,
+    type and hours, then the fields of its type.  An `int` hour in range is
+    taken as it is; any other value goes through `floor_hours`.  The first
+    refused row raises a `RecordError` that carries its kind and 0-based
+    position, so file loaders can map it back to a line number.
     """
     items: dict[str, Item] = {}
     for pos, obj in enumerate(item_records):
         iid, title, attrs = obj.get("id"), obj.get("title"), obj.get("attributes")
-        if (type(iid) is str and type(title) is str and iid and title and iid not in items
-                and (attrs is None or type(attrs) is list and all(type(a) is str for a in attrs))):
-            items[iid] = Item(iid, title, tuple(attrs or ()))
+        if not isinstance(iid, str) or not iid:
+            raise RecordError("item", pos, "missing or empty field 'id'")
+        if not isinstance(title, str) or not title:
+            raise RecordError("item", pos, "missing or empty field 'title'")
+        if attrs is None:
+            attrs = ()
+        elif isinstance(attrs, list) and all(isinstance(a, str) for a in attrs):
+            attrs = tuple(attrs)
         else:
-            try:
-                item = _checked_item(obj, items)
-            except CorpusError as exc:
-                raise CorpusError(f"item record #{pos}: {exc}") from exc
-            items[item.id] = item
+            raise RecordError("item", pos, "field 'attributes' must be a list of strings "
+                              f"or null, got {attrs!r}")
+        if iid in items:
+            raise RecordError("item", pos, f"duplicate item id {iid!r}")
+        items[iid] = Item(iid, title, attrs)
 
     searches: dict[str, list[SearchSession]] = {}
     consults: dict[str, dict[str, Consultation]] = {}
     inters: dict[str, list[Interaction]] = {}
     for pos, obj in enumerate(event_records):
         user, etype, ts = obj.get("user"), obj.get("type"), obj.get("ts_hours")
-        rec = None
-        if (type(user) is str and type(etype) is str and type(ts) is int and user
-                and 0 <= ts <= MAX_HOURS):
-            if etype == "consult":
-                cid, turn, answer = obj.get("cid"), obj.get("user_turn"), obj.get("assistant_turn")
-                if (type(cid) is str and cid and (turn is None or type(turn) is str)
-                        and (answer is None or type(answer) is str) and (turn or answer)
-                        and cid not in consults.get(user, ())):
-                    rec = Consultation(cid, turn or "", answer or "", ts)
-            elif etype == "search":
-                text, gt = obj.get("query"), obj.get("ground_truth_item")
-                if type(text) is str and text and type(gt) is str and gt in items:
-                    query = Query(text, ts)
-                    rec = SearchSession(query, Interaction(ActionType.SEARCH, ts, None, query), gt)
-            else:
-                atype, iid = _ITEM_ACTIONS.get(etype), obj.get("item")
-                if atype is not None and type(iid) is str and iid in items:
-                    rec = Interaction(atype, ts, iid)
-        if rec is None:
+        if not isinstance(user, str) or not user:
+            raise RecordError("event", pos, "missing or empty field 'user'")
+        if not isinstance(etype, str) or not etype:
+            raise RecordError("event", pos, "missing or empty field 'type'")
+        if type(ts) is not int or not 0 <= ts <= MAX_HOURS:
             try:
-                user, rec = _checked_event(obj, items, consults)
+                ts = floor_hours(ts)
             except CorpusError as exc:
-                raise CorpusError(f"event record #{pos}: {exc}") from exc
-        kind = type(rec)
-        if kind is Consultation:
-            consults.setdefault(user, {})[rec.id] = rec
-        elif kind is SearchSession:
-            searches.setdefault(user, []).append(rec)
-            inters.setdefault(user, []).append(rec.interaction)
+                raise RecordError("event", pos, str(exc)) from exc
+        if etype == "consult":
+            cid, turn, answer = obj.get("cid"), obj.get("user_turn"), obj.get("assistant_turn")
+            if not isinstance(cid, str) or not cid:
+                raise RecordError("event", pos, "missing or empty field 'cid'")
+            own = consults.setdefault(user, {})
+            if cid in own:
+                raise RecordError("event", pos,
+                                  f"duplicate consultation id {cid!r} for user {user!r}")
+            if turn is None:
+                turn = ""
+            elif not isinstance(turn, str):
+                raise RecordError("event", pos,
+                                  f"field 'user_turn' must be a string or null, got {turn!r}")
+            if answer is None:
+                answer = ""
+            elif not isinstance(answer, str):
+                raise RecordError("event", pos, "field 'assistant_turn' must be a string "
+                                  f"or null, got {answer!r}")
+            if not turn and not answer:
+                raise RecordError("event", pos, f"consultation {cid!r} has two empty turns")
+            own[cid] = Consultation(cid, turn, answer, ts)
+        elif etype == "search":
+            text, gt = obj.get("query"), obj.get("ground_truth_item")
+            if not isinstance(text, str) or not text:
+                raise RecordError("event", pos, "missing or empty field 'query'")
+            if not isinstance(gt, str) or not gt:
+                raise RecordError("event", pos, "missing or empty field 'ground_truth_item'")
+            if gt not in items:
+                raise RecordError("event", pos, f"ground_truth_item {gt!r} not in items")
+            query = Query(text, ts)
+            action = Interaction(ActionType.SEARCH, ts, None, query)
+            searches.setdefault(user, []).append(SearchSession(query, action, gt))
+            inters.setdefault(user, []).append(action)
         else:
-            inters.setdefault(user, []).append(rec)
+            atype, iid = _ITEM_ACTIONS.get(etype), obj.get("item")
+            if atype is None:
+                raise RecordError("event", pos, f"unknown event type {etype!r}")
+            if not isinstance(iid, str) or not iid:
+                raise RecordError("event", pos, "missing or empty field 'item'")
+            if iid not in items:
+                raise RecordError("event", pos, f"item {iid!r} not in items")
+            inters.setdefault(user, []).append(Interaction(atype, ts, iid))
 
     # Full (not just stable) sort keys make the stored order canonical:
     # any permutation of the input records builds the identical Corpus.
@@ -320,91 +356,15 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
     return Corpus(items=items, users=users)
 
 
-def _checked_item(obj: dict, items: dict[str, Item]) -> Item:
-    """The item of a row, built field by field; refused as `build_corpus`
-    words it."""
-    item = Item(_req_str(obj, "id"), _req_str(obj, "title"), _str_list(obj, "attributes"))
-    if item.id in items:
-        raise CorpusError(f"duplicate item id {item.id!r}")
-    return item
-
-
-def _checked_event(obj: dict, items: dict[str, Item],
-                   consults: dict[str, dict[str, Consultation]]
-                   ) -> tuple[str, SearchSession | Interaction | Consultation]:
-    """``(user, record)`` of an event row, built field by field: a
-    SearchSession, a click or buy Interaction, or a Consultation.  Refused
-    as `build_corpus` words it."""
-    user = _req_str(obj, "user")
-    etype = _req_str(obj, "type")
-    ts = floor_hours(obj.get("ts_hours"))
-    if etype == "search":
-        query = Query(_req_str(obj, "query"), ts)
-        gt = _req_str(obj, "ground_truth_item")
-        if gt not in items:
-            raise CorpusError(f"ground_truth_item {gt!r} not in items")
-        return user, SearchSession(query, Interaction(ActionType.SEARCH, ts, None, query), gt)
-    if etype in _ITEM_ACTIONS:
-        iid = _req_str(obj, "item")
-        if iid not in items:
-            raise CorpusError(f"item {iid!r} not in items")
-        return user, Interaction(_ITEM_ACTIONS[etype], ts, iid)
-    if etype == "consult":
-        cid = _req_str(obj, "cid")
-        if cid in consults.get(user, ()):
-            raise CorpusError(f"duplicate consultation id {cid!r} for user {user!r}")
-        turn, answer = _opt_str(obj, "user_turn"), _opt_str(obj, "assistant_turn")
-        if not turn and not answer:
-            raise CorpusError(f"consultation {cid!r} has two empty turns")
-        return user, Consultation(cid, turn, answer, ts)
-    raise CorpusError(f"unknown event type {etype!r}")
-
-
 def load_corpus(items_path, events_path) -> Corpus:
     """Load ``items.jsonl`` + ``events.jsonl`` into a validated Corpus."""
     item_rows = read_jsonl(items_path, "item")
     event_rows = read_jsonl(events_path, "event")
     try:
         return build_corpus((obj for _ln, obj in item_rows), (obj for _ln, obj in event_rows))
-    except CorpusError as exc:
-        msg = str(exc)
-        for prefix, rows, path in (
-            ("item record #", item_rows, items_path),
-            ("event record #", event_rows, events_path),
-        ):
-            if msg.startswith(prefix):
-                pos_text, _, rest = msg[len(prefix):].partition(": ")
-                lineno = rows[int(pos_text)][0]
-                raise CorpusError(f"{path}:{lineno}: {rest}") from exc
-        raise
-
-
-def _req_str(obj: dict, key: str) -> str:
-    val = obj.get(key)
-    if not isinstance(val, str) or not val:
-        raise CorpusError(f"missing or empty field {key!r}")
-    return val
-
-
-def _opt_str(obj: dict, key: str) -> str:
-    """A string field that may be absent or null, which reads as empty."""
-    val = obj.get(key)
-    if val is None:
-        return ""
-    if not isinstance(val, str):
-        raise CorpusError(f"field {key!r} must be a string or null, got {val!r}")
-    return val
-
-
-def _str_list(obj: dict, key: str) -> tuple[str, ...]:
-    """A list-of-strings field that may be absent or null, which reads as
-    empty."""
-    val = obj.get(key)
-    if val is None:
-        return ()
-    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
-        raise CorpusError(f"field {key!r} must be a list of strings or null, got {val!r}")
-    return tuple(val)
+    except RecordError as exc:
+        path, rows = (items_path, item_rows) if exc.kind == "item" else (events_path, event_rows)
+        raise CorpusError(f"{path}:{rows[exc.pos][0]}: {exc.reason}") from exc
 
 
 def consultations_before(history: UserHistory, t: int) -> tuple[Consultation, ...]:

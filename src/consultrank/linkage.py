@@ -197,7 +197,7 @@ def load_linkage(path, corpus: Corpus) -> LinkageTable:
     Every dumped action must exist in the corpus; a row that references an
     unknown user, consultation, or action, or a second row for one
     consultation, means the dump and the corpus drifted apart and raises
-    CorpusError."""
+    CorpusError.  So does an action hour that is not a JSON integer."""
     lookup = _action_lookup(corpus)
     cids = {
         user: {c.id for c in corpus.users[user].consultations}
@@ -224,7 +224,10 @@ def _bind_row(rec: dict, lookup: Dict[Tuple[str, str, int, str], Interaction],
         raise CorpusError(f"second linkage row for {user!r}/{cid!r}")
     actions: List[Tuple[Interaction, str]] = []
     for row in rec["actions"]:
-        key = (user, row["type"], row["ts_hours"], row["target"])
+        ts = row["ts_hours"]
+        if type(ts) is not int:  # 123.0 and true would match hour 123 and 1 in `lookup`
+            raise CorpusError(f"linkage action ts_hours must be an integer, got {ts!r}")
+        key = (user, row["type"], ts, row["target"])
         interaction = lookup.get(key)
         if interaction is None:
             raise CorpusError(

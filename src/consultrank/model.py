@@ -485,17 +485,12 @@ def attend(layer: Attention, queries: T.Tensor, keys: T.Tensor,
     return T.matmul(T.matmul(weights, keys), layer.w_v)
 
 
-def cai_logits(model: Model, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
-    """The attention block's `attention_logits`: the CAI softmaxes them and
-    the alignment loss trains them."""
-    return attention_logits(model.block, queries, keys)
-
-
 def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
                    texts: T.Tensor) -> T.Tensor:
-    """[n, n_keys]: the logits `cai_logits` gives each of n queries ([n, d])
-    against its own row of keys, `cai_keys` of `actions` ([n, n_keys, 4],
-    -1 rows for padding, which score 0), with no key built.
+    """[n, n_keys]: the logits `attention_logits` of the attention block
+    gives each of n queries ([n, d]) against its own row of keys, `cai_keys`
+    of `actions` ([n, n_keys, 4], -1 rows for padding, which score 0), with
+    no key built.
 
     A key is a sum of table rows, so a query's projected product with it
     is the sum of the query's products with those rows.  The queries meet

@@ -528,6 +528,19 @@ def _append_row(name, make):
     return corrupt
 
 
+def _retype_linked_hour(retype):
+    """Replace the hour of the first action of the first linkage.jsonl row
+    that has one by `retype` of it; return the refusal that names it."""
+    def corrupt(out):
+        path = out / "linkage.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        n, row = next((n, row) for n, row in enumerate(rows, start=1) if row["actions"])
+        row["actions"][0]["ts_hours"] = retype(row["actions"][0]["ts_hours"])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return f"{path.name}:{n}: linkage action ts_hours must be an integer"
+    return corrupt
+
+
 def _repeat_first_value_row(out):
     """Append the first values.jsonl row again, ranked after the last row
     of its search hour, so that only the repeat is wrong."""
@@ -688,6 +701,8 @@ def _as_older_format(version):
     ("eval", _edit_first_row("values.jsonl", lambda row: {**row, "rank": row["rank"] + 1})),
     ("assess", _append_row("linkage.jsonl", lambda row: {**row, "actions": []})),
     ("assess", _append_row("index.jsonl", lambda row: {**row, "items": []})),
+    ("assess", _retype_linked_hour(float)),
+    ("assess", _retype_linked_hour(lambda ts: True)),
     ("eval", _edit_checkpoint(_with_older_corpus_key)),
     ("eval", _edit_checkpoint(lambda payload: payload.pop("params"))),
     ("eval", _edit_checkpoint(
@@ -714,7 +729,8 @@ def _as_older_format(version):
         "index-row-string-items", "index-row-number-term",
         "values-row-string-rank", "values-row-string-search-ts",
         "values-row-repeated", "values-row-of-later-consultation", "values-ranks-not-1-to-n",
-        "linkage-row-repeated", "index-row-repeated", "checkpoint-older-corpus-key",
+        "linkage-row-repeated", "index-row-repeated", "linkage-float-hour",
+        "linkage-bool-hour", "checkpoint-older-corpus-key",
         "checkpoint-without-params", "checkpoint-param-without-shape",
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",

@@ -14,6 +14,7 @@ from consultrank.corpus import (
     Interaction,
     Item,
     Query,
+    RecordError,
     SearchSession,
     build_corpus,
     dump_corpus,
@@ -406,8 +407,9 @@ def test_event_row_refusals_are_pinned(tmp_path, row, says):
 
 
 def test_rows_off_the_exact_types_build_the_same_corpus():
-    """A row that fails `build_corpus`'s exact-type test is built field by
-    field, into the records an exact row builds."""
+    """Rows whose strings are `str` subclasses, whose hours are floats, or
+    whose optional fields are absent or null build the records that rows of
+    the exact types build."""
     class Text(str):
         pass
 
@@ -420,6 +422,20 @@ def test_rows_off_the_exact_types_build_the_same_corpus():
         [search("u1", 7.5, Text("laptop"), "i1"), click(Text("u1"), 8.0, "i1"),
          {**consult("u1", 6.9, "c1", "which laptop"), "assistant_turn": None}])
     assert loose == exact
+
+
+@pytest.mark.parametrize("items, events, kind, pos, reason", [
+    (ITEMS + [item("i1", "tripod")], [], "item", 3, "duplicate item id 'i1'"),
+    (ITEMS, [click("u1", 3, "i1"), click("u1", 4, "i9")], "event", 1, "item 'i9' not in items"),
+    (ITEMS, [click("u1", True, "i1")], "event", 0, "ts_hours must be a number, got True"),
+], ids=["item", "event", "event-hours"])
+def test_build_corpus_refusal_names_its_record(items, events, kind, pos, reason):
+    """A refused row's error names its kind and 0-based position among the
+    rows of that kind, and carries them with the reason."""
+    with pytest.raises(RecordError) as info:
+        build_corpus(items, events)
+    assert str(info.value) == f"{kind} record #{pos}: {reason}"
+    assert (info.value.kind, info.value.pos, info.value.reason) == (kind, pos, reason)
 
 
 RECORDS = [

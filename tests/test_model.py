@@ -223,8 +223,8 @@ def test_cai_singleton_action_gets_full_attention(small_corpus):
     u1 = small_corpus.users["u1"]
     texts, c_rows, a_rows = cai_rows(
         model, *features(model, "u1", u1.consultations, u1.interactions[:1]))
-    weights = T.softmax(M.cai_logits(model, M.cai_queries(model, c_rows, texts),
-                                     M.cai_keys(model, a_rows, texts)))
+    weights = T.softmax(M.attention_logits(model.block, M.cai_queries(model, c_rows, texts),
+                                           M.cai_keys(model, a_rows, texts)))
     assert weights.shape == (len(u1.consultations), 1)
     assert np.allclose(weights.data, 1.0)
 

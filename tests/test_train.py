@@ -548,8 +548,8 @@ def test_training_raises_attention_mass_on_linked_pairs():
         for user, c, col, anchor, prior in flat:
             texts, _, c_rows, a_rows = M.cai_inputs(model, table, np.array([[c]]), prior[None],
                                                     np.array([[anchor]]))
-            logits = M.cai_logits(model, M.cai_queries(model, c_rows[0], texts),
-                                  M.cai_keys(model, a_rows[0], texts))
+            logits = M.attention_logits(model.block, M.cai_queries(model, c_rows[0], texts),
+                                        M.cai_keys(model, a_rows[0], texts))
             masses.append(float(T.softmax(logits).data[0, col]))
         return float(np.mean(masses))
 
