@@ -178,27 +178,26 @@ def _param_shapes(cfg: ModelConfig, n_tokens: int, n_items: int,
 
 
 def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
-                 make_params: Callable[[Dict[str, Tuple[int, ...]]], Dict[str, T.Tensor]]
+                 make_params: Callable[[Dict[str, Tuple[int, ...]], Dict[str, int],
+                                        List[List[str]]], Dict[str, T.Tensor]]
                  ) -> Model:
     """A model of `corpus` whose parameters `make_params` gives, from their
-    `_param_shapes`.
+    `_param_shapes`, the vocabulary and the token lists of the table texts.
 
-    Each consultation and search query is normalized once, and the item
-    texts in one call on their space-joined concatenation: `normalize`
-    lowercases and filters character by character and then splits at
-    whitespace, so that call yields the tokens of every item text.  The
-    tokens give the vocabulary (id 0 is
-    reserved for unknown tokens) and, with the corpus's item and user
-    counts, the table sizes; the consultation and query tokens also give
-    the model's `features` table.
+    Each consultation and search query is normalized once.  The vocabulary
+    holds the terms a model input reads, those of the table texts, each
+    text cut at `max_text_tokens`, in sorted order (id 0 is reserved for
+    unknown tokens).  Item texts add none: items reach the model through
+    the item table only.  With the corpus's item and user counts it gives
+    the table sizes, and the cut tokens give the model's `features` table.
     """
     histories = _histories(corpus)
     tokens = [normalize(t) for t in _table_texts(histories)]
-    item_tokens = normalize(" ".join(item.text for item in corpus.items.values()))
-    vocab = {term: i + 1 for i, term in
-             enumerate(sorted(set(chain.from_iterable(tokens)).union(item_tokens)))}
+    read = [toks[:cfg.max_text_tokens] for toks in tokens]
+    vocab = {term: i + 1 for i, term in enumerate(sorted(set(chain.from_iterable(read))))}
     item_rows = {v: i for i, v in enumerate(corpus.item_ids)}
-    p = make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows), len(corpus.users)))
+    p = make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows), len(corpus.users)),
+                    vocab, tokens)
     return Model(
         cfg=cfg,
         vocab=vocab,
@@ -206,8 +205,7 @@ def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
         item_rows=item_rows,
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
         corpus_sha256=digest,
-        features=_featurize(histories, _token_ids(vocab, cfg.max_text_tokens, tokens),
-                            item_rows),
+        features=_featurize(histories, _token_ids(vocab, read), item_rows),
         tables=EmbeddingTables(token=p["token_emb"], item=p["item_emb"], user=p["user_emb"],
                                time=p["time_emb"], action=p["action_emb"]),
         block=AttentionBlock(w_q=p["attn_wq"], w_k=p["attn_wk"], w_v=p["attn_wv"]),
@@ -222,11 +220,31 @@ def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
 def init_model(corpus: Corpus, cfg: ModelConfig) -> Model:
     """A freshly initialized model of `corpus`: each parameter drawn
     uniformly in [-1/sqrt(d), 1/sqrt(d)] from one generator seeded by
-    `cfg.seed`, in `_param_shapes` order."""
+    `cfg.seed`, in `_param_shapes` order.
+
+    The token table is drawn as it was when every catalog term had a row:
+    row 0, then one row per term of the table texts (uncut) and the item
+    texts, in sorted order.  Row 0 and the rows of the vocabulary's terms
+    are kept, so every parameter an input reads starts from the same
+    numbers as then.  This is the only place the item texts are
+    tokenized, in one `normalize` call on their space-joined concatenation
+    (it splits at whitespace after filtering, so that call yields the
+    tokens of every item text)."""
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / math.sqrt(cfg.d)
-    return _build_model(corpus, cfg, corpus_digest(corpus), lambda shapes: {
-        name: T.parameter(rng, shape, scale) for name, shape in shapes.items()})
+
+    def draw(shapes: Dict[str, Tuple[int, ...]], vocab: Dict[str, int],
+             tokens: List[List[str]]) -> Dict[str, T.Tensor]:
+        item_terms = normalize(" ".join(item.text for item in corpus.items.values()))
+        drawn = sorted(set(chain.from_iterable(tokens)).union(item_terms))
+        row = {term: i + 1 for i, term in enumerate(drawn)}
+        params = {name: T.parameter(rng, shape, scale) for name, shape in
+                  {**shapes, "token_emb": (len(row) + 1, cfg.d)}.items()}
+        kept = [UNKNOWN_TOKEN, *map(row.__getitem__, vocab)]
+        params["token_emb"] = T.Tensor(params["token_emb"].data[kept], requires_grad=True)
+        return params
+
+    return _build_model(corpus, cfg, corpus_digest(corpus), draw)
 
 
 class SessionInputs(NamedTuple):
@@ -272,19 +290,13 @@ class CorpusFeatures:
         return np.arange(self.starts[k, kind], self.starts[k + 1, kind])
 
 
-def _token_ids(vocab: Dict[str, int], max_tokens: int,
+def _token_ids(vocab: Dict[str, int],
                tokens: Sequence[List[str]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Each token list's ids (unknown terms map to UNKNOWN_TOKEN, and a list
-    past max_tokens is cut), concatenated, and the offsets that split them."""
-    per_text = [[vocab.get(tok, UNKNOWN_TOKEN) for tok in toks[:max_tokens]] for toks in tokens]
+    """Each token list's ids (unknown terms map to UNKNOWN_TOKEN),
+    concatenated, and the offsets that split them."""
+    per_text = [[vocab.get(tok, UNKNOWN_TOKEN) for tok in toks] for toks in tokens]
     offsets = np.cumsum([0] + [len(ids) for ids in per_text])
     return np.fromiter(chain.from_iterable(per_text), np.int32, offsets[-1]), offsets
-
-
-def text_ids(model: Model, texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Token ids of each text under the model's vocabulary, concatenated,
-    and the offsets that split them."""
-    return _token_ids(model.vocab, model.cfg.max_text_tokens, [normalize(t) for t in texts])
 
 
 def _rows(index: Dict[str, int], ids: Sequence[str], kind: str) -> np.ndarray:
@@ -334,14 +346,6 @@ def _featurize(histories: Sequence[UserHistory], tokenized: Tuple[np.ndarray, np
         token_ids=tokenized[0], text_offsets=tokenized[1], actions=rows,
         action_ts=np.array([a.timestamp for a in actions], dtype=np.int64),
     )
-
-
-def corpus_features(model: Model, corpus: Corpus) -> CorpusFeatures:
-    """Tokenize and index a corpus under the model's vocabulary and item
-    rows, for corpora other than the model's own: `init_model` featurizes
-    that one once, into `model.features`."""
-    histories = _histories(corpus)
-    return _featurize(histories, text_ids(model, _table_texts(histories)), model.item_rows)
 
 
 def time_buckets(model: Model, deltas) -> np.ndarray:
@@ -614,9 +618,11 @@ def load_model(path, corpus: Corpus) -> Model:
     """Rebuild a model from a checkpoint against the corpus it was trained on.
 
     The checkpoint's arrays become the parameters as they are, shape-checked
-    against the corpus's table sizes; nothing is drawn.  A corpus whose
-    digest differs from the one stored at save time is refused with a
-    ValueError rather than bound silently."""
+    against the corpus's table sizes; nothing is drawn, so no item text is
+    tokenized.  A corpus whose digest differs from the one stored at save
+    time is refused with a ValueError rather than bound silently, and so is
+    a checkpoint with more token rows than the vocabulary gives, written
+    when every catalog term had one."""
     arrays, extra = T.load_checkpoint(path)
     spec = extra.get("model_config")
     if not isinstance(spec, dict):
@@ -646,7 +652,7 @@ def load_model(path, corpus: Corpus) -> Model:
             f"{extra[CORPUS_KEY]!r}, this corpus {digest!r})"
         )
 
-    def checked(shapes: Dict[str, Tuple[int, ...]]) -> Dict[str, T.Tensor]:
+    def checked(shapes: Dict[str, Tuple[int, ...]], *_) -> Dict[str, T.Tensor]:
         missing = sorted(set(shapes) - set(arrays))
         unexpected = sorted(set(arrays) - set(shapes))
         if missing or unexpected:
@@ -654,12 +660,20 @@ def load_model(path, corpus: Corpus) -> Model:
                 f"{path}: checkpoint/model parameter mismatch "
                 f"(missing {missing}, unexpected {unexpected})"
             )
+        # The corpus is the trained one, so more token rows than its
+        # vocabulary gives come from a version that gave item terms rows.
+        rows = arrays["token_emb"].shape[:1]
+        if rows > shapes["token_emb"][:1]:
+            raise ValueError(
+                f"{path}: token_emb has {rows[0]} rows where this corpus's vocabulary "
+                f"gives {shapes['token_emb'][0]}: the checkpoint was written when every "
+                "catalog term had a token row; retrain to write one this version reads"
+            )
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(
                     f"{path}: parameter {name} has shape {arrays[name].shape}, "
-                    f"expected {shape}; was the checkpoint trained "
-                    "on a different corpus?"
+                    f"expected {shape} for the corpus the checkpoint names"
                 )
         return {name: T.Tensor(arrays[name], requires_grad=True) for name in shapes}
 

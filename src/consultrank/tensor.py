@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -359,11 +359,6 @@ def backward(loss: Tensor) -> None:
         node._parents, node._backward = (), None
         if not node.requires_grad and node is not loss:
             node.grad = None
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 #: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).

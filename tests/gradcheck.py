@@ -8,6 +8,8 @@ import numpy as np
 
 from consultrank import tensor as T
 
+from helpers import zero_grads
+
 
 def finite_diff_check(
     build: Callable[[], "T.Tensor"],
@@ -51,7 +53,7 @@ def finite_diff_check(
                 f"gradient mismatch at coord {i}: analytic {analytic:.8g} "
                 f"vs numeric {numeric:.8g} (rel err {err:.3g})"
             )
-    T.zero_grads(leaves)
+    zero_grads(leaves)
     return worst
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from consultrank import model as M
 from consultrank.corpus import ActionType, Corpus, Interaction, Query, UserHistory, load_corpus
 from consultrank.evaluate import session_seed
+from consultrank.index import normalize
 from consultrank.linkage import LinkageParams, build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets, value_line
 
@@ -182,6 +183,27 @@ def pipeline_reports(corpus, params=ValueParams(), window_days=14):
     return out
 
 
+def zero_grads(params):
+    for p in params:
+        p.grad = None
+
+
+def text_ids(model, texts):
+    """Token ids of each text under the model's vocabulary, each text cut at
+    `max_text_tokens`, concatenated, and the offsets that split them."""
+    return M._token_ids(model.vocab,
+                        [normalize(t)[:model.cfg.max_text_tokens] for t in texts])
+
+
+def corpus_features(model, corpus):
+    """Tokenize and index a corpus under the model's vocabulary and item
+    rows, for corpora other than the model's own: `init_model` featurizes
+    that one once, into `model.features`."""
+    histories = M._histories(corpus)
+    return M._featurize(histories, text_ids(model, M._table_texts(histories)),
+                        model.item_rows)
+
+
 def raw_features(model, user_id, consultations, actions, query_history=(),
                  item_history=(), anchor_ts=200, query_text="alpha beta gadget"):
     """One session's feature table and inputs from raw parts: a one-user
@@ -191,7 +213,7 @@ def raw_features(model, user_id, consultations, actions, query_history=(),
                 for t in (*query_history, query_text)]
     history = UserHistory(user_id, consultations=tuple(consultations),
                           interactions=(*actions, *searches))
-    table = M.corpus_features(model, Corpus(users={user_id: history}))
+    table = corpus_features(model, Corpus(users={user_id: history}))
     texts = table.actions[len(actions):, 2]
     return table, M.SessionInputs(
         user=M.user_row(model, user_id), consultations=np.arange(len(consultations)),

@@ -13,7 +13,10 @@ and the alignment sampler written plainly (a fresh array per operand,
 `np.isin`, each example's batch tier concatenated on its own): the
 library's must match them bit for bit and draw for draw.  And so is
 `reference_read_jsonl`, a JSONL reader with one `json.loads` per line:
-the library's scanner loop must read and refuse what it does.
+the library's scanner loop must read and refuse what it does.  And
+`reference_token_draw`, the token table drawn with a row for every term
+of the consultation, query and item texts: the rows `init_model` keeps
+must be that draw's rows for the same terms.
 """
 
 import json
@@ -68,8 +71,12 @@ def normalize(text):
     return [tok for tok in cleaned.split() if len(tok) > 1 and tok not in STOPWORDS]
 
 
+def _consultation_text(c):
+    return c.user_turn + " " + c.assistant_turn
+
+
 def _consultation_tokens(c):
-    return normalize(c.user_turn + " " + c.assistant_turn)
+    return normalize(_consultation_text(c))
 
 
 def _action_footprint(a, corpus):
@@ -77,6 +84,22 @@ def _action_footprint(a, corpus):
         return a.target_query.text
     it = corpus.items[a.target_item]
     return " ".join([it.title, *it.attributes])
+
+
+def reference_token_draw(corpus, cfg):
+    """The token-table draw of a model of `corpus` under `cfg` when every
+    term of the consultation, query and item texts had a row: row 0, each
+    term's row, and the item table drawn next from the same generator."""
+    texts = [_consultation_text(c) for h in corpus.users.values() for c in h.consultations]
+    texts += [a.target_query.text for h in corpus.users.values() for a in h.interactions
+              if a.target_query is not None]
+    texts += [" ".join([it.title, *it.attributes]) for it in corpus.items.values()]
+    terms = sorted({tok for text in texts for tok in normalize(text)})
+    rng = np.random.default_rng(cfg.seed)
+    scale = 1.0 / math.sqrt(cfg.d)
+    table = rng.uniform(-scale, scale, size=(len(terms) + 1, cfg.d))
+    item_emb = rng.uniform(-scale, scale, size=(len(corpus.items), cfg.d))
+    return table[0], dict(zip(terms, table[1:])), item_emb
 
 
 def _is_linked(c_tokens, ti_tokens):

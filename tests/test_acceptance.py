@@ -35,7 +35,7 @@ import closed_forms
 import oracles
 from gradcheck import finite_diff_check, tensor_op_trials
 from helpers import (corpus_from, pipeline_reports, random_micro_events, random_score_fn,
-                     raw_features)
+                     corpus_features, raw_features)
 
 
 def announce(capsys, number, name, ok, detail):
@@ -131,7 +131,7 @@ def _end_to_end_trial(tmp_path, seed):
     cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.5, lambda_l2=1e-4,
                          n_neg_search=3, va_batch=2, seed=seed)
     split = TR.split_sessions(corpus)
-    features = M.corpus_features(model, corpus)
+    features = corpus_features(model, corpus)
     examples = [
         TR.SessionExample(user, session,
                           TR.build_example(model, corpus, features, user, session, kept))
@@ -194,7 +194,7 @@ def test_05_closed_form_losses(capsys):
     search_err = abs(search_loss.item() - math.log(11.0))
 
     model.block.w_q.data[:] = 0.0
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     user = sorted(corpus.users)[0]
     actions = list(table.span(user, 1))
     anchor = int(table.action_ts[actions].max()) + 100

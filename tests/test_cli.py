@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -31,6 +32,7 @@ from consultrank.corpus import load_corpus
 from consultrank.model import CORPUS_KEY, ModelConfig
 from consultrank.value import ValueParams, load_assessments
 
+import oracles
 from helpers import click, consult, item, search, write_jsonl
 
 SMALL_CONFIG = {
@@ -567,6 +569,29 @@ def _with_older_corpus_key(payload):
     payload["extra"]["corpus_sha256"] = payload["extra"].pop(CORPUS_KEY)
 
 
+def test_eval_refuses_checkpoint_with_a_token_row_per_catalog_term(pipeline_dir, tmp_path,
+                                                                  capsys):
+    """A checkpoint as written when every catalog term had a token row: the
+    trained rows among the rows of a catalog-wide draw.  `eval` refuses it
+    with a message to retrain, not as trained on another corpus."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    corpus = load_corpus(out / "corpus" / "items.jsonl", out / "corpus" / "events.jsonl")
+    path = out / "checkpoint.json"
+    model = model_module.load_model(path, corpus)
+    token = model.tables.token.data
+    unknown, rows, _ = oracles.reference_token_draw(corpus, model.cfg)
+    assert len(rows) > len(model.vocab)
+    rows.update((term, token[i]) for term, i in model.vocab.items())
+    model.tables.token = tensor_module.Tensor(np.array([token[0], *rows.values()]))
+    model_module.save_model(model, path)
+    assert run("eval", out, out / "config.json") == 4
+    err = capsys.readouterr().err
+    assert f"{path}: token_emb has {len(rows) + 1} rows" in err
+    assert "retrain" in err and "another corpus" not in err
+
+
 def _edit_json(name, edit):
     def corrupt(out):
         path = out / name
@@ -643,6 +668,19 @@ def _grow_first_dim(out):
     return "checkpoint.json.f64:"
 
 
+def _transpose_a_table(out):
+    """Swap the dimensions of the first non-square table in the header: the
+    data file still fits, and the corpus is the one the checkpoint names."""
+    payload = json.loads((out / "checkpoint.json").read_text())
+    name, (rows, cols) = next((name, p["shape"]) for name, p in payload["params"].items()
+                              if len(p["shape"]) == 2 and p["shape"][0] != p["shape"][1])
+    def edit(payload):
+        payload["params"][name]["shape"].reverse()
+    _edit_checkpoint(edit)(out)
+    return (f"checkpoint.json: parameter {name} has shape ({cols}, {rows}), "
+            f"expected ({rows}, {cols}) for the corpus the checkpoint names")
+
+
 def _non_finite_values(out):
     """Set the first value of the first checkpoint parameter to NaN and its
     last to -inf, with the data file's SHA-256 updated to match; return the
@@ -715,6 +753,7 @@ def _as_older_format(version):
         lambda payload: payload["extra"]["model_config"].pop("lambda3_skip"))),
     ("eval", _bad_digest),
     ("eval", _grow_first_dim),
+    ("eval", _transpose_a_table),
     ("eval", _remove_data_file),
     ("eval", _edit_data(_drop_last_value)),
     ("eval", _edit_data(lambda raw: raw.append(0))),
@@ -735,6 +774,7 @@ def _as_older_format(version):
         "model-config-unknown-key", "model-config-missing-key",
         "model-config-missing-defaulted-key",
         "checkpoint-sha256-not-a-digest", "checkpoint-data-short-of-shape",
+        "checkpoint-table-transposed",
         "checkpoint-data-file-missing", "checkpoint-data-one-value-short",
         "checkpoint-data-one-byte-extra", "checkpoint-data-byte-flipped",
         "checkpoint-v1-format", "checkpoint-v2-format", "checkpoint-non-finite-value",

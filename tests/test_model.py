@@ -16,7 +16,8 @@ from consultrank.value import time_bucket
 
 import oracles
 from gradcheck import finite_diff_check
-from helpers import buy, click, consult, corpus_from, item, raw_features as features, search
+from helpers import (buy, click, consult, corpus_features, corpus_from, item,
+                     raw_features as features, search, text_ids, zero_grads)
 
 
 ITEMS = [
@@ -76,26 +77,54 @@ def test_config_validation():
         M.ModelConfig(seed=-1)
 
 
-def test_vocab_covers_all_text_surfaces(small_corpus):
-    model = tiny_model(small_corpus)
+def test_vocab_holds_only_terms_inputs_read(small_corpus):
+    """The vocabulary is the terms of the consultation and query texts, each
+    cut at max_text_tokens; an item-only term, or one past every cut, gets
+    no row of its own."""
+    model = tiny_model(small_corpus, max_text_tokens=3)
     vocab = model.vocab
-    for term in ("alpha", "gadget", "portable", "steel", "console", "worth"):
+    for term in ("alpha", "gadget", "console", "tell", "lantern"):
         assert term in vocab
+    for term in ("portable", "steel", "ceramic", "worth", "solid"):
+        assert term not in vocab
+    assert "worth" in tiny_model(small_corpus).vocab
     assert M.UNKNOWN_TOKEN not in vocab.values()
     assert sorted(vocab.values()) == list(range(1, len(vocab) + 1))
     assert model.tables.token.data.shape[0] == len(vocab) + 1
     assert model.tables.item.data.shape[0] == len(small_corpus.items)
     assert model.tables.user.data.shape[0] == len(small_corpus.users)
-    ids, offsets = M.text_ids(model, ["alpha unseen-term beta"])
-    assert ids[1] == M.UNKNOWN_TOKEN
-    assert offsets.tolist() == [0, 4]
+    ids, offsets = text_ids(model, ["alpha portable", "unseen-term"])
+    assert ids.tolist() == [vocab["alpha"], M.UNKNOWN_TOKEN, M.UNKNOWN_TOKEN, M.UNKNOWN_TOKEN]
+    assert offsets.tolist() == [0, 2, 4]
+
+
+@pytest.mark.parametrize("max_text_tokens", [1, 3, 64])
+def test_every_vocab_id_is_read(small_corpus, max_text_tokens):
+    model = tiny_model(small_corpus, max_text_tokens=max_text_tokens)
+    assert set(model.features.token_ids.tolist()) == set(model.vocab.values())
+
+
+@pytest.mark.parametrize("generated, max_text_tokens", [
+    (False, 1), (False, 3), (False, 64), (True, 64)])
+def test_token_rows_are_the_catalog_wide_draw(small_corpus, generated, max_text_tokens):
+    """Each kept token row, and the item table drawn after the token table,
+    holds the numbers of a draw that gave every table and item term a row."""
+    corpus = (generate(GenSpec(n_users=4, n_items=200, seed=3))[0] if generated
+              else small_corpus)
+    cfg = M.ModelConfig(d=8, max_text_tokens=max_text_tokens, seed=5)
+    model = M.init_model(corpus, cfg)
+    unknown, rows, item_emb = oracles.reference_token_draw(corpus, cfg)
+    assert len(rows) > len(model.vocab)
+    assert np.array_equal(model.tables.token.data,
+                          np.array([unknown, *map(rows.__getitem__, model.vocab)]))
+    assert np.array_equal(model.tables.item.data, item_emb)
 
 
 def test_own_features_match_corpus_features(small_corpus):
     """The table `init_model` builds from its one tokenization equals the
     one `corpus_features` builds by tokenizing the corpus again."""
     model = tiny_model(small_corpus, max_text_tokens=3)
-    own, again = model.features, M.corpus_features(model, small_corpus)
+    own, again = model.features, corpus_features(model, small_corpus)
     for name in ("users", "consultation_ids"):
         assert getattr(own, name) == getattr(again, name)
     for name in ("starts", "consultation_ts", "token_ids", "text_offsets", "actions",
@@ -106,12 +135,12 @@ def test_own_features_match_corpus_features(small_corpus):
 def test_token_ids_truncate(small_corpus):
     model = tiny_model(small_corpus, max_text_tokens=64)
     long_text = " ".join(["alpha"] * 100)
-    ids, offsets = M.text_ids(model, [long_text, "beta"])
+    ids, offsets = text_ids(model, [long_text, "beta"])
     assert offsets.tolist() == [0, 64, 65]
 
 
 def encode(model, *texts):
-    return M.encode_text(model, *M.text_ids(model, texts))
+    return M.encode_text(model, *text_ids(model, texts))
 
 
 def cai_rows(model, table, s):
@@ -155,7 +184,7 @@ def test_encode_text_empty_gives_zero_vector(small_corpus):
     assert np.allclose(mixed.data[[0, 2]], encode(model, "alpha beta", "gadget").data)
     grads = []
     for out in (mixed, encode(model, "alpha beta", "gadget")):
-        T.zero_grads(model.parameters())
+        zero_grads(model.parameters())
         T.backward(T.l2_norm_sq(out))
         grads.append(model.text_b.grad)
     assert np.allclose(grads[0], grads[1])
@@ -345,7 +374,7 @@ def assert_matches_materialized(model, build, reference):
     gradient of every parameter under one loss, to 1e-12 relative."""
     results = []
     for forward_pass in (build, reference):
-        T.zero_grads(model.parameters())
+        zero_grads(model.parameters())
         out = forward_pass()
         shift = T.Tensor(np.random.default_rng(5).normal(size=out.shape))
         T.backward(T.l2_norm_sq(T.add(out, shift)))

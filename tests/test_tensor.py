@@ -17,6 +17,7 @@ from consultrank import tensor as T
 
 import oracles
 from gradcheck import finite_diff_check, tensor_op_trials
+from helpers import zero_grads
 
 
 def test_softmax_uniform_on_equal_logits():
@@ -80,7 +81,7 @@ def test_matmul_constant_operand_takes_no_gradient(ranks, constant):
         if constant not in tracked:
             out._backward(np.ones(out.shape))
             assert ops[constant].grad is None
-            T.zero_grads(ops)
+            zero_grads(ops)
         T.backward(T.l2_norm_sq(T.add(out, T.Tensor(shift))))
         return [op.grad for op in ops]
 
@@ -197,7 +198,7 @@ def test_lookup_sum_forward_is_the_add_chain_bit_for_bit():
     assert fused.data.tobytes() == chain.data.tobytes()
     T.backward(T.l2_norm_sq(fused))
     fused_grads = [t.grad for t in tables]
-    T.zero_grads(tables)
+    zero_grads(tables)
     T.backward(T.l2_norm_sq(chain))
     for got, t in zip(fused_grads, tables):
         assert got.tobytes() == t.grad.tobytes()

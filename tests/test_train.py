@@ -18,7 +18,8 @@ from consultrank.linkage import build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets
 
 import oracles
-from helpers import buy, click, consult, corpus_from, item, search
+from helpers import (buy, click, consult, corpus_features, corpus_from, item, search, text_ids,
+                     zero_grads)
 
 
 def pipeline(corpus):
@@ -85,11 +86,11 @@ def test_build_example_slices_strictly_before(tmp_path):
     ]
     corpus = corpus_from(tmp_path, items, events, "bex")
     model = M.init_model(corpus, M.ModelConfig(d=8))
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     session = corpus.users["u1"].searches[1]
     s = TR.build_example(model, corpus, table, "u1", session,
                          TR.recent_consultations(corpus, 30))
-    ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
+    ids = lambda *texts: [text_ids(model, [t])[0].tolist() for t in texts]
     assert texts_of(table, s.consultations) == ids("tell me about the alpha beta gadget sure")
     # the search at 10 and the click at 11; gaps 20 and 19 hours share bucket 4
     _, where, _, rows = M.cai_inputs(model, table, s.consultations[None], s.actions[None],
@@ -116,8 +117,8 @@ def test_build_example_finds_its_own_query_among_same_hour_searches(tmp_path):
     ]
     corpus = corpus_from(tmp_path, items, events, "same-hour")
     model = M.init_model(corpus, M.ModelConfig(d=8))
-    table = M.corpus_features(model, corpus)
-    ids = lambda *texts: [M.text_ids(model, [t])[0].tolist() for t in texts]
+    table = corpus_features(model, corpus)
+    ids = lambda *texts: [text_ids(model, [t])[0].tolist() for t in texts]
     recent = TR.recent_consultations(corpus, 30)
     for session in corpus.users["u1"].searches:
         inputs = TR.build_example(model, corpus, table, "u1", session, recent)
@@ -133,12 +134,12 @@ def test_build_example_uses_value_ranked_kept(gen_small):
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
     user, session = split.test[0]
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     inputs = TR.build_example(model, corpus, table, user, session, kept_map)
     kept = kept_map[(user, session.timestamp)]
     assert kept
     assert texts_of(table, inputs.consultations) == [
-        M.text_ids(model, [c.text])[0].tolist() for c in kept
+        text_ids(model, [c.text])[0].tolist() for c in kept
     ]
 
 
@@ -199,7 +200,7 @@ def test_loss_search_counts_duplicate_negatives(gen_small):
     corpus, _, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
     cfg = TR.TrainConfig()
-    e = M.encode_text(model, *M.text_ids(model, ["tell me about anything"]))
+    e = M.encode_text(model, *text_ids(model, ["tell me about anything"]))
     pos, neg = model.item_ids[0], model.item_ids[1]
     single = float(TR.loss_search(model, e, [pos], [[neg]], cfg).data)
     doubled = float(TR.loss_search(model, e, [pos], [[neg, neg]], cfg).data)
@@ -210,7 +211,7 @@ def test_loss_va_uniform_logits_closed_form(gen_small):
     corpus, linkage, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
     model.block.w_k.data[:] = 0.0
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
     user = next(iter(pairs))
     consultation, positive = pairs[user][0]
@@ -252,7 +253,7 @@ def test_total_loss_composition(gen_small):
 def test_sample_va_negatives_tier_up(gen_small):
     corpus, linkage, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
     n_actions = len(table.action_ts)
     batch = examples_of(model, corpus, table,
@@ -421,7 +422,7 @@ def test_train_spends_every_gradient_and_trains_as_the_reference_step(
 
     def reference_step(state):
         oracles.reference_adam_step(state)
-        T.zero_grads(state.params)
+        zero_grads(state.params)
     monkeypatch.setattr(T, "adam_step", reference_step)
     assert spent == checkpoint("reference.json")
 
@@ -498,7 +499,7 @@ def test_every_parameter_receives_gradient(gen_small):
     kept_map = TR.kept_consultations(assessments)
     split = TR.split_sessions(corpus)
     rng = np.random.default_rng(3)
-    table = M.corpus_features(model, corpus)
+    table = corpus_features(model, corpus)
     examples = examples_of(model, corpus, table, split.train, kept_map)
     truths = [ex.session.ground_truth_item for ex in examples]
     negs = [TR.sample_negative_items(model.item_ids, t, 5, rng) for t in truths]
@@ -520,7 +521,7 @@ def test_training_raises_attention_mass_on_linked_pairs():
     linkage = build_linkage(corpus)
     assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, ValueParams.n_buckets))
     fresh = M.init_model(corpus, M.ModelConfig(d=16, seed=9))
-    table = M.corpus_features(fresh, corpus)
+    table = corpus_features(fresh, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
 
     # Probe each pair the way inference sees it: anchored at the user's
@@ -667,14 +668,14 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
         samples = TR.sample_va_batch([examples[i] for i in picked if i < len(examples)],
                                      table, pairs, cfg, rng, kept)
 
-        T.zero_grads(model.parameters())
+        zero_grads(model.parameters())
         e_batch = M.session_forward(model, table, batch_f)
         l_search = TR.loss_search(model, e_batch, batch_t, negs, cfg)
         terms = [l_search] + ([TR.loss_va(model, samples, table, cfg)] if samples else [])
         T.backward(reduce(T.add, terms))
         batched = [p.grad.copy() for p in model.parameters()]
 
-        T.zero_grads(model.parameters())
+        zero_grads(model.parameters())
         e_one = [M.session_forward(model, table, [f]) for f in batch_f]
         one_terms = [T.scale(reduce(T.add, [
             TR.loss_search(model, e, [t], [n], cfg) for e, t, n in zip(e_one, batch_t, negs)
@@ -721,7 +722,7 @@ def test_factorized_alignment_loss_matches_materialized_keys(seed):
 
         grads = []
         for loss_fn in (TR.loss_va, oracles.materialized_loss_va):
-            T.zero_grads(params.values())
+            zero_grads(params.values())
             loss = loss_fn(model, samples, table, cfg)
             T.backward(loss)
             grads.append((loss.item(), {name: p.grad for name, p in params.items()}))
