@@ -10,68 +10,53 @@ Three scorers rank the same candidate lists:
 
 The synthetic generator plants users whose recent on-topic consultations
 predict their next purchase, so reading the right consultations should pay
-off directly in ranking quality.
+off directly in ranking quality.  It runs the ablation study's small
+setting, `consultrank.ablation.SMALL`, through the ablation's own `fit`.
 
 Run from the repository root (about ten seconds):
 
     python3 demos/02_train_and_compare.py
 """
 
-import time
-
+from consultrank.ablation import SMALL, fit
+from consultrank.cli import build_settings, validate_config
 from consultrank.datagen import GenSpec, generate
-from consultrank.evaluate import (
-    bm25_score_fn,
-    evaluate_sessions,
-    format_metric_table,
-)
+from consultrank.evaluate import bm25_score_fn, evaluate_sessions, format_metric_table
 from consultrank.linkage import LinkageParams, build_linkage
-from consultrank.model import ModelConfig, init_model
-from consultrank.train import (
-    TrainConfig,
-    kept_consultations,
-    model_score_fn,
-    split_sessions,
-    train,
-)
-from consultrank.value import ValueParams, assess_corpus, fit_buckets
+from consultrank.train import kept_consultations, model_score_fn, split_sessions
+from consultrank.value import fit_buckets
 
 
 def main():
+    cfg = validate_config(SMALL)
+
     print("== 1. generate a synthetic corpus ==")
-    corpus, _ = generate(GenSpec(n_users=30, n_items=20, seed=0))
+    corpus, _ = generate(build_settings(GenSpec, cfg))
     split = split_sessions(corpus)
     print(f"{len(corpus.users)} users, {len(corpus.items)} items, "
           f"{len(split.train)} train / {len(split.valid)} valid / "
           f"{len(split.test)} test sessions")
 
     print("\n== 2. score consultation value ==")
-    table = build_linkage(corpus, LinkageParams())
-    params = ValueParams(l_seq=1)
-    buckets = fit_buckets(table, params.n_buckets)
-    assessments = assess_corpus(corpus, table, buckets, params)
+    table = build_linkage(corpus, build_settings(LinkageParams, cfg))
+    buckets = fit_buckets(table, cfg["n_buckets"])
+    assessments, result = fit(corpus, table, buckets, cfg)
     kept = kept_consultations(assessments)
     n_kept = sum(len(v) for v in kept.values())
     print(f"{len(assessments)} searches assessed, keeping the single "
           f"top-value consultation each ({n_kept} kept in total)")
 
     print("\n== 3. train the ranker ==")
-    model = init_model(corpus, ModelConfig(d=32, seed=0))
-    cfg = TrainConfig(tau1=1.0, lambda_va=0.3, lr=3e-3, batch_size=24,
-                      va_batch=32, max_epochs=40, patience=40, seed=0)
-    started = time.perf_counter()
-    result = train(corpus, table, assessments, model, cfg, l_seq=1)
-    print(f"trained {len(result.rows)} epochs in "
-          f"{time.perf_counter() - started:.1f}s, best validation "
-          f"NDCG@10 {result.best_valid_ndcg10:.4f} at epoch {result.best_epoch}")
+    print(f"trained {len(result.rows)} epochs in {result.rows[-1].elapsed_seconds:.1f}s, "
+          f"best validation NDCG@10 {result.best_valid_ndcg10:.4f} at epoch {result.best_epoch}")
 
     print("\n== 4. evaluate three scorers on the test sessions ==")
-    n_neg = min(99, len(corpus.items) - 1)
+    n_neg = min(cfg["n_neg_eval"], len(corpus.items) - 1)
     scorers = {
         "value-aware": model_score_fn(result.model, corpus, kept,
-                                      l_seq=1, value_filter=True),
+                                      l_seq=cfg["l_seq"], value_filter=True),
         "semantic-only": model_score_fn(result.model, corpus, None,
-                                        l_seq=1, value_filter=False),
+                                        l_seq=cfg["l_seq"], value_filter=False),
         "bm25": bm25_score_fn(corpus),
     }
     reports = {

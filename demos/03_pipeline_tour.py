@@ -15,12 +15,11 @@ import tempfile
 from pathlib import Path
 
 from consultrank import cli
+from consultrank.ablation import SMALL
 
-CONFIG = {
-    "gen_users": 20, "gen_items": 16, "seed": 7, "d": 32, "l_seq": 1,
-    "max_epochs": 25, "patience": 25, "batch_size": 24, "va_batch": 32,
-    "tau1": 1.0, "lambda_va": 0.3, "lr": 0.003,
-}
+# the ablation's small setting on a smaller corpus and a shorter run
+CONFIG = {**SMALL, "gen_users": 20, "gen_items": 16, "seed": 7,
+          "max_epochs": 25, "patience": 25}
 
 STAGES = ("datagen", "ingest", "index", "link", "assess", "train", "eval")
 

@@ -18,7 +18,7 @@ layers:
 - ``train``     kept maps (the consultations each search reads), contrastive
                 losses and the training loop
 - ``evaluate``  HR/NDCG/MRR, candidate sampling, BM25 baseline
-- ``ablation``  multi-seed component-removal study, one row of setting
+- ``ablation``  multi-seed component-removal study, one row of CLI config
                 overrides per variant
 - ``cli``       pipeline orchestration (datagen | ingest | index | link |
                 assess | train | eval | report)

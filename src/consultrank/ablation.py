@@ -1,9 +1,11 @@
 """Ablation study: the full model against single-component removals.
 
-Every variant trains the same architecture from scratch on the same
-per-seed synthetic corpus, through the same library calls as the CLI's
-``assess``, ``train`` and ``eval`` stages.  A variant is one row of
-`VARIANTS`, the settings it changes from the full model's:
+Each run is one flat CLI config, `SMALL` (or the config given) with the
+variant's overrides and the run seed, checked by `cli.validate_config`
+before anything trains and read through `cli.build_settings`, as the CLI
+stages read theirs.  Every variant trains the same architecture from
+scratch on the same per-seed synthetic corpus, through `fit`.  A variant
+is one row of `VARIANTS`, the config keys it changes from the full model's:
 
 * ``no_time`` / ``no_scope`` / ``no_action`` drop one value signal by
   pinning the aggregation weights, which changes which consultations the
@@ -18,30 +20,41 @@ Scores are mean test NDCG@10 over the seeds.  The two contrasts the
 synthetic generator plants signal for (full vs semantic_only, full vs
 no_cai) are hard expectations; any other variant overtaking the full
 model is recorded as a soft inversion rather than an error.
+
+The path keys and ``n_neg_eval`` are not read: nothing is written, and
+test sessions are ranked against ``min(N_NEG, n_items - 1)`` sampled
+negatives.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from . import cli
 from . import model as M
 from . import train as TR
 from .datagen import GenSpec, generate
 from .evaluate import N_NEG, evaluate_sessions
-from .linkage import build_linkage
+from .index import ScopeParams
+from .linkage import LinkageParams, build_linkage
 from .value import ValueParams, assess_corpus, fit_buckets
 
 FULL = "full"
 SEMANTIC_ONLY = "semantic_only"
 NO_CAI = "no_cai"
 
-#: name -> the settings the variant changes from the full model's.  Each key
-#: names a field of ValueParams, ModelConfig or TrainConfig, or is the
-#: ``value_filter`` argument of `train.train` and `train.model_score_fn`.
+#: The small setting as CLI config keys: 30 x 20 corpus, l_seq 1, 40 epochs at d 32.
+SMALL: Dict[str, object] = {
+    "gen_users": 30, "gen_items": 20, "d": 32, "l_seq": 1,
+    "tau1": 1.0, "lambda_va": 0.3, "lr": 3e-3, "batch_size": 24, "va_batch": 32,
+    "max_epochs": 40, "patience": 40,
+}
+
+#: name -> the config keys the variant changes from the full model's.
 VARIANTS: Dict[str, Dict[str, object]] = {
     FULL: {},
     "no_time": {"lambda1": 1.0},
@@ -54,24 +67,6 @@ VARIANTS: Dict[str, Dict[str, object]] = {
 
 
 @dataclass(frozen=True)
-class AblationConfig:
-    """Everything one ablation run depends on.
-
-    The generator spec is re-seeded per run seed, so every variant within
-    a seed sees the identical corpus while seeds differ end to end."""
-
-    gen: GenSpec = GenSpec(n_users=30, n_items=20, seed=0)
-    seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
-    d: int = 32
-    value_params: ValueParams = ValueParams(l_seq=1)
-    train: TR.TrainConfig = TR.TrainConfig(
-        max_epochs=40, patience=40, batch_size=24, va_batch=32,
-        lambda_va=0.3, tau1=1.0, lr=3e-3,
-    )
-    metric: str = "ndcg@10"
-
-
-@dataclass(frozen=True)
 class AblationResult:
     per_seed: Dict[str, List[float]]
     means: Dict[str, float]
@@ -79,49 +74,50 @@ class AblationResult:
     elapsed_seconds: float
 
 
-def _override(settings, overrides: Mapping[str, object]):
-    """`settings` with the overrides that name one of its fields."""
-    names = {f.name for f in fields(settings)}
-    return replace(settings, **{k: v for k, v in overrides.items() if k in names})
-
-
-def _run_variant(corpus, linkage, buckets, overrides: Mapping[str, object],
-                 cfg: AblationConfig, seed: int) -> float:
-    """Test-split metric of one variant at one seed."""
-    params = _override(cfg.value_params, overrides)
-    value_filter = overrides.get("value_filter", True)
-    assessments = assess_corpus(corpus, linkage, buckets, params)
-    model = M.init_model(corpus, _override(M.ModelConfig(d=cfg.d, seed=seed), overrides))
+def fit(corpus, linkage, buckets, cfg: Mapping[str, object]):
+    """Assess `corpus` and train a fresh model on it, every setting read
+    from the validated config `cfg`; returns the assessments and the
+    `train.TrainResult`."""
+    params = cli.build_settings(ValueParams, cfg)
+    assessments = assess_corpus(corpus, linkage, buckets, params,
+                                cli.build_settings(ScopeParams, cfg))
+    model = M.init_model(corpus, cli.build_settings(M.ModelConfig, cfg))
     result = TR.train(corpus, linkage, assessments, model,
-                      _override(replace(cfg.train, seed=seed), overrides),
-                      l_seq=params.l_seq, value_filter=value_filter)
+                      cli.build_settings(TR.TrainConfig, cfg),
+                      l_seq=params.l_seq, value_filter=cfg["value_filter"])
+    return assessments, result
+
+
+def _run_variant(corpus, linkage, buckets, cfg: Mapping[str, object]) -> float:
+    """Test-split NDCG@10 of one variant at one seed."""
+    assessments, result = fit(corpus, linkage, buckets, cfg)
     fn = TR.model_score_fn(result.model, corpus, TR.kept_consultations(assessments),
-                           l_seq=params.l_seq, value_filter=value_filter)
+                           l_seq=cfg["l_seq"], value_filter=cfg["value_filter"])
+    # Candidates are drawn with seed 0 at every run seed, not with the run
+    # seed as `eval` draws them: the corpus already differs per seed, and
+    # the scores pinned for this study were measured with these lists.
     report = evaluate_sessions(fn, corpus, TR.split_sessions(corpus).test,
                                n_neg=min(N_NEG, len(corpus.items) - 1), seed=0)
-    return report.macro[cfg.metric]
+    return report.macro["ndcg@10"]
 
 
-def run_ablation(cfg: AblationConfig = AblationConfig(),
-                 progress=None) -> AblationResult:
-    """Train every variant on every seed and aggregate the metric.
+def run_ablation(config: Mapping[str, object] = SMALL,
+                 seeds: Sequence[int] = (0, 1, 2, 3, 4)) -> AblationResult:
+    """Train every variant of `config` on every seed and aggregate NDCG@10.
 
-    ``progress`` (optional) is called with one line per finished run."""
+    The corpus, its linkage and the frequency buckets are built once per
+    seed, from the full model's config."""
     t0 = time.time()
+    runs = [{name: cli.validate_config({**config, **overrides, "seed": seed})
+             for name, overrides in VARIANTS.items()} for seed in seeds]
     per_seed: Dict[str, List[float]] = {name: [] for name in VARIANTS}
-    for seed in cfg.seeds:
-        corpus, _ = generate(replace(cfg.gen, seed=seed))
-        linkage = build_linkage(corpus)
-        buckets = fit_buckets(linkage, cfg.value_params.n_buckets)
-        for name, overrides in VARIANTS.items():
-            score = _run_variant(corpus, linkage, buckets, overrides, cfg, seed)
-            per_seed[name].append(score)
-            if progress is not None:
-                progress(f"seed {seed} {name}: {cfg.metric}={score:.4f}")
+    for cfgs in runs:
+        base = cfgs[FULL]
+        corpus, _ = generate(cli.build_settings(GenSpec, base))
+        linkage = build_linkage(corpus, cli.build_settings(LinkageParams, base))
+        buckets = fit_buckets(linkage, base["n_buckets"])
+        for name, cfg in cfgs.items():
+            per_seed[name].append(_run_variant(corpus, linkage, buckets, cfg))
     means = {name: float(np.mean(vals)) for name, vals in per_seed.items()}
-    soft = tuple(
-        name for name in VARIANTS
-        if name != FULL and means[name] > means[FULL]
-    )
+    soft = tuple(name for name in VARIANTS if name != FULL and means[name] > means[FULL])
     return AblationResult(per_seed, means, soft, time.time() - t0)
-

@@ -32,8 +32,8 @@ on every subcommand.  ``STAGES`` declares each subcommand once: what it
 runs, the config keys it takes as flags, and the artifacts it reads.
 
 Exit codes: 0 success, 2 config error (among them an output directory
-whose path a file takes), 3 missing upstream artifact, 4 data validation
-error.
+whose path a file takes, or an artifact path naming a directory), 3
+missing upstream artifact, 4 data validation error.
 
 `main` runs with Python's cyclic garbage collector off and turns it back on
 afterwards only if it was on before.  The collector finds nothing to free
@@ -242,6 +242,16 @@ def _makedirs(path: str) -> None:
         raise ConfigError(f"cannot make directory {path}: a file is in the way") from exc
 
 
+def _output(cfg: Dict[str, object], out_dir: str, key: str) -> str:
+    """The path of the artifact that config key `key` names, its directory
+    made.  A path naming a directory is a config error naming it."""
+    path = _resolve(cfg, out_dir, key)
+    _makedirs(os.path.dirname(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {key} to {path}: it is a directory")
+    return path
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -302,9 +312,9 @@ def _read(what: str, load: Callable, *args):
         raise DataError(f"{what} failed validation: {exc}") from exc
 
 
-def _build(cls, cfg: Dict[str, object]):
-    """`cls` built from the settings it owns, read from the config.  A
-    value the class rejects is a config error."""
+def build_settings(cls, cfg: Dict[str, object]):
+    """`cls` built from the settings it owns, read from the validated
+    config `cfg`.  A value the class rejects is a config error."""
     kwargs = {f.name: cfg[key] for key, f in _settings(cls).items()}
     try:
         return cls(**kwargs)
@@ -313,7 +323,7 @@ def _build(cls, cfg: Dict[str, object]):
 
 
 def cmd_datagen(cfg, out_dir, args) -> Outputs:
-    spec = _build(GenSpec, cfg)
+    spec = build_settings(GenSpec, cfg)
     corpus_dir = _resolve(cfg, out_dir, "corpus")
     _makedirs(corpus_dir)
     write_dataset(spec, corpus_dir)
@@ -336,18 +346,18 @@ def cmd_ingest(cfg, out_dir, args) -> Outputs:
 
 
 def cmd_index(cfg, out_dir, args) -> Outputs:
+    path = _output(cfg, out_dir, "index")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     index = build_index(corpus)
-    path = _resolve(cfg, out_dir, "index")
     dump_index(index, path)
     print(f"indexed {len(index.postings)} terms over {len(corpus.items)} items")
     return {path: None}
 
 
 def cmd_link(cfg, out_dir, args) -> Outputs:
+    path = _output(cfg, out_dir, "linkage")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    table = build_linkage(corpus, _build(LinkageParams, cfg))
-    path = _resolve(cfg, out_dir, "linkage")
+    table = build_linkage(corpus, build_settings(LinkageParams, cfg))
     dump_linkage(table, path)
     n_links = sum(len(v) for user in table.links.values() for v in user.values())
     print(f"linked {n_links} consultation-action pairs")
@@ -355,27 +365,28 @@ def cmd_link(cfg, out_dir, args) -> Outputs:
 
 
 def cmd_assess(cfg, out_dir, args) -> Outputs:
+    path = _output(cfg, out_dir, "values")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
     index = _read("index", load_index, _resolve(cfg, out_dir, "index"))
     linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
-    params = _build(ValueParams, cfg)
-    scope = _build(ScopeParams, cfg)
+    params = build_settings(ValueParams, cfg)
+    scope = build_settings(ScopeParams, cfg)
     buckets = fit_buckets(linkage, n_buckets=params.n_buckets)
     assessments = assess_corpus(corpus, linkage, buckets, params, scope, index)
-    path = _resolve(cfg, out_dir, "values")
     dump_values(assessments, path)
     print(score_histogram(assessments))
     return {path: None}
 
 
 def cmd_train(cfg, out_dir, args) -> Outputs:
+    checkpoint_path = _output(cfg, out_dir, "checkpoint")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    params = _build(ValueParams, cfg)
+    params = build_settings(ValueParams, cfg)
     linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
     assessments = _read("values", load_assessments, _resolve(cfg, out_dir, "values"),
                         corpus, params)
-    mcfg = _build(ModelConfig, cfg)
-    tcfg = _build(TrainConfig, cfg)
+    mcfg = build_settings(ModelConfig, cfg)
+    tcfg = build_settings(TrainConfig, cfg)
     if not split_sessions(corpus).train:
         raise DataError("corpus has no training sessions: no user has more than two searches")
     model = init_model(corpus, mcfg)
@@ -391,7 +402,6 @@ def cmd_train(cfg, out_dir, args) -> Outputs:
     result = train(corpus, linkage, assessments, model, tcfg,
                    l_seq=params.l_seq, value_filter=cfg["value_filter"],
                    log_path=log_path, on_epoch=progress)
-    checkpoint_path = _resolve(cfg, out_dir, "checkpoint")
     written = save_model(result.model, checkpoint_path)
     print(f"best epoch {result.best_epoch}: "
           f"valid ndcg@10 {result.best_valid_ndcg10:.4f}")
@@ -413,7 +423,7 @@ def cmd_eval(cfg, out_dir, args) -> Outputs:
     if cfg["n_neg_eval"] < 1:
         raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
     corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    params = _build(ValueParams, cfg)
+    params = build_settings(ValueParams, cfg)
     ranker = args.ranker
     if ranker == "bm25":
         score_fn = bm25_score_fn(corpus)

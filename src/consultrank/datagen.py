@@ -144,6 +144,8 @@ class GenSpec:
             )
         if self.horizon_hours < 240:
             raise ValueError("horizon_hours must be at least 240")
+        if self.seed < 0:  # numpy seeds its generators from non-negative ints only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pick(rng, pool, n):

@@ -52,6 +52,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:  # numpy seeds its generators from non-negative ints only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

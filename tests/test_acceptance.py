@@ -23,7 +23,6 @@ from consultrank.ablation import (
     FULL,
     NO_CAI,
     SEMANTIC_ONLY,
-    AblationConfig,
     run_ablation,
 )
 from consultrank.corpus import ActionType, Consultation, Interaction
@@ -247,7 +246,7 @@ def test_07_ablation_directional(capsys):
     """Across 5 seeds the full model beats semantic-only by at least 0.02
     test NDCG@10 and beats the skip-only variant; single-component
     ablations may invert softly and are flagged, not failed."""
-    result = run_ablation(AblationConfig())
+    result = run_ablation()
     full = result.means[FULL]
     semantic = result.means[SEMANTIC_ONLY]
     no_cai = result.means[NO_CAI]

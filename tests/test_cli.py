@@ -351,6 +351,13 @@ def test_train_rejects_one_time_bucket(pipeline_dir, capsys):
     assert "bad ModelConfig setting" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    """numpy seeds its generators from non-negative ints only, so the
+    generator refuses a negative seed as a config error."""
+    assert cli.main(["datagen", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bad GenSpec setting: seed must be >= 0, got -1\n"
+
+
 def test_train_without_training_sessions_exits_4(tmp_path, capsys):
     """One user with two searches: one validates, one tests, none trains."""
     (tmp_path / "corpus").mkdir()
@@ -954,12 +961,12 @@ from consultrank.datagen import GenSpec, generate
 from consultrank.linkage import build_linkage
 from consultrank.value import ValueParams, assess_corpus, fit_buckets
 cfg = cli.validate_config(json.loads(sys.argv[1]))
-corpus, _ = generate(cli._build(GenSpec, cfg))
+corpus, _ = generate(cli.build_settings(GenSpec, cfg))
 linkage = build_linkage(corpus)
-params = cli._build(ValueParams, cfg)
+params = cli.build_settings(ValueParams, cfg)
 assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
-model = M.init_model(corpus, cli._build(M.ModelConfig, cfg))
-tcfg, table = cli._build(TR.TrainConfig, cfg), model.features
+model = M.init_model(corpus, cli.build_settings(M.ModelConfig, cfg))
+tcfg, table = cli.build_settings(TR.TrainConfig, cfg), model.features
 kept = TR.kept_consultations(assessments)
 batch = [TR.SessionExample(u, s, TR.build_example(model, corpus, table, u, s, kept, params.l_seq))
          for u, s in TR.split_sessions(corpus).train[:tcfg.batch_size]]
@@ -1042,6 +1049,59 @@ def test_output_directory_taken_by_a_file_exits_2(pipeline_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 2, err
     assert f"cannot make directory {target}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, stage", [
+    ("index", "index"), ("linkage", "link"), ("values", "assess"), ("checkpoint", "train"),
+])
+def test_artifact_in_a_missing_directory_is_written_there(pipeline_dir, tmp_path, capsys,
+                                                          key, stage):
+    """An artifact path in a directory that does not exist yet gets that
+    directory made, as the corpus and reports directories do."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    config = out / "moved.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, key: f"new/dir/{key}.out"}))
+    assert run(stage, out, config) == 0, capsys.readouterr().err
+    assert (out / "new" / "dir" / f"{key}.out").is_file()
+
+
+@pytest.mark.parametrize("key, path, stage", [
+    ("index", "", "index"),
+    ("linkage", "manifests", "link"),
+    ("values", "corpus", "assess"),
+    ("checkpoint", "reports", "train"),
+    ("index", "new/", "index"),
+])
+def test_artifact_path_naming_a_directory_exits_2(pipeline_dir, tmp_path, capsys,
+                                                  key, path, stage):
+    """An artifact path that names a directory is a config error naming the
+    path, not an IsADirectoryError traceback."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    config = out / "moved.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, key: path}))
+    assert run(stage, out, config) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {key} to {os.path.join(out, path)}: it is a directory\n"
+
+
+@pytest.mark.parametrize("key, stage", [("index", "index"), ("checkpoint", "train")])
+def test_artifact_directory_taken_by_a_file_exits_2(pipeline_dir, tmp_path, capsys,
+                                                    key, stage):
+    """A file in the place of an artifact's directory is a config error
+    naming that directory."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    config = out / "moved.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, key: f"corpus/items.jsonl/{key}.out"}))
+    assert run(stage, out, config) == 2
+    err = capsys.readouterr().err
+    assert f"cannot make directory {out / 'corpus' / 'items.jsonl'}" in err
     assert "Traceback" not in err
 
 

@@ -43,6 +43,8 @@ def test_spec_validation():
         GenSpec(rates={PATTERN_VERIFIED: -0.1})
     with pytest.raises(ValueError):
         GenSpec(horizon_hours=500)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GenSpec(seed=-1)
 
 
 def test_generated_corpus_passes_validation_and_round_trips(tmp_path):

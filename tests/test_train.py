@@ -1,13 +1,12 @@
 """Losses, splits, batching, early stopping, and training properties."""
 
 import csv
-import dataclasses
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from consultrank import ablation
+from consultrank import ablation, cli
 from consultrank import evaluate as E
 from consultrank import model as M
 from consultrank import tensor as T
@@ -39,6 +38,7 @@ def test_train_config_validation():
         dict(tau1=0.0), dict(tau2=-1.0), dict(lambda_va=-0.1),
         dict(lambda_l2=-1e-9), dict(n_neg_search=0), dict(va_batch=0),
         dict(batch_size=0), dict(max_epochs=0), dict(patience=0), dict(lr=0.0),
+        dict(seed=-1),
     ):
         with pytest.raises(ValueError):
             TR.TrainConfig(**bad)
@@ -575,33 +575,46 @@ def test_ablation_fits_buckets_with_its_value_params(monkeypatch):
         raise Fitted
 
     monkeypatch.setattr(ablation, "fit_buckets", spy)
-    cfg = ablation.AblationConfig(gen=GenSpec(n_users=3, n_items=10), seeds=(0,),
-                                  value_params=ValueParams(l_seq=1, n_buckets=5))
+    cfg = {**ablation.SMALL, "gen_users": 3, "gen_items": 10, "n_buckets": 5}
     with pytest.raises(Fitted):
-        ablation.run_ablation(cfg)
+        ablation.run_ablation(cfg, seeds=(0,))
     assert seen == [5]
 
 
 def test_ablation_variants_name_real_settings():
-    """Every override key names a setting, so none is dropped silently, and
-    every variant but the full model changes a value."""
-    cfg = ablation.AblationConfig()
-    base = {"value_filter": True}
-    for settings in (M.ModelConfig(d=cfg.d), cfg.train, cfg.value_params):
-        base.update((f.name, getattr(settings, f.name)) for f in dataclasses.fields(settings))
+    """Every override key names a config setting, so none is dropped
+    silently, and every variant but the full model changes a value of the
+    small setting."""
+    base = cli.validate_config(ablation.SMALL)
     for name, overrides in ablation.VARIANTS.items():
-        assert set(overrides) <= set(base), name
+        assert set(overrides) <= set(cli.CONFIG_DEFAULTS), name
         changed = [k for k, v in overrides.items() if v != base[k]]
         assert bool(changed) == (name != ablation.FULL), name
+
+
+@pytest.mark.parametrize("config, variant, says", [
+    ({**ablation.SMALL, "gen_userz": 3}, {}, "unknown config keys: gen_userz"),
+    (ablation.SMALL, {"lambda_vaa": 0.0}, "unknown config keys: lambda_vaa"),
+    (ablation.SMALL, {"value_filter": "no"}, "wrong-typed config values: value_filter='no'"),
+], ids=["config-key", "variant-key", "variant-type"])
+def test_ablation_refuses_a_bad_setting_before_training(monkeypatch, config, variant, says):
+    """A key that is no setting, in the config or in a variant, or a value of
+    the wrong type, is a config error raised before any corpus is made or
+    any model trains."""
+    made = []
+    monkeypatch.setattr(ablation, "generate", lambda spec: made.append(spec))
+    monkeypatch.setattr(ablation, "fit", lambda *a: made.append(a))
+    monkeypatch.setitem(ablation.VARIANTS, "bad", variant)
+    with pytest.raises(cli.ConfigError, match=says):
+        ablation.run_ablation(config, seeds=(0, 1))
+    assert made == []
 
 
 def test_ablation_scores_are_pinned():
     """One seed of a 10-epoch ablation gives the scores it gave when each
     variant was a hand-written column; at this seed all seven differ."""
-    stock = ablation.AblationConfig()
-    cfg = dataclasses.replace(stock, seeds=(1,), train=dataclasses.replace(
-        stock.train, max_epochs=10, patience=10))
-    assert ablation.run_ablation(cfg).per_seed == {
+    cfg = {**ablation.SMALL, "max_epochs": 10, "patience": 10}
+    assert ablation.run_ablation(cfg, seeds=(1,)).per_seed == {
         "full": [0.695818579045153],
         "no_time": [0.6847791474095023],
         "no_scope": [0.6914542539261045],

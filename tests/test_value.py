@@ -1,12 +1,14 @@
 """Value scoring: decay, buckets, scarcity weights, aggregation, ranking."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from consultrank.corpus import ActionType
+from consultrank.corpus import ActionType, Consultation, Corpus
+from consultrank.datagen import LABEL_HIGH, GenSpec, generate
 from consultrank.index import build_index
 from consultrank.linkage import build_linkage
 from consultrank.value import (
@@ -194,6 +196,39 @@ def test_score_histogram_mentions_total(tmp_path):
     text = score_histogram(assess_corpus(corpus, table, fit_buckets(table, ValueParams.n_buckets)))
     assert "3 consultations" in text
     assert score_histogram([]) == "(no scored consultations)"
+
+
+def test_same_family_chat_shares_the_verified_links():
+    """A chat that only names the query's family, placed inside the linkage
+    window 10 h before the search, is verified by the same actions as the
+    consultations the oracle labels high: it links to 8 of their actions,
+    gets their o_action, and is kept in their place at l_seq 1 because it is
+    fresher.  The linkage rules couple value with similarity to the query."""
+    corpus, oracle = generate(GenSpec(seed=0))
+    history = corpus.users["u0000"]
+    chat = Consultation("u0000-chat", "is the arbomount glidecore range any good", "", 2190)
+    consultations = tuple(sorted([*history.consultations, chat], key=lambda c: c.timestamp))
+    corpus = Corpus(items=corpus.items, users={
+        **corpus.users, "u0000": dataclasses.replace(history, consultations=consultations)})
+    search_ts = 2200
+    assert [s.query.text for s in history.searches if s.timestamp == search_ts] == [
+        "arbomount glidecore"]
+    high = sorted(cid for (user, ts, cid), label in oracle.items()
+                  if (user, ts) == ("u0000", search_ts) and label == LABEL_HIGH)
+    assert high == ["u0000-c000", "u0000-c001"]
+
+    linkage = build_linkage(corpus)
+    links = linkage.links["u0000"]
+    assert len(links[chat.id]) == 8
+    assert all(set(links[chat.id]) <= set(links[cid]) for cid in high)
+
+    params = ValueParams(l_seq=1)
+    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
+    [session] = [a for a in assessments
+                 if a.user_id == "u0000" and a.session.timestamp == search_ts]
+    o_action = {r.cid: r.o_action for r in session.reports}
+    assert o_action[chat.id] == o_action["u0000-c000"] == o_action["u0000-c001"] == 0.7
+    assert [c.id for c in session.kept] == [chat.id]
 
 
 def test_pipeline_matches_brute_force_oracle(tmp_path):
