@@ -14,13 +14,18 @@ resolved under ``--out`` unless absolute):
     eval     <reports>/metrics.json (or metrics_<ranker>.json)
     report   <reports>/comparison.txt
 
-Each stage validates its upstream artifacts and fails with an error
-naming the stage to run first when one is missing.  Every stage also
-writes ``manifests/<stage>.json`` (config hash, input/output hashes,
-timing), and ``eval --ranker <ranker>`` writes ``manifests/eval_<ranker>.json``
-for the bm25 and semantic rankers, named like their metrics files;
-manifests carry timestamps and sit outside the byte-stable artifact
-contract, which covers the JSONL/JSON artifacts themselves.
+Each entry of ``STAGES`` names the artifact files its stage reads and
+writes, and `artifact_paths` gives every such file its path.  `main` does
+the artifact checks once for every stage: a read that is missing or not a
+file is refused naming the stage to run first, a written path that names
+a directory is refused before the stage runs, and each write's directory
+is made.  The stage itself only loads, computes and dumps.  Every stage
+also writes ``manifests/<stage>.json`` (config hash, the SHA-256 of each
+file read and written, timing), and ``eval --ranker <ranker>`` writes
+``manifests/eval_<ranker>.json`` for the bm25 and semantic rankers, named
+like their metrics files; manifests carry timestamps and sit outside the
+byte-stable artifact contract, which covers the JSONL/JSON artifacts
+themselves.
 
 Config: a single flat JSON object.  Every setting is declared once, as a
 field of the dataclass that owns it (``GenSpec``, ``LinkageParams``,
@@ -29,10 +34,11 @@ its default and type come from there; ``CONFIG_DEFAULTS`` is built from
 those fields.  Unknown keys are rejected with every offending key listed;
 flags override config keys; ``--seed``, ``--config``, and ``--out`` exist
 on every subcommand.  ``STAGES`` declares each subcommand once: what it
-runs, the config keys it takes as flags, and the artifacts it reads.
+runs, the config keys it takes as flags, and the artifacts it reads and
+writes.
 
 Exit codes: 0 success, 2 config error (among them an output directory
-whose path a file takes, or an artifact path naming a directory), 3
+whose path a file takes, or a written path naming a directory), 3
 missing upstream artifact, 4 data validation error.
 
 `main` runs with Python's cyclic garbage collector off and turns it back on
@@ -61,7 +67,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .corpus import load_corpus, dump_corpus
@@ -78,6 +84,7 @@ from .evaluate import (
 from .index import ScopeParams, build_index, dump_index, load_index
 from .linkage import LinkageParams, build_linkage, dump_linkage, load_linkage
 from .model import ModelConfig, init_model, load_model, save_model
+from .tensor import checkpoint_data_path
 from .train import (EpochRow, TrainConfig, kept_consultations, model_score_fn,
                     split_sessions, train)
 from .value import (
@@ -228,11 +235,6 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Dict[str, 
     return validate_config(supplied)
 
 
-def _resolve(cfg: Dict[str, object], out_dir: str, key: str) -> str:
-    path = str(cfg[key])
-    return path if os.path.isabs(path) else os.path.join(out_dir, path)
-
-
 def _makedirs(path: str) -> None:
     """Make directory `path` and its parents, if missing.  A path that a
     file takes is a config error naming it."""
@@ -240,16 +242,6 @@ def _makedirs(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"cannot make directory {path}: a file is in the way") from exc
-
-
-def _output(cfg: Dict[str, object], out_dir: str, key: str) -> str:
-    """The path of the artifact that config key `key` names, its directory
-    made.  A path naming a directory is a config error naming it."""
-    path = _resolve(cfg, out_dir, key)
-    _makedirs(os.path.dirname(path))
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {key} to {path}: it is a directory")
-    return path
 
 
 def _sha256(path: str) -> str:
@@ -260,11 +252,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-Outputs = Dict[str, Optional[str]]  # path -> SHA-256 of what the stage wrote there, or None
+Outputs = Dict[str, str]  # path -> SHA-256 of what a stage wrote there
 
 
 def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
-                   input_hashes: Dict[str, str], outputs: Outputs,
+                   input_hashes: Dict[str, str], outputs: Dict[str, Optional[str]],
                    started: float, name: str) -> str:
     """Write the manifest of a run of `stage` to ``manifests/<name>.json``;
     an output whose digest the stage did not give is hashed here."""
@@ -290,19 +282,6 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
     return path
 
 
-def _corpus_paths(cfg: Dict[str, object], out_dir: str) -> Tuple[str, str]:
-    corpus_dir = _resolve(cfg, out_dir, "corpus")
-    return (os.path.join(corpus_dir, "items.jsonl"),
-            os.path.join(corpus_dir, "events.jsonl"))
-
-
-def _raw_corpus_paths(cfg: Dict[str, object], out_dir: str, args) -> Tuple[str, str]:
-    """The items and events files `ingest` reads: --items/--events, or the
-    corpus directory's own."""
-    items_path, events_path = _corpus_paths(cfg, out_dir)
-    return args.items or items_path, args.events or events_path
-
-
 def _read(what: str, load: Callable, *args):
     """`load(*args)`, with an artifact it refuses (a ValueError, which
     CorpusError is) reported as a data error naming `what`."""
@@ -322,90 +301,10 @@ def build_settings(cls, cfg: Dict[str, object]):
         raise ConfigError(f"bad {cls.__name__} setting: {exc}") from exc
 
 
-def cmd_datagen(cfg, out_dir, args) -> Outputs:
-    spec = build_settings(GenSpec, cfg)
-    corpus_dir = _resolve(cfg, out_dir, "corpus")
-    _makedirs(corpus_dir)
-    write_dataset(spec, corpus_dir)
-    print(f"wrote synthetic dataset under {corpus_dir}")
-    return dict.fromkeys(os.path.join(corpus_dir, name)
-                         for name in ("items.jsonl", "events.jsonl", "oracle.jsonl"))
-
-
-def cmd_ingest(cfg, out_dir, args) -> Outputs:
-    corpus = _read("corpus", load_corpus, *_raw_corpus_paths(cfg, out_dir, args))
-    _makedirs(_resolve(cfg, out_dir, "corpus"))
-    items_out, events_out = _corpus_paths(cfg, out_dir)
-    dump_corpus(corpus, items_out, events_out)
-    n_events = sum(
-        len(h.interactions) + len(h.consultations) for h in corpus.users.values()
-    )
-    print(f"ingested {len(corpus.users)} users, {len(corpus.items)} items, "
-          f"{n_events} events")
-    return dict.fromkeys([items_out, events_out])
-
-
-def cmd_index(cfg, out_dir, args) -> Outputs:
-    path = _output(cfg, out_dir, "index")
-    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    index = build_index(corpus)
-    dump_index(index, path)
-    print(f"indexed {len(index.postings)} terms over {len(corpus.items)} items")
-    return {path: None}
-
-
-def cmd_link(cfg, out_dir, args) -> Outputs:
-    path = _output(cfg, out_dir, "linkage")
-    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    table = build_linkage(corpus, build_settings(LinkageParams, cfg))
-    dump_linkage(table, path)
-    n_links = sum(len(v) for user in table.links.values() for v in user.values())
-    print(f"linked {n_links} consultation-action pairs")
-    return {path: None}
-
-
-def cmd_assess(cfg, out_dir, args) -> Outputs:
-    path = _output(cfg, out_dir, "values")
-    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    index = _read("index", load_index, _resolve(cfg, out_dir, "index"))
-    linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
-    params = build_settings(ValueParams, cfg)
-    scope = build_settings(ScopeParams, cfg)
-    buckets = fit_buckets(linkage, n_buckets=params.n_buckets)
-    assessments = assess_corpus(corpus, linkage, buckets, params, scope, index)
-    dump_values(assessments, path)
-    print(score_histogram(assessments))
-    return {path: None}
-
-
-def cmd_train(cfg, out_dir, args) -> Outputs:
-    checkpoint_path = _output(cfg, out_dir, "checkpoint")
-    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
-    params = build_settings(ValueParams, cfg)
-    linkage = _read("linkage", load_linkage, _resolve(cfg, out_dir, "linkage"), corpus)
-    assessments = _read("values", load_assessments, _resolve(cfg, out_dir, "values"),
-                        corpus, params)
-    mcfg = build_settings(ModelConfig, cfg)
-    tcfg = build_settings(TrainConfig, cfg)
-    if not split_sessions(corpus).train:
-        raise DataError("corpus has no training sessions: no user has more than two searches")
-    model = init_model(corpus, mcfg)
-    reports_dir = _resolve(cfg, out_dir, "reports")
-    _makedirs(reports_dir)
-    log_path = os.path.join(reports_dir, "train_log.csv")
-
-    def progress(row: EpochRow) -> None:
-        print(f"epoch {row.epoch}/{tcfg.max_epochs}: l_search {row.l_search:.4f} "
-              f"l_va {row.l_va:.4f} valid ndcg@10 {row.valid_ndcg10:.4f} "
-              f"({row.elapsed_seconds:.1f} s)", flush=True)
-
-    result = train(corpus, linkage, assessments, model, tcfg,
-                   l_seq=params.l_seq, value_filter=cfg["value_filter"],
-                   log_path=log_path, on_epoch=progress)
-    written = save_model(result.model, checkpoint_path)
-    print(f"best epoch {result.best_epoch}: "
-          f"valid ndcg@10 {result.best_valid_ndcg10:.4f}")
-    return {**written, log_path: None}
+class Artifact(NamedTuple):
+    key: str     # the config key that places it
+    path: str
+    writer: str  # what to run to write it
 
 
 def _ranker_name(stem: str, ranker: str) -> str:
@@ -414,25 +313,126 @@ def _ranker_name(stem: str, ranker: str) -> str:
     return stem if ranker == "vaps" else f"{stem}_{ranker}"
 
 
-def _metrics_path(cfg, out_dir, ranker: str) -> str:
-    reports_dir = _resolve(cfg, out_dir, "reports")
-    return os.path.join(reports_dir, _ranker_name("metrics", ranker) + ".json")
+def artifact_paths(cfg: Dict[str, object], out_dir: str, args) -> Dict[str, Artifact]:
+    """Every artifact file of a run, by the name a `Stage` declares it by.
+    Paths are config keys resolved under `out_dir` unless absolute;
+    ``metrics`` is the file of the ranker ``--ranker`` picks, and
+    ``raw_items``/``raw_events``, what `ingest` reads, follow --items and
+    --events."""
+    def under(key: str, *names: str) -> str:
+        return os.path.join(out_dir, str(cfg[key]), *names)
+
+    checkpoint = under("checkpoint")
+    paths = {
+        "items": Artifact("corpus", under("corpus", "items.jsonl"), "ingest"),
+        "events": Artifact("corpus", under("corpus", "events.jsonl"), "ingest"),
+        "oracle": Artifact("corpus", under("corpus", "oracle.jsonl"), "datagen"),
+        "index": Artifact("index", under("index"), "index"),
+        "linkage": Artifact("linkage", under("linkage"), "link"),
+        "values": Artifact("values", under("values"), "assess"),
+        "checkpoint": Artifact("checkpoint", checkpoint, "train"),
+        "checkpoint_data": Artifact("checkpoint", checkpoint_data_path(checkpoint), "train"),
+        "train_log": Artifact("reports", under("reports", "train_log.csv"), "train"),
+        "comparison": Artifact("reports", under("reports", "comparison.txt"), "report"),
+    }
+    for name in ("items", "events"):
+        paths[f"raw_{name}"] = Artifact(
+            "corpus", getattr(args, name, None) or paths[name].path,
+            f"datagen (or pass --{name} pointing at an existing file)")
+    for ranker in RANKERS:
+        paths[f"{ranker}_metrics"] = Artifact(
+            "reports", under("reports", _ranker_name("metrics", ranker) + ".json"),
+            "eval" if ranker == "vaps" else f"eval --ranker {ranker}")
+    paths["metrics"] = paths[f"{getattr(args, 'ranker', 'vaps')}_metrics"]
+    return paths
 
 
-def cmd_eval(cfg, out_dir, args) -> Outputs:
+def _load_corpus(paths: Dict[str, str]):
+    return _read("corpus", load_corpus, paths["items"], paths["events"])
+
+
+def cmd_datagen(cfg, paths, args) -> None:
+    corpus_dir = os.path.dirname(paths["items"])
+    write_dataset(build_settings(GenSpec, cfg), corpus_dir)
+    print(f"wrote synthetic dataset under {corpus_dir}")
+
+
+def cmd_ingest(cfg, paths, args) -> None:
+    corpus = _read("corpus", load_corpus, paths["raw_items"], paths["raw_events"])
+    dump_corpus(corpus, paths["items"], paths["events"])
+    n_events = sum(
+        len(h.interactions) + len(h.consultations) for h in corpus.users.values()
+    )
+    print(f"ingested {len(corpus.users)} users, {len(corpus.items)} items, "
+          f"{n_events} events")
+
+
+def cmd_index(cfg, paths, args) -> None:
+    corpus = _load_corpus(paths)
+    index = build_index(corpus)
+    dump_index(index, paths["index"])
+    print(f"indexed {len(index.postings)} terms over {len(corpus.items)} items")
+
+
+def cmd_link(cfg, paths, args) -> None:
+    corpus = _load_corpus(paths)
+    table = build_linkage(corpus, build_settings(LinkageParams, cfg))
+    dump_linkage(table, paths["linkage"])
+    n_links = sum(len(v) for user in table.links.values() for v in user.values())
+    print(f"linked {n_links} consultation-action pairs")
+
+
+def cmd_assess(cfg, paths, args) -> None:
+    corpus = _load_corpus(paths)
+    index = _read("index", load_index, paths["index"])
+    linkage = _read("linkage", load_linkage, paths["linkage"], corpus)
+    params = build_settings(ValueParams, cfg)
+    scope = build_settings(ScopeParams, cfg)
+    buckets = fit_buckets(linkage, n_buckets=params.n_buckets)
+    assessments = assess_corpus(corpus, linkage, buckets, params, scope, index)
+    dump_values(assessments, paths["values"])
+    print(score_histogram(assessments))
+
+
+def cmd_train(cfg, paths, args) -> Outputs:
+    corpus = _load_corpus(paths)
+    params = build_settings(ValueParams, cfg)
+    linkage = _read("linkage", load_linkage, paths["linkage"], corpus)
+    assessments = _read("values", load_assessments, paths["values"], corpus, params)
+    mcfg = build_settings(ModelConfig, cfg)
+    tcfg = build_settings(TrainConfig, cfg)
+    if not split_sessions(corpus).train:
+        raise DataError("corpus has no training sessions: no user has more than two searches")
+    model = init_model(corpus, mcfg)
+
+    def progress(row: EpochRow) -> None:
+        print(f"epoch {row.epoch}/{tcfg.max_epochs}: l_search {row.l_search:.4f} "
+              f"l_va {row.l_va:.4f} valid ndcg@10 {row.valid_ndcg10:.4f} "
+              f"({row.elapsed_seconds:.1f} s)", flush=True)
+
+    result = train(corpus, linkage, assessments, model, tcfg,
+                   l_seq=params.l_seq, value_filter=cfg["value_filter"],
+                   log_path=paths["train_log"], on_epoch=progress)
+    written = save_model(result.model, paths["checkpoint"])
+    print(f"best epoch {result.best_epoch}: "
+          f"valid ndcg@10 {result.best_valid_ndcg10:.4f}")
+    return written
+
+
+def cmd_eval(cfg, paths, args) -> None:
     if cfg["n_neg_eval"] < 1:
         raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
-    corpus = _read("corpus", load_corpus, *_corpus_paths(cfg, out_dir))
+    corpus = _load_corpus(paths)
     params = build_settings(ValueParams, cfg)
     ranker = args.ranker
     if ranker == "bm25":
         score_fn = bm25_score_fn(corpus)
     else:
-        model = _read("checkpoint", load_model, _resolve(cfg, out_dir, "checkpoint"), corpus)
+        model = _read("checkpoint", load_model, paths["checkpoint"], corpus)
         kept_map = None  # semantic: the same checkpoint, most recent consultations
         if ranker == "vaps":
             kept_map = kept_consultations(_read("values", load_assessments,
-                                                _resolve(cfg, out_dir, "values"), corpus, params))
+                                                paths["values"], corpus, params))
         score_fn = model_score_fn(model, corpus, kept_map, l_seq=params.l_seq,
                                   value_filter=ranker == "vaps")
     split = split_sessions(corpus)
@@ -441,102 +441,67 @@ def cmd_eval(cfg, out_dir, args) -> Outputs:
     n_neg = min(cfg["n_neg_eval"], len(corpus.items) - 1)
     report = evaluate_sessions(score_fn, corpus, split.test,
                                n_neg=n_neg, seed=cfg["seed"])
-    reports_dir = _resolve(cfg, out_dir, "reports")
-    _makedirs(reports_dir)
-    path = _metrics_path(cfg, out_dir, ranker)
-    dump_metrics(report, path)
+    dump_metrics(report, paths["metrics"])
     print(format_metric_table({ranker: report}))
-    return {path: None}
 
 
-def cmd_report(cfg, out_dir, args) -> Outputs:
-    reports: Dict[str, MetricReport] = {}
-    for ranker in RANKERS:
-        reports[ranker] = _read("metrics", load_metrics, _metrics_path(cfg, out_dir, ranker))
+def cmd_report(cfg, paths, args) -> None:
+    reports: Dict[str, MetricReport] = {
+        ranker: _read("metrics", load_metrics, paths[f"{ranker}_metrics"])
+        for ranker in RANKERS}
     table = format_metric_table(reports)
-    reports_dir = _resolve(cfg, out_dir, "reports")
-    _makedirs(reports_dir)
-    path = os.path.join(reports_dir, "comparison.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(paths["comparison"], "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    return {path: None}
 
 
-Inputs = List[Tuple[str, str]]  # (path, the stage that writes it)
-
-
-def _corpus_and(*keys: Tuple[str, str]) -> Callable[..., Inputs]:
-    """Inputs: the canonical corpus, then each (config path key, stage
-    that writes it)."""
-    def inputs(cfg, out_dir, args) -> Inputs:
-        return [(path, "ingest") for path in _corpus_paths(cfg, out_dir)] + [
-            (_resolve(cfg, out_dir, key), stage) for key, stage in keys
-        ]
-    return inputs
-
-
-def _ingest_inputs(cfg, out_dir, args) -> Inputs:
-    items_path, events_path = _raw_corpus_paths(cfg, out_dir, args)
-    return [(items_path, "datagen (or pass --items pointing at an existing file)"),
-            (events_path, "datagen (or pass --events pointing at an existing file)")]
-
-
-_RANKER_INPUTS = {
-    "vaps": _corpus_and(("checkpoint", "train"), ("values", "assess")),
-    "semantic": _corpus_and(("checkpoint", "train")),
-    "bm25": _corpus_and(),
-}
-
-
-def _eval_inputs(cfg, out_dir, args) -> Inputs:
-    return _RANKER_INPUTS[args.ranker](cfg, out_dir, args)
-
-
-def _report_inputs(cfg, out_dir, args) -> Inputs:
-    return [(_metrics_path(cfg, out_dir, ranker),
-             "eval" if ranker == "vaps" else f"eval --ranker {ranker}")
-            for ranker in RANKERS]
+Names = Tuple[str, ...]
+_CORPUS: Names = ("items", "events")
 
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
     """One subcommand.  `flags` are the config keys it takes as flags,
-    `options` its other arguments, and `inputs` lists the artifacts it
-    reads: each must exist before `run` starts and is hashed into the
-    manifest."""
+    `options` its other arguments, and `reads` and `writes` name the
+    artifacts (keys of `artifact_paths`) it reads and writes; an `eval`
+    ranker reads its own.  `main` refuses a missing read, hashes the
+    reads, makes each write's directory and lists the writes in the
+    manifest; `run` gets the paths of those artifacts alone, by name, and
+    returns the digests of the writes it knows (None: it knows none)."""
 
-    run: Callable[..., Outputs]
+    run: Callable[..., Optional[Outputs]]
     help: str
     flags: Tuple[str, ...] = ()
     options: Tuple[Tuple[str, dict], ...] = ()
-    inputs: Callable[..., Inputs] = lambda cfg, out_dir, args: []
+    reads: Union[Names, Dict[str, Names]] = ()
+    writes: Names = ()
 
 
 STAGES: Dict[str, Stage] = {
     "datagen": Stage(
         cmd_datagen, "generate a synthetic dataset with planted patterns",
         flags=("gen_users", "gen_items", "gen_horizon_hours"),
+        writes=_CORPUS + ("oracle",),
     ),
     "ingest": Stage(
         cmd_ingest, "validate raw items/events and write the canonical corpus",
         options=(("--items", {"help": "raw items.jsonl to ingest"}),
                  ("--events", {"help": "raw events.jsonl to ingest"})),
-        inputs=_ingest_inputs,
+        reads=("raw_items", "raw_events"), writes=_CORPUS,
     ),
     "index": Stage(
         cmd_index, "build the scenario-term inverted index",
-        inputs=_corpus_and(),
+        reads=_CORPUS, writes=("index",),
     ),
     "link": Stage(
         cmd_link, "link consultations to their subsequent related actions",
         flags=("window_days",),
-        inputs=_corpus_and(),
+        reads=_CORPUS, writes=("linkage",),
     ),
     "assess": Stage(
         cmd_assess, "score every consultation against every search",
         flags=("alpha", "lambda1", "lambda2", "n_buckets", "lambda_thresh"),
-        inputs=_corpus_and(("index", "index"), ("linkage", "link")),
+        reads=_CORPUS + ("index", "linkage"), writes=("values",),
     ),
     "train": Stage(
         cmd_train, "train the ranking model",
@@ -544,21 +509,23 @@ STAGES: Dict[str, Stage] = {
                "lambda_l2", "n_neg_search", "va_batch", "batch_size",
                "max_epochs", "patience", "lr", "value_filter",
                "max_text_tokens", "n_time_buckets"),
-        inputs=_corpus_and(("linkage", "link"), ("values", "assess")),
+        reads=_CORPUS + ("linkage", "values"),
+        writes=("checkpoint", "checkpoint_data", "train_log"),
     ),
     "eval": Stage(
         cmd_eval, "rank held-out sessions and write metrics",
         flags=("l_seq", "n_neg_eval"),
         options=(("--ranker", {"choices": RANKERS, "default": "vaps",
                                "help": "which system to evaluate"}),),
-        inputs=_eval_inputs,
+        reads={"vaps": _CORPUS + ("checkpoint", "values"),
+               "semantic": _CORPUS + ("checkpoint",), "bm25": _CORPUS},
+        writes=("metrics",),
     ),
     "report": Stage(
         cmd_report, "collate vaps/bm25/semantic metrics into one table",
-        inputs=_report_inputs,
+        reads=tuple(f"{ranker}_metrics" for ranker in RANKERS), writes=("comparison",),
     ),
 }
-
 
 def _flag_type(default):
     if isinstance(default, bool):
@@ -620,13 +587,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = args.out
         _makedirs(out_dir)
         started = time.time()
-        inputs = stage.inputs(cfg, out_dir, args)
-        for path, writer in inputs:
+        artifacts = artifact_paths(cfg, out_dir, args)
+        reads = stage.reads[args.ranker] if isinstance(stage.reads, dict) else stage.reads
+        paths = {name: artifacts[name].path for name in reads + stage.writes}
+        for name in reads:
+            _, path, writer = artifacts[name]
             if not os.path.isfile(path):
                 problem = "not a file" if os.path.exists(path) else "missing"
                 raise MissingArtifact(f"{problem} {path}: run {writer} first")
-        input_hashes = {path: _sha256(path) for path, _ in inputs}
-        outputs = stage.run(cfg, out_dir, args)
+        for name in stage.writes:
+            key, path, _ = artifacts[name]
+            _makedirs(os.path.dirname(path))
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write {key} to {path}: it is a directory")
+        input_hashes = {paths[name]: _sha256(paths[name]) for name in reads}
+        digests = stage.run(cfg, paths, args) or {}
+        outputs = {paths[name]: digests.get(paths[name]) for name in stage.writes}
         write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started,
                        _ranker_name(args.stage, getattr(args, "ranker", "vaps")))
     except CliError as exc:

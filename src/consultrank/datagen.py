@@ -114,8 +114,6 @@ class GenSpec:
     n_items: int = 500
     horizon_hours: int = 4320
     rates: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_RATES))
-    scenario_terms: Tuple[str, ...] = SCENARIO_TERMS
-    off_topic_terms: Tuple[str, ...] = OFF_TOPIC_TERMS
     seed: int = 0
 
     def __post_init__(self):
@@ -133,10 +131,6 @@ class GenSpec:
             total += p
         if total > 1.0 + 1e-9:
             raise ValueError("pattern rates must sum to at most 1")
-        if len(self.scenario_terms) < 5:
-            raise ValueError("scenario vocabulary too small (need 5+ terms)")
-        if len(set(self.scenario_terms) & set(self.off_topic_terms)) > 0:
-            raise ValueError("scenario and off-topic vocabularies must be disjoint")
         oldest = _OUT_OF_DATE_GAP[1]
         if self.rates.get(PATTERN_OUT_OF_DATE, 0) > 0 and self.horizon_hours < oldest + 240:
             raise ValueError(
@@ -171,7 +165,7 @@ def _catalog(spec: GenSpec, rng) -> Tuple[List[dict], List[List[int]]]:
     i = 0
     while i < spec.n_items:
         while True:
-            pair = tuple(_pick(rng, spec.scenario_terms, 2))
+            pair = tuple(_pick(rng, SCENARIO_TERMS, 2))
             if tuple(sorted(pair)) not in used_pairs:
                 break
         used_pairs.add(tuple(sorted(pair)))
@@ -370,7 +364,7 @@ def generate(spec: GenSpec) -> Tuple[Corpus, Dict[Tuple[str, int, str], str]]:
                     assistant_turn = f"the {title} was the pick back then"
                 else:
                     gap = int(rng.integers(*_OUT_OF_SCOPE_GAP))
-                    chatter = _pick(rng, spec.off_topic_terms, 4)
+                    chatter = _pick(rng, OFF_TOPIC_TERMS, 4)
                     user_turn = f"the {chatter[0]} and the {chatter[1]} was {chatter[2]}"
                     assistant_turn = f"that {chatter[3]} is not for me"
                 events.append(

@@ -1089,6 +1089,70 @@ def test_artifact_path_naming_a_directory_exits_2(pipeline_dir, tmp_path, capsys
     assert err == f"error: cannot write {key} to {os.path.join(out, path)}: it is a directory\n"
 
 
+@pytest.mark.parametrize("name, key, argv", [
+    ("checkpoint.json.f64", "checkpoint", ["train"]),
+    ("reports/train_log.csv", "reports", ["train"]),
+    ("reports/metrics_bm25.json", "reports", ["eval", "--ranker", "bm25"]),
+    ("corpus/oracle.jsonl", "corpus", ["datagen"]),
+], ids=["checkpoint-data", "train-log", "metrics-bm25", "oracle"])
+def test_written_file_naming_a_directory_exits_2(pipeline_dir, tmp_path, capsys,
+                                                 name, key, argv):
+    """A directory in the place of any file a stage writes, not only of the
+    file a config key names, is a config error naming its path, refused
+    before the stage runs: `train` prints no epoch line."""
+    src, _ = pipeline_dir
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    target = out / name
+    if target.exists():
+        target.unlink()
+    target.mkdir()
+    assert run(argv[0], out, out / "config.json", *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {key} to {target}: it is a directory\n"
+    assert "epoch" not in captured.out
+
+
+#: The relative paths each invocation's manifest lists as read and written.
+MANIFEST_FILES = {
+    ("datagen",): ([], ["corpus/events.jsonl", "corpus/items.jsonl", "corpus/oracle.jsonl"]),
+    ("ingest",): (["corpus/events.jsonl", "corpus/items.jsonl"],
+                  ["corpus/events.jsonl", "corpus/items.jsonl"]),
+    ("index",): (["corpus/events.jsonl", "corpus/items.jsonl"], ["index.jsonl"]),
+    ("link",): (["corpus/events.jsonl", "corpus/items.jsonl"], ["linkage.jsonl"]),
+    ("assess",): (["corpus/events.jsonl", "corpus/items.jsonl", "index.jsonl",
+                   "linkage.jsonl"], ["values.jsonl"]),
+    ("train",): (["corpus/events.jsonl", "corpus/items.jsonl", "linkage.jsonl",
+                  "values.jsonl"],
+                 ["checkpoint.json", "checkpoint.json.f64", "reports/train_log.csv"]),
+    ("eval",): (["checkpoint.json", "corpus/events.jsonl", "corpus/items.jsonl",
+                 "values.jsonl"], ["reports/metrics.json"]),
+    ("eval", "--ranker", "semantic"): (["checkpoint.json", "corpus/events.jsonl",
+                                        "corpus/items.jsonl"],
+                                       ["reports/metrics_semantic.json"]),
+    ("eval", "--ranker", "bm25"): (["corpus/events.jsonl", "corpus/items.jsonl"],
+                                   ["reports/metrics_bm25.json"]),
+    ("report",): (["reports/metrics.json", "reports/metrics_bm25.json",
+                   "reports/metrics_semantic.json"], ["reports/comparison.txt"]),
+}
+
+
+@pytest.mark.parametrize("argv", list(MANIFEST_FILES), ids=" ".join)
+def test_manifest_lists_each_file_read_and_written(reported_dir, tmp_path, argv):
+    """Each invocation's manifest names every file it read and every file
+    it wrote, relative to --out, with the SHA-256 of its bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(reported_dir, out)
+    assert run(argv[0], out, out / "config.json", *argv[1:]) == 0
+    name = argv[0] if len(argv) == 1 or argv[2] == "vaps" else f"eval_{argv[2]}"
+    manifest = json.loads((out / "manifests" / f"{name}.json").read_text())
+    reads, writes = MANIFEST_FILES[argv]
+    assert list(manifest["inputs"]) == reads
+    assert list(manifest["outputs"]) == writes
+    for path, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest(), path
+
+
 @pytest.mark.parametrize("key, stage", [("index", "index"), ("checkpoint", "train")])
 def test_artifact_directory_taken_by_a_file_exits_2(pipeline_dir, tmp_path, capsys,
                                                     key, stage):
