@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -246,9 +246,10 @@ _ITEM_ACTIONS = {"click": ActionType.CLICK, "buy": ActionType.BUY}
 def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) -> Corpus:
     """Assemble and validate a Corpus from already-parsed record dicts.
 
-    Events are grouped per user and stably sorted by timestamp, so
-    non-monotone input order is tolerated.  Dangling item references and
-    duplicate consultation ids are rejected.
+    Events are grouped per user and sorted by full keys (timestamp first,
+    then the record's other fields), so non-monotone input order is
+    tolerated and any order of the same records builds the same Corpus.
+    Dangling item references and duplicate consultation ids are rejected.
 
     One pass checks each field of a row once as it builds the row's record:
     an item's id, title and attributes, then a repeated id; an event's user,
@@ -256,7 +257,14 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
     taken as it is; any other value goes through `floor_hours`.  The first
     refused row raises a `RecordError` that carries its kind and 0-based
     position, so file loaders can map it back to a line number.
+
+    The per-row work runs as C calls, not Python frames: an attributes list
+    is checked by one ``"".join``, which raises TypeError for any element
+    that is not a `str` (a subclass passes), and each record is made by
+    ``tuple.__new__``, which builds the tuple its NamedTuple constructor
+    builds without that constructor's own frame.
     """
+    new = tuple.__new__
     items: dict[str, Item] = {}
     for pos, obj in enumerate(item_records):
         iid, title, attrs = obj.get("id"), obj.get("title"), obj.get("attributes")
@@ -266,14 +274,18 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
             raise RecordError("item", pos, "missing or empty field 'title'")
         if attrs is None:
             attrs = ()
-        elif isinstance(attrs, list) and all(isinstance(a, str) for a in attrs):
-            attrs = tuple(attrs)
         else:
-            raise RecordError("item", pos, "field 'attributes' must be a list of strings "
-                              f"or null, got {attrs!r}")
+            try:
+                if not isinstance(attrs, list):
+                    raise TypeError
+                "".join(attrs)  # in C: a TypeError for any element that is not a str
+            except TypeError:
+                raise RecordError("item", pos, "field 'attributes' must be a list of "
+                                  f"strings or null, got {attrs!r}") from None
+            attrs = tuple(attrs)
         if iid in items:
             raise RecordError("item", pos, f"duplicate item id {iid!r}")
-        items[iid] = Item(iid, title, attrs)
+        items[iid] = new(Item, (iid, title, attrs))
 
     searches: dict[str, list[SearchSession]] = {}
     consults: dict[str, dict[str, Consultation]] = {}
@@ -309,7 +321,7 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
                                   f"or null, got {answer!r}")
             if not turn and not answer:
                 raise RecordError("event", pos, f"consultation {cid!r} has two empty turns")
-            own[cid] = Consultation(cid, turn, answer, ts)
+            own[cid] = new(Consultation, (cid, turn, answer, ts))
         elif etype == "search":
             text, gt = obj.get("query"), obj.get("ground_truth_item")
             if not isinstance(text, str) or not text:
@@ -318,9 +330,9 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
                 raise RecordError("event", pos, "missing or empty field 'ground_truth_item'")
             if gt not in items:
                 raise RecordError("event", pos, f"ground_truth_item {gt!r} not in items")
-            query = Query(text, ts)
-            action = Interaction(ActionType.SEARCH, ts, None, query)
-            searches.setdefault(user, []).append(SearchSession(query, action, gt))
+            query = new(Query, (text, ts))
+            action = new(Interaction, (ActionType.SEARCH, ts, None, query))
+            searches.setdefault(user, []).append(new(SearchSession, (query, action, gt)))
             inters.setdefault(user, []).append(action)
         else:
             atype, iid = _ITEM_ACTIONS.get(etype), obj.get("item")
@@ -330,28 +342,23 @@ def build_corpus(item_records: Iterable[dict], event_records: Iterable[dict]) ->
                 raise RecordError("event", pos, "missing or empty field 'item'")
             if iid not in items:
                 raise RecordError("event", pos, f"item {iid!r} not in items")
-            inters.setdefault(user, []).append(Interaction(atype, ts, iid))
+            inters.setdefault(user, []).append(new(Interaction, (atype, ts, iid, None)))
 
     # Full (not just stable) sort keys make the stored order canonical:
     # any permutation of the input records builds the identical Corpus.
-    # An ActionType orders as its value, the string it subclasses.
-    def _act_key(a: Interaction):
-        return (a.timestamp, a.action_type, a.target)
-
+    # An ActionType orders as its value, the string it subclasses.  The keys
+    # read fields by position: (timestamp, query text, ground truth) of a
+    # search, (timestamp, id) of a consultation, and (timestamp, action
+    # type, item id or query text) of an interaction.
     users: dict[str, UserHistory] = {}
     for user in sorted(set(searches) | set(consults) | set(inters)):
         users[user] = UserHistory(
             user_id=user,
-            searches=tuple(
-                sorted(
-                    searches.get(user, []),
-                    key=lambda s: (s.timestamp, s.query.text, s.ground_truth_item),
-                )
-            ),
-            consultations=tuple(
-                sorted(consults.get(user, {}).values(), key=lambda c: (c.timestamp, c.id))
-            ),
-            interactions=tuple(sorted(inters.get(user, []), key=_act_key)),
+            searches=tuple(sorted(searches.get(user, ()),
+                                  key=lambda s: (s[0][1], s[0][0], s[2]))),
+            consultations=tuple(sorted(consults.get(user, {}).values(), key=itemgetter(3, 0))),
+            interactions=tuple(sorted(inters.get(user, ()), key=lambda a: (
+                a[1], a[0], a[2] if a[3] is None else a[3][0]))),
         )
     return Corpus(items=items, users=users)
 

@@ -36,6 +36,10 @@ STOPWORDS: frozenset = frozenset(
 
 _DROP = re.compile(r"[^a-z0-9 \t\n\r]")
 
+#: Every token `normalize` drops: the stopwords and the 36 one-character
+#: tokens a cleaned text can hold, so one set lookup decides each token.
+_DROPPED = STOPWORDS | set("abcdefghijklmnopqrstuvwxyz0123456789")
+
 
 def normalize(text: str) -> List[str]:
     """Lowercase, strip punctuation, split, drop stopwords and 1-char tokens.
@@ -44,7 +48,7 @@ def normalize(text: str) -> List[str]:
     both as a sequence (contiguity matching) and, via set(), as a term bag.
     """
     cleaned = _DROP.sub(" ", text.lower())
-    return [tok for tok in cleaned.split() if len(tok) > 1 and tok not in STOPWORDS]
+    return [tok for tok in cleaned.split() if tok not in _DROPPED]
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,15 @@ def load_index(path) -> InvertedIndex:
     have one row."""
     postings: Dict[str, List[str]] = {}
     for n, row in read_jsonl(path, "index"):
-        if not (isinstance(row.get("term"), str) and isinstance(row.get("items"), list)
-                and all(isinstance(v, str) for v in row["items"])):
+        term, items = row.get("term"), row.get("items")
+        try:
+            if not (isinstance(term, str) and isinstance(items, list)):
+                raise TypeError
+            "".join(items)  # in C: a TypeError for any item id that is not a str
+        except TypeError:
             raise ValueError(f"{path}:{n}: malformed index row: want a string "
-                             "term and a list of item-id strings")
-        if row["term"] in postings:
-            raise ValueError(f"{path}:{n}: second index row for term {row['term']!r}")
-        postings[row["term"]] = row["items"]
+                             "term and a list of item-id strings") from None
+        if term in postings:
+            raise ValueError(f"{path}:{n}: second index row for term {term!r}")
+        postings[term] = items
     return InvertedIndex(postings)

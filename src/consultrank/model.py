@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -37,7 +36,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from . import tensor as T
-from .corpus import ActionType, Corpus, UserHistory
+from .corpus import ActionType, Corpus, UserHistory, json_encoder
 from .index import normalize
 
 UNKNOWN_TOKEN = 0
@@ -146,20 +145,27 @@ class Model:
         return [t for _, t in sorted(self.named_parameters().items())]
 
 
+#: The encoder of `corpus_digest`'s text, shared by every call: the text
+#: holds no dict, so it needs no circular-reference marks.
+_digest_text = json_encoder(check_circular=False)
+
+
 def corpus_digest(corpus: Corpus) -> str:
     """SHA-256 of one JSON list of the corpus's fields: each item's id, title
     and attributes in id order, then each user in sorted order with its
     searches, consultations and interactions.  `build_corpus` stores every
     list in a canonical order, so any permutation of the input records
-    gives the same digest."""
-    items = [(item.id, item.title, item.attributes)
-             for item in map(corpus.items.__getitem__, corpus.item_ids)]
+    gives the same digest.  The text is what ``json.dumps`` writes, made by
+    the C encoder alone: an `Item` and a `Consultation` are tuples of their
+    digest fields, in order, and encode as the JSON lists those fields
+    make."""
+    items = list(map(corpus.items.__getitem__, corpus.item_ids))
     users = [(h.user_id,
               [(s.timestamp, s.query.text, s.ground_truth_item) for s in h.searches],
-              [(c.id, c.user_turn, c.assistant_turn, c.timestamp) for c in h.consultations],
+              h.consultations,
               [(a.action_type.value, a.timestamp, a.target) for a in h.interactions])
              for h in _histories(corpus)]
-    return hashlib.sha256(json.dumps([items, users]).encode("utf-8")).hexdigest()
+    return hashlib.sha256("".join(_digest_text([items, users], 0)).encode("utf-8")).hexdigest()
 
 
 def _param_shapes(cfg: ModelConfig, n_tokens: int, n_items: int,

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
@@ -385,6 +385,14 @@ def _refuse_row(path, n: int, rec: dict) -> CorpusError:
         return CorpusError(f"{path}:{n}: malformed value row ({exc!r})")
 
 
+#: A values.jsonl row's fields in `ValueReport` order, read by one call.
+_REPORT_FIELDS = itemgetter("user", "search_ts", "cid", "o_time", "o_scope", "o_action",
+                            "o_aggregate", "rank")
+
+#: The report of a (rank, line number, report) row of `load_assessments`.
+_REPORT = itemgetter(2)
+
+
 def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) -> List[SessionAssessment]:
     """Rebuild SessionAssessments from a `values.jsonl` dump.
 
@@ -393,21 +401,26 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
     are its row set: they must name the user's consultations before that
     hour, each exactly once, ranked 1..n.  Every search in the hour gets
     that set.  A search with no earlier consultation has no rows, as
-    `assess` writes none for it, and keeps nothing."""
-    hours: Dict[Tuple[str, int], List[Tuple[int, int, str, tuple]]] = {}
+    `assess` writes none for it, and keeps nothing.
+
+    One loop checks each row's types and ranges and makes its `ValueReport`
+    with ``tuple.__new__``, which skips the NamedTuple constructor's own
+    frame."""
+    new = tuple.__new__
+    hours: Dict[Tuple[str, int], List[Tuple[int, int, ValueReport]]] = {}
     for n, rec in read_jsonl(path, "value"):
         try:
-            user, ts, cid, rank = rec["user"], rec["search_ts"], rec["cid"], rec["rank"]
-            o_t, o_s, o_a, o_g = rec["o_time"], rec["o_scope"], rec["o_action"], rec["o_aggregate"]
+            row = _REPORT_FIELDS(rec)
         except KeyError:
             raise _refuse_row(path, n, rec) from None
+        user, ts, cid, o_t, o_s, o_a, o_g, rank = row
         if not (type(user) is str and type(cid) is str and type(ts) is int
                 and type(rank) is int and rank >= 1
                 and type(o_t) in _NUMBER and type(o_s) in _NUMBER
                 and type(o_a) in _NUMBER and type(o_g) in _NUMBER
                 and 0.0 <= o_t <= 1.0 >= o_s >= 0.0 <= o_a <= 1.0 >= o_g >= 0.0):
             raise _refuse_row(path, n, rec)
-        hours.setdefault((user, ts), []).append((rank, n, cid, (o_t, o_s, o_a, o_g)))
+        hours.setdefault((user, ts), []).append((rank, n, new(ValueReport, row)))
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):
@@ -428,20 +441,20 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
 
 
 def _hour_set(path, history: UserHistory, hour: int,
-              rows: List[Tuple[int, int, str, tuple]], l_seq: int
+              rows: List[Tuple[int, int, ValueReport]], l_seq: int
               ) -> Tuple[Tuple[Consultation, ...], Tuple[ValueReport, ...]]:
     """The kept prefix and the reports of one (user, search hour) from its
-    rows, each (rank, line number, consultation id, scores); refused unless
-    they name every consultation before the hour once, ranked 1..n."""
+    rows, each (rank, line number, report); refused unless they name every
+    consultation before the hour once, ranked 1..n."""
     before = consultations_before(history, hour)
     where = f"{history.user_id!r} search at t={hour}"
     if before and not rows:
         raise CorpusError(f"{path}: no value rows for {where}")
     by_id = {c.id: c for c in before}
     rows.sort()
-    reports = []
     named = set()
-    for pos, (rank, n, cid, scores) in enumerate(rows, start=1):
+    for pos, (rank, n, report) in enumerate(rows, start=1):
+        cid = report.cid
         if cid not in by_id:
             raise CorpusError(f"{path}:{n}: value row for {where} names {cid!r}, "
                               "which is no consultation of the user before it")
@@ -452,11 +465,11 @@ def _hour_set(path, history: UserHistory, hour: int,
             raise CorpusError(f"{path}:{n}: value rows for {where} are not ranked 1..n: "
                               f"rank {rank} where {pos} is due")
         named.add(cid)
-        reports.append(ValueReport(history.user_id, hour, cid, *scores, rank))
-    if len(reports) < len(before):
+    if len(named) < len(before):
         absent = next(c.id for c in before if c.id not in named)
         raise CorpusError(f"{path}: value rows for {where} lack consultation {absent!r}")
-    return tuple(by_id[r.cid] for r in reports[:l_seq]), tuple(reports)
+    reports = tuple(map(_REPORT, rows))
+    return tuple(by_id[r.cid] for r in reports[:l_seq]), reports
 
 
 HISTOGRAM_BINS = 10

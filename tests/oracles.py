@@ -16,7 +16,10 @@ library's must match them bit for bit and draw for draw.  And so is
 the library's scanner loop must read and refuse what it does.  And
 `reference_token_draw`, the token table drawn with a row for every term
 of the consultation, query and item texts: the rows `init_model` keeps
-must be that draw's rows for the same terms.
+must be that draw's rows for the same terms.  And `reference_build_corpus`,
+the corpus builder written with one `isinstance` per field and one
+constructor call per record: `build_corpus` must build what it builds and
+refuse what it refuses, at the same record and in the same words.
 """
 
 import json
@@ -28,7 +31,8 @@ import numpy as np
 from consultrank import model as M
 from consultrank import tensor as T
 from consultrank import train as TR
-from consultrank.corpus import ActionType, CorpusError
+from consultrank.corpus import (ActionType, Consultation, Corpus, CorpusError, Interaction,
+                                Item, Query, RecordError, SearchSession, UserHistory)
 from consultrank.index import STOPWORDS
 
 ACTION_NAMES = ("buy", "click", "search")
@@ -61,6 +65,105 @@ def reference_read_jsonl(path, kind):
             raise CorpusError(f"{path}:{lineno}: malformed {kind} row: expected a JSON object")
         rows.append((lineno, obj))
     return rows
+
+
+def _reference_hours(raw):
+    """`raw` floored to an integer hour, or the reason it is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None, f"ts_hours must be a number, got {raw!r}"
+    if isinstance(raw, float) and (math.isnan(raw) or math.isinf(raw)):
+        return None, f"ts_hours must be finite, got {raw!r}"
+    hours = math.floor(raw)
+    if hours < 0:
+        return None, f"ts_hours must be non-negative, got {raw!r}"
+    if hours > 2**63 - 1:
+        return None, f"ts_hours must be at most {2**63 - 1}, got {raw!r}"
+    return hours, None
+
+
+def _nonempty_str(value):
+    return isinstance(value, str) and value != ""
+
+
+def reference_build_corpus(item_records, event_records):
+    """A Corpus from record dicts, each field checked by its own
+    `isinstance` in the order `build_corpus` documents and each record made
+    by its constructor; the first refused row raises a RecordError with its
+    kind, 0-based position and reason."""
+    items = {}
+    for pos, obj in enumerate(item_records):
+        if not _nonempty_str(obj.get("id")):
+            raise RecordError("item", pos, "missing or empty field 'id'")
+        if not _nonempty_str(obj.get("title")):
+            raise RecordError("item", pos, "missing or empty field 'title'")
+        attrs = obj.get("attributes")
+        if attrs is None:
+            attrs = []
+        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
+            raise RecordError("item", pos, "field 'attributes' must be a list of strings "
+                              f"or null, got {attrs!r}")
+        if obj["id"] in items:
+            raise RecordError("item", pos, f"duplicate item id {obj['id']!r}")
+        items[obj["id"]] = Item(obj["id"], obj["title"], tuple(attrs))
+
+    searches, consults, inters = {}, {}, {}
+    for pos, obj in enumerate(event_records):
+        user, etype = obj.get("user"), obj.get("type")
+        if not _nonempty_str(user):
+            raise RecordError("event", pos, "missing or empty field 'user'")
+        if not _nonempty_str(etype):
+            raise RecordError("event", pos, "missing or empty field 'type'")
+        ts, refused = _reference_hours(obj.get("ts_hours"))
+        if refused:
+            raise RecordError("event", pos, refused)
+        if etype == "consult":
+            cid = obj.get("cid")
+            if not _nonempty_str(cid):
+                raise RecordError("event", pos, "missing or empty field 'cid'")
+            if any(c.id == cid for c in consults.get(user, [])):
+                raise RecordError("event", pos,
+                                  f"duplicate consultation id {cid!r} for user {user!r}")
+            turns = []
+            for key in ("user_turn", "assistant_turn"):
+                turn = obj.get(key)
+                if turn is not None and not isinstance(turn, str):
+                    raise RecordError("event", pos,
+                                      f"field '{key}' must be a string or null, got {turn!r}")
+                turns.append(turn or "")
+            if turns == ["", ""]:
+                raise RecordError("event", pos, f"consultation {cid!r} has two empty turns")
+            consults.setdefault(user, []).append(Consultation(cid, turns[0], turns[1], ts))
+        elif etype == "search":
+            query, gt = obj.get("query"), obj.get("ground_truth_item")
+            if not _nonempty_str(query):
+                raise RecordError("event", pos, "missing or empty field 'query'")
+            if not _nonempty_str(gt):
+                raise RecordError("event", pos, "missing or empty field 'ground_truth_item'")
+            if gt not in items:
+                raise RecordError("event", pos, f"ground_truth_item {gt!r} not in items")
+            action = Interaction(ActionType.SEARCH, ts, target_query=Query(query, ts))
+            searches.setdefault(user, []).append(SearchSession(Query(query, ts), action, gt))
+            inters.setdefault(user, []).append(action)
+        elif etype in ("click", "buy"):
+            iid = obj.get("item")
+            if not _nonempty_str(iid):
+                raise RecordError("event", pos, "missing or empty field 'item'")
+            if iid not in items:
+                raise RecordError("event", pos, f"item {iid!r} not in items")
+            inters.setdefault(user, []).append(Interaction(ActionType(etype), ts, target_item=iid))
+        else:
+            raise RecordError("event", pos, f"unknown event type {etype!r}")
+
+    users = {}
+    for user in sorted(set(searches) | set(consults) | set(inters)):
+        users[user] = UserHistory(
+            user_id=user,
+            searches=tuple(sorted(searches.get(user, []), key=lambda s: (
+                s.timestamp, s.query.text, s.ground_truth_item))),
+            consultations=tuple(sorted(consults.get(user, []), key=lambda c: (c.timestamp, c.id))),
+            interactions=tuple(sorted(inters.get(user, []), key=lambda a: (
+                a.timestamp, a.action_type.value, a.target))))
+    return Corpus(items=items, users=users)
 
 
 def normalize(text):

@@ -25,7 +25,7 @@ from consultrank.corpus import (
 )
 from consultrank.value import ValueReport
 from helpers import buy, click, consult, corpus_from, item, search, write_jsonl
-from oracles import reference_read_jsonl
+from oracles import reference_build_corpus, reference_read_jsonl
 
 ITEMS = [
     item("i1", "gaming laptop", ["16gb", "silver"]),
@@ -422,6 +422,106 @@ def test_rows_off_the_exact_types_build_the_same_corpus():
         [search("u1", 7.5, Text("laptop"), "i1"), click(Text("u1"), 8.0, "i1"),
          {**consult("u1", 6.9, "c1", "which laptop"), "assistant_turn": None}])
     assert loose == exact
+
+
+class _Text(str):
+    """A `str` subclass, as rows built in Python may hold."""
+
+
+def _texts(min_size):
+    text = st.text(max_size=5, min_size=min_size)
+    return text | text.map(_Text)
+
+
+#: An absent key: the field is left out of the row.
+_ABSENT = object()
+
+
+def _row(**fields):
+    return {key: value for key, value in fields.items() if value is not _ABSENT}
+
+
+_turns = st.sampled_from([_ABSENT, None]) | _texts(0)
+#: Queries that often repeat, so that searches tie on (hour, query).
+_queries = st.sampled_from(["laptop", _Text("laptop"), "phone"]) | _texts(1)
+_hours = (st.integers(0, 6) | st.floats(0, 7, allow_nan=False)
+          | st.sampled_from([2**63 - 1, 0.0, 5e-324]))
+
+
+@st.composite
+def _valid_rows(draw):
+    """Item and event rows `build_corpus` accepts: ids, users and queries
+    that may be `str` subclasses, attributes and turns that may be null or
+    absent, and hours that may be floats."""
+    ids = [draw(st.sampled_from([f"i{k}", _Text(f"i{k}")]))
+           for k in range(draw(st.integers(1, 4)))]
+    items = [_row(id=iid, title=draw(_texts(1)),
+                  attributes=draw(st.sampled_from([_ABSENT, None]) | st.lists(_texts(0),
+                                                                              max_size=3)))
+             for iid in ids]
+    users = st.sampled_from(["u1", "u2", _Text("u1")])
+    events = []
+    for k in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["search", "click", "buy", "consult"]))
+        user, ts = draw(users), draw(_hours)
+        if kind == "search":
+            events.append(_row(user=user, type=kind, ts_hours=ts, query=draw(_queries),
+                               ground_truth_item=draw(st.sampled_from(ids))))
+        elif kind == "consult":
+            turn, answer = draw(_turns), draw(_turns)
+            if turn in (_ABSENT, None, "") and answer in (_ABSENT, None, ""):
+                turn = "which one"
+            events.append(_row(user=user, type=kind, ts_hours=ts, cid=f"c{k}",
+                               user_turn=turn, assistant_turn=answer))
+        else:
+            events.append(_row(user=user, type=kind, ts_hours=ts,
+                               item=draw(st.sampled_from(ids))))
+    return items, events
+
+
+def _outcome(build, items, events):
+    """What a builder makes of the rows: the refusal's kind, position and
+    reason, or the built items and users in their stored order."""
+    try:
+        corpus = build(items, events)
+    except RecordError as exc:
+        return "refused", exc.kind, exc.pos, exc.reason
+    return "built", list(corpus.items.items()), list(corpus.users.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_valid_rows())
+def test_build_corpus_matches_a_plain_builder(rows):
+    """On valid rows `build_corpus` builds what one `isinstance` per field
+    and one constructor call per record build, in the same stored order."""
+    got = _outcome(build_corpus, *rows)
+    assert got[0] == "built"
+    assert got == _outcome(reference_build_corpus, *rows)
+
+
+#: Values a bad field may take; some are valid for some fields, and then
+#: both builders must build the same corpus.
+_FIELD_VALUES = st.sampled_from([
+    _ABSENT, None, "", 0, -1, 2.5, -0.5, True, [], ["black", 2], ["black"], {}, "3", "view",
+    "i0", "i9", "c0", "consult", "search", math.nan, math.inf, -math.inf, 1e300, 2**63])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_valid_rows(), data=st.data())
+def test_build_corpus_refuses_a_bad_field_as_a_plain_builder_does(rows, data):
+    """With one field of one row set to a drawn value, `build_corpus` refuses
+    the row a plain builder refuses, with the same kind, position and
+    reason, or both build the same corpus."""
+    items, events = rows
+    kind = data.draw(st.sampled_from(["item", "event"] if events else ["item"]))
+    records = items if kind == "item" else events
+    pos = data.draw(st.integers(0, len(records) - 1))
+    key = data.draw(st.sampled_from(
+        ["id", "title", "attributes"] if kind == "item" else
+        ["user", "type", "ts_hours", "query", "ground_truth_item", "item", "cid",
+         "user_turn", "assistant_turn"]))
+    records[pos] = _row(**{**records[pos], key: data.draw(_FIELD_VALUES)})
+    assert _outcome(build_corpus, items, events) == _outcome(reference_build_corpus, items, events)
 
 
 @pytest.mark.parametrize("items, events, kind, pos, reason", [

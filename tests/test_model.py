@@ -455,6 +455,13 @@ def test_corpus_digest_changes_with_any_field(records, k, key, value):
         M.corpus_digest(build_corpus(DIGEST_ITEMS, EVENTS))
 
 
+def test_corpus_digest_is_pinned():
+    """The digest every stored checkpoint carries: an encoder that wrote
+    other bytes for the same fields would make those checkpoints unreadable."""
+    assert M.corpus_digest(build_corpus(DIGEST_ITEMS, EVENTS)) == \
+        "9fe39e854fb0749e8e3bed05738cca15a9a418ffe092dbcae821328cf6c7311b"
+
+
 def test_load_model_restores_saved_parameters_and_draws_nothing(small_corpus, tmp_path,
                                                                  monkeypatch):
     model = tiny_model(small_corpus, seed=7)
