@@ -23,7 +23,9 @@ is made.  The stage itself only loads, computes and dumps.  Every stage
 also writes ``manifests/<stage>.json`` (config hash, the SHA-256 of each
 file read and written, timing), and ``eval --ranker <ranker>`` writes
 ``manifests/eval_<ranker>.json`` for the bm25 and semantic rankers, named
-like their metrics files; manifests carry timestamps and sit outside the
+like their metrics files.  The `train` and `eval` manifests also record
+the numpy version and the BLAS thread variables, which the checkpoint's
+bits depend on.  Manifests carry timestamps and sit outside the
 byte-stable artifact contract, which covers the JSONL/JSON artifacts
 themselves.
 
@@ -68,6 +70,8 @@ import os
 import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import __version__
 from .corpus import load_corpus, dump_corpus
@@ -254,12 +258,26 @@ def _sha256(path: str) -> str:
 
 Outputs = Dict[str, str]  # path -> SHA-256 of what a stage wrote there
 
+#: The environment variables that set the BLAS thread count.  BLAS sums in
+#: another order at another count, so a trained checkpoint's bits depend on
+#: them.
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                         "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def numeric_environment() -> Dict[str, object]:
+    """The numpy version and each BLAS thread variable's value, None where
+    it is unset."""
+    return {"numpy": np.__version__,
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
+
 
 def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
                    input_hashes: Dict[str, str], outputs: Dict[str, Optional[str]],
-                   started: float, name: str) -> str:
+                   started: float, name: str, numerics: bool = False) -> str:
     """Write the manifest of a run of `stage` to ``manifests/<name>.json``;
-    an output whose digest the stage did not give is hashed here."""
+    an output whose digest the stage did not give is hashed here.  With
+    `numerics` it also records `numeric_environment`."""
     _makedirs(os.path.join(out_dir, "manifests"))
     payload = {
         "stage": stage,
@@ -275,6 +293,8 @@ def write_manifest(out_dir: str, stage: str, cfg: Dict[str, object],
         "started_unix": round(started, 3),
         "elapsed_seconds": round(time.time() - started, 3),
     }
+    if numerics:
+        payload["environment"] = numeric_environment()
     path = os.path.join(out_dir, "manifests", f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -467,7 +487,9 @@ class Stage:
     ranker reads its own.  `main` refuses a missing read, hashes the
     reads, makes each write's directory and lists the writes in the
     manifest; `run` gets the paths of those artifacts alone, by name, and
-    returns the digests of the writes it knows (None: it knows none)."""
+    returns the digests of the writes it knows (None: it knows none).
+    A stage that trains or scores the model records `numeric_environment`
+    in its manifest (`numerics`)."""
 
     run: Callable[..., Optional[Outputs]]
     help: str
@@ -475,6 +497,7 @@ class Stage:
     options: Tuple[Tuple[str, dict], ...] = ()
     reads: Union[Names, Dict[str, Names]] = ()
     writes: Names = ()
+    numerics: bool = False
 
 
 STAGES: Dict[str, Stage] = {
@@ -510,7 +533,7 @@ STAGES: Dict[str, Stage] = {
                "max_epochs", "patience", "lr", "value_filter",
                "max_text_tokens", "n_time_buckets"),
         reads=_CORPUS + ("linkage", "values"),
-        writes=("checkpoint", "checkpoint_data", "train_log"),
+        writes=("checkpoint", "checkpoint_data", "train_log"), numerics=True,
     ),
     "eval": Stage(
         cmd_eval, "rank held-out sessions and write metrics",
@@ -519,7 +542,7 @@ STAGES: Dict[str, Stage] = {
                                "help": "which system to evaluate"}),),
         reads={"vaps": _CORPUS + ("checkpoint", "values"),
                "semantic": _CORPUS + ("checkpoint",), "bm25": _CORPUS},
-        writes=("metrics",),
+        writes=("metrics",), numerics=True,
     ),
     "report": Stage(
         cmd_report, "collate vaps/bm25/semantic metrics into one table",
@@ -604,7 +627,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         digests = stage.run(cfg, paths, args) or {}
         outputs = {paths[name]: digests.get(paths[name]) for name in stage.writes}
         write_manifest(out_dir, args.stage, cfg, input_hashes, outputs, started,
-                       _ranker_name(args.stage, getattr(args, "ranker", "vaps")))
+                       _ranker_name(args.stage, getattr(args, "ranker", "vaps")),
+                       stage.numerics)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -9,9 +9,7 @@ instead of a sample.
 A scorer (`ScoreFn`) scores a batch of sessions in one call: it takes
 (user-id, session) pairs and one candidate list per pair, or None for the
 whole catalog in `Corpus.item_ids` order, and returns a ``[B, n]`` score
-matrix.  `evaluate_sessions` hands it ``CHUNK`` sessions at a time, so the
-model ranker runs one forward pass per chunk, and under the retrieval
-protocol one ``[B, d] x [d, n_items]`` product against its item table.
+matrix.  `evaluate_sessions` hands it ``CHUNK`` sessions at a time.
 """
 
 from __future__ import annotations

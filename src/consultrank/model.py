@@ -13,10 +13,12 @@ A model is built on one corpus (`init_model`), which it featurizes once
 into `Model.features`: its texts become token ids and its actions become
 integer rows.  A session's inputs (`SessionInputs`) are indices into
 such a table, plus the hour its time gaps are measured back from.
-The forward pass runs on a batch of sessions (one session is a batch of
-one), padded with -1, the zero row of every gather, and masked out of
-every softmax: one gather per table, one encoding of each distinct text
-of the batch, and a handful of batched matrix products.
+The training forward pass runs on a batch of sessions (one session is a
+batch of one), padded with -1, the zero row of every gather, and masked
+out of every softmax: one gather per table, one encoding of each distinct
+text of the batch, and a handful of batched matrix products.  Scoring
+runs one session at a time on plain arrays (`plain_forward`), bit for bit
+the training forward over a batch of that session alone.
 
 All attention logits are scaled by 1/sqrt(d).  With lambda3_skip = 0 the
 CAI attended term vanishes, so model scores no longer depend on the action
@@ -29,7 +31,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -354,15 +356,22 @@ def _featurize(histories: Sequence[UserHistory], tokenized: Tuple[np.ndarray, np
     )
 
 
+@lru_cache(maxsize=None)
+def _bucket_edges(n_time_buckets: int) -> np.ndarray:
+    """The gap each bucket past the first starts at, read-only: bucket k
+    starts at gap 2**k - 1, and no int64 gap reaches past k = 63."""
+    edges = np.array([(1 << k) - 1 for k in range(1, min(n_time_buckets, 64))],
+                     dtype=np.int64)
+    edges.flags.writeable = False
+    return edges
+
+
 def time_buckets(model: Model, deltas) -> np.ndarray:
     """Log-scale bucket of each hour gap, as `value.time_bucket` gives it:
     floor(log2(gap + 1)), capped at the last bucket.  Negative gaps (an
     event later than its anchor) clamp to bucket zero."""
-    # bucket k starts at gap 2**k - 1; no int64 gap reaches past k = 63
-    edges = np.array([(1 << k) - 1 for k in range(1, min(model.cfg.n_time_buckets, 64))],
-                     dtype=np.int64)
-    return np.searchsorted(edges, np.asarray(deltas, dtype=np.int64),
-                           side="right").astype(np.int32)
+    return np.searchsorted(_bucket_edges(model.cfg.n_time_buckets),
+                           np.asarray(deltas, dtype=np.int64), side="right").astype(np.int32)
 
 
 def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.Tensor:
@@ -413,25 +422,17 @@ def pad(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def cai_inputs(model: Model, table: CorpusFeatures, consultations: np.ndarray,
-               actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray,
-               encoded: Optional[T.Tensor] = None
+               actions: np.ndarray, anchors: np.ndarray, *texts: np.ndarray
                ) -> Tuple[T.Tensor, np.ndarray, np.ndarray, np.ndarray]:
     """The cross-attention inputs of a batch, from [B, n] table indices of
     its consultations and actions (-1 for padding) and its anchors [B, 1]:
     `encode_texts` of every text the consultations, the search actions and
     the extra `texts` read (encoded rows, then the map to them), and the
     rows `cai_queries` and `cai_keys` read: [B, n_c, 2] per consultation,
-    [B, n_a, 4] per action, time buckets counted back from the anchors.
-
-    Given `encoded`, every text of the table already encoded ([n_texts,
-    d], row i for text i), the batch reads its rows from it through the
-    identity map and encodes nothing."""
-    if encoded is None:
-        encoded, where = encode_texts(model, table, np.concatenate([
-            np.ravel(consultations), table.actions[actions[actions >= 0], 2],
-            *map(np.ravel, texts)]))
-    else:
-        where = np.append(np.arange(len(table.text_offsets) - 1), -1)
+    [B, n_a, 4] per action, time buckets counted back from the anchors."""
+    encoded, where = encode_texts(model, table, np.concatenate([
+        np.ravel(consultations), table.actions[actions[actions >= 0], 2],
+        *map(np.ravel, texts)]))
 
     def timed(fields: np.ndarray, ts: np.ndarray, index: np.ndarray) -> np.ndarray:
         real = index >= 0
@@ -531,18 +532,16 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     return T.add(c_texts, T.scale(attended, lam))
 
 
-def session_forward(model: Model, table: CorpusFeatures, batch: Sequence[SessionInputs],
-                    encoded: Optional[T.Tensor] = None) -> T.Tensor:
+def session_forward(model: Model, table: CorpusFeatures,
+                    batch: Sequence[SessionInputs]) -> T.Tensor:
     """Full forward pass from a batch of sessions' inputs, indices into
     `table`, to e_final, [B, d].
 
-    Every distinct text of the batch is encoded once (`cai_inputs`), or
-    read from `encoded`, every table text encoded ahead of the call.  The
+    Every distinct text of the batch is encoded once (`cai_inputs`).  The
     CAI output feeds one self-attention encoder layer over each session's
     joint sequence [user; consultations; query history; item history;
-    current query], each
-    segment padded to its longest in the batch, and read at the
-    current-query position (always last).  The sequence is a sum of
+    current query], each segment padded to its longest in the batch, and
+    read at the current-query position (always last).  The sequence is a sum of
     gathers, each placing one source's rows at its segment's positions (the
     CAI rows by a product with a constant placement matrix), and padding
     positions are masked out of the attention.  Only the current query's
@@ -554,7 +553,7 @@ def session_forward(model: Model, table: CorpusFeatures, batch: Sequence[Session
                                    [s.query for s in batch]])
     texts, where, c_rows, a_rows = cai_inputs(
         model, table, consultations, pad([s.actions for s in batch]),
-        np.array([[s.anchor_ts] for s in batch]), query_texts, encoded=encoded)
+        np.array([[s.anchor_ts] for s in batch]), query_texts)
     h = cai_forward(model, c_rows, a_rows, texts)
     queries = where[query_texts]
     blocks = (  # each segment's rows in its source, -1 for padding
@@ -594,6 +593,116 @@ def score_candidates(model: Model, e_final: T.Tensor,
     rows = np.array([_rows(model.item_rows, ids, "item") for ids in candidate_ids])
     e_rows = T.embedding_lookup(e_final, np.arange(len(rows))[:, None])
     return squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(model.tables.item, rows))))
+
+
+@dataclass(frozen=True)
+class PlainModel:
+    """What scoring one session at a time reads (`plain_forward`,
+    `plain_scores`): the model, its parameter arrays by
+    `Model.named_parameters` name (the arrays themselves, so make it once
+    they are final), every text of its feature table encoded by one
+    `encode_text` call, each table action's key up to its time row
+    (`_action_keys`), and whether each table text has tokens, with a False
+    entry past the last for index -1."""
+
+    model: Model
+    params: Dict[str, np.ndarray]
+    texts: np.ndarray
+    keys: np.ndarray
+    nonempty: np.ndarray
+
+
+def _action_keys(params: Dict[str, np.ndarray], fields: np.ndarray,
+                 text_rows: np.ndarray) -> np.ndarray:
+    """[n, d]: the key of each action row of `fields` up to its time row,
+    its type row plus its item's row or its query's text row, added in
+    `cai_keys` order; `text_rows` holds the text rows of the actions that
+    have a query, in order."""
+    keys = params["action_emb"][fields[:, 0]]
+    item = fields[:, 1] >= 0
+    keys[item] += params["item_emb"][fields[item, 1]]
+    keys[fields[:, 2] >= 0] += text_rows
+    return keys
+
+
+def plain_model(model: Model) -> PlainModel:
+    """The `PlainModel` of a model's parameters as they are now."""
+    table = model.features
+    params = {name: t.data for name, t in model.named_parameters().items()}
+    texts = encode_text(model, table.token_ids, table.text_offsets).data
+    fields = table.actions
+    return PlainModel(model, params, texts,
+                      _action_keys(params, fields, texts[fields[fields[:, 2] >= 0, 2]]),
+                      np.append(np.diff(table.text_offsets) > 0, False))
+
+
+def _session_rows(plain: PlainModel, s: SessionInputs) -> Tuple[np.ndarray, ...]:
+    """The text rows of the session's consultations, query history and
+    query, and its actions' keys up to their time rows.  They are rows of
+    the `PlainModel` tables, except for a session that reads one text with
+    tokens and no other: `encode_texts` encodes its batch as a one-row
+    product, which BLAS sums in another order than a product of more rows,
+    so that text is encoded alone here too, and only its rows change."""
+    table, p = plain.model.features, plain.params
+    c, history, a = s.consultations, s.query_history, s.actions
+    rows = plain.texts[c], plain.texts[history], plain.texts[[s.query]], plain.keys[a]
+    read = np.concatenate([c, table.actions[a, 2], history, [s.query]])
+    read = read[plain.nonempty[read]]
+    if not len(read) or (read != read[0]).any():
+        return rows
+    lone = read[0]
+    ids = table.token_ids[table.text_offsets[lone]:table.text_offsets[lone + 1]]
+    pooled = np.add.reduceat(p["token_emb"][ids], [0], axis=0) / len(ids)
+    row = np.tanh(pooled @ p["text_w"] + p["text_b"])
+    for text_rows, index in zip(rows, (c, history, [s.query])):
+        text_rows[np.equal(index, lone)] = row
+    hit = table.actions[a, 2] == lone
+    rows[3][hit] = _action_keys(p, table.actions[a[hit]], row)
+    return rows
+
+
+def _plain_attend(p: Dict[str, np.ndarray], layer: str, queries: np.ndarray,
+                  keys: np.ndarray) -> np.ndarray:
+    """`attend` of the layer whose projections are named ``<layer>_wq``,
+    ``_wk`` and ``_wv``, with no mask."""
+    w_q = p[layer + "_wq"]
+    space = ((queries @ w_q) @ p[layer + "_wk"].T) * (1.0 / math.sqrt(w_q.shape[1]))
+    logits = space @ keys.T
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ((e / e.sum(axis=-1, keepdims=True)) @ keys) @ p[layer + "_wv"]
+
+
+def plain_forward(plain: PlainModel, s: SessionInputs) -> np.ndarray:
+    """e_final of one session, [1, d], equal bit for bit to
+    `session_forward(model, model.features, [s])`: the same products and
+    sums in the same order, without the masks and the guards of fully
+    masked rows, which change nothing where nothing is padded.  The
+    encoder sequence is built by concatenation, not by a product with a
+    placement matrix, whose ones and zeros give the same rows exactly."""
+    model, table, p = plain.model, plain.model.features, plain.params
+    h, history, query, a_keys = _session_rows(plain, s)
+    c, a, time = s.consultations, s.actions, p["time_emb"]
+    if len(c) and len(a) and model.cfg.lambda3_skip != 0.0:
+        queries = h + time[time_buckets(model, s.anchor_ts - table.consultation_ts[c])]
+        keys = a_keys + time[time_buckets(model, s.anchor_ts - table.action_ts[a])]
+        h = h + _plain_attend(p, "attn", queries, keys) * model.cfg.lambda3_skip
+    x = np.concatenate([p["user_emb"][[s.user]], h, history,
+                        p["item_emb"][s.item_history], query])
+    # each row plus its segment's row: one sum per row, so order does not matter
+    x += p["segment_emb"][np.repeat(np.arange(N_SEGMENTS), [
+        1, len(c), len(s.query_history), len(s.item_history), 1])]
+    y = x[-1:] + _plain_attend(p, "enc", x[-1:], x)
+    return y + np.tanh(y @ p["enc_ff_w"] + p["enc_ff_b"])
+
+
+def plain_scores(plain: PlainModel, e_final: np.ndarray,
+                 candidate_ids: Optional[Sequence[str]]) -> np.ndarray:
+    """[1, n]: `score_candidates` of one session's e_final ([1, d]) and its
+    candidates, or with None the whole catalog."""
+    items = plain.params["item_emb"]
+    if candidate_ids is not None:
+        items = items[_rows(plain.model.item_rows, candidate_ids, "item")]
+    return e_final @ items.T
 
 
 #: The checkpoint `extra` key of the `corpus_digest` a model was trained on.

@@ -3,7 +3,7 @@
 Forward ops record their parents and a backward closure; `backward` walks
 the recorded graph once in reverse topological order and accumulates
 gradients into every tracked leaf.  The graph is rebuilt on every forward
-pass, and none is recorded inside `no_grad`.  There is no broadcasting
+pass; an op on constant operands records none.  There is no broadcasting
 beyond what the ops define, and everything is 64-bit, so finite-difference
 checks can run at tight tolerances.
 
@@ -13,8 +13,6 @@ format for named parameter sets: a JSON header beside a raw float64 file.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import json
 import math
@@ -57,22 +55,8 @@ def parameter(rng: np.random.Generator, shape, scale: float) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
-_recording = contextvars.ContextVar("recording", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Within the block, ops compute values only: their outputs record no
-    parents and no backward closure, so no graph is kept."""
-    token = _recording.set(False)
-    try:
-        yield
-    finally:
-        _recording.reset(token)
-
-
 def _track(parents: Sequence[Tensor]) -> bool:
-    return _recording.get() and any(p.requires_grad or p._parents for p in parents)
+    return any(p.requires_grad or p._parents for p in parents)
 
 
 def _out(data, parents: Sequence[Tensor], backward) -> Tensor:

@@ -327,9 +327,10 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
                    l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
     """A batch scorer of the sessions of `corpus`, the corpus the model was
     built on: their inputs are sliced from the model's feature table, and
-    the batch runs through one forward pass and one scoring product, with
-    no graph.  Sessions read the consultations of `kept_map`, or without
-    value_filter the l_seq most recent ones.
+    each session is scored alone, on plain arrays (`model.plain_forward`
+    and `model.plain_scores`), so its scores do not depend on the other
+    sessions of the call.  Sessions read the consultations of `kept_map`,
+    or without value_filter the l_seq most recent ones.
 
     Every text of the feature table is encoded once, here, so the scorer
     reads the parameters as they are when it is made: make it after they
@@ -338,16 +339,14 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
         kept_map = recent_consultations(corpus, l_seq)
     elif kept_map is None:
         raise ValueError("value_filter needs precomputed assessments")
-    table = model.features
-    with T.no_grad():
-        encoded = M.encode_text(model, table.token_ids, table.text_offsets)
+    plain = M.plain_model(model)
 
     def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
-        batch = [build_example(model, corpus, table, user_id, session, kept_map, l_seq)
-                 for user_id, session in sessions]
-        with T.no_grad():
-            return M.score_candidates(
-                model, M.session_forward(model, table, batch, encoded), candidates).data
+        return np.concatenate([
+            M.plain_scores(plain, M.plain_forward(plain, build_example(
+                model, corpus, model.features, user_id, session, kept_map, l_seq)), ids)
+            for (user_id, session), ids in zip(
+                sessions, [None] * len(sessions) if candidates is None else candidates)])
     return score
 
 

@@ -109,6 +109,24 @@ def test_each_ranker_writes_its_own_eval_manifest(reported_dir):
         assert ("values.jsonl" in manifest["inputs"]) == (name == "eval"), name
 
 
+def test_train_and_eval_manifests_record_the_numeric_environment(reported_dir):
+    """The manifests of the stages whose outputs depend on BLAS record the
+    numpy version and every BLAS thread variable, set or not; the manifests
+    of the stages before `train` record neither."""
+    for name in ("train", "eval", "eval_semantic", "eval_bm25"):
+        manifest = json.loads((reported_dir / "manifests" / f"{name}.json").read_text())
+        environment = manifest["environment"]
+        assert sorted(environment) == ["blas_threads", "numpy"], name
+        assert environment["numpy"] == np.__version__
+        assert environment["blas_threads"] == {
+            var: os.environ.get(var) for var in (
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}, name
+    for name in ("datagen", "ingest", "index", "link", "assess"):
+        manifest = json.loads((reported_dir / "manifests" / f"{name}.json").read_text())
+        assert "environment" not in manifest, name
+
+
 def test_report_collates_all_rankers(pipeline_dir, capsys):
     out, config = pipeline_dir
     assert run("report", out, config) == 3  # bm25/semantic not evaluated yet

@@ -1,5 +1,6 @@
 """Model architecture: encoders, CAI, cascade, scoring, gradients."""
 
+import itertools
 import json
 
 import numpy as np
@@ -421,6 +422,53 @@ def test_attention_matches_materialized_projections(gen_sessions, lam):
 
         assert_matches_materialized(model, lambda: M.cai_forward(model, *rows()),
                                     lambda: oracles.materialized_cai_forward(model, *rows()))
+
+
+def test_plain_forward_reads_texts_as_a_batch_of_one_encodes_them(tmp_path):
+    """`plain_forward` and `plain_scores` give the bits of `session_forward`
+    and `score_candidates` over the session alone when the session reads
+    one text with tokens and no other, which that batch encodes as a
+    one-row product (a consultation beside empty texts, the query alone,
+    a query-history text of a hand-built session with no actions, or an
+    earlier search's query, read as query history and in the key its
+    consultation attends to), and when it reads none or several."""
+    events = [
+        consult("u1", 1, "c1", "tripod stand for travel"),
+        consult("u1", 2, "c2", "the and of"),
+        search("u1", 5, "the of", "i1"),
+        click("u1", 6, "i1"),
+        search("u1", 20, "and the", "i2"),
+        search("u2", 3, "gamma delta widget", "i2"),
+        consult("u2", 4, "c3", "epsilon zeta console"),
+        search("u2", 9, "eta theta lantern", "i4"),
+        search("u3", 1, "zeta console lamp", "i3"),
+        click("u3", 2, "i3"),
+        consult("u3", 3, "c4", "of the"),
+        search("u3", 5, "the and", "i1"),
+    ]
+    corpus = corpus_from(tmp_path, ITEMS, events, "lone")
+    kept_map = TR.recent_consultations(corpus, 30)
+    # whether a lone text's one-row product rounds apart from its table row
+    # depends on the draws; these two seeds reach every row it replaces
+    for lam, seed in itertools.product((1.0, 0.0), (1, 2)):
+        model = tiny_model(corpus, d=16, lambda3_skip=lam, seed=seed)
+        table, plain = model.features, M.plain_model(model)
+        batch = [TR.build_example(model, corpus, table, u, s, kept_map)
+                 for u in sorted(corpus.users) for s in corpus.users[u].searches]
+        batch.append(batch[0]._replace(consultations=batch[0].consultations[1:]))
+        batch.append(batch[0]._replace(consultations=batch[0].consultations[:0],
+                                       actions=batch[0].actions[:0],
+                                       query_history=batch[0].consultations[:1]))
+        read = [np.concatenate([s.consultations, table.actions[s.actions, 2],
+                                s.query_history, [s.query]]) for s in batch]
+        assert [int(plain.nonempty[r].sum()) for r in read] == [1, 1, 1, 4, 1, 2, 0, 1]
+        for s in batch:
+            e_final = M.session_forward(model, table, [s])
+            got = M.plain_forward(plain, s)
+            assert got.tobytes() == e_final.data.tobytes()
+            for ids in ([list(model.item_ids[1:])], None):
+                assert M.plain_scores(plain, got, None if ids is None else ids[0]).tobytes() \
+                    == M.score_candidates(model, e_final, ids).data.tobytes()
 
 
 #: An item no event names, so its id can change too.

@@ -138,15 +138,6 @@ def test_shape_mismatch_names_both_shapes(build, shapes):
         assert s in str(err.value)
 
 
-def test_no_grad_records_no_graph():
-    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
-    with T.no_grad():
-        quiet = T.tanh(T.matmul(w, w))
-    assert not quiet._parents and quiet._backward is None
-    loud = T.tanh(T.matmul(w, w))
-    assert loud._parents and np.array_equal(loud.data, quiet.data)
-
-
 def test_softmax_mask_zeroes_entries_and_whole_rows():
     z = np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
     mask = np.array([[[True, False, True], [False, False, False]]])

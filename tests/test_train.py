@@ -839,41 +839,79 @@ def test_scorer_encodes_every_table_text_once(gen_small, monkeypatch):
     assert len(encoded) == 1
 
 
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("value_filter", [True, False])
 def test_scorer_matches_per_batch_encoding(value_filter):
-    """On a SMALL_CONFIG-sized corpus and a briefly trained model, the
-    scorer's [B, n] scores, read from the table it encoded ahead, equal bit
-    for bit a forward pass that encodes each batch's own texts, under both
-    protocols."""
-    corpus, _ = generate(GenSpec(n_users=8, n_items=16, seed=5))
+    """On an `ablation.SMALL`-sized corpus (30 users, 20 items, d 32) and
+    two briefly trained models, one with lambda3_skip 0, at l_seq 1 and 30:
+    the scorer reads its texts from the table it encoded ahead, and each
+    of its rows equals, bit for bit, `score_candidates` of a
+    `session_forward` over that session alone, which encodes the session's
+    own texts, under both protocols.  Row i of a chunk's scores equals the
+    scores of session i scored alone.  Sessions built by hand on the
+    model's table, with no consultations, no actions, or nothing but their
+    query to read, give `plain_forward` and `plain_scores` the same bits."""
+    corpus, _ = generate(GenSpec(n_users=30, n_items=20, seed=5))
     linkage = build_linkage(corpus)
-    params = ValueParams(l_seq=1)
-    assessments = assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params)
-    model = M.init_model(corpus, M.ModelConfig(d=16, seed=5))
-    cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.3, va_batch=8, batch_size=16, max_epochs=2,
-                         patience=2, lr=0.003, seed=5)
-    model = TR.train(corpus, linkage, assessments, model, cfg, l_seq=1,
-                     value_filter=value_filter).model
-    kept = (TR.kept_consultations(assessments) if value_filter
-            else TR.recent_consultations(corpus, 1))
-    score = TR.model_score_fn(model, corpus, kept if value_filter else None, l_seq=1,
-                              value_filter=value_filter)
     split = TR.split_sessions(corpus)
     sessions = split.train + split.valid + split.test
+    cfg = TR.TrainConfig(tau1=1.0, lambda_va=0.3, va_batch=8, batch_size=24, max_epochs=1,
+                         patience=1, lr=0.003, seed=5)
+    kept_maps = {}
+    for l_seq in (1, 30):
+        params = ValueParams(l_seq=l_seq)
+        kept_maps[l_seq] = (TR.kept_consultations(assess_corpus(
+            corpus, linkage, fit_buckets(linkage, params.n_buckets), params))
+            if value_filter else TR.recent_consultations(corpus, l_seq))
     rng = np.random.default_rng(5)
-    for lo in range(0, len(sessions), 7):
-        chunk = sessions[lo:lo + 7]
-        batch = [TR.build_example(model, corpus, model.features, u, s, kept, 1)
-                 for u, s in chunk]
-        ranking = [E.make_candidates(s.ground_truth_item, corpus, n_neg=9, seed=int(seed))
-                   for (_, s), seed in zip(chunk, rng.integers(0, 2**31, len(chunk)))]
-        for candidates in (ranking, None):
-            with T.no_grad():
-                want = M.score_candidates(
-                    model, M.session_forward(model, model.features, batch), candidates).data
-            got = score(chunk, candidates)
-            assert got.shape == (len(chunk), 10 if candidates else len(corpus.items))
-            assert np.array_equal(got, want)
+    for lam in (1.0, 0.0):
+        model = TR.train(corpus, linkage, [], M.init_model(
+            corpus, M.ModelConfig(d=32, lambda3_skip=lam, seed=5)), cfg, l_seq=1,
+            value_filter=False).model
+        table = model.features
+        for l_seq, kept in kept_maps.items():
+            score = TR.model_score_fn(model, corpus, kept if value_filter else None,
+                                      l_seq=l_seq, value_filter=value_filter)
+            for lo in range(0, len(sessions), 7):
+                chunk = sessions[lo:lo + 7]
+                ranking = [E.make_candidates(s.ground_truth_item, corpus, n_neg=9,
+                                             seed=int(seed))
+                           for (_, s), seed in zip(chunk, rng.integers(0, 2**31, len(chunk)))]
+                for candidates in (ranking, None):
+                    got = score(chunk, candidates)
+                    assert got.shape == (len(chunk), 10 if candidates else len(corpus.items))
+                    for i, (user, session) in enumerate(chunk):
+                        ids = None if candidates is None else candidates[i:i + 1]
+                        inputs = TR.build_example(model, corpus, table, user, session, kept,
+                                                  l_seq)
+                        want = M.score_candidates(
+                            model, M.session_forward(model, table, [inputs]), ids).data
+                        assert _same_bits(got[i:i + 1], want)
+                        assert _same_bits(got[i:i + 1], score(chunk[i:i + 1], ids))
+
+        plain = M.plain_model(model)
+        user = sorted(corpus.users)[0]
+        row, consultations, actions = (M.user_row(model, user), table.span(user, 0),
+                                       table.span(user, 1))
+        searched = table.actions[actions, 2]
+        searched = searched[searched >= 0]
+        none = np.empty(0, dtype=np.int64)
+        for inputs in (
+            M.SessionInputs(row, consultations[:3], none, searched[:1], none,
+                            int(searched[-1]), 10**4),
+            M.SessionInputs(row, none, actions[:6], none, np.array([0]), int(searched[0]),
+                            10**4),
+            M.SessionInputs(row, none, none, none, none, int(searched[0]), 10**4),
+        ):
+            e_final = M.session_forward(model, table, [inputs])
+            assert _same_bits(M.plain_forward(plain, inputs), e_final.data)
+            for ids in ([list(model.item_ids[:5])], None):
+                assert _same_bits(M.plain_scores(plain, M.plain_forward(plain, inputs),
+                                                 None if ids is None else ids[0]),
+                                  M.score_candidates(model, e_final, ids).data)
 
 
 def test_batched_scoring_matches_batches_of_one():
