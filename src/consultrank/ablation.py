@@ -21,9 +21,8 @@ synthetic generator plants signal for (full vs semantic_only, full vs
 no_cai) are hard expectations; any other variant overtaking the full
 model is recorded as a soft inversion rather than an error.
 
-The path keys and ``n_neg_eval`` are not read: nothing is written, and
-test sessions are ranked against ``min(N_NEG, n_items - 1)`` sampled
-negatives.
+The path keys are not read: nothing is written.  Test sessions are ranked
+against ``min(n_neg_eval, n_items - 1)`` sampled negatives.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from . import cli
 from . import model as M
 from . import train as TR
 from .datagen import GenSpec, generate
-from .evaluate import N_NEG, evaluate_sessions
+from .evaluate import evaluate_sessions
 from .index import ScopeParams
 from .linkage import LinkageParams, build_linkage
 from .value import ValueParams, assess_corpus, fit_buckets
@@ -97,7 +96,7 @@ def _run_variant(corpus, linkage, buckets, cfg: Mapping[str, object]) -> float:
     # seed as `eval` draws them: the corpus already differs per seed, and
     # the scores pinned for this study were measured with these lists.
     report = evaluate_sessions(fn, corpus, TR.split_sessions(corpus).test,
-                               n_neg=min(N_NEG, len(corpus.items) - 1), seed=0)
+                               n_neg=min(cfg["n_neg_eval"], len(corpus.items) - 1), seed=0)
     return report.macro["ndcg@10"]
 
 

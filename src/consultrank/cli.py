@@ -24,10 +24,10 @@ also writes ``manifests/<stage>.json`` (config hash, the SHA-256 of each
 file read and written, timing), and ``eval --ranker <ranker>`` writes
 ``manifests/eval_<ranker>.json`` for the bm25 and semantic rankers, named
 like their metrics files.  The `train` and `eval` manifests also record
-the numpy version and the BLAS thread variables, which the checkpoint's
-bits depend on.  Manifests carry timestamps and sit outside the
-byte-stable artifact contract, which covers the JSONL/JSON artifacts
-themselves.
+the numpy version, the BLAS library and the BLAS thread variables, which
+the checkpoint's bits depend on.  Manifests carry timestamps and sit
+outside the byte-stable artifact contract, which covers the artifacts
+themselves; the digests a manifest lists are byte-stable with them.
 
 Config: a single flat JSON object.  Every setting is declared once, as a
 field of the dataclass that owns it (``GenSpec``, ``LinkageParams``,
@@ -211,6 +211,9 @@ def validate_config(supplied: Dict[str, object]) -> Dict[str, object]:
         problems.append("wrong-typed config values: " + ", ".join(sorted(bad_types)))
     if non_finite:
         problems.append("non-finite config values: " + ", ".join(sorted(non_finite)))
+    n_neg = supplied.get("n_neg_eval")
+    if type(n_neg) is int and n_neg < 1:
+        problems.append(f"n_neg_eval must be >= 1, got {n_neg}")
     if problems:
         raise ConfigError("; ".join(problems))
     merged = dict(CONFIG_DEFAULTS)
@@ -266,9 +269,11 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THR
 
 
 def numeric_environment() -> Dict[str, object]:
-    """The numpy version and each BLAS thread variable's value, None where
-    it is unset."""
-    return {"numpy": np.__version__,
+    """The numpy version, the name and version of the BLAS library numpy was
+    built with, and each BLAS thread variable's value, None where it is
+    unset."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
             "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
 
 
@@ -440,8 +445,6 @@ def cmd_train(cfg, paths, args) -> Outputs:
 
 
 def cmd_eval(cfg, paths, args) -> None:
-    if cfg["n_neg_eval"] < 1:
-        raise ConfigError(f"n_neg_eval must be >= 1, got {cfg['n_neg_eval']}")
     corpus = _load_corpus(paths)
     params = build_settings(ValueParams, cfg)
     ranker = args.ranker

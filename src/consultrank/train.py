@@ -21,7 +21,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import Consultation, Corpus, SearchSession, consultations_before
-from .evaluate import N_NEG, ScoreFn, Sessions, evaluate_sessions
+from .evaluate import N_NEG, ScoreFn, evaluate_sessions
 from .linkage import LinkageTable
 from .value import SessionAssessment, ValueParams
 
@@ -325,11 +325,10 @@ class TrainResult:
 
 def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
                    l_seq: int = ValueParams.l_seq, value_filter: bool = True) -> ScoreFn:
-    """A batch scorer of the sessions of `corpus`, the corpus the model was
-    built on: their inputs are sliced from the model's feature table, and
-    each session is scored alone, on plain arrays (`model.plain_forward`
-    and `model.plain_scores`), so its scores do not depend on the other
-    sessions of the call.  Sessions read the consultations of `kept_map`,
+    """A scorer of the sessions of `corpus`, the corpus the model was built
+    on: a session's inputs are sliced from the model's feature table, and
+    it is scored on plain arrays (`model.plain_forward` and
+    `model.plain_scores`).  Sessions read the consultations of `kept_map`,
     or without value_filter the l_seq most recent ones.
 
     Every text of the feature table is encoded once, here, so the scorer
@@ -341,12 +340,10 @@ def model_score_fn(model: M.Model, corpus: Corpus, kept_map: Optional[KeptMap],
         raise ValueError("value_filter needs precomputed assessments")
     plain = M.plain_model(model)
 
-    def score(sessions: Sessions, candidates: Optional[Sequence[Sequence[str]]]):
-        return np.concatenate([
-            M.plain_scores(plain, M.plain_forward(plain, build_example(
-                model, corpus, model.features, user_id, session, kept_map, l_seq)), ids)
-            for (user_id, session), ids in zip(
-                sessions, [None] * len(sessions) if candidates is None else candidates)])
+    def score(user_id: str, session: SearchSession, candidates: Optional[Sequence[str]]):
+        return M.plain_scores(plain, M.plain_forward(plain, build_example(
+            model, corpus, model.features, user_id, session, kept_map, l_seq)),
+            candidates)[0]
     return score
 
 
@@ -444,15 +441,12 @@ def train(corpus: Corpus, linkage: LinkageTable,
 
 def write_epoch_log(rows: Sequence[EpochRow], path, append: bool = False) -> None:
     """Writes the epoch log's header and `rows` as CSV, or appends the rows
-    to a log written before."""
+    to a log written before.  The log holds no wall-clock column, so two
+    runs of one config write the same bytes."""
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if not append:
-            writer.writerow(
-                ["epoch", "l_search", "l_va", "total", "valid_ndcg10", "elapsed_seconds"]
-            )
+            writer.writerow(["epoch", "l_search", "l_va", "total", "valid_ndcg10"])
         for r in rows:
-            writer.writerow([
-                r.epoch, f"{r.l_search:.6f}", f"{r.l_va:.6f}", f"{r.total:.6f}",
-                f"{r.valid_ndcg10:.6f}", f"{r.elapsed_seconds:.3f}",
-            ])
+            writer.writerow([r.epoch, f"{r.l_search:.6f}", f"{r.l_va:.6f}",
+                             f"{r.total:.6f}", f"{r.valid_ndcg10:.6f}"])

@@ -79,12 +79,10 @@ def load_oracle(path):
 
 def random_score_fn(base_seed=0):
     """Uniform random scores, deterministic per session: the chance baseline
-    of the ranking protocol, as a batch scorer."""
-    def score(sessions, candidates):
-        return np.array([
-            np.random.default_rng(session_seed(base_seed ^ 0x5EED, user_id, session))
-            .uniform(0.0, 1.0, size=len(ids))
-            for (user_id, session), ids in zip(sessions, candidates)])
+    of the ranking protocol, as a scorer."""
+    def score(user_id, session, candidates):
+        rng = np.random.default_rng(session_seed(base_seed ^ 0x5EED, user_id, session))
+        return rng.uniform(0.0, 1.0, size=len(candidates))
     return score
 
 

@@ -99,6 +99,22 @@ def test_train_prints_a_line_per_epoch(pipeline_dir, tmp_path, capsys):
     assert [row.split(",")[0] for row in log] == ["epoch", "1", "2"]
 
 
+def test_two_train_runs_write_manifests_with_equal_digests(pipeline_dir, tmp_path):
+    """`train` on two copies of one pipeline directory writes manifests
+    whose `inputs` and `outputs` are equal: the epoch log holds no clock."""
+    src, _ = pipeline_dir
+    manifests = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        shutil.copytree(src, out)
+        assert run("train", out, out / "config.json") == 0
+        manifests.append(json.loads((out / "manifests" / "train.json").read_text()))
+    first, second = manifests
+    assert os.path.join("reports", "train_log.csv") in first["outputs"]
+    assert first["inputs"] == second["inputs"]
+    assert first["outputs"] == second["outputs"]
+
+
 def test_each_ranker_writes_its_own_eval_manifest(reported_dir):
     metrics = {"eval": "metrics.json", "eval_semantic": "metrics_semantic.json",
                "eval_bm25": "metrics_bm25.json"}
@@ -111,13 +127,16 @@ def test_each_ranker_writes_its_own_eval_manifest(reported_dir):
 
 def test_train_and_eval_manifests_record_the_numeric_environment(reported_dir):
     """The manifests of the stages whose outputs depend on BLAS record the
-    numpy version and every BLAS thread variable, set or not; the manifests
-    of the stages before `train` record neither."""
+    numpy version, the name and version of numpy's BLAS library and every
+    BLAS thread variable, set or not; the manifests of the stages before
+    `train` record none of them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     for name in ("train", "eval", "eval_semantic", "eval_bm25"):
         manifest = json.loads((reported_dir / "manifests" / f"{name}.json").read_text())
         environment = manifest["environment"]
-        assert sorted(environment) == ["blas_threads", "numpy"], name
+        assert sorted(environment) == ["blas", "blas_threads", "numpy"], name
         assert environment["numpy"] == np.__version__
+        assert environment["blas"] == f"{blas['name']} {blas['version']}", name
         assert environment["blas_threads"] == {
             var: os.environ.get(var) for var in (
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "OMP_NUM_THREADS",

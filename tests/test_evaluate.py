@@ -133,9 +133,8 @@ def test_session_seed_distinguishes_sessions(eval_corpus):
 
 
 def test_perfect_oracle_scores_all_ones(eval_corpus):
-    def oracle(sessions, candidates):
-        return [[1.0 if v == session.ground_truth_item else 0.0 for v in ids]
-                for (_, session), ids in zip(sessions, candidates)]
+    def oracle(user_id, session, candidates):
+        return [1.0 if v == session.ground_truth_item else 0.0 for v in candidates]
 
     sessions = [(u, s) for u in sorted(eval_corpus.users)
                 for s in eval_corpus.users[u].searches]
@@ -175,10 +174,10 @@ def test_evaluate_validates_inputs(eval_corpus):
 def test_retrieval_protocol_uses_full_catalog(eval_corpus):
     seen = []
 
-    def spy(sessions, candidates):
+    def spy(user_id, session, candidates):
         seen.append(candidates)
         # descending in catalog order: catalog position p ranks p + 1
-        return np.tile(np.arange(len(eval_corpus.items), 0, -1.0), (len(sessions), 1))
+        return np.arange(len(eval_corpus.items), 0, -1.0)
 
     sessions = [("u2", eval_corpus.users["u2"].searches[0])]
     report = E.evaluate_sessions(spy, eval_corpus, sessions, protocol="retrieval")
@@ -186,7 +185,7 @@ def test_retrieval_protocol_uses_full_catalog(eval_corpus):
     # i002 is catalog position 2 of 120
     assert report.macro["mrr@5"] == pytest.approx(1 / 3)
     with pytest.raises(ValueError, match="120 candidates but 119 scores"):
-        E.evaluate_sessions(lambda s, c: spy(s, c)[:, 1:], eval_corpus, sessions,
+        E.evaluate_sessions(lambda *a: spy(*a)[1:], eval_corpus, sessions,
                             protocol="retrieval")
 
 
@@ -198,24 +197,29 @@ def test_ground_truth_rank_by_bisection_matches_search():
             E.ground_truth_rank(ids, scores, truth)
 
 
-def test_evaluate_scores_sessions_in_chunks(eval_corpus, monkeypatch):
-    monkeypatch.setattr(E, "CHUNK", 2)
-    calls = []
+def test_evaluate_calls_the_scorer_once_per_session(eval_corpus):
+    """The scorer is called once per session, in order, with the session's
+    `make_candidates` list under `ranking` and None under `retrieval`; a
+    score row one short is refused."""
     score = random_score_fn(4)
+    calls = []
 
-    def spy(sessions, candidates):
-        calls.append(len(sessions))
-        return score(sessions, candidates)
+    def spy(user_id, session, candidates):
+        calls.append((user_id, session, candidates))
+        return score(user_id, session,
+                     eval_corpus.item_ids if candidates is None else candidates)
 
     sessions = [(u, s) for u in sorted(eval_corpus.users)
                 for s in eval_corpus.users[u].searches]
-    report = E.evaluate_sessions(spy, eval_corpus, sessions, seed=2)
-    assert calls == [2, 1]
-    alone = [E.evaluate_sessions(score, eval_corpus, [pair], seed=2) for pair in sessions]
-    assert report.macro == pytest.approx(
-        {k: sum(r.macro[k] for r in alone) / 3 for k in report.macro})
-    with pytest.raises(ValueError, match="2 sessions but 1 rows"):
-        E.evaluate_sessions(lambda s, c: score(s, c)[:1], eval_corpus, sessions)
+    E.evaluate_sessions(spy, eval_corpus, sessions, seed=2, n_neg=9)
+    assert calls == [(u, s, E.make_candidates(s.ground_truth_item, eval_corpus, n_neg=9,
+                                              seed=E.session_seed(2, u, s)))
+                     for u, s in sessions]
+    calls.clear()
+    E.evaluate_sessions(spy, eval_corpus, sessions, protocol="retrieval")
+    assert calls == [(u, s, None) for u, s in sessions]
+    with pytest.raises(ValueError, match="10 candidates but 9 scores"):
+        E.evaluate_sessions(lambda *a: score(*a)[:-1], eval_corpus, sessions, n_neg=9)
 
 
 def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
@@ -236,7 +240,7 @@ def bm25_reference(query_tokens, docs, item_id, k1=1.2, b=0.75):
 def bm25_scores(corpus, candidates):
     """BM25 scores of `candidates` for the corpus's only search session."""
     ((user, history),) = corpus.users.items()
-    return E.bm25_score_fn(corpus)([(user, history.searches[0])], [candidates])[0].tolist()
+    return E.bm25_score_fn(corpus)(user, history.searches[0], candidates).tolist()
 
 
 def test_bm25_matches_reference_formula(tmp_path):
@@ -255,8 +259,8 @@ def test_bm25_matches_reference_formula(tmp_path):
     expected = [bm25_reference(["copper", "kettle"], docs, v) for v in ("d1", "d2", "d3")]
     assert scores == pytest.approx(expected, rel=1e-12)
     ((user, history),) = corpus.users.items()
-    catalog = E.bm25_score_fn(corpus)([(user, history.searches[0])], None)
-    assert catalog.tolist() == [scores]
+    catalog = E.bm25_score_fn(corpus)(user, history.searches[0], None)
+    assert catalog.tolist() == scores
 
 
 def test_bm25_unique_match_ranks_first(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,8 +460,7 @@ def test_epoch_log_csv_round_trip(gen_small, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(result.rows)
     assert float(rows[0]["l_search"]) == pytest.approx(result.rows[0].l_search, abs=1e-6)
-    assert list(rows[0]) == ["epoch", "l_search", "l_va", "total",
-                             "valid_ndcg10", "elapsed_seconds"]
+    assert list(rows[0]) == ["epoch", "l_search", "l_va", "total", "valid_ndcg10"]
 
 
 def test_epoch_log_grows_as_training_runs(gen_small, tmp_path, monkeypatch):
@@ -596,7 +596,8 @@ def test_ablation_variants_name_real_settings():
     ({**ablation.SMALL, "gen_userz": 3}, {}, "unknown config keys: gen_userz"),
     (ablation.SMALL, {"lambda_vaa": 0.0}, "unknown config keys: lambda_vaa"),
     (ablation.SMALL, {"value_filter": "no"}, "wrong-typed config values: value_filter='no'"),
-], ids=["config-key", "variant-key", "variant-type"])
+    ({**ablation.SMALL, "n_neg_eval": 0}, {}, "n_neg_eval must be >= 1, got 0"),
+], ids=["config-key", "variant-key", "variant-type", "n-neg-eval"])
 def test_ablation_refuses_a_bad_setting_before_training(monkeypatch, config, variant, says):
     """A key that is no setting, in the config or in a variant, or a value of
     the wrong type, is a config error raised before any corpus is made or
@@ -608,6 +609,21 @@ def test_ablation_refuses_a_bad_setting_before_training(monkeypatch, config, var
     with pytest.raises(cli.ConfigError, match=says):
         ablation.run_ablation(config, seeds=(0, 1))
     assert made == []
+
+
+def test_ablation_ranks_against_n_neg_eval_negatives(monkeypatch):
+    """Each variant ranks its test sessions against `n_neg_eval` sampled
+    negatives, or the catalog less the ground truth when that is fewer."""
+    seen = []
+    monkeypatch.setattr(ablation, "fit", lambda *a: ([], SimpleNamespace(model=None)))
+    monkeypatch.setattr(TR, "model_score_fn", lambda *a, **k: None)
+    monkeypatch.setattr(ablation, "evaluate_sessions", lambda *a, n_neg, seed: seen.append(
+        n_neg) or SimpleNamespace(macro={"ndcg@10": 0.0}))
+    corpus, _ = generate(GenSpec(n_users=6, n_items=20, seed=0))
+    for n_neg in (7, 99):
+        ablation._run_variant(corpus, None, None,
+                              cli.validate_config({**ablation.SMALL, "n_neg_eval": n_neg}))
+    assert seen == [7, 19]
 
 
 def test_ablation_scores_are_pinned():
@@ -823,7 +839,7 @@ def _rows_of(table, texts):
 
 def test_scorer_encodes_every_table_text_once(gen_small, monkeypatch):
     """A scorer encodes every text of the feature table in one call when it
-    is made; scoring batches under both protocols encodes nothing more."""
+    is made; scoring sessions under both protocols encodes nothing more."""
     corpus, _, assessments = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
     table = model.features
@@ -832,10 +848,9 @@ def test_scorer_encodes_every_table_text_once(gen_small, monkeypatch):
     score = TR.model_score_fn(model, corpus, TR.kept_consultations(assessments))
     assert encoded == [_rows_of(table, range(len(table.text_offsets) - 1))]
     test = TR.split_sessions(corpus).test
-    for lo in range(0, len(test), 2):
-        chunk = test[lo:lo + 2]
-        score(chunk, None)
-        score(chunk, [model.item_ids[:3]] * len(chunk))
+    for user, session in test:
+        score(user, session, None)
+        score(user, session, model.item_ids[:3])
     assert len(encoded) == 1
 
 
@@ -847,13 +862,14 @@ def _same_bits(got, want):
 def test_scorer_matches_per_batch_encoding(value_filter):
     """On an `ablation.SMALL`-sized corpus (30 users, 20 items, d 32) and
     two briefly trained models, one with lambda3_skip 0, at l_seq 1 and 30:
-    the scorer reads its texts from the table it encoded ahead, and each
-    of its rows equals, bit for bit, `score_candidates` of a
+    the scorer reads its texts from the table it encoded ahead, and its
+    scores of each session equal, bit for bit, `score_candidates` of a
     `session_forward` over that session alone, which encodes the session's
-    own texts, under both protocols.  Row i of a chunk's scores equals the
-    scores of session i scored alone.  Sessions built by hand on the
-    model's table, with no consultations, no actions, or nothing but their
-    query to read, give `plain_forward` and `plain_scores` the same bits."""
+    own texts, under both protocols.  Its catalog scores (None) equal its
+    scores of the explicit catalog list to 1e-12.  Sessions built by hand
+    on the model's table, with no consultations, no actions, or nothing but
+    their query to read, give `plain_forward` and `plain_scores` the same
+    bits."""
     corpus, _ = generate(GenSpec(n_users=30, n_items=20, seed=5))
     linkage = build_linkage(corpus)
     split = TR.split_sessions(corpus)
@@ -875,22 +891,20 @@ def test_scorer_matches_per_batch_encoding(value_filter):
         for l_seq, kept in kept_maps.items():
             score = TR.model_score_fn(model, corpus, kept if value_filter else None,
                                       l_seq=l_seq, value_filter=value_filter)
-            for lo in range(0, len(sessions), 7):
-                chunk = sessions[lo:lo + 7]
-                ranking = [E.make_candidates(s.ground_truth_item, corpus, n_neg=9,
-                                             seed=int(seed))
-                           for (_, s), seed in zip(chunk, rng.integers(0, 2**31, len(chunk)))]
+            for (user, session), seed in zip(sessions,
+                                             rng.integers(0, 2**31, len(sessions))):
+                ranking = E.make_candidates(session.ground_truth_item, corpus, n_neg=9,
+                                            seed=int(seed))
+                inputs = TR.build_example(model, corpus, table, user, session, kept, l_seq)
+                e_final = M.session_forward(model, table, [inputs])
                 for candidates in (ranking, None):
-                    got = score(chunk, candidates)
-                    assert got.shape == (len(chunk), 10 if candidates else len(corpus.items))
-                    for i, (user, session) in enumerate(chunk):
-                        ids = None if candidates is None else candidates[i:i + 1]
-                        inputs = TR.build_example(model, corpus, table, user, session, kept,
-                                                  l_seq)
-                        want = M.score_candidates(
-                            model, M.session_forward(model, table, [inputs]), ids).data
-                        assert _same_bits(got[i:i + 1], want)
-                        assert _same_bits(got[i:i + 1], score(chunk[i:i + 1], ids))
+                    got = score(user, session, candidates)
+                    assert got.shape == (10 if candidates else len(corpus.items),)
+                    want = M.score_candidates(
+                        model, e_final, None if candidates is None else [candidates]).data
+                    assert _same_bits(got[None], want)
+                # got: the catalog scores of the last pass
+                assert _relative(got, score(user, session, corpus.item_ids)) < 1e-12
 
         plain = M.plain_model(model)
         user = sorted(corpus.users)[0]
@@ -912,29 +926,3 @@ def test_scorer_matches_per_batch_encoding(value_filter):
                 assert _same_bits(M.plain_scores(plain, M.plain_forward(plain, inputs),
                                                  None if ids is None else ids[0]),
                                   M.score_candidates(model, e_final, ids).data)
-
-
-def test_batched_scoring_matches_batches_of_one():
-    """On a trained model, `evaluate_sessions` over a test split longer than
-    one chunk gives the per-user metrics of each session scored alone, under
-    both protocols and with and without the value filter; the catalog
-    product gives the scores of the explicit catalog to 1e-12."""
-    corpus, _ = generate(GenSpec(n_users=E.CHUNK + 6, n_items=20, seed=3))
-    linkage, assessments = pipeline(corpus)
-    model = M.init_model(corpus, M.ModelConfig(d=16, seed=3))
-    cfg = TR.TrainConfig(max_epochs=2, batch_size=24, va_batch=16, lr=1e-2, seed=3)
-    model = TR.train(corpus, linkage, assessments, model, cfg).model
-    kept = TR.kept_consultations(assessments)
-    test = TR.split_sessions(corpus).test
-    assert len(test) > E.CHUNK
-    for value_filter in (True, False):
-        score = TR.model_score_fn(model, corpus, kept if value_filter else None,
-                                  value_filter=value_filter)
-        for protocol in ("ranking", "retrieval"):
-            run = lambda sessions: E.evaluate_sessions(score, corpus, sessions, protocol,
-                                                       seed=1, n_neg=19)
-            alone = {u: row for pair in test for u, row in run([pair]).per_user.items()}
-            assert run(test).per_user == alone
-        catalog = score(test, None)
-        assert catalog.shape == (len(test), len(corpus.items))
-        assert _relative(catalog, score(test, [corpus.item_ids] * len(test))) < 1e-12
