@@ -384,8 +384,8 @@ def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.T
     nonempty = np.diff(offsets) > 0
     if not nonempty.any():
         return T.Tensor(np.zeros((len(nonempty), model.cfg.d)))
-    pooled = T.mean_pool(T.embedding_lookup(model.tables.token, token_ids),
-                         np.append(offsets[:-1][nonempty], offsets[-1]))
+    pooled = T.lookup_mean(model.tables.token, token_ids,
+                           np.append(offsets[:-1][nonempty], offsets[-1]))
     encoded = T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
     if nonempty.all():
         return encoded
@@ -449,8 +449,8 @@ def cai_inputs(model: Model, table: CorpusFeatures, consultations: np.ndarray,
 
 
 def squeeze(t: T.Tensor) -> T.Tensor:
-    """[B, 1, n] -> [B, n]: a 1-D left operand's axis drops out of a product."""
-    return T.matmul(T.Tensor(np.ones(1)), t)
+    """[B, 1, n] -> [B, n]."""
+    return T.reshape(t, (t.shape[0], t.shape[2]))
 
 
 def cai_queries(model: Model, consultations: np.ndarray, texts: T.Tensor) -> T.Tensor:
@@ -484,7 +484,7 @@ def attention_logits(layer: Attention, queries: T.Tensor, keys: T.Tensor) -> T.T
     """[..., n_queries, n_keys] projected dot products scaled by 1/sqrt(d),
     per session for stacked inputs.  The d x d projections multiply the
     few query rows (`key_space`), never the many key rows."""
-    return T.matmul(key_space(layer, queries), T.transpose(keys))
+    return T.matmul_t(key_space(layer, queries), keys)
 
 
 def attend(layer: Attention, queries: T.Tensor, keys: T.Tensor,
@@ -541,12 +541,12 @@ def session_forward(model: Model, table: CorpusFeatures,
     CAI output feeds one self-attention encoder layer over each session's
     joint sequence [user; consultations; query history; item history;
     current query], each segment padded to its longest in the batch, and
-    read at the current-query position (always last).  The sequence is a sum of
-    gathers, each placing one source's rows at its segment's positions (the
-    CAI rows by a product with a constant placement matrix), and padding
-    positions are masked out of the attention.  Only the current query's
-    row is read, so it alone attends (`attend`), and it is gathered from
-    its sources, not selected from the sequence.
+    read at the current-query position (always last).  The sequence is
+    one `lookup_sum` of gathers, each placing one source's rows at its
+    segment's positions (the CAI rows as rows of the flattened CAI
+    output), and padding positions are masked out of the attention.  Only
+    the current query's row is read, so it alone attends (`attend`), and
+    it is gathered from its sources, not selected from the sequence.
     """
     consultations = pad([s.consultations for s in batch])
     query_texts = np.column_stack([pad([s.query_history for s in batch]),
@@ -571,10 +571,12 @@ def session_forward(model: Model, table: CorpusFeatures,
         at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
         if (at >= 0).any():
             lookups.append((source, at))
+    # consultation c of session b sits at position 1 + c; it is row b n_c + c of h
+    at = np.where(real & (segments == SEG_CONSULTATION),
+                  np.arange(len(batch))[:, None] * h.shape[1] + np.arange(len(segments)) - 1, -1)
+    if (at >= 0).any():
+        lookups.append((T.reshape(h, (-1, h.shape[2])), at))
     x = T.lookup_sum(*lookups)
-    if real[:, segments == SEG_CONSULTATION].any():
-        # consultation c sits at position 1 + c
-        x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
     # the current query's position holds its segment row and its text only
     x_query = T.lookup_sum((enc.segment, np.full((len(batch), 1), SEG_QUERY)),
                            (texts, queries[:, -1:]))
@@ -677,8 +679,8 @@ def plain_forward(plain: PlainModel, s: SessionInputs) -> np.ndarray:
     `session_forward(model, model.features, [s])`: the same products and
     sums in the same order, without the masks and the guards of fully
     masked rows, which change nothing where nothing is padded.  The
-    encoder sequence is built by concatenation, not by a product with a
-    placement matrix, whose ones and zeros give the same rows exactly."""
+    encoder sequence is built by concatenation, not by gathers into a
+    padded block, which place the same rows exactly."""
     model, table, p = plain.model, plain.model.features, plain.params
     h, history, query, a_keys = _session_rows(plain, s)
     c, a, time = s.consultations, s.actions, p["time_emb"]

@@ -7,6 +7,12 @@ pass; an op on constant operands records none.  There is no broadcasting
 beyond what the ops define, and everything is 64-bit, so finite-difference
 checks can run at tight tolerances.
 
+A node holds only the arrays its backward pass reads.  `lookup_sum`
+gathers and adds only the entries whose index is not -1, `lookup_mean`
+pools the rows it gathers without keeping them, `matmul_t` multiplies by
+a transpose with no transposed node or gradient copy, and `reshape`
+passes a view on.
+
 Also here: the Adam optimizer the training loop uses, and the checkpoint
 format for named parameter sets: a JSON header beside a raw float64 file.
 """
@@ -149,6 +155,35 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b^T, with b's last two axes swapped, as one op: a matrix times a
+    matrix, or a stack of matrices times a stack of as many.  The backward
+    pass writes b's gradient as g^T a, in b's own layout, so no transposed
+    copy is made."""
+    if not (a.data.ndim == b.data.ndim in (2, 3) and a.shape[:-2] == b.shape[:-2]
+            and a.shape[-1] == b.shape[-1]):
+        raise ValueError(f"cannot matmul shape {a.shape} by the transpose of {b.shape}")
+    out = _out(a.data @ np.swapaxes(b.data, -1, -2), (a, b), None)
+    if out._parents:
+        def backward(g):
+            if _tracked(a):
+                _accum(a, g @ b.data)
+            if _tracked(b):
+                _accum(b, np.swapaxes(g, -1, -2) @ a.data)
+        out._backward = backward
+    return out
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same entries in C order in another shape, a view of a's array
+    where numpy can make one."""
+    out = _out(a.data.reshape(shape), (a,), None)
+    if out._parents:
+        # the view's gradient is this node's own buffer, which no other node reads
+        out._backward = lambda g: _accum(a, g.reshape(a.shape))
+    return out
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = _out(y, (a,), None)
@@ -193,30 +228,50 @@ def _bincount_into(t: Tensor, cells: np.ndarray, weights: np.ndarray) -> None:
     _accum(t, np.bincount(cells, weights=weights, minlength=t.data.size).reshape(t.shape))
 
 
+def _real_rows(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat positions of the entries of `indices` that are not -1, and
+    their row indices."""
+    flat = indices.ravel()
+    at = np.flatnonzero(flat >= 0)
+    return at, flat[at]
+
+
 def lookup_sum(*lookups) -> Tensor:
     """Sum of row gathers, [*indices.shape, d], as one node: each (table,
     indices) pair gathers rows of a 2-D tensor, and the gathers are added
     in place, left to right.  Index -1 gives a zero row, which takes no
-    gradient.  All tables share their width and all indices their shape."""
+    gradient.  All tables share their width and all indices their shape.
+
+    Only real entries are read: each table gives the rows of its entries
+    that are not -1 in one flat gather, added at their positions, so a
+    padded block costs no more than its real rows."""
     pairs = [(table, _row_indices(table, indices)) for table, indices in lookups]
     (first, idx), rest = pairs[0], pairs[1:]
     for table, other in rest:
         if table.shape[1] != first.shape[1] or other.shape != idx.shape:
             raise ValueError(f"cannot add rows of {table.shape} at {other.shape} "
                              f"to rows of {first.shape} at {idx.shape}")
-    rows = first.data[idx]  # a fresh copy; index -1 read the last row
-    rows[idx < 0] = 0.0
-    for table, other in rest:
-        np.add(rows, table.data[other], out=rows, where=(other >= 0)[..., None])
-    out = _out(rows, [table for table, _ in pairs], None)
+    d = first.shape[1]
+    real = [_real_rows(index) for _, index in pairs]
+    at, rows_at = real[0]
+    if len(at) == idx.size:
+        rows = first.data[rows_at]
+    else:
+        rows = np.zeros((idx.size, d))
+        rows[at] = first.data[rows_at]
+    for (table, _), (at, rows_at) in zip(rest, real[1:]):
+        if len(at) == idx.size:
+            rows += table.data[rows_at]
+        else:
+            rows[at] += table.data[rows_at]
+    out = _out(rows.reshape(*idx.shape, d), [table for table, _ in pairs], None)
     if out._parents:
         def backward(g):
-            for table, idx in pairs:
+            g = g.reshape(-1, d)
+            for (table, _), (at, rows_at) in zip(pairs, real):
                 if _tracked(table):
-                    keep = idx >= 0
-                    d = table.shape[1]
-                    _bincount_into(table, (idx[keep][:, None] * d + np.arange(d)).ravel(),
-                                   g[keep].ravel())
+                    _bincount_into(table, (rows_at[:, None] * d + np.arange(d)).ravel(),
+                                   (g if len(at) == len(g) else g[at]).ravel())
         out._backward = backward
     return out
 
@@ -246,20 +301,28 @@ def gather_columns(a: Tensor, columns) -> Tensor:
     return out
 
 
-def mean_pool(a: Tensor, offsets: Sequence[int]) -> Tensor:
-    """Means of consecutive row segments of an [n, d] matrix, [n_segments, d]:
-    segment i is rows offsets[i]:offsets[i + 1], and none may be empty."""
+def lookup_mean(table: Tensor, indices, offsets: Sequence[int]) -> Tensor:
+    """Means of the rows of a 2-D tensor at consecutive segments of 1-D
+    `indices`, [n_segments, d]: segment i is indices[offsets[i]:offsets[i + 1]],
+    and none may be empty.  The gathered rows are summed by
+    `np.add.reduceat` and dropped; the backward pass reads the indices
+    only.  No index may be -1."""
+    idx = _row_indices(table, indices)
     offsets = np.asarray(offsets)
     lengths = np.diff(offsets)
-    if (a.data.ndim != 2 or not lengths.size or offsets[0] != 0
-            or offsets[-1] != a.shape[0] or lengths.min() < 1):
+    if (idx.ndim != 1 or not lengths.size or offsets[0] != 0
+            or offsets[-1] != len(idx) or lengths.min() < 1 or (idx < 0).any()):
         raise ValueError(
-            f"mean_pool needs non-empty row segments of an [n, d] input, "
-            f"got shape {a.shape} split at {offsets.tolist()}"
+            f"lookup_mean needs non-empty segments of 1-D indices with no -1, got "
+            f"rows of {table.shape} at {idx.shape} split at {offsets.tolist()}"
         )
-    out = _out(np.add.reduceat(a.data, offsets[:-1], axis=0) / lengths[:, None], (a,), None)
+    d = table.shape[1]
+    out = _out(np.add.reduceat(table.data[idx], offsets[:-1], axis=0) / lengths[:, None],
+               (table,), None)
     if out._parents:
-        out._backward = lambda g: _accum(a, np.repeat(g / lengths[:, None], lengths, axis=0))
+        out._backward = lambda g: _bincount_into(
+            table, (idx[:, None] * d + np.arange(d)).ravel(),
+            np.repeat(g / lengths[:, None], lengths, axis=0).ravel())
     return out
 
 

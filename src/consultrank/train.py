@@ -134,14 +134,16 @@ def build_example(model: M.Model, corpus: Corpus, table: M.CorpusFeatures, user_
 def sample_negative_items(item_ids: Sequence[str], positive: str, n: int,
                           rng: np.random.Generator) -> List[str]:
     """n uniform draws from the catalog excluding the positive; duplicates
-    are possible and kept."""
+    are possible and kept.  Each round draws the shortfall in one block and
+    keeps the draws that are not the positive; a block gives the values of
+    as many single draws, so the result and the generator's position are
+    those of drawing one item at a time until n are kept."""
     if len(item_ids) < 2:
         raise ValueError("need at least two items to sample negatives")
     out: List[str] = []
     while len(out) < n:
-        v = item_ids[int(rng.integers(0, len(item_ids)))]
-        if v != positive:
-            out.append(v)
+        drawn = map(item_ids.__getitem__, rng.integers(0, len(item_ids), size=n - len(out)))
+        out.extend(v for v in drawn if v != positive)
     return out
 
 

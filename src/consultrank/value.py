@@ -408,6 +408,7 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
     frame."""
     new = tuple.__new__
     hours: Dict[Tuple[str, int], List[Tuple[int, int, ValueReport]]] = {}
+    last_user = last_ts = group = None  # the row group of the last (user, hour) read
     for n, rec in read_jsonl(path, "value"):
         try:
             row = _REPORT_FIELDS(rec)
@@ -420,7 +421,10 @@ def load_assessments(path, corpus: Corpus, params: ValueParams = ValueParams()) 
                 and type(o_a) in _NUMBER and type(o_g) in _NUMBER
                 and 0.0 <= o_t <= 1.0 >= o_s >= 0.0 <= o_a <= 1.0 >= o_g >= 0.0):
             raise _refuse_row(path, n, rec)
-        hours.setdefault((user, ts), []).append((rank, n, new(ValueReport, row)))
+        if ts != last_ts or user != last_user:  # dump_values writes an hour's rows together
+            last_user, last_ts = user, ts
+            group = hours.setdefault((user, ts), [])
+        group.append((rank, n, new(ValueReport, row)))
 
     out: List[SessionAssessment] = []
     for user in sorted(corpus.users):

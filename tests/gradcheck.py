@@ -64,7 +64,7 @@ def tensor_op_trials(rng: np.random.Generator):
     def leaf(*shape):
         return T.Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
 
-    a, b = leaf(3, 4), leaf(4, 2)
+    a, b, bt = leaf(3, 4), leaf(4, 2), leaf(5, 2)
     x4, w43 = leaf(4), leaf(4, 3)
     m34, v4 = leaf(3, 4), leaf(4)
     s5, t5 = leaf(5), leaf(5)
@@ -76,6 +76,7 @@ def tensor_op_trials(rng: np.random.Generator):
     pad_table, pad_other = leaf(5, 3), leaf(4, 3)
     d1, d2 = leaf(6), leaf(6)
     st3, sw, sk3, sv = leaf(2, 3, 4), leaf(4, 4), leaf(2, 5, 4), leaf(3)
+    sq3, r8 = leaf(2, 3, 4), leaf(8)
     ms3, mv = leaf(2, 3, 4), leaf(4, 2)
     factor = float(rng.uniform(0.5, 2.0))
     nll_pos = int(rng.integers(0, 5))
@@ -94,15 +95,17 @@ def tensor_op_trials(rng: np.random.Generator):
                           [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]]], dtype=bool)
 
     return [
-        ("matmul 2d@2d", lambda: T.l2_norm_sq(T.matmul(a, b)), [a, b]),
+        ("matmul 2d@2d, then by a transpose",
+         lambda: T.l2_norm_sq(T.matmul_t(T.matmul(a, b), bt)), [a, b, bt]),
         ("matmul 1d@2d", lambda: T.l2_norm_sq(T.tanh(T.matmul(x4, w43))), [x4, w43]),
         ("matmul 2d@1d", lambda: T.nll_index(T.matmul(m34, v4), 1), [m34, v4]),
         ("matmul 1d@1d", lambda: T.matmul(d1, d2), [d1, d2]),
-        # stack @ shared matrix, stack @ stack (3-D transpose), vector @ stack
+        # stack @ shared matrix, stack @ stack (3-D transpose), stack @
+        # stack^T in one op, vector @ stack
         ("matmul 3-D stacks",
-         lambda: T.l2_norm_sq(T.matmul(sv, T.tanh(T.matmul(T.matmul(st3, sw),
-                                                           T.transpose(sk3))))),
-         [st3, sw, sk3, sv]),
+         lambda: T.l2_norm_sq(T.matmul(sv, T.tanh(T.add(
+             T.matmul(T.matmul(st3, sw), T.transpose(sk3)), T.matmul_t(sq3, sk3))))),
+         [st3, sw, sk3, sv, sq3]),
         ("softmax masked stacks",
          lambda: T.l2_norm_sq(T.matmul(T.softmax(ms3, mask=soft_mask), mv)), [ms3, mv]),
         ("add+scale", lambda: T.l2_norm_sq(T.add(T.scale(s5, factor), t5)), [s5, t5]),
@@ -115,18 +118,18 @@ def tensor_op_trials(rng: np.random.Generator):
          lambda: T.nll_index(T.add(nr34, T.gather_columns(nr36, row_columns)),
                              row_targets, row_mask),
          [nr34, nr36]),
-        (
-            "embedding+mean_pool segments",
-            lambda: T.l2_norm_sq(T.matmul(
-                T.mean_pool(T.embedding_lookup(table, lookup_idx), pool_offsets), w42)),
-            [table, w42],
-        ),
+        ("lookup_mean segments",
+         lambda: T.l2_norm_sq(T.matmul(T.lookup_mean(table, lookup_idx, pool_offsets), w42)),
+         [table, w42]),
         # padding rows in each lookup, and one table looked up twice
         ("lookup_sum padding rows",
          lambda: T.l2_norm_sq(T.tanh(T.lookup_sum(
              (pad_table, pad_idx), (pad_other, other_idx), (pad_table, again_idx)))),
          [pad_table, pad_other]),
-        ("transpose", lambda: T.l2_norm_sq(T.matmul(T.transpose(a), m34)), [a, m34]),
+        ("transpose, reshape",
+         lambda: T.l2_norm_sq(T.tanh(T.matmul(T.reshape(T.matmul(T.transpose(a), m34), (2, 8)),
+                                              r8))),
+         [a, m34, r8]),
         ("add row-wise", lambda: T.l2_norm_sq(T.tanh(T.add(m34, v4))), [m34, v4]),
         # one tensor, and two of different shapes in one node
         ("l2_norm_sq", lambda: T.add(T.l2_norm_sq(s5), T.l2_norm_sq(t5, m34)), [s5, t5, m34]),

@@ -20,6 +20,12 @@ must be that draw's rows for the same terms.  And `reference_build_corpus`,
 the corpus builder written with one `isinstance` per field and one
 constructor call per record: `build_corpus` must build what it builds and
 refuse what it refuses, at the same record and in the same words.
+And the replaced formulations of the training forward, kept as they were
+(`masked_add_lookup_sum`, `gather_mean_pool_encode_text`,
+`ones_product_squeeze`, `transposed_key_logits` and
+`placement_session_forward`, see `replaced_formulations`): the library's
+training step must give their e_final, losses and gradients bit for bit.
+And `reference_sample_negative_items`, which draws one item at a time.
 """
 
 import json
@@ -508,3 +514,113 @@ def reference_sample_va_batch(batch, table, pairs, cfg, rng, kept_map):
                 negatives, draw(np.flatnonzero(spare), cfg.va_batch - len(negatives)))
         samples.append(TR.VaSample(consultation, positive, negatives, anchor))
     return samples
+
+
+def reference_sample_negative_items(item_ids, positive, n, rng):
+    """`train.sample_negative_items` with one draw per call."""
+    out = []
+    while len(out) < n:
+        v = item_ids[int(rng.integers(0, len(item_ids)))]
+        if v != positive:
+            out.append(v)
+    return out
+
+
+def masked_add_lookup_sum(*lookups):
+    """`tensor.lookup_sum` as one `np.add` per table over the whole padded
+    block, masked where the index is -1."""
+    pairs = [(table, T._row_indices(table, indices)) for table, indices in lookups]
+    (first, idx), rest = pairs[0], pairs[1:]
+    rows = first.data[idx]  # a fresh copy; index -1 read the last row
+    rows[idx < 0] = 0.0
+    for table, other in rest:
+        np.add(rows, table.data[other], out=rows, where=(other >= 0)[..., None])
+    out = T._out(rows, [table for table, _ in pairs], None)
+    if out._parents:
+        def backward(g):
+            for table, idx in pairs:
+                if T._tracked(table):
+                    keep = idx >= 0
+                    d = table.shape[1]
+                    T._bincount_into(table, (idx[keep][:, None] * d + np.arange(d)).ravel(),
+                                     g[keep].ravel())
+        out._backward = backward
+    return out
+
+
+def mean_pool(a, offsets):
+    """Means of consecutive row segments of an [n, d] tensor, as one node."""
+    offsets = np.asarray(offsets)
+    lengths = np.diff(offsets)
+    out = T._out(np.add.reduceat(a.data, offsets[:-1], axis=0) / lengths[:, None], (a,), None)
+    if out._parents:
+        out._backward = lambda g: T._accum(a, np.repeat(g / lengths[:, None], lengths, axis=0))
+    return out
+
+
+def gather_mean_pool_encode_text(model, token_ids, offsets):
+    """`model.encode_text` with the [tokens, d] token gather a node of its
+    own, then `mean_pool`."""
+    nonempty = np.diff(offsets) > 0
+    if not nonempty.any():
+        return T.Tensor(np.zeros((len(nonempty), model.cfg.d)))
+    pooled = mean_pool(T.embedding_lookup(model.tables.token, token_ids),
+                       np.append(offsets[:-1][nonempty], offsets[-1]))
+    encoded = T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
+    if nonempty.all():
+        return encoded
+    return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
+
+
+def ones_product_squeeze(t):
+    """`model.squeeze` as the product with a ones vector, whose axis drops out."""
+    return T.matmul(T.Tensor(np.ones(1)), t)
+
+
+def transposed_key_logits(layer, queries, keys):
+    """`model.attention_logits` as a product with a transpose node."""
+    return T.matmul(M.key_space(layer, queries), T.transpose(keys))
+
+
+def placement_session_forward(model, table, batch):
+    """`model.session_forward` with the CAI rows placed in the encoder
+    sequence by a product with an identity-placement matrix, then added."""
+    consultations = M.pad([s.consultations for s in batch])
+    query_texts = np.column_stack([M.pad([s.query_history for s in batch]),
+                                   [s.query for s in batch]])
+    texts, where, c_rows, a_rows = M.cai_inputs(
+        model, table, consultations, M.pad([s.actions for s in batch]),
+        np.array([[s.anchor_ts] for s in batch]), query_texts)
+    h = M.cai_forward(model, c_rows, a_rows, texts)
+    queries = where[query_texts]
+    blocks = ([[s.user] for s in batch], consultations, queries[:, :-1],
+              M.pad([s.item_history for s in batch]), queries[:, -1:])
+    layout = np.concatenate(blocks, axis=1)
+    segments = np.repeat(np.arange(M.N_SEGMENTS), [np.shape(b)[1] for b in blocks])
+    real = layout >= 0
+    enc = model.encoder
+    lookups = [(enc.segment, np.where(real, segments, -1))]
+    for source, segs in ((model.tables.user, [M.SEG_USER]),
+                         (texts, [M.SEG_QUERY_HISTORY, M.SEG_QUERY]),
+                         (model.tables.item, [M.SEG_ITEM_HISTORY])):
+        at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
+        if (at >= 0).any():
+            lookups.append((source, at))
+    x = T.lookup_sum(*lookups)
+    if real[:, segments == M.SEG_CONSULTATION].any():
+        # consultation c sits at position 1 + c
+        x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
+    x_query = T.lookup_sum((enc.segment, np.full((len(batch), 1), M.SEG_QUERY)),
+                           (texts, queries[:, -1:]))
+    y = M.squeeze(T.add(x_query, M.attend(enc, x_query, x, real[:, None, :])))
+    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
+
+
+def replaced_formulations(monkeypatch):
+    """Puts every replaced formulation above in place of the library's, for
+    the rest of the test."""
+    monkeypatch.setattr(T, "lookup_sum", masked_add_lookup_sum)
+    monkeypatch.setattr(M, "encode_text", gather_mean_pool_encode_text)
+    monkeypatch.setattr(M, "squeeze", ones_product_squeeze)
+    monkeypatch.setattr(M, "attention_logits", transposed_key_logits)
+    monkeypatch.setattr(M, "session_forward", placement_session_forward)

@@ -128,7 +128,8 @@ def test_backward_rejects_non_scalar():
         (lambda: T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(5))), ["(2,)", "(5,)"]),
         (lambda: T.matmul(T.Tensor(np.zeros((1, 2, 3))), T.Tensor(np.zeros((4, 3, 2)))),
          ["(1, 2, 3)", "(4, 3, 2)"]),
-        (lambda: T.mean_pool(T.Tensor(np.zeros((4, 3))), [0, 2, 2, 4]), ["(4, 3)"]),
+        (lambda: T.lookup_mean(T.Tensor(np.zeros((4, 3))), [0, 1, 2, 3], [0, 2, 2, 4]),
+         ["(4, 3)", "(4,)"]),
     ],
 )
 def test_shape_mismatch_names_both_shapes(build, shapes):
@@ -171,8 +172,8 @@ def test_embedding_lookup_padding_row_is_zero_and_takes_no_gradient():
 
 def test_embedding_lookup_accumulates_repeated_rows():
     table = T.Tensor(np.ones((4, 2)), requires_grad=True)
-    pooled = T.mean_pool(T.embedding_lookup(table, [1, 1, 1, 0]), [0, 4])
-    T.backward(T.matmul(T.matmul(pooled, T.Tensor([1.0, 1.0])), T.Tensor([1.0])))
+    pooled = T.matmul(T.Tensor([0.25] * 4), T.embedding_lookup(table, [1, 1, 1, 0]))
+    T.backward(T.matmul(pooled, T.Tensor([1.0, 1.0])))
     assert np.allclose(table.grad[1], 0.75)
     assert np.allclose(table.grad[0], 0.25)
     assert np.allclose(table.grad[2], 0.0)
@@ -193,6 +194,24 @@ def test_lookup_sum_forward_is_the_add_chain_bit_for_bit():
     T.backward(T.l2_norm_sq(chain))
     for got, t in zip(fused_grads, tables):
         assert got.tobytes() == t.grad.tobytes()
+
+
+def test_lookup_sum_is_the_masked_add_bit_for_bit():
+    """Gathering and adding only the real entries gives the bits of the
+    masked add over the whole padded block, forward and backward, with
+    tables read at every position, at some and at none."""
+    rng = np.random.default_rng(12)
+    tables = [T.Tensor(rng.normal(size=(n, 6)), requires_grad=True) for n in (5, 9, 4, 3)]
+    idx = [rng.integers(0, 5, size=(7, 4)), rng.integers(-1, 9, size=(7, 4)),
+           np.full((7, 4), -1), rng.integers(-1, 3, size=(7, 4))]
+    grads = []
+    for lookup in (T.lookup_sum, oracles.masked_add_lookup_sum):
+        out = lookup(*zip(tables, idx))
+        T.backward(T.l2_norm_sq(T.tanh(out)))
+        grads.append([out.data, *(t.grad for t in tables)])
+        zero_grads(tables)
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lookup_sum_refuses_mismatched_lookups():
@@ -252,14 +271,80 @@ def test_nodes_fed_one_gradient_keep_their_own_grad_arrays():
     assert np.array_equal(x.grad, 4.0 * (2.0 * x.data + y.data))
 
 
-def test_mean_pool_of_single_row_is_identity():
-    row = T.Tensor([[2.0, -3.0, 0.5]])
-    assert np.array_equal(T.mean_pool(row, [0, 1]).data, [[2.0, -3.0, 0.5]])
+def test_lookup_mean_of_single_row_is_identity():
+    table = T.Tensor([[0.0, 1.0, 1.0], [2.0, -3.0, 0.5]])
+    assert np.array_equal(T.lookup_mean(table, [1], [0, 1]).data, [[2.0, -3.0, 0.5]])
 
 
-def test_mean_pool_averages_each_segment():
-    rows = T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(T.mean_pool(rows, [0, 2, 3]).data, [[2.0, 3.0], [5.0, 6.0]])
+def test_lookup_mean_averages_each_segment():
+    table = T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(T.lookup_mean(table, [0, 1, 2], [0, 2, 3]).data,
+                          [[2.0, 3.0], [5.0, 6.0]])
+
+
+def test_lookup_mean_is_gather_then_mean_pool_bit_for_bit():
+    """Pooling in one node gives the bits of a gather node, then
+    `mean_pool` of the gathered rows, forward and backward, with repeated
+    rows and segments of one to many rows; it keeps no gathered row."""
+    rng = np.random.default_rng(13)
+    table = T.Tensor(rng.normal(size=(11, 7)), requires_grad=True)
+    lengths = [1, 9, 3, 1, 17, 2]
+    idx = rng.integers(0, 11, size=sum(lengths))
+    offsets = np.cumsum([0] + lengths)
+    weights = T.Tensor(rng.normal(size=(7, 7)))
+    got = T.lookup_mean(table, idx, offsets)
+    assert got._parents == (table,)
+    results = []
+    for pooled in (got, oracles.mean_pool(T.embedding_lookup(table, idx), offsets)):
+        T.backward(T.l2_norm_sq(T.tanh(T.matmul(pooled, weights))))
+        results.append((pooled.data, table.grad))
+        zero_grads([table])
+    (got_data, got_grad), (want_data, want_grad) = results
+    assert got_data.tobytes() == want_data.tobytes()
+    assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def test_lookup_mean_refuses_padding_and_empty_segments():
+    table = T.Tensor(np.zeros((3, 2)))
+    for indices, offsets in (([0, -1], [0, 2]), ([0, 1], [0, 0, 2]), ([0, 1], [0, 1]),
+                             ([[0, 1]], [0, 2])):
+        with pytest.raises(ValueError, match="lookup_mean needs"):
+            T.lookup_mean(table, indices, offsets)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 5), (4, 5)), ((2, 1, 5), (2, 6, 5)),
+                                              ((2, 3, 5), (2, 4, 5))])
+def test_matmul_t_is_the_product_with_a_transpose_bit_for_bit(a_shape, b_shape):
+    """a @ b^T as one node gives the bits of `matmul` with a `transpose`
+    node, forward and backward, and b's gradient comes out in b's layout."""
+    rng = np.random.default_rng(14)
+    a, b = (T.Tensor(rng.normal(size=shape), requires_grad=True) for shape in (a_shape, b_shape))
+    results = []
+    for product in (T.matmul_t(a, b), T.matmul(a, T.transpose(b))):
+        T.backward(T.l2_norm_sq(T.tanh(product)))
+        results.append((product.data, a.grad, b.grad))
+        zero_grads([a, b])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+    assert results[0][2].flags.c_contiguous
+
+
+def test_matmul_t_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"\(3, 5\) by the transpose of \(4, 6\)"):
+        T.matmul_t(T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros((4, 6))))
+    with pytest.raises(ValueError, match="transpose of"):
+        T.matmul_t(T.Tensor(np.zeros((2, 3, 5))), T.Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ValueError, match="transpose of"):
+        T.matmul_t(T.Tensor(np.zeros((2, 3, 5))), T.Tensor(np.zeros((4, 5))))
+
+
+def test_reshape_is_a_view_and_passes_the_gradient_back():
+    a = T.Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)
+    flat = T.reshape(a, (6, 2))
+    assert np.shares_memory(flat.data, a.data) and flat.shape == (6, 2)
+    weights = T.Tensor(np.arange(1.0, 7.0))
+    T.backward(T.matmul(weights, T.matmul(flat, T.Tensor([1.0, -1.0]))))
+    assert np.array_equal(a.grad, np.outer(np.arange(1.0, 7.0), [1.0, -1.0]).reshape(2, 3, 2))
 
 
 def test_nll_index_rows_match_per_row_losses():

@@ -197,6 +197,20 @@ def test_loss_search_confident_positive_approaches_zero(gen_small):
     assert 0.0 <= float(loss.data) < 1e-6
 
 
+def test_sample_negative_items_draws_as_one_item_at_a_time():
+    """Block draws give the items and leave the generator where drawing one
+    item per call does, also where the positive is drawn and rejected."""
+    items = ("i0", "i1", "i2")
+    rejected = 0
+    for seed in range(20):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = TR.sample_negative_items(items, "i1", 7, got_rng)
+        assert got == oracles.reference_sample_negative_items(items, "i1", 7, want_rng)
+        assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+        rejected += "i1" in np.take(items, np.random.default_rng(seed).integers(0, 3, size=7))
+    assert rejected >= 15
+
+
 def test_loss_search_counts_duplicate_negatives(gen_small):
     corpus, _, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
@@ -645,23 +659,35 @@ def _relative(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-def _graph_nodes(loss):
-    seen, stack = {id(loss)}, [loss]
+def _graph(loss):
+    """Every node of the graph that ends at `loss`, leaves and constants too."""
+    seen, stack = {id(loss): loss}, [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
 
 
-@pytest.mark.parametrize("seed, l_seq", [(5, 1), (6, ValueParams.l_seq)])
-def test_batched_step_matches_batches_of_one(seed, l_seq):
-    """Random batches of 1-24 sessions of SMALL_CONFIG-sized corpora: the
-    padded batch gives the e_final rows, the losses and the gradients of
-    the same sessions run one at a time, the way training ran them before
-    it batched.  Two added sessions, built by hand on the model's table,
-    have no actions and no consultations."""
+def _held_bytes(nodes):
+    """Bytes of the distinct buffers the nodes' arrays hold: a view counts
+    as its base array, and each base array counts once."""
+    bases = {}
+    for node in nodes:
+        base = node.data
+        while base.base is not None:
+            base = base.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+def random_steps(seed, l_seq):
+    """Random batches of 1-24 sessions of SMALL_CONFIG-sized corpora, as
+    (model, table, cfg, inputs, ground truths, negatives, alignment
+    samples) for 8 steps.  Two added sessions, built by hand on the
+    model's table, have no actions and no consultations; the first batch
+    holds both."""
     corpus, _ = generate(GenSpec(n_users=8, n_items=16, seed=seed))
     linkage = build_linkage(corpus)
     params = ValueParams(l_seq=l_seq)
@@ -691,12 +717,20 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
         picked = rng.choice(len(features), size, replace=size > len(features)).tolist()
         if trial == 0:
             picked[-2:] = [len(features) - 2, len(features) - 1]
-        batch_f = [features[i] for i in picked]
         batch_t = [truths[i] for i in picked]
         negs = [TR.sample_negative_items(model.item_ids, t, 5, rng) for t in batch_t]
         samples = TR.sample_va_batch([examples[i] for i in picked if i < len(examples)],
                                      table, pairs, cfg, rng, kept)
+        yield model, table, cfg, [features[i] for i in picked], batch_t, negs, samples
 
+
+@pytest.mark.parametrize("seed, l_seq", [(5, 1), (6, ValueParams.l_seq)])
+def test_batched_step_matches_batches_of_one(seed, l_seq):
+    """On `random_steps`, the padded batch gives the e_final rows, the
+    losses and the gradients of the same sessions run one at a time, the
+    way training ran them before it batched."""
+    for model, table, cfg, batch_f, batch_t, negs, samples in random_steps(seed, l_seq):
+        size = len(batch_f)
         zero_grads(model.parameters())
         e_batch = M.session_forward(model, table, batch_f)
         l_search = TR.loss_search(model, e_batch, batch_t, negs, cfg)
@@ -720,6 +754,33 @@ def test_batched_step_matches_batches_of_one(seed, l_seq):
             assert _relative(got.data, want.data) < 1e-12
         for p, got in zip(model.parameters(), batched):
             assert _relative(got, p.grad) < 1e-10
+
+
+@pytest.mark.parametrize("seed, l_seq", [(5, 1), (6, ValueParams.l_seq)])
+def test_batched_step_is_the_replaced_formulations_bit_for_bit(seed, l_seq, monkeypatch):
+    """On `random_steps`, a training step gives the e_final, both losses
+    and every parameter gradient that the formulations it replaced give,
+    bit for bit: the masked add over the padded block in `lookup_sum`, the
+    token gather before `mean_pool`, the CAI rows placed by an identity
+    product, the ones-vector product in `squeeze` and the product with a
+    transpose node in `attention_logits` (`oracles.replaced_formulations`)."""
+
+    def step(model, table, cfg, batch_f, batch_t, negs, samples):
+        zero_grads(model.parameters())
+        e_final = M.session_forward(model, table, batch_f)
+        l_search = TR.loss_search(model, e_final, batch_t, negs, cfg)
+        l_va = TR.loss_va(model, samples, table, cfg) if samples else None
+        T.backward(TR.total_loss(l_search, l_va, model.parameters(), cfg))
+        return [e_final.data, l_search.data, None if l_va is None else l_va.data,
+                *(p.grad for p in model.parameters())]
+
+    for drawn in random_steps(seed, l_seq):
+        got = step(*drawn)
+        with monkeypatch.context() as patched:
+            oracles.replaced_formulations(patched)
+            want = step(*drawn)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -763,10 +824,10 @@ def test_factorized_alignment_loss_matches_materialized_keys(seed):
         assert set(got_grads.values()) == set(want_grads.values()) == {None}
 
 
-def test_step_graph_does_not_grow_with_batch():
-    """A step over 24 sessions records as many graph nodes as a step over one
-    of them; the sessions all read consultations, actions and item history
-    and draw an alignment sample."""
+def step_graph(n):
+    """The graph of one training step over the first n of 24 sessions that
+    all read consultations, actions and item history and draw an alignment
+    sample."""
     corpus, _ = generate(GenSpec(n_users=16, n_items=20, seed=12))
     linkage, assessments = pipeline(corpus)
     model = M.init_model(corpus, M.ModelConfig(d=8))
@@ -780,12 +841,22 @@ def test_step_graph_does_not_grow_with_batch():
         and TR.sample_va_batch([ex], table, pairs, cfg, np.random.default_rng(0), kept_map)
     ]
     assert len(examples) >= 24
+    rngs = map(np.random.default_rng, (1, 2))
+    return _graph(TR.step_loss(model, examples[:n], table, pairs, kept_map, cfg, *rngs)[0])
 
-    def nodes(batch):
-        rngs = map(np.random.default_rng, (1, 2))
-        return _graph_nodes(TR.step_loss(model, batch, table, pairs, kept_map, cfg, *rngs)[0])
 
-    assert nodes(examples[:1]) == nodes(examples[:24]) <= 96
+def test_step_graph_does_not_grow_with_batch():
+    """A step over 24 sessions records as many graph nodes as a step over one
+    of them."""
+    assert len(step_graph(1)) == len(step_graph(24)) <= 88
+
+
+def test_step_graph_holds_no_copies():
+    """The arrays a step over 24 sessions holds in its graph, parameters
+    included, take the bytes they took when each activation was held once:
+    an op that keeps a copy no backward pass reads, such as a [tokens, d]
+    gather or a transposed gradient, adds to them."""
+    assert _held_bytes(step_graph(24)) == 865464
 
 
 def test_each_batch_text_is_encoded_once(gen_small, monkeypatch):

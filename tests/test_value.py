@@ -21,6 +21,7 @@ from consultrank.value import (
     dump_values,
     consultation_terms,
     fit_buckets,
+    load_assessments,
     rank_and_filter,
     score_histogram,
     time_bucket,
@@ -188,6 +189,24 @@ def test_dump_values_is_bit_stable_and_rounded(tmp_path):
     assert a == (tmp_path / "b.jsonl").read_bytes()
     for line in a.decode().splitlines():
         assert line.index('"cid"') < line.index('"o_action"') < line.index('"user"')
+
+
+def test_load_assessments_joins_an_hour_split_across_the_file(tmp_path):
+    """Rows of one (user, search hour) that do not sit together in the file
+    still make one row set: the rows reordered rank by rank load as the
+    file `dump_values` wrote."""
+    corpus, _ = generate(GenSpec(n_users=6, n_items=12, seed=3))
+    linkage = build_linkage(corpus)
+    params = ValueParams(l_seq=2)
+    dump_values(assess_corpus(corpus, linkage, fit_buckets(linkage, params.n_buckets), params),
+                tmp_path / "values.jsonl")
+    lines = (tmp_path / "values.jsonl").read_text().splitlines()
+    split = sorted(lines, key=lambda line: json.loads(line)["rank"])
+    assert split != lines
+    (tmp_path / "split.jsonl").write_text("\n".join(split) + "\n")
+    want = load_assessments(tmp_path / "values.jsonl", corpus, params)
+    assert load_assessments(tmp_path / "split.jsonl", corpus, params) == want
+    assert any(len(a.reports) > 1 for a in want)
 
 
 def test_score_histogram_mentions_total(tmp_path):
