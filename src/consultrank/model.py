@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,40 +76,10 @@ class ModelConfig:
 
 
 @dataclass
-class EmbeddingTables:
-    token: T.Tensor
-    item: T.Tensor
-    user: T.Tensor
-    time: T.Tensor
-    action: T.Tensor
-
-
-@dataclass
-class AttentionBlock:
-    """Query/key/value projections for the CAI cross-attention; the same
-    query/key matrices define the alignment-loss similarity."""
-
-    w_q: T.Tensor
-    w_k: T.Tensor
-    w_v: T.Tensor
-
-
-@dataclass
-class EncoderLayer:
-    w_q: T.Tensor
-    w_k: T.Tensor
-    w_v: T.Tensor
-    ff_w: T.Tensor
-    ff_b: T.Tensor
-    segment: T.Tensor
-
-
-#: A layer `attend` reads: its query, key and value projections.
-Attention = Union[AttentionBlock, EncoderLayer]
-
-
-@dataclass
 class Model:
+    """A model of one corpus: its vocabulary and id rows, its feature table,
+    and its parameters in one dict keyed by their `_param_shapes` names."""
+
     cfg: ModelConfig
     vocab: Dict[str, int]
     item_ids: Tuple[str, ...]
@@ -117,34 +87,11 @@ class Model:
     user_rows: Dict[str, int]
     corpus_sha256: str
     features: CorpusFeatures = field(repr=False)
-    tables: EmbeddingTables = field(repr=False)
-    block: AttentionBlock = field(repr=False)
-    text_w: T.Tensor = field(repr=False)
-    text_b: T.Tensor = field(repr=False)
-    encoder: EncoderLayer = field(repr=False)
-
-    def named_parameters(self) -> Dict[str, T.Tensor]:
-        return {
-            "token_emb": self.tables.token,
-            "item_emb": self.tables.item,
-            "user_emb": self.tables.user,
-            "time_emb": self.tables.time,
-            "action_emb": self.tables.action,
-            "attn_wq": self.block.w_q,
-            "attn_wk": self.block.w_k,
-            "attn_wv": self.block.w_v,
-            "text_w": self.text_w,
-            "text_b": self.text_b,
-            "enc_wq": self.encoder.w_q,
-            "enc_wk": self.encoder.w_k,
-            "enc_wv": self.encoder.w_v,
-            "enc_ff_w": self.encoder.ff_w,
-            "enc_ff_b": self.encoder.ff_b,
-            "segment_emb": self.encoder.segment,
-        }
+    params: Dict[str, T.Tensor] = field(repr=False)
 
     def parameters(self) -> List[T.Tensor]:
-        return [t for _, t in sorted(self.named_parameters().items())]
+        """The parameters in name order, the order Adam and `l2_norm_sq` read."""
+        return [t for _, t in sorted(self.params.items())]
 
 
 #: The encoder of `corpus_digest`'s text, shared by every call: the text
@@ -172,8 +119,9 @@ def corpus_digest(corpus: Corpus) -> str:
 
 def _param_shapes(cfg: ModelConfig, n_tokens: int, n_items: int,
                   n_users: int) -> Dict[str, Tuple[int, ...]]:
-    """Each parameter's shape by its `Model.named_parameters` name, in the
-    order `init_model` draws them."""
+    """Each parameter's shape by its name, in the order `init_model` draws
+    them: the one list of the model's parameters, whose names key
+    `Model.params`, the checkpoint and `PlainModel.params`."""
     d = cfg.d
     return {
         "token_emb": (n_tokens, d), "item_emb": (n_items, d), "user_emb": (n_users, d),
@@ -204,8 +152,6 @@ def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
     read = [toks[:cfg.max_text_tokens] for toks in tokens]
     vocab = {term: i + 1 for i, term in enumerate(sorted(set(chain.from_iterable(read))))}
     item_rows = {v: i for i, v in enumerate(corpus.item_ids)}
-    p = make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows), len(corpus.users)),
-                    vocab, tokens)
     return Model(
         cfg=cfg,
         vocab=vocab,
@@ -213,15 +159,9 @@ def _build_model(corpus: Corpus, cfg: ModelConfig, digest: str,
         item_rows=item_rows,
         user_rows={u: i for i, u in enumerate(sorted(corpus.users))},
         corpus_sha256=digest,
+        params=make_params(_param_shapes(cfg, len(vocab) + 1, len(item_rows),
+                                         len(corpus.users)), vocab, tokens),
         features=_featurize(histories, _token_ids(vocab, read), item_rows),
-        tables=EmbeddingTables(token=p["token_emb"], item=p["item_emb"], user=p["user_emb"],
-                               time=p["time_emb"], action=p["action_emb"]),
-        block=AttentionBlock(w_q=p["attn_wq"], w_k=p["attn_wk"], w_v=p["attn_wv"]),
-        text_w=p["text_w"],
-        text_b=p["text_b"],
-        encoder=EncoderLayer(w_q=p["enc_wq"], w_k=p["enc_wk"], w_v=p["enc_wv"],
-                             ff_w=p["enc_ff_w"], ff_b=p["enc_ff_b"],
-                             segment=p["segment_emb"]),
     )
 
 
@@ -384,9 +324,10 @@ def encode_text(model: Model, token_ids: np.ndarray, offsets: np.ndarray) -> T.T
     nonempty = np.diff(offsets) > 0
     if not nonempty.any():
         return T.Tensor(np.zeros((len(nonempty), model.cfg.d)))
-    pooled = T.lookup_mean(model.tables.token, token_ids,
+    p = model.params
+    pooled = T.lookup_mean(p["token_emb"], token_ids,
                            np.append(offsets[:-1][nonempty], offsets[-1]))
-    encoded = T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
+    encoded = T.tanh(T.add(T.matmul(pooled, p["text_w"]), p["text_b"]))
     if nonempty.all():
         return encoded
     return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
@@ -457,12 +398,13 @@ def cai_queries(model: Model, consultations: np.ndarray, texts: T.Tensor) -> T.T
     """Attention queries: each consultation's text vector plus the embedding
     of its time bucket ([..., 2] rows of text index, time bucket)."""
     return T.lookup_sum((texts, consultations[..., 0]),
-                        (model.tables.time, consultations[..., 1]))
+                        (model.params["time_emb"], consultations[..., 1]))
 
 
 def key_tables(model: Model, texts: T.Tensor) -> Tuple[T.Tensor, ...]:
     """The tables that columns 0-3 of an action row index."""
-    return (model.tables.action, model.tables.item, texts, model.tables.time)
+    p = model.params
+    return (p["action_emb"], p["item_emb"], texts, p["time_emb"])
 
 
 def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
@@ -472,28 +414,32 @@ def cai_keys(model: Model, actions: np.ndarray, texts: T.Tensor) -> T.Tensor:
                           for k, table in enumerate(key_tables(model, texts))])
 
 
-def key_space(layer: Attention, queries: T.Tensor) -> T.Tensor:
-    """queries w_q w_k^T / sqrt(d): the queries carried into the space of
-    the unprojected keys, where a dot product with a key is the projected,
-    scaled logit (q w_q)(k w_k)^T / sqrt(d)."""
-    return T.scale(T.matmul(T.matmul(queries, layer.w_q), T.transpose(layer.w_k)),
-                   1.0 / math.sqrt(layer.w_q.shape[1]))
+def key_space(params: Dict[str, T.Tensor], layer: str, queries: T.Tensor) -> T.Tensor:
+    """queries w_q w_k^T / sqrt(d) of the layer whose projections are named
+    ``<layer>_wq`` and ``_wk`` ("attn", the CAI block, or "enc", the encoder
+    layer): the queries carried into the space of the unprojected keys,
+    where a dot product with a key is the projected, scaled logit
+    (q w_q)(k w_k)^T / sqrt(d)."""
+    w_q = params[layer + "_wq"]
+    return T.scale(T.matmul(T.matmul(queries, w_q), T.transpose(params[layer + "_wk"])),
+                   1.0 / math.sqrt(w_q.shape[1]))
 
 
-def attention_logits(layer: Attention, queries: T.Tensor, keys: T.Tensor) -> T.Tensor:
+def attention_logits(params: Dict[str, T.Tensor], layer: str, queries: T.Tensor,
+                     keys: T.Tensor) -> T.Tensor:
     """[..., n_queries, n_keys] projected dot products scaled by 1/sqrt(d),
     per session for stacked inputs.  The d x d projections multiply the
     few query rows (`key_space`), never the many key rows."""
-    return T.matmul_t(key_space(layer, queries), keys)
+    return T.matmul_t(key_space(params, layer, queries), keys)
 
 
-def attend(layer: Attention, queries: T.Tensor, keys: T.Tensor,
+def attend(params: Dict[str, T.Tensor], layer: str, queries: T.Tensor, keys: T.Tensor,
            mask: np.ndarray) -> T.Tensor:
     """[..., n_queries, d]: softmax((q w_q)(k w_k)^T / sqrt(d)) (k w_v),
     keys masked where `mask` is False, computed as (softmax k) w_v from
     `attention_logits`: no [..., n_keys, d] projection is built."""
-    weights = T.softmax(attention_logits(layer, queries, keys), mask=mask)
-    return T.matmul(T.matmul(weights, keys), layer.w_v)
+    weights = T.softmax(attention_logits(params, layer, queries, keys), mask=mask)
+    return T.matmul(T.matmul(weights, keys), params[layer + "_wv"])
 
 
 def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
@@ -507,7 +453,7 @@ def cai_key_logits(model: Model, queries: T.Tensor, actions: np.ndarray,
     is the sum of the query's products with those rows.  The queries meet
     w_q w_k^T once, then each key table in one product, and each logit adds
     one column of each product."""
-    qk = key_space(model.block, queries)
+    qk = key_space(model.params, "attn", queries)
     return reduce(T.add, [T.gather_columns(T.matmul(qk, T.transpose(table)), actions[..., k])
                           for k, table in enumerate(key_tables(model, texts))])
 
@@ -527,7 +473,7 @@ def cai_forward(model: Model, consultations: np.ndarray, actions: np.ndarray,
     if not consultations.size or not actions.size or lam == 0.0:
         return c_texts
     pairs = (consultations[..., :, None, 0] >= 0) & (actions[..., None, :, 0] >= 0)
-    attended = attend(model.block, cai_queries(model, consultations, texts),
+    attended = attend(model.params, "attn", cai_queries(model, consultations, texts),
                       cai_keys(model, actions, texts), pairs)
     return T.add(c_texts, T.scale(attended, lam))
 
@@ -563,11 +509,11 @@ def session_forward(model: Model, table: CorpusFeatures,
     layout = np.concatenate(blocks, axis=1)
     segments = np.repeat(np.arange(N_SEGMENTS), [np.shape(b)[1] for b in blocks])
     real = layout >= 0
-    enc = model.encoder
-    lookups = [(enc.segment, np.where(real, segments, -1))]
-    for source, segs in ((model.tables.user, [SEG_USER]),
+    p = model.params
+    lookups = [(p["segment_emb"], np.where(real, segments, -1))]
+    for source, segs in ((p["user_emb"], [SEG_USER]),
                          (texts, [SEG_QUERY_HISTORY, SEG_QUERY]),
-                         (model.tables.item, [SEG_ITEM_HISTORY])):
+                         (p["item_emb"], [SEG_ITEM_HISTORY])):
         at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
         if (at >= 0).any():
             lookups.append((source, at))
@@ -578,10 +524,10 @@ def session_forward(model: Model, table: CorpusFeatures,
         lookups.append((T.reshape(h, (-1, h.shape[2])), at))
     x = T.lookup_sum(*lookups)
     # the current query's position holds its segment row and its text only
-    x_query = T.lookup_sum((enc.segment, np.full((len(batch), 1), SEG_QUERY)),
+    x_query = T.lookup_sum((p["segment_emb"], np.full((len(batch), 1), SEG_QUERY)),
                            (texts, queries[:, -1:]))
-    y = squeeze(T.add(x_query, attend(enc, x_query, x, real[:, None, :])))
-    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
+    y = squeeze(T.add(x_query, attend(p, "enc", x_query, x, real[:, None, :])))
+    return T.add(y, T.tanh(T.add(T.matmul(y, p["enc_ff_w"]), p["enc_ff_b"])))
 
 
 def score_candidates(model: Model, e_final: T.Tensor,
@@ -590,22 +536,23 @@ def score_candidates(model: Model, e_final: T.Tensor,
     item rows of its n candidates, in input order; with None, against every
     item row, in `Model.item_ids` order (the catalog of the model's corpus),
     as one product with the item table."""
+    item_emb = model.params["item_emb"]
     if candidate_ids is None:
-        return T.matmul(e_final, T.transpose(model.tables.item))
+        return T.matmul(e_final, T.transpose(item_emb))
     rows = np.array([_rows(model.item_rows, ids, "item") for ids in candidate_ids])
     e_rows = T.embedding_lookup(e_final, np.arange(len(rows))[:, None])
-    return squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(model.tables.item, rows))))
+    return squeeze(T.matmul_t(e_rows, T.embedding_lookup(item_emb, rows)))
 
 
 @dataclass(frozen=True)
 class PlainModel:
     """What scoring one session at a time reads (`plain_forward`,
-    `plain_scores`): the model, its parameter arrays by
-    `Model.named_parameters` name (the arrays themselves, so make it once
-    they are final), every text of its feature table encoded by one
-    `encode_text` call, each table action's key up to its time row
-    (`_action_keys`), and whether each table text has tokens, with a False
-    entry past the last for index -1."""
+    `plain_scores`): the model, the arrays of its `Model.params` dict by the
+    same names (the arrays themselves, so make it once they are final),
+    every text of its feature table encoded by one `encode_text` call, each
+    table action's key up to its time row (`_action_keys`), and whether
+    each table text has tokens, with a False entry past the last for index
+    -1."""
 
     model: Model
     params: Dict[str, np.ndarray]
@@ -628,9 +575,10 @@ def _action_keys(params: Dict[str, np.ndarray], fields: np.ndarray,
 
 
 def plain_model(model: Model) -> PlainModel:
-    """The `PlainModel` of a model's parameters as they are now."""
+    """The `PlainModel` of a model's parameters as they are now: each
+    tensor of the name-keyed `Model.params` dict as its array."""
     table = model.features
-    params = {name: t.data for name, t in model.named_parameters().items()}
+    params = {name: t.data for name, t in model.params.items()}
     texts = encode_text(model, table.token_ids, table.text_offsets).data
     fields = table.actions
     return PlainModel(model, params, texts,
@@ -721,7 +669,7 @@ def save_model(model: Model, path) -> Dict[str, str]:
     checkpoint stays small; it stores the corpus's digest, and loading
     requires the same corpus."""
     extra = {"model_config": dataclasses.asdict(model.cfg), CORPUS_KEY: model.corpus_sha256}
-    return T.save_checkpoint(model.named_parameters(), path, extra=extra)
+    return T.save_checkpoint(model.params, path, extra=extra)
 
 
 def _fits(value, kind: str) -> bool:

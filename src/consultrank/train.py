@@ -430,12 +430,12 @@ def train(corpus: Corpus, linkage: LinkageTable,
         if valid_ndcg > best_ndcg:
             best_ndcg = valid_ndcg
             best_epoch = epoch
-            best_params = {k: t.data.copy() for k, t in model.named_parameters().items()}
+            best_params = {k: t.data.copy() for k, t in model.params.items()}
         if epoch - best_epoch >= cfg.patience:
             break
 
     if best_params:
-        for name, t in model.named_parameters().items():
+        for name, t in model.params.items():
             t.data = best_params[name]
     return TrainResult(model=model, rows=rows, best_epoch=best_epoch,
                        best_valid_ndcg10=best_ndcg)

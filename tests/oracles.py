@@ -22,8 +22,9 @@ constructor call per record: `build_corpus` must build what it builds and
 refuse what it refuses, at the same record and in the same words.
 And the replaced formulations of the training forward, kept as they were
 (`masked_add_lookup_sum`, `gather_mean_pool_encode_text`,
-`ones_product_squeeze`, `transposed_key_logits` and
-`placement_session_forward`, see `replaced_formulations`): the library's
+`ones_product_squeeze`, `transposed_key_logits`,
+`transposed_candidate_scores` and `placement_session_forward`, see
+`replaced_formulations`): the library's
 training step must give their e_final, losses and gradients bit for bit.
 And `reference_sample_negative_items`, which draws one item at a time.
 """
@@ -375,14 +376,15 @@ def materialized_loss_va(model, samples, table, cfg):
     tokens = [table.token_ids[table.text_offsets[i]:table.text_offsets[i + 1]] for i in picked]
     texts = M.encode_text(model, np.concatenate(tokens),
                           np.cumsum([0] + [len(t) for t in tokens]))
+    p = model.params
     query = T.add(T.embedding_lookup(texts, np.arange(len(cons))[:, None]),
-                  T.embedding_lookup(model.tables.time, M.time_buckets(
+                  T.embedding_lookup(p["time_emb"], M.time_buckets(
                       model, anchors - table.consultation_ts[cons])[:, None]))
-    sources = (model.tables.action, model.tables.item, texts, model.tables.time)
+    sources = (p["action_emb"], p["item_emb"], texts, p["time_emb"])
     keys = reduce(T.add, [T.embedding_lookup(source, key_rows[..., k])
                           for k, source in enumerate(sources)])
-    logits = T.scale(T.matmul(T.matmul(query, model.block.w_q),
-                              T.transpose(T.matmul(keys, model.block.w_k))),
+    logits = T.scale(T.matmul(T.matmul(query, p["attn_wq"]),
+                              T.transpose(T.matmul(keys, p["attn_wk"]))),
                      1.0 / math.sqrt(model.cfg.d))  # [samples, 1, 1 + K]
     logits = T.matmul(T.Tensor(np.ones(1)), logits)
     return T.nll_index(T.scale(logits, 1.0 / cfg.tau1), 0, mask=real)
@@ -405,10 +407,10 @@ def materialized_cai_forward(model, consultations, actions, texts):
     if not consultations.size or not actions.size or lam == 0.0:
         return c_texts
     pairs = (consultations[..., :, None, 0] >= 0) & (actions[..., None, :, 0] >= 0)
-    block = model.block
+    p = model.params
     attended = materialized_attention(M.cai_queries(model, consultations, texts),
                                       M.cai_keys(model, actions, texts), pairs,
-                                      block.w_q, block.w_k, block.w_v)
+                                      p["attn_wq"], p["attn_wk"], p["attn_wv"])
     return T.add(c_texts, T.scale(attended, lam))
 
 
@@ -427,12 +429,12 @@ def materialized_session_forward(model, table, batch):
     queries = where[query_texts]
     blocks = ([[s.user] for s in batch], consultations, queries[:, :-1],
               M.pad([s.item_history for s in batch]), queries[:, -1:])
-    sources = (model.tables.user, None, texts, model.tables.item, texts)
+    p = model.params
+    sources = (p["user_emb"], None, texts, p["item_emb"], texts)
     segments = np.repeat(np.arange(M.N_SEGMENTS), [np.shape(b)[1] for b in blocks])
     layout = np.concatenate(blocks, axis=1)
     real = layout >= 0
-    enc = model.encoder
-    x = T.embedding_lookup(enc.segment, np.where(real, segments, -1))
+    x = T.embedding_lookup(p["segment_emb"], np.where(real, segments, -1))
     for k, source in enumerate(sources):
         if not real[:, segments == k].any():
             continue
@@ -442,9 +444,10 @@ def materialized_session_forward(model, table, batch):
             x = T.add(x, T.embedding_lookup(source, np.where(segments == k, layout, -1)))
     select = (np.arange(len(segments)) == len(segments) - 1)[None, :]
     x_query = T.matmul(T.Tensor(select), x)
-    attended = materialized_attention(x_query, x, real[:, None, :], enc.w_q, enc.w_k, enc.w_v)
+    attended = materialized_attention(x_query, x, real[:, None, :],
+                                      p["enc_wq"], p["enc_wk"], p["enc_wv"])
     y = M.squeeze(T.add(x_query, attended))
-    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
+    return T.add(y, T.tanh(T.add(T.matmul(y, p["enc_ff_w"]), p["enc_ff_b"])))
 
 
 def reference_adam_step(state):
@@ -564,9 +567,10 @@ def gather_mean_pool_encode_text(model, token_ids, offsets):
     nonempty = np.diff(offsets) > 0
     if not nonempty.any():
         return T.Tensor(np.zeros((len(nonempty), model.cfg.d)))
-    pooled = mean_pool(T.embedding_lookup(model.tables.token, token_ids),
+    pooled = mean_pool(T.embedding_lookup(model.params["token_emb"], token_ids),
                        np.append(offsets[:-1][nonempty], offsets[-1]))
-    encoded = T.tanh(T.add(T.matmul(pooled, model.text_w), model.text_b))
+    p = model.params
+    encoded = T.tanh(T.add(T.matmul(pooled, p["text_w"]), p["text_b"]))
     if nonempty.all():
         return encoded
     return T.embedding_lookup(encoded, np.where(nonempty, np.cumsum(nonempty) - 1, -1))
@@ -577,9 +581,20 @@ def ones_product_squeeze(t):
     return T.matmul(T.Tensor(np.ones(1)), t)
 
 
-def transposed_key_logits(layer, queries, keys):
+def transposed_key_logits(params, layer, queries, keys):
     """`model.attention_logits` as a product with a transpose node."""
-    return T.matmul(M.key_space(layer, queries), T.transpose(keys))
+    return T.matmul(M.key_space(params, layer, queries), T.transpose(keys))
+
+
+def transposed_candidate_scores(model, e_final, candidate_ids):
+    """`model.score_candidates` with explicit candidates as a product with
+    a transpose node."""
+    item_emb = model.params["item_emb"]
+    if candidate_ids is None:
+        return T.matmul(e_final, T.transpose(item_emb))
+    rows = np.array([M._rows(model.item_rows, ids, "item") for ids in candidate_ids])
+    e_rows = T.embedding_lookup(e_final, np.arange(len(rows))[:, None])
+    return M.squeeze(T.matmul(e_rows, T.transpose(T.embedding_lookup(item_emb, rows))))
 
 
 def placement_session_forward(model, table, batch):
@@ -598,11 +613,11 @@ def placement_session_forward(model, table, batch):
     layout = np.concatenate(blocks, axis=1)
     segments = np.repeat(np.arange(M.N_SEGMENTS), [np.shape(b)[1] for b in blocks])
     real = layout >= 0
-    enc = model.encoder
-    lookups = [(enc.segment, np.where(real, segments, -1))]
-    for source, segs in ((model.tables.user, [M.SEG_USER]),
+    p = model.params
+    lookups = [(p["segment_emb"], np.where(real, segments, -1))]
+    for source, segs in ((p["user_emb"], [M.SEG_USER]),
                          (texts, [M.SEG_QUERY_HISTORY, M.SEG_QUERY]),
-                         (model.tables.item, [M.SEG_ITEM_HISTORY])):
+                         (p["item_emb"], [M.SEG_ITEM_HISTORY])):
         at = np.where((segments[:, None] == segs).any(axis=1), layout, -1)
         if (at >= 0).any():
             lookups.append((source, at))
@@ -610,10 +625,10 @@ def placement_session_forward(model, table, batch):
     if real[:, segments == M.SEG_CONSULTATION].any():
         # consultation c sits at position 1 + c
         x = T.add(x, T.matmul(T.Tensor(np.eye(len(segments), h.shape[1], -1)), h))
-    x_query = T.lookup_sum((enc.segment, np.full((len(batch), 1), M.SEG_QUERY)),
+    x_query = T.lookup_sum((p["segment_emb"], np.full((len(batch), 1), M.SEG_QUERY)),
                            (texts, queries[:, -1:]))
-    y = M.squeeze(T.add(x_query, M.attend(enc, x_query, x, real[:, None, :])))
-    return T.add(y, T.tanh(T.add(T.matmul(y, enc.ff_w), enc.ff_b)))
+    y = M.squeeze(T.add(x_query, M.attend(p, "enc", x_query, x, real[:, None, :])))
+    return T.add(y, T.tanh(T.add(T.matmul(y, p["enc_ff_w"]), p["enc_ff_b"])))
 
 
 def replaced_formulations(monkeypatch):
@@ -624,3 +639,4 @@ def replaced_formulations(monkeypatch):
     monkeypatch.setattr(M, "squeeze", ones_product_squeeze)
     monkeypatch.setattr(M, "attention_logits", transposed_key_logits)
     monkeypatch.setattr(M, "session_forward", placement_session_forward)
+    monkeypatch.setattr(M, "score_candidates", transposed_candidate_scores)

@@ -192,7 +192,7 @@ def test_05_closed_form_losses(capsys):
     search_loss = TR.loss_search(model, e_zero, [item_ids[0]], [negatives], cfg)
     search_err = abs(search_loss.item() - math.log(11.0))
 
-    model.block.w_q.data[:] = 0.0
+    model.params["attn_wq"].data[:] = 0.0
     table = corpus_features(model, corpus)
     user = sorted(corpus.users)[0]
     actions = list(table.span(user, 1))

@@ -624,11 +624,11 @@ def test_eval_refuses_checkpoint_with_a_token_row_per_catalog_term(pipeline_dir,
     corpus = load_corpus(out / "corpus" / "items.jsonl", out / "corpus" / "events.jsonl")
     path = out / "checkpoint.json"
     model = model_module.load_model(path, corpus)
-    token = model.tables.token.data
+    token = model.params["token_emb"].data
     unknown, rows, _ = oracles.reference_token_draw(corpus, model.cfg)
     assert len(rows) > len(model.vocab)
     rows.update((term, token[i]) for term, i in model.vocab.items())
-    model.tables.token = tensor_module.Tensor(np.array([token[0], *rows.values()]))
+    model.params["token_emb"] = tensor_module.Tensor(np.array([token[0], *rows.values()]))
     model_module.save_model(model, path)
     assert run("eval", out, out / "config.json") == 4
     err = capsys.readouterr().err

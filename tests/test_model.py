@@ -57,10 +57,10 @@ def test_init_is_seeded_and_ranged(small_corpus):
     m3 = tiny_model(small_corpus, seed=4)
     bound = 1.0 / np.sqrt(m1.cfg.d)
     some_differ = False
-    for name, t in m1.named_parameters().items():
-        assert np.array_equal(t.data, m2.named_parameters()[name].data)
+    for name, t in m1.params.items():
+        assert np.array_equal(t.data, m2.params[name].data)
         assert np.all(np.abs(t.data) <= bound)
-        if not np.array_equal(t.data, m3.named_parameters()[name].data):
+        if not np.array_equal(t.data, m3.params[name].data):
             some_differ = True
     assert some_differ
 
@@ -91,9 +91,9 @@ def test_vocab_holds_only_terms_inputs_read(small_corpus):
     assert "worth" in tiny_model(small_corpus).vocab
     assert M.UNKNOWN_TOKEN not in vocab.values()
     assert sorted(vocab.values()) == list(range(1, len(vocab) + 1))
-    assert model.tables.token.data.shape[0] == len(vocab) + 1
-    assert model.tables.item.data.shape[0] == len(small_corpus.items)
-    assert model.tables.user.data.shape[0] == len(small_corpus.users)
+    assert model.params["token_emb"].data.shape[0] == len(vocab) + 1
+    assert model.params["item_emb"].data.shape[0] == len(small_corpus.items)
+    assert model.params["user_emb"].data.shape[0] == len(small_corpus.users)
     ids, offsets = text_ids(model, ["alpha portable", "unseen-term"])
     assert ids.tolist() == [vocab["alpha"], M.UNKNOWN_TOKEN, M.UNKNOWN_TOKEN, M.UNKNOWN_TOKEN]
     assert offsets.tolist() == [0, 2, 4]
@@ -116,9 +116,9 @@ def test_token_rows_are_the_catalog_wide_draw(small_corpus, generated, max_text_
     model = M.init_model(corpus, cfg)
     unknown, rows, item_emb = oracles.reference_token_draw(corpus, cfg)
     assert len(rows) > len(model.vocab)
-    assert np.array_equal(model.tables.token.data,
+    assert np.array_equal(model.params["token_emb"].data,
                           np.array([unknown, *map(rows.__getitem__, model.vocab)]))
-    assert np.array_equal(model.tables.item.data, item_emb)
+    assert np.array_equal(model.params["item_emb"].data, item_emb)
 
 
 def test_own_features_match_corpus_features(small_corpus):
@@ -170,8 +170,8 @@ def test_encode_text_is_order_invariant(small_corpus):
 def test_encode_text_single_token_formula(small_corpus):
     model = tiny_model(small_corpus)
     out = encode(model, "alpha")
-    row = model.tables.token.data[model.vocab["alpha"]]
-    expected = np.tanh(row @ model.text_w.data + model.text_b.data)
+    row = model.params["token_emb"].data[model.vocab["alpha"]]
+    expected = np.tanh(row @ model.params["text_w"].data + model.params["text_b"].data)
     assert np.allclose(out.data[0], expected)
 
 
@@ -187,7 +187,7 @@ def test_encode_text_empty_gives_zero_vector(small_corpus):
     for out in (mixed, encode(model, "alpha beta", "gadget")):
         zero_grads(model.parameters())
         T.backward(T.l2_norm_sq(out))
-        grads.append(model.text_b.grad)
+        grads.append(model.params["text_b"].grad)
     assert np.allclose(grads[0], grads[1])
 
 
@@ -217,10 +217,10 @@ def test_action_embedding_cases(small_corpus):
     texts, _, rows = cai_rows(model, *features(model, "u1", [], actions))
     keys = M.cai_keys(model, rows, texts).data
     # the timestamp enters a key only through its time bucket
-    time = model.tables.time.data
+    time = model.params["time_emb"].data
     assert rows[0, 3] != rows[1, 3]
     assert np.allclose(keys[1] - keys[0], time[rows[1, 3]] - time[rows[0, 3]])
-    table = model.tables.action.data
+    table = model.params["action_emb"].data
     expected = table[M.ACTION_ROWS[ActionType.BUY]] - table[M.ACTION_ROWS[ActionType.CLICK]]
     assert np.allclose(keys[2] - keys[0], expected)
     expected_s = (
@@ -253,7 +253,8 @@ def test_cai_singleton_action_gets_full_attention(small_corpus):
     u1 = small_corpus.users["u1"]
     texts, c_rows, a_rows = cai_rows(
         model, *features(model, "u1", u1.consultations, u1.interactions[:1]))
-    weights = T.softmax(M.attention_logits(model.block, M.cai_queries(model, c_rows, texts),
+    weights = T.softmax(M.attention_logits(model.params, "attn",
+                                           M.cai_queries(model, c_rows, texts),
                                            M.cai_keys(model, a_rows, texts)))
     assert weights.shape == (len(u1.consultations), 1)
     assert np.allclose(weights.data, 1.0)
@@ -270,8 +271,8 @@ def test_cai_output_mixes_attended_value(small_corpus):
 
 def test_cascade_handles_all_zero_inputs(small_corpus):
     model = tiny_model(small_corpus)
-    model.tables.user.data[:] = 0.0
-    model.tables.item.data[:] = 0.0
+    model.params["user_emb"].data[:] = 0.0
+    model.params["item_emb"].data[:] = 0.0
     stopwords = Consultation("c0", "of the", "and", 5)
     table, s = features(model, "u1", [stopwords], [], ["of the"], ["i1"], query_text="and the")
     texts, _ = M.encode_texts(model, table, np.arange(len(table.text_offsets) - 1))
@@ -312,7 +313,7 @@ def test_score_candidates_geometry(small_corpus):
     rows = np.zeros((len(model.item_ids), d))
     for i in range(len(model.item_ids)):
         rows[i, i] = 1.0
-    model.tables.item.data = rows
+    model.params["item_emb"].data = rows
     target = model.item_ids[2]
     scores = M.score_candidates(model, T.Tensor(rows[[model.item_rows[target]]]),
                                 [model.item_ids])
@@ -332,7 +333,7 @@ def test_score_candidates_duplicates_and_errors(small_corpus):
 
 def test_ranked_scores_break_ties_by_item_id(small_corpus):
     model = tiny_model(small_corpus)
-    model.tables.item.data[model.item_rows["i3"]] = model.tables.item.data[
+    model.params["item_emb"].data[model.item_rows["i3"]] = model.params["item_emb"].data[
         model.item_rows["i1"]
     ]
     e = encode(model, "alpha beta gadget")
@@ -379,7 +380,7 @@ def assert_matches_materialized(model, build, reference):
         out = forward_pass()
         shift = T.Tensor(np.random.default_rng(5).normal(size=out.shape))
         T.backward(T.l2_norm_sq(T.add(out, shift)))
-        results.append((out.data, {n: p.grad for n, p in model.named_parameters().items()}))
+        results.append((out.data, {n: p.grad for n, p in model.params.items()}))
     (out, grads), (want, want_grads) = results
 
     def close(a, b):
@@ -518,11 +519,35 @@ def test_load_model_restores_saved_parameters_and_draws_nothing(small_corpus, tm
     monkeypatch.setattr(T, "parameter", lambda *a: pytest.fail("load_model drew parameters"))
     loaded = M.load_model(path, small_corpus)
     assert loaded.cfg == model.cfg and loaded.corpus_sha256 == model.corpus_sha256
-    saved = model.named_parameters()
-    for name, t in loaded.named_parameters().items():
+    saved = model.params
+    for name, t in loaded.params.items():
         assert t.requires_grad
         assert t.data.shape == saved[name].data.shape
         assert t.data.tobytes() == saved[name].data.tobytes(), name
+
+
+def test_a_parameter_named_in_param_shapes_alone_reaches_every_reader(small_corpus, tmp_path,
+                                                                      monkeypatch):
+    """`_param_shapes` is the one list of the parameters: one more name
+    there is drawn after the others, which keep their numbers, is in
+    `Model.parameters` (what Adam and the L2 penalty read), survives a
+    checkpoint and is an array of the plain scorer."""
+    before = tiny_model(small_corpus, seed=5)
+    shapes = M._param_shapes
+    monkeypatch.setattr(M, "_param_shapes", lambda *a: {**shapes(*a), "extra_w": (3, 2)})
+    model = tiny_model(small_corpus, seed=5)
+    extra = model.params["extra_w"]
+    assert extra.requires_grad and extra.data.shape == (3, 2)
+    assert np.abs(extra.data).max() <= 1.0 / np.sqrt(model.cfg.d)
+    for name, t in before.params.items():
+        assert t.data.tobytes() == model.params[name].data.tobytes(), name
+    assert len(model.parameters()) == len(before.parameters()) + 1
+    assert any(t is extra for t in model.parameters())
+    path = tmp_path / "checkpoint.json"
+    M.save_model(model, path)
+    assert M.load_model(path, small_corpus).params["extra_w"].data.tobytes() == \
+        extra.data.tobytes()
+    assert M.plain_model(model).params["extra_w"] is extra.data
 
 
 def test_load_model_refuses_older_corpus_key(small_corpus, tmp_path):

@@ -190,9 +190,9 @@ def test_loss_search_confident_positive_approaches_zero(gen_small):
     cfg = TR.TrainConfig()
     pos = model.item_ids[0]
     direction = np.ones(model.cfg.d)
-    model.tables.item.data[model.item_rows[pos]] = direction
+    model.params["item_emb"].data[model.item_rows[pos]] = direction
     for v in model.item_ids[1:3]:
-        model.tables.item.data[model.item_rows[v]] = -direction
+        model.params["item_emb"].data[model.item_rows[v]] = -direction
     loss = TR.loss_search(model, T.Tensor([direction]), [pos], [model.item_ids[1:3]], cfg)
     assert 0.0 <= float(loss.data) < 1e-6
 
@@ -225,7 +225,7 @@ def test_loss_search_counts_duplicate_negatives(gen_small):
 def test_loss_va_uniform_logits_closed_form(gen_small):
     corpus, linkage, _ = gen_small
     model = M.init_model(corpus, M.ModelConfig(d=8))
-    model.block.w_k.data[:] = 0.0
+    model.params["attn_wk"].data[:] = 0.0
     table = corpus_features(model, corpus)
     pairs = TR.linked_pairs(table, corpus, linkage)
     user = next(iter(pairs))
@@ -242,9 +242,9 @@ def test_temperature_sharpening_is_monotone(gen_small):
     model = M.init_model(corpus, M.ModelConfig(d=8))
     pos = model.item_ids[0]
     direction = np.ones(model.cfg.d) / model.cfg.d
-    model.tables.item.data[model.item_rows[pos]] = direction * 2.0
+    model.params["item_emb"].data[model.item_rows[pos]] = direction * 2.0
     for v in model.item_ids[1:4]:
-        model.tables.item.data[model.item_rows[v]] = direction
+        model.params["item_emb"].data[model.item_rows[v]] = direction
     losses = [
         float(TR.loss_search(model, T.Tensor(np.ones((1, model.cfg.d))), [pos],
                              [model.item_ids[1:4]],
@@ -415,8 +415,8 @@ def test_train_smoke_and_determinism(gen_small):
         assert np.isfinite([row.l_search, row.l_va, row.total]).all()
     key = lambda res: [(r.l_search, r.l_va, r.total, r.valid_ndcg10) for r in res.rows]
     assert key(first) == key(second)
-    for name, t in first.model.named_parameters().items():
-        assert np.array_equal(t.data, second.model.named_parameters()[name].data)
+    for name, t in first.model.params.items():
+        assert np.array_equal(t.data, second.model.params[name].data)
 
 
 def test_train_spends_every_gradient_and_trains_as_the_reference_step(
@@ -525,7 +525,7 @@ def test_every_parameter_receives_gradient(gen_small):
     total = TR.total_loss(l_search, TR.loss_va(model, samples, table, cfg),
                           model.parameters(), cfg)
     T.backward(total)
-    for name, t in model.named_parameters().items():
+    for name, t in model.params.items():
         assert t.grad is not None, f"{name} got no gradient"
         assert np.any(t.grad != 0.0), f"{name} gradient is all zero"
 
@@ -563,7 +563,8 @@ def test_training_raises_attention_mass_on_linked_pairs():
         for user, c, col, anchor, prior in flat:
             texts, _, c_rows, a_rows = M.cai_inputs(model, table, np.array([[c]]), prior[None],
                                                     np.array([[anchor]]))
-            logits = M.attention_logits(model.block, M.cai_queries(model, c_rows[0], texts),
+            logits = M.attention_logits(model.params, "attn",
+                                        M.cai_queries(model, c_rows[0], texts),
                                         M.cai_keys(model, a_rows[0], texts))
             masses.append(float(T.softmax(logits).data[0, col]))
         return float(np.mean(masses))
@@ -762,8 +763,9 @@ def test_batched_step_is_the_replaced_formulations_bit_for_bit(seed, l_seq, monk
     and every parameter gradient that the formulations it replaced give,
     bit for bit: the masked add over the padded block in `lookup_sum`, the
     token gather before `mean_pool`, the CAI rows placed by an identity
-    product, the ones-vector product in `squeeze` and the product with a
-    transpose node in `attention_logits` (`oracles.replaced_formulations`)."""
+    product, the ones-vector product in `squeeze` and the products with a
+    transpose node in `attention_logits` and `score_candidates`
+    (`oracles.replaced_formulations`)."""
 
     def step(model, table, cfg, batch_f, batch_t, negs, samples):
         zero_grads(model.parameters())
@@ -797,7 +799,7 @@ def test_factorized_alignment_loss_matches_materialized_keys(seed):
     flat = [pair for user in sorted(pairs) for pair in pairs[user]]
     cfg = TR.TrainConfig(tau1=0.5, va_batch=12)
     rng = np.random.default_rng(seed)
-    params = model.named_parameters()
+    params = model.params
     for trial in range(6):
         samples = []
         for k in [cfg.va_batch, 0] + rng.integers(0, cfg.va_batch, size=trial).tolist():
@@ -848,7 +850,7 @@ def step_graph(n):
 def test_step_graph_does_not_grow_with_batch():
     """A step over 24 sessions records as many graph nodes as a step over one
     of them."""
-    assert len(step_graph(1)) == len(step_graph(24)) <= 88
+    assert len(step_graph(1)) == len(step_graph(24)) <= 87
 
 
 def test_step_graph_holds_no_copies():
